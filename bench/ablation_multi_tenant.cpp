@@ -3,14 +3,18 @@
 // cycling {1,2,4}, one batch per grant). FCFS ignores weights, so its
 // weight-normalized Jain index collapses; the weighted disciplines hold
 // shares near the targets at (near) identical makespan — fairness here is
-// a scheduling transform of the same work, not a throughput tax.
+// a scheduling transform of the same work, not a throughput tax. The three
+// policy runs are independent simulations, so they run concurrently on the
+// host pool (core/parallel_runner).
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "analysis/tenant_report.hpp"
 #include "common/stats.hpp"
 #include "core/multi_client.hpp"
+#include "core/parallel_runner.hpp"
 #include "workloads/tenant_mix.hpp"
 
 using namespace uvmsim;
@@ -19,7 +23,7 @@ using namespace uvmsim::bench;
 namespace {
 
 struct Outcome {
-  const char* name;
+  const char* name = "";
   double makespan_ms = 0;
   double jain = 0;
   double max_err_pct = 0;
@@ -64,11 +68,14 @@ int main() {
                "disciplines hold in-window shares at the weight targets "
                "(Jain -> 1) where FCFS cannot, at comparable makespan");
 
-  std::vector<Outcome> outcomes;
-  outcomes.push_back(run_policy("fcfs", TenantSchedPolicy::kFcfs));
-  outcomes.push_back(
-      run_policy("drr", TenantSchedPolicy::kDeficitRoundRobin));
-  outcomes.push_back(run_policy("stride", TenantSchedPolicy::kStride));
+  const std::vector<Outcome> outcomes =
+      run_tasks(std::vector<std::function<Outcome()>>{
+          [] { return run_policy("fcfs", TenantSchedPolicy::kFcfs); },
+          [] {
+            return run_policy("drr", TenantSchedPolicy::kDeficitRoundRobin);
+          },
+          [] { return run_policy("stride", TenantSchedPolicy::kStride); },
+      });
 
   TablePrinter table({"policy", "makespan(ms)", "jain", "max_share_err%",
                       "wait p50(us)", "wait p99(us)", "wait max(us)"});

@@ -1,19 +1,8 @@
 #include "core/event_engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 namespace uvmsim {
-
-unsigned EngineConfig::resolved_shards() const noexcept {
-  if (shards != kAutoShards) return shards < 1 ? 1u : shards;
-  // `--shards auto`: one lane per hardware thread, capped at the widest
-  // lane count the determinism suites fuzz (8). hardware_concurrency()
-  // may legally return 0 — treat that as "unknown", i.e. single lane.
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(hw, 1u, 8u);
-}
 
 void EventEngine::pop_stale() const {
   while (!heap_.empty()) {
@@ -85,19 +74,8 @@ void EventEngine::run() {
 void EventEngine::advance_to(SimTime t) {
   if (t <= now_) return;
   ++stats_.clock_advances;
-  if (config_.mode == AdvanceMode::kTimeStepped) {
-    const SimTime quantum =
-        config_.step_quantum_ns == 0 ? 1 : config_.step_quantum_ns;
-    while (now_ < t) {
-      const SimTime next = now_ + quantum < t ? now_ + quantum : t;
-      now_ = next;
-      ++stats_.quantum_steps;
-      if (idle_poll_) idle_poll_();
-    }
-  } else {
-    stats_.idle_ns_skipped += t - now_;
-    now_ = t;
-  }
+  stats_.idle_ns_skipped += t - now_;
+  now_ = t;
 }
 
 void EventEngine::reset_clock(SimTime t) {

@@ -6,18 +6,14 @@
 // order: events are totally ordered by the key (time, component-id,
 // sequence). Two events at the same simulated time always execute in the
 // same order regardless of which component posted first at runtime, which
-// is what keeps multi-stream merges (multi-client arbitration, sharded
-// generation) byte-identical across shard counts and repeat runs.
+// is what keeps multi-stream merges (multi-client and multi-GPU
+// arbitration) byte-identical across repeat runs.
 //
 // The engine's clock jumps: popping an event scheduled later than `now`
 // advances the clock straight to the event's time, so an idle gap of any
-// length costs O(1) host work. The pre-refactor behaviour — advancing
-// wall-clock-style through the gap — is preserved as a reference mode
-// (AdvanceMode::kTimeStepped): the clock walks the same interval in fixed
-// quanta with a poll per step. Both modes execute the same events at the
-// same times and produce byte-identical simulation results; only host
-// time differs. The stepped mode is the differential-testing baseline
-// and the denominator of bench/bench_throughput's speedup column.
+// length costs O(1) host work. The engine is single-threaded; host
+// parallelism lives across independent simulations
+// (core/parallel_runner.hpp), not inside one.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +23,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/shard_gate.hpp"
 #include "common/types.hpp"
 
 namespace uvmsim {
@@ -43,40 +38,6 @@ constexpr std::uint32_t kHostOs = 4;       // host-OS callbacks
 constexpr std::uint32_t kClientBase = 16;  // multi-client: client i -> 16+i
 }  // namespace components
 
-/// How EventEngine::advance_to covers a time interval.
-enum class AdvanceMode : std::uint8_t {
-  kEventDriven,  // jump: idle gaps are skipped in O(1)
-  kTimeStepped,  // reference mode: walk the gap in fixed quanta + poll
-};
-
-struct EngineConfig {
-  AdvanceMode mode = AdvanceMode::kEventDriven;
-
-  /// Quantum for kTimeStepped — the polling granularity the pre-refactor
-  /// runner effectively advanced at. Ignored in kEventDriven.
-  SimTime step_quantum_ns = 100;
-
-  /// Host threads for sharded event execution (per-SM fault generation,
-  /// per-VABlock batch preprocessing, per-client streams). 1 = inline,
-  /// no threads spawned; results are byte-identical for every value.
-  /// kAutoShards (0, the CLI's `--shards auto`) resolves to the host's
-  /// core count (clamped to [1, 8]) at System construction.
-  unsigned shards = 1;
-
-  /// Sentinel for `shards`: pick the lane count from the host.
-  static constexpr unsigned kAutoShards = 0;
-
-  /// How gated fan-outs decide between inline and pooled execution
-  /// (common/shard_gate.hpp). kAuto self-calibrates the dispatch
-  /// overhead and runs batches inline when fanning out cannot pay;
-  /// kForced always fans out (test / TSan behavior). Either way the
-  /// simulated output is byte-identical — only host time changes.
-  ShardGateMode shard_gate = ShardGateMode::kAuto;
-
-  /// The shard count this config resolves to on this host.
-  unsigned resolved_shards() const noexcept;
-};
-
 class EventEngine {
  public:
   using EventId = std::uint64_t;
@@ -88,13 +49,9 @@ class EventEngine {
     std::uint64_t cancelled = 0;       // cancel() + reschedule() removals
     std::uint64_t idle_ns_skipped = 0; // clock jumped over this much idle
     std::uint64_t clock_advances = 0;  // advance_to calls that moved time
-    std::uint64_t quantum_steps = 0;   // kTimeStepped: quanta walked
     std::size_t max_queue_depth = 0;
   };
 
-  explicit EventEngine(EngineConfig config = {}) : config_(config) {}
-
-  const EngineConfig& config() const noexcept { return config_; }
   SimTime now() const noexcept { return now_; }
   const Stats& stats() const noexcept { return stats_; }
 
@@ -128,10 +85,8 @@ class EventEngine {
   /// events; they are executed in key order like any other.
   void run();
 
-  /// Move the clock forward to `t` (no-op when t <= now). In
-  /// kEventDriven mode this is a jump; in kTimeStepped it walks quantum
-  /// by quantum, invoking the idle poll each step. Handlers call this to
-  /// charge compute/service durations onto the timeline.
+  /// Jump the clock forward to `t` (no-op when t <= now). Handlers call
+  /// this to charge compute/service durations onto the timeline.
   void advance_to(SimTime t);
 
   /// advance_to(now + delta).
@@ -140,12 +95,6 @@ class EventEngine {
   /// Reset the clock for a new run-stream segment (must be monotonic).
   /// Pending events must have drained first.
   void reset_clock(SimTime t);
-
-  /// kTimeStepped per-quantum poll — models the readiness check the
-  /// wall-clock-style runner performed every step. Optional.
-  void set_idle_poll(std::function<void()> poll) {
-    idle_poll_ = std::move(poll);
-  }
 
  private:
   struct HeapEntry {
@@ -171,7 +120,6 @@ class EventEngine {
   // live events is unchanged, only dead heap entries are reclaimed.
   void pop_stale() const;
 
-  EngineConfig config_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;
@@ -179,7 +127,6 @@ class EventEngine {
                               std::greater<HeapEntry>>
       heap_;
   std::unordered_map<EventId, LiveEvent> live_;
-  std::function<void()> idle_poll_;
   Stats stats_;
 };
 

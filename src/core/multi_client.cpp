@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,16 +33,6 @@ MultiClientSystem::MultiClientSystem(SystemConfig config,
     clients_.push_back(std::make_unique<Client>(
         config_, effective_memory_bytes(config_, tenants_[i]),
         config_.seed + 0x9E37 * (idx + 1), config_.obs.trace));
-  }
-  if (const unsigned shards = config_.engine.resolved_shards(); shards > 1) {
-    shard_exec_ = std::make_unique<ShardExecutor>(shards,
-                                                  config_.engine.shard_gate);
-    // Dedup sharding inside each client's driver reuses the same lanes;
-    // handle_batch only ever runs from the arbitration thread (between
-    // fan-outs), so the executor is never re-entered.
-    for (auto& client : clients_) {
-      client->driver.set_shard_executor(shard_exec_.get());
-    }
   }
 }
 
@@ -87,29 +76,10 @@ MultiClientResult MultiClientSystem::run(
   }
   const bool weighted = sched_.policy != TenantSchedPolicy::kFcfs;
 
-  EventEngine engine(config_.engine);
+  EventEngine engine;
 
-  // Run fn(client) for every client in `work`. Each client's lane touches
-  // only that client's driver/GPU/accumulators, so the shard fan-out is
-  // race-free and byte-identical to the serial order; the barrier at the
-  // end is the arbitration synchronization point.
-  const auto fan_out = [&](const std::vector<Client*>& work,
-                           const std::function<void(Client&)>& fn) {
-    if (shard_exec_ && work.size() > 1) {
-      // A client's generation window costs tens of microseconds of host
-      // work, so the adaptive gate fans out for all but tiny rosters.
-      constexpr std::uint64_t kPerClientNs = 20'000;
-      shard_exec_->parallel_for(work.size(), kPerClientNs,
-                                [&](std::size_t i) { fn(*work[i]); });
-    } else {
-      for (Client* c : work) fn(*c);
-    }
-  };
-
-  // Allocate serially (cheap bookkeeping), then launch + first fault
-  // generation window for every client on the shard lanes at t = 0.
-  std::vector<Client*> all;
-  all.reserve(n);
+  // Allocate and launch every client, then run each one's first fault
+  // generation window at t = 0.
   for (std::size_t i = 0; i < n; ++i) {
     Client& c = *clients_[i];
     const PageId base = c.driver.va_space().total_pages();
@@ -118,14 +88,14 @@ MultiClientResult MultiClientSystem::run(
                              alloc.advise);
     }
     c.gpu.launch(specs[i].kernel, base);
-    all.push_back(&c);
   }
-  fan_out(all, [&](Client& c) {
+  for (std::size_t i = 0; i < n; ++i) {
+    Client& c = *clients_[i];
     const auto gen = c.gpu.generate(engine.now(), c.driver);
     c.compute_ns += gen.compute_ns +
                     gen.remote_requests *
                         config_.gpu.remote_request_pipelined_ns;
-  });
+  }
 
   const std::uint64_t max_batches = 4'000'000;
   std::uint64_t batches = 0;
@@ -160,15 +130,15 @@ MultiClientResult MultiClientSystem::run(
       if (c.gpu.fault_buffer().empty()) recover.push_back(&c);
     }
     if (all_done) break;
-    fan_out(recover, [&](Client& c) {
-      c.gpu.force_token_refill();
-      c.gpu.on_replay();
-      const auto gen = c.gpu.generate(engine.now(), c.driver);
-      c.compute_ns += gen.compute_ns;
-      if (c.gpu.fault_buffer().empty() && !client_finished(c)) {
+    for (Client* c : recover) {
+      c->gpu.force_token_refill();
+      c->gpu.on_replay();
+      const auto gen = c->gpu.generate(engine.now(), c->driver);
+      c->compute_ns += gen.compute_ns;
+      if (c->gpu.fault_buffer().empty() && !client_finished(*c)) {
         throw std::logic_error("uvmsim: multi-client fault wedge");
       }
-    });
+    }
 
     Client* selected = nullptr;
     std::size_t selected_idx = 0;

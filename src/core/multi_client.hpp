@@ -24,12 +24,7 @@
 // policies the scheduler picks among the backlogged tenants (arrival <=
 // grant time) and posts ONE grant event for the winner; scheduler state
 // advances only on explicit charges of simulated quantities, so decisions
-// are byte-identical across `--shards N` and both engine modes. With
-// SystemConfig::engine.shards > 1, the independent per-client fault
-// generation streams (launch and throttle recovery) execute on host
-// shard lanes and merge at the arbitration barrier — per-client results
-// are byte-identical for every shard count because each client's state
-// is touched only by its own lane.
+// are byte-identical across repeat runs.
 //
 // Contention accounting: every serviced batch records its queueing delay
 // (service start minus the earliest fault arrival it contains), and every
@@ -150,11 +145,6 @@ class MultiClientSystem {
   TenantSchedConfig sched_;
   std::unique_ptr<TenantScheduler> scheduler_;
   std::vector<std::unique_ptr<Client>> clients_;
-  // Host fork/join lanes for the per-client generation fan-out; null when
-  // engine.shards <= 1. Client drivers also borrow it for sharded batch
-  // dedup (always invoked from the arbitration thread, never from inside
-  // a fan-out, so the lanes are never re-entered).
-  std::unique_ptr<ShardExecutor> shard_exec_;
   MetricsRegistry metrics_;
   EventEngine::Stats engine_stats_;
 };

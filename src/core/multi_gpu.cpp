@@ -1,7 +1,6 @@
 #include "core/multi_gpu.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -38,13 +37,6 @@ MultiGpuSystem::MultiGpuSystem(SystemConfig config)
     views_[g].gpu = g;
   }
   if (counters_) driver_.set_access_counters(counters_.get());
-  if (const unsigned shards = config_.engine.resolved_shards(); shards > 1) {
-    shard_exec_ = std::make_unique<ShardExecutor>(shards,
-                                                  config_.engine.shard_gate);
-    // The driver's sharded dedup borrows the same lanes; handle_batch only
-    // runs from the arbitration thread, so the executor never re-enters.
-    driver_.set_shard_executor(shard_exec_.get());
-  }
   if (config_.obs.trace) {
     tracer_.set_track_name(tracks::kDriver, "uvm driver");
     tracer_.set_track_name(tracks::kGpu, "gpu");
@@ -63,25 +55,11 @@ MultiGpuResult MultiGpuSystem::run(const MultiGpuWorkload& workload) {
   MultiGpuResult result;
   result.per_gpu_kernel_ns.assign(n, 0);
 
-  EventEngine engine(config_.engine);
+  EventEngine engine;
 
   std::vector<SimTime> compute_ns(n, 0);
   std::vector<SimTime> done_at(n, 0);
   std::vector<bool> done(n, false);
-
-  // Run fn(g) for every GPU index in `work`. Each lane touches only that
-  // GPU's engine and accumulators (the shared driver is never called from
-  // inside a fan-out), so the result is byte-identical to serial order.
-  const auto fan_out = [&](const std::vector<std::size_t>& work,
-                           const std::function<void(std::size_t)>& fn) {
-    if (shard_exec_ && work.size() > 1) {
-      constexpr std::uint64_t kPerGpuNs = 20'000;
-      shard_exec_->parallel_for(work.size(), kPerGpuNs,
-                                [&](std::size_t i) { fn(work[i]); });
-    } else {
-      for (const std::size_t g : work) fn(g);
-    }
-  };
 
   const auto generate_window = [&](std::size_t g) {
     const auto gen = gpus_[g]->generate(engine.now(), views_[g]);
@@ -96,12 +74,10 @@ MultiGpuResult MultiGpuSystem::run(const MultiGpuWorkload& workload) {
   for (const auto& alloc : workload.allocs) {
     driver_.managed_alloc(alloc.bytes, alloc.name, alloc.init, alloc.advise);
   }
-  std::vector<std::size_t> all(n);
   for (std::size_t g = 0; g < n; ++g) {
-    all[g] = g;
     gpus_[g]->launch(workload.kernels[g], base);
   }
-  fan_out(all, generate_window);
+  for (std::size_t g = 0; g < n; ++g) generate_window(g);
 
   const std::uint64_t max_batches = 4'000'000;
   std::uint64_t batches = 0;
@@ -124,7 +100,7 @@ MultiGpuResult MultiGpuSystem::run(const MultiGpuWorkload& workload) {
       if (e.fault_buffer().empty()) recover.push_back(g);
     }
     if (all_done) break;
-    fan_out(recover, [&](std::size_t g) {
+    for (const std::size_t g : recover) {
       GpuEngine& e = *gpus_[g];
       e.force_token_refill();
       e.on_replay();
@@ -132,7 +108,7 @@ MultiGpuResult MultiGpuSystem::run(const MultiGpuWorkload& workload) {
       if (e.fault_buffer().empty() && !gpu_finished(e)) {
         throw std::logic_error("uvmsim: multi-gpu fault wedge");
       }
-    });
+    }
 
     // FCFS arbitration: every contending GPU posts its earliest fault
     // arrival; the engine's (time, component) key hands the worker the

@@ -14,11 +14,9 @@
 // Arbitration is the FCFS discipline of the multi-tenant server: each
 // contending GPU posts its earliest fault arrival as an event keyed
 // (time, component) and the worker wakes for the oldest, ties going to
-// the lowest GPU index — deterministic, and byte-identical across
-// `--shards N` and both engine modes because per-GPU generation state is
-// only ever touched by its own shard lane. Faults are stamped with their
-// source GPU as they drain, so the servicer knows which page tables to
-// update and where to place the pages.
+// the lowest GPU index, so identical runs are byte-identical. Faults are
+// stamped with their source GPU as they drain, so the servicer knows
+// which page tables to update and where to place the pages.
 #pragma once
 
 #include <cstdint>
@@ -95,10 +93,6 @@ class MultiGpuSystem {
     PageLocation classify(PageId page) const override {
       return driver->classify_for(gpu, page);
     }
-    bool all_gpu_resident(PageId base, const std::uint64_t* bits,
-                          std::size_t words) const override {
-      return driver->va_space().all_gpu_resident_on(gpu, base, bits, words);
-    }
   };
 
   bool gpu_finished(const GpuEngine& g) const {
@@ -112,7 +106,6 @@ class MultiGpuSystem {
   UvmDriver driver_;
   std::vector<std::unique_ptr<GpuEngine>> gpus_;
   std::vector<GpuView> views_;
-  std::unique_ptr<ShardExecutor> shard_exec_;  // null when shards <= 1
   EventEngine::Stats engine_stats_;
 };
 

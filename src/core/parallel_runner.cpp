@@ -8,30 +8,29 @@
 
 namespace uvmsim {
 
-std::vector<RunResult> run_tasks(
-    const std::vector<std::function<RunResult()>>& tasks, unsigned threads) {
-  std::vector<RunResult> results(tasks.size());
-  if (tasks.empty()) return results;
+void run_indexed(std::size_t count,
+                 const std::function<void(std::size_t)>& body,
+                 unsigned threads) {
+  if (count == 0) return;
 
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  threads = std::min<unsigned>(threads,
-                               static_cast<unsigned>(tasks.size()));
+  threads = static_cast<unsigned>(std::min<std::size_t>(threads, count));
 
   // Work-stealing by shared counter: each worker claims the next
-  // unclaimed task index and writes into its own slot, so result order
-  // is the task order no matter which worker finishes when.
+  // unclaimed index, and the body writes only that index's own slot, so
+  // result order is the index order no matter which worker finishes when.
   std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(tasks.size());
+  std::vector<std::exception_ptr> errors(count);
   std::mutex error_mutex;
 
   const auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= tasks.size()) return;
+      if (i >= count) return;
       try {
-        results[i] = tasks[i]();
+        body(i);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         errors[i] = std::current_exception();
@@ -51,7 +50,6 @@ std::vector<RunResult> run_tasks(
   for (const auto& error : errors) {
     if (error) std::rethrow_exception(error);
   }
-  return results;
 }
 
 std::vector<RunResult> run_parallel(const std::vector<RunJob>& jobs,

@@ -13,27 +13,9 @@ System::System(SystemConfig config)
       injector_(config.driver.inject),
       driver_(config.driver, config.gpu.memory_bytes, config.gpu.num_sms,
               config.pcie, &injector_, obs_handle()),
-      gpu_(config.gpu, config.seed),
-      engine_(config.engine) {
+      gpu_(config.gpu, config.seed) {
   gpu_.set_fault_injector(&injector_);
   gpu_.set_obs(obs_handle());
-  // kTimeStepped reference mode: each quantum performs the full readiness
-  // scan a polling runner pays on every step — fault-buffer arrival,
-  // kernel completion, and (when modeled) the access-counter buffer. The
-  // counter keeps the reads observable so the scan cannot be elided.
-  engine_.set_idle_poll([this] {
-    std::uint64_t ready = 0;
-    ready += gpu_.fault_buffer().next_arrival().has_value() ? 1u : 0u;
-    ready += gpu_.all_done() ? 1u : 0u;
-    if (counters_) ready += counters_->empty() ? 0u : 1u;
-    idle_poll_reads_ += ready;
-  });
-  if (const unsigned shards = config_.engine.resolved_shards(); shards > 1) {
-    shard_exec_ = std::make_unique<ShardExecutor>(shards,
-                                                  config_.engine.shard_gate);
-    gpu_.set_shard_executor(shard_exec_.get());
-    driver_.set_shard_executor(shard_exec_.get());
-  }
   if (config_.driver.access_counters.enabled) {
     // The driver programs the counter registers at init; the GPU engine
     // feeds the unit at µTLB resolution and the driver services it after
@@ -121,8 +103,7 @@ RunResult System::run(const WorkloadSpec& spec, RunOptions options) {
   // The run is a chain of discrete events on engine_. Each handler does
   // its component's work at the event's timestamp, charges durations via
   // advance_to/advance_by, and posts the successor event; idle gaps
-  // between an event and its successor are covered by the engine (jumped
-  // in kEventDriven, walked quantum-by-quantum in kTimeStepped). The
+  // between an event and its successor are jumped by the engine. The
   // handlers below perform the same operations, in the same order, with
   // the same clock arithmetic as the retired imperative loop, so fault
   // logs, traces, and metrics are byte-identical by construction.
@@ -406,47 +387,7 @@ RunResult System::run(const WorkloadSpec& spec, RunOptions options) {
     metrics->add("sim.kernel_time_ns", result.kernel_time_ns);
     metrics->add("sim.gpu_compute_ns", result.gpu_compute_ns);
   }
-  record_shard_obs();
   return result;
-}
-
-void System::record_shard_obs() {
-  if (!shard_exec_ || !config_.obs.record_shard_stats) return;
-  const ShardExecutor& ex = *shard_exec_;
-  shard_seen_.worker_busy_ns.resize(ex.shards(), 0);
-
-  if (config_.obs.metrics) {
-    metrics_.add("shard.dispatches", ex.dispatches() - shard_seen_.dispatches);
-    metrics_.add("shard.inline_runs",
-                 ex.inline_runs() - shard_seen_.inline_runs);
-    metrics_.add("shard.tasks", ex.tasks() - shard_seen_.tasks);
-    metrics_.add("shard.barrier_wait_ns",
-                 ex.barrier_wait_ns() - shard_seen_.barrier_wait_ns);
-    for (unsigned s = 0; s < ex.shards(); ++s) {
-      metrics_.add("shard.worker." + std::to_string(s) + ".busy_ns",
-                   ex.worker_busy_ns(s) - shard_seen_.worker_busy_ns[s]);
-    }
-  }
-  if (config_.obs.trace) {
-    // One span per lane per run, laid end to end in cumulative host
-    // busy-ns coordinates: a utilization Gantt, not a simulated-time
-    // timeline (the begin/end are this lane's busy-ns before/after the
-    // run, so span length == host ns the lane computed during the run).
-    for (unsigned s = 0; s < ex.shards(); ++s) {
-      tracer_.set_track_name(tracks::kShardWorkerBase + s,
-                             "host shard " + std::to_string(s));
-      tracer_.span(tracks::kShardWorkerBase + s, "busy",
-                   shard_seen_.worker_busy_ns[s], ex.worker_busy_ns(s));
-    }
-  }
-
-  shard_seen_.dispatches = ex.dispatches();
-  shard_seen_.inline_runs = ex.inline_runs();
-  shard_seen_.tasks = ex.tasks();
-  shard_seen_.barrier_wait_ns = ex.barrier_wait_ns();
-  for (unsigned s = 0; s < ex.shards(); ++s) {
-    shard_seen_.worker_busy_ns[s] = ex.worker_busy_ns(s);
-  }
 }
 
 namespace presets {

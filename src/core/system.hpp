@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/fault_inject.hpp"
-#include "common/shard_executor.hpp"
 #include "core/event_engine.hpp"
 #include "gpu/access_counters.hpp"
 #include "gpu/gpu_config.hpp"
@@ -33,7 +32,6 @@ struct SystemConfig {
   DriverConfig driver;
   PcieConfig pcie;
   ObsConfig obs;                // tracing/metrics; both off by default
-  EngineConfig engine;          // event engine mode + host shard count
   std::uint64_t seed = 0x5C21;  // fault-jitter / duplicate-draw seed
 };
 
@@ -131,28 +129,13 @@ class System {
   MetricsRegistry& metrics() noexcept { return metrics_; }
 
   /// The discrete-event engine driving run(); stats accumulate across
-  /// runs (events posted/executed, idle ns skipped, quantum steps).
+  /// runs (events posted/executed, idle ns skipped).
   const EventEngine& engine() const noexcept { return engine_; }
   const EventEngine::Stats& engine_stats() const noexcept {
     return engine_.stats();
   }
 
-  /// Host shard lanes in use (1 when sharding is off).
-  unsigned shards() const noexcept {
-    return shard_exec_ ? shard_exec_->shards() : 1;
-  }
-
-  /// The host shard executor, or null when engine.shards resolves to 1.
-  /// Its counters are host wall-clock stats — see
-  /// ObsConfig::record_shard_stats before folding them into outputs.
-  const ShardExecutor* shard_executor() const noexcept {
-    return shard_exec_.get();
-  }
-
  private:
-  /// Mirror shard-executor deltas since the previous run() into the
-  /// metrics registry and tracer (ObsConfig::record_shard_stats).
-  void record_shard_obs();
   /// The nullable handle handed to every layer: points at the members
   /// above for whichever sinks SystemConfig::obs enables.
   Obs obs_handle() noexcept {
@@ -170,19 +153,6 @@ class System {
   UvmDriver driver_;
   GpuEngine gpu_;
   EventEngine engine_;  // clock advances monotonically across run() calls
-  // Host fork/join lanes for sharded event execution; null when
-  // engine.shards <= 1 (strictly single-threaded, the default).
-  std::unique_ptr<ShardExecutor> shard_exec_;
-  // Cumulative shard-executor values already mirrored into obs sinks,
-  // so each run() records only its own delta (record_shard_obs).
-  struct ShardObsCursor {
-    std::uint64_t dispatches = 0;
-    std::uint64_t inline_runs = 0;
-    std::uint64_t tasks = 0;
-    std::uint64_t barrier_wait_ns = 0;
-    std::vector<std::uint64_t> worker_busy_ns;
-  } shard_seen_;
-  std::uint64_t idle_poll_reads_ = 0;  // kTimeStepped readiness probes
   PageId last_base_page_ = 0;
   bool has_run_ = false;
 };

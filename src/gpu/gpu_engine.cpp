@@ -1,23 +1,8 @@
 #include "gpu/gpu_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
-
-#include "common/shard_executor.hpp"
 
 namespace uvmsim {
-
-namespace {
-// Below this many distinct frontier pages a fork/join cycle costs more
-// than the classify calls it parallelizes.
-constexpr std::size_t kMinShardedClassifyPages = 256;
-
-// A block whose footprint spans more VABlocks than this is too scattered
-// for the resident sprint to be worth tracking; it falls back to the
-// full per-access scans permanently.
-constexpr std::size_t kMaxFootprintSpans = 16;
-}  // namespace
 
 void GpuEngine::WarpRt::load_group() {
   if (!prog || group >= prog->groups.size()) {
@@ -29,12 +14,6 @@ void GpuEngine::WarpRt::load_group() {
   const auto& accesses = prog->groups[group].accesses;
   state.assign(accesses.size(), kPending);
   remaining = static_cast<std::uint32_t>(accesses.size());
-  actionable = remaining;
-}
-
-void GpuEngine::set_shard_executor(ShardExecutor* exec) noexcept {
-  shard_exec_ = exec;
-  fast_path_ = exec != nullptr && exec->parallel();
 }
 
 GpuEngine::GpuEngine(const GpuConfig& config, std::uint64_t seed)
@@ -140,176 +119,9 @@ void GpuEngine::emit_fault(PageId page, AccessType type, std::uint32_t sm,
   }
 }
 
-bool GpuEngine::footprint_resident(BlockRt& block,
-                                   const ResidencyOracle& residency) {
-  if (!block.fp_built) {
-    // One pass over the block's program folds its footprint into
-    // per-VABlock page bitmasks. Every later residency check is then a
-    // few bulk mask probes, instead of re-walking the accesses with a
-    // classify call per page — which made the engine issue *more*
-    // classifies under sharding than without on migration-heavy
-    // workloads, since a still-migrating block re-walked its resident
-    // prefix every window.
-    block.fp_built = true;
-    BlockRt::FpSpan* span = nullptr;
-    for (const auto& warp : block.prog->warps) {
-      for (const auto& group : warp.groups) {
-        for (const auto& access : group.accesses) {
-          const PageId page = access.page + page_offset_;
-          const PageId base = page - page % kPagesPerVaBlock;
-          if (span == nullptr || span->base != base) {
-            span = nullptr;
-            for (auto& s : block.fp) {
-              if (s.base == base) {
-                span = &s;
-                break;
-              }
-            }
-            if (span == nullptr) {
-              if (block.fp.size() >= kMaxFootprintSpans) {
-                block.fp_overflow = true;
-                block.fp.clear();
-                block.fp.shrink_to_fit();
-                return false;
-              }
-              block.fp.push_back(BlockRt::FpSpan{base, {}});
-              span = &block.fp.back();
-            }
-          }
-          const PageId offset = page - base;
-          span->bits[offset / 64] |= 1ULL << (offset % 64);
-        }
-      }
-    }
-  }
-  if (block.fp_overflow) return false;
-  // Probe every span, not just until the first failure: the per-span
-  // verdicts feed span_resident(), which lets the warp scan skip the
-  // oracle for accesses in fully-resident spans while the rest of the
-  // block is still migrating in. A failing probe is cheap anyway — the
-  // bulk test returns at its first non-resident page.
-  block.fp_resident_spans = 0;
-  bool all = true;
-  for (std::size_t s = 0; s < block.fp.size(); ++s) {
-    const BlockRt::FpSpan& fp = block.fp[s];
-    if (residency.all_gpu_resident(fp.base, fp.bits.data(),
-                                   fp.bits.size())) {
-      block.fp_resident_spans |= 1u << s;
-    } else {
-      all = false;
-    }
-  }
-  return all;
-}
-
-bool GpuEngine::span_resident(const BlockRt& block, PageId page) const {
-  // Valid only within the window whose footprint check produced the
-  // verdicts; a span-resident hit implies classify() == kGpuResident
-  // (residency is constant inside a window), so the caller may mark the
-  // access done without consulting the oracle.
-  if (block.fp_checked_window != window_seq_ || block.fp_resident_spans == 0) {
-    return false;
-  }
-  const PageId base = page - page % kPagesPerVaBlock;
-  for (std::size_t s = 0; s < block.fp.size(); ++s) {
-    if (block.fp[s].base == base) {
-      return (block.fp_resident_spans >> s) & 1u;
-    }
-  }
-  return false;
-}
-
-void GpuEngine::build_classify_cache(const ResidencyOracle& residency) {
-  cls_valid_ = false;
-  if (!shard_exec_ || !shard_exec_->parallel()) return;
-  // A cache whose gated classify pass could never fan out (auto gate on
-  // a host without spare cores) cannot amortize its own construction:
-  // the frontier walk plus the inline classifies are strictly more work
-  // than the direct queries they would replace. Saturating the item
-  // count asks the gate "could ANY batch size fan out here".
-  if (!shard_exec_->would_fan_out(std::numeric_limits<std::size_t>::max(),
-                                  50)) {
-    return;
-  }
-
-  // Candidate set: the current access frontier — every pending/reissue
-  // access of the warps' current groups. Pages first classified deeper
-  // into the window (later groups, backfilled blocks) miss the cache and
-  // fall back to a direct query; correctness never depends on coverage.
-  cls_pages_.clear();
-  for (const auto& block : active_blocks_) {
-    for (const auto& warp : block.warps) {
-      if (warp.finished) continue;
-      const auto& accesses = warp.prog->groups[warp.group].accesses;
-      for (std::size_t i = 0; i < accesses.size(); ++i) {
-        if (warp.state[i] == kPending || warp.state[i] == kReissue) {
-          cls_pages_.push_back(accesses[i].page + page_offset_);
-        }
-      }
-    }
-  }
-  std::sort(cls_pages_.begin(), cls_pages_.end());
-  cls_pages_.erase(std::unique(cls_pages_.begin(), cls_pages_.end()),
-                   cls_pages_.end());
-  if (cls_pages_.size() < kMinShardedClassifyPages) return;
-
-  // classify() is const on the driver side and residency only mutates
-  // between windows, so the shards read shared state concurrently and
-  // write disjoint cls_loc_ slots: race-free and value-identical to the
-  // serial queries it replaces.
-  cls_loc_.resize(cls_pages_.size());
-  // ~50ns per classify: a virtual dispatch plus a couple of bitset reads.
-  shard_exec_->parallel_for(cls_pages_.size(), 50, [&](std::size_t i) {
-    cls_loc_[i] = residency.classify(cls_pages_[i]);
-  });
-  cls_valid_ = true;
-}
-
-ResidencyOracle::PageLocation GpuEngine::classify_page(
-    PageId page, const ResidencyOracle& residency) const {
-  if (cls_valid_) {
-    const auto it =
-        std::lower_bound(cls_pages_.begin(), cls_pages_.end(), page);
-    if (it != cls_pages_.end() && *it == page) {
-      return cls_loc_[static_cast<std::size_t>(it - cls_pages_.begin())];
-    }
-  }
-  return residency.classify(page);
-}
-
 bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
                              const ResidencyOracle& residency,
                              GenerateResult& result) {
-  if (fast_path_ && !warp.finished && warp.actionable == 0 &&
-      warp.remaining != 0) {
-    // Dormant warp: every live access is kWaiting on an in-flight fault,
-    // so the scan below would touch nothing. Its single side effect — the
-    // per-block phase draw, taken when the current group has compute —
-    // is replicated exactly (block_phase is idempotent within a window),
-    // keeping the RNG stream bit-identical to the full scan.
-    if (warp.prog->groups[warp.group].compute_ns != 0) block_phase(block);
-    return false;
-  }
-  if (fast_path_ && block.resident_window == window_seq_ && !warp.finished &&
-      warp.actionable == warp.remaining) {
-    // Resident sprint: every page this block will ever touch classifies
-    // kGpuResident, and no access is waiting on an in-flight fault, so
-    // the scan below could only mark every access done — no fault, no
-    // remote request, no µTLB traffic — group after group until the
-    // warp retires. Replicate its side effects in O(remaining groups):
-    // the phase draw when the entry group has compute (idempotent per
-    // block per window, exactly the draw the scan takes), and the
-    // compute charge of every completed group.
-    if (warp.prog->groups[warp.group].compute_ns != 0) block_phase(block);
-    const auto& groups = warp.prog->groups;
-    for (std::size_t g = warp.group; g < groups.size(); ++g) {
-      result.compute_ns += groups[g].compute_ns;
-    }
-    warp.group = groups.size();
-    warp.actionable = 0;
-    warp.load_group();  // group past the end: marks the warp finished
-    return true;
-  }
   bool progressed = false;
   // Zero-compute warps (dependence-free access microbenchmarks) never
   // de-synchronize: their faults arrive back-to-back at hardware rate.
@@ -325,10 +137,7 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
       const bool is_reissue = warp.state[i] == kReissue;
       const PageAccess& access = group.accesses[i];
       const PageId page = access.page + page_offset_;
-
-      const auto location = fast_path_ && span_resident(block, page)
-                                ? ResidencyOracle::PageLocation::kGpuResident
-                                : classify_page(page, residency);
+      const auto location = residency.classify(page);
 
       if (access.type == AccessType::kPrefetch) {
         // Fire-and-forget: no scoreboard, no µTLB entry, no throttle token,
@@ -340,7 +149,6 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
         }
         warp.state[i] = kDone;
         --warp.remaining;
-        --warp.actionable;
         progressed = true;
         continue;
       }
@@ -348,7 +156,6 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
       if (location == ResidencyOracle::PageLocation::kGpuResident) {
         warp.state[i] = kDone;
         --warp.remaining;
-        --warp.actionable;
         progressed = true;
         continue;
       }
@@ -360,7 +167,6 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
         // bumps the page's MIMC access counter at µTLB resolution.
         warp.state[i] = kDone;
         --warp.remaining;
-        --warp.actionable;
         ++result.remote_requests;
         ++remote_accesses_;
         if (counters_) counters_->record_remote_access(page, block.sm, now);
@@ -378,7 +184,6 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
                      /*duplicate=*/true, result);
         }
         warp.state[i] = kWaiting;
-        --warp.actionable;
         progressed = true;
         continue;
       }
@@ -391,7 +196,6 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
         emit_fault(page, access.type, block.sm, block.block_id, now, phase,
                    /*duplicate=*/false, result);
         warp.state[i] = kWaiting;
-        --warp.actionable;
         progressed = true;
         continue;
       }
@@ -419,23 +223,11 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
   const std::uint32_t warps_at_start = std::max(1u, active_warps_);
 
   emit_spurious_refaults(now, result);
-  build_classify_cache(residency);
 
   bool any_retired = true;
   while (any_retired) {
     any_retired = false;
     for (auto& block : active_blocks_) {
-      if (fast_path_ && block.dormant_window == window_seq_) continue;
-      if (fast_path_ && block.fp_checked_window != window_seq_) {
-        // Once per window (residency is constant inside one): if every
-        // footprint page is GPU-resident, the warps below take the
-        // resident sprint instead of per-access scans.
-        block.fp_checked_window = window_seq_;
-        if (footprint_resident(block, residency)) {
-          block.resident_window = window_seq_;
-        }
-      }
-      bool all_dormant = true;
       for (auto& warp : block.warps) {
         if (warp.finished) continue;
         if (advance_warp(block, warp, now, residency, result)) {
@@ -444,16 +236,7 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
         if (warp.finished) {
           --block.live_warps;
           --active_warps_;
-        } else if (warp.actionable != 0 || warp.remaining == 0) {
-          all_dormant = false;
         }
-      }
-      // Every live warp ended the pass dormant: no advance this window
-      // can wake them (replays only land between windows), and each
-      // warp's phase draw, if due, already fired during this pass — so
-      // later passes may skip the block wholesale.
-      if (fast_path_ && all_dormant && block.live_warps > 0) {
-        block.dormant_window = window_seq_;
       }
     }
 
@@ -483,10 +266,6 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
   // The hardware buffer is written in arrival order; emission order above
   // interleaves SM streams, so restore timestamp order for the reader.
   buffer_.sort_pending();
-
-  // The cache is only valid within this window: the driver mutates
-  // residency before the next generate() call.
-  cls_valid_ = false;
 
   // Completed warp compute runs in parallel across warps; charge the
   // average serial share as the window's wall-clock contribution.
@@ -555,10 +334,7 @@ void GpuEngine::on_replay() {
   for (auto& block : active_blocks_) {
     for (auto& warp : block.warps) {
       for (auto& st : warp.state) {
-        if (st == kWaiting) {
-          st = kReissue;
-          ++warp.actionable;
-        }
+        if (st == kWaiting) st = kReissue;
       }
     }
   }

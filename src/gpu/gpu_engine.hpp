@@ -18,7 +18,6 @@
 // lock-step model is faithful).
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <deque>
@@ -35,8 +34,6 @@
 #include "obs/obs.hpp"
 
 namespace uvmsim {
-
-class ShardExecutor;
 
 /// How the engine asks the memory system whether a page is GPU-resident.
 class ResidencyOracle {
@@ -120,30 +117,6 @@ class GpuEngine {
   /// members; the engine does not own them.
   void set_obs(Obs obs) noexcept { obs_ = obs; }
 
-  /// Attach host shard lanes, which selects the optimized engine paths:
-  ///   * each generate() window pre-classifies the frontier's pages
-  ///     against the residency oracle in parallel (classify is const —
-  ///     residency only changes between windows), and the warp advance
-  ///     reads the cache instead of re-querying per access;
-  ///   * dormant warps (every access waiting on an in-flight fault) take
-  ///     an O(1) fast-out instead of rescanning their access group, and
-  ///     fully dormant blocks are skipped outright on repeat passes
-  ///     within a window;
-  ///   * once every page a block will ever touch classifies GPU-resident
-  ///     (checked once per window against the block's precomputed page
-  ///     footprint), its warps take a "resident sprint": the full scan
-  ///     could only mark every access done without emitting anything, so
-  ///     each warp retires in O(remaining groups) instead of
-  ///     O(remaining accesses) classify calls.
-  /// Purely host-side speedups: cached values equal direct queries, and
-  /// the fast-out and sprint replicate the one side effect the scans
-  /// they skip would have (the per-block phase draw), so emission order,
-  /// RNG draws, and timestamps are unchanged — the ShardDeterminism
-  /// fuzzes and golden fixtures verify byte-identity against the
-  /// null-executor reference engine.
-  /// May be null (the default): no cache, no threads, reference paths.
-  void set_shard_executor(ShardExecutor* exec) noexcept;
-
   /// Driver-issued fault replay: clear µTLB waiting state, refill SM
   /// throttle tokens, return waiting accesses to pending.
   void on_replay();
@@ -185,11 +158,6 @@ class GpuEngine {
     std::size_t group = 0;
     std::vector<std::uint8_t> state;  // parallel to current group's accesses
     std::uint32_t remaining = 0;
-    // Entries in state kPending/kReissue — the only ones advance_warp can
-    // act on. actionable == 0 with remaining > 0 means the warp is
-    // dormant: every live access waits on an in-flight fault, and a scan
-    // would be a pure no-op (minus the block-phase draw).
-    std::uint32_t actionable = 0;
     bool finished = false;
 
     void load_group();
@@ -203,39 +171,9 @@ class GpuEngine {
     std::uint32_t live_warps = 0;
     SimTime phase = 0;               // per-window arrival phase offset
     std::uint64_t phase_window = ~0ULL;
-    // Window in which every live warp was observed dormant after a full
-    // pass: repeat passes inside that window skip the block entirely
-    // (warp state only changes via advance_warp or an inter-window
-    // replay, so nothing can wake it before the window ends).
-    std::uint64_t dormant_window = ~0ULL;
-    // Resident-sprint state (optimized path only). resident_window
-    // memoizes "every page this block's program ever touches classifies
-    // kGpuResident this window" — residency only mutates between
-    // windows, so one footprint check per window suffices
-    // (fp_checked_window). The footprint itself is built once per block
-    // as per-VABlock page bitmasks (fp), so each check is a handful of
-    // bulk mask probes instead of a classify call per access.
-    // fp_resident_spans records which spans probed fully resident this
-    // window: the warp scan skips the per-access classify for pages in
-    // those spans even when the block as a whole is still migrating.
-    struct FpSpan {
-      PageId base = 0;  // VABlock-aligned first page of the span
-      std::array<std::uint64_t, kPagesPerVaBlock / 64> bits{};
-    };
-    std::vector<FpSpan> fp;
-    std::uint32_t fp_resident_spans = 0;  // bit s: fp[s] fully resident
-    bool fp_built = false;
-    bool fp_overflow = false;  // footprint too scattered; never sprint
-    std::uint64_t fp_checked_window = ~0ULL;
-    std::uint64_t resident_window = ~0ULL;
   };
 
   void schedule_pending_blocks();
-  bool footprint_resident(BlockRt& block, const ResidencyOracle& residency);
-  bool span_resident(const BlockRt& block, PageId page) const;
-  void build_classify_cache(const ResidencyOracle& residency);
-  ResidencyOracle::PageLocation classify_page(
-      PageId page, const ResidencyOracle& residency) const;
   bool advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
                     const ResidencyOracle& residency, GenerateResult& result);
   void emit_fault(PageId page, AccessType type, std::uint32_t sm,
@@ -268,14 +206,6 @@ class GpuEngine {
   std::vector<std::uint64_t> sm_arrival_cursor_;  // per-SM arrival pacing
   std::uint64_t window_seq_ = 0;      // one per generate() call
   PageId page_offset_ = 0;
-
-  // Sharded per-window residency pre-classification (see
-  // set_shard_executor). cls_pages_ is sorted unique; cls_loc_ parallel.
-  ShardExecutor* shard_exec_ = nullptr;  // not owned; null = disabled
-  bool fast_path_ = false;  // dormant-warp/block skip; set by executor attach
-  bool cls_valid_ = false;
-  std::vector<PageId> cls_pages_;
-  std::vector<ResidencyOracle::PageLocation> cls_loc_;
 };
 
 }  // namespace uvmsim

@@ -17,12 +17,6 @@ namespace uvmsim {
 struct ObsConfig {
   bool trace = false;    // record spans/instants (Chrome trace JSON export)
   bool metrics = false;  // record named counters/gauges/histograms
-  // Fold HOST-side shard-executor stats (shard.* counters, per-worker
-  // busy Gantt tracks) into the sinks above. Off by default and excluded
-  // from the determinism contract: these values measure wall-clock work
-  // on the host, so they vary run to run and across shard counts even
-  // though the simulated outputs stay byte-identical.
-  bool record_shard_stats = false;
 };
 
 /// Borrowed sinks; either or both may be null. Copy freely.

@@ -39,10 +39,6 @@ constexpr TrackId kGpu = 2;       // GPU compute / fault generation
 constexpr TrackId kCounters = 3;  // access-counter servicing passes
 constexpr TrackId kRecovery = 4;  // fatal-fault recovery ladder actions
 constexpr TrackId kWorkerBase = 8;  // simulated servicing thread k -> 8 + k
-// HOST shard-executor lane s -> 64 + s (ObsConfig::record_shard_stats).
-// These tracks carry host busy-ns laid end to end, not simulated time,
-// and are absent from deterministic traces.
-constexpr TrackId kShardWorkerBase = 64;
 }  // namespace tracks
 
 /// Small ordered key -> integer payload attached to an event (serialized

@@ -1,17 +1,8 @@
 #include "uvm/dedup.hpp"
 
 #include <unordered_map>
-#include <utility>
-
-#include "common/shard_executor.hpp"
 
 namespace uvmsim {
-
-namespace {
-// Below this many records the fork/join cycle costs more than the map
-// operations it divides.
-constexpr std::size_t kMinShardedDedupBatch = 1024;
-}  // namespace
 
 DedupResult dedup_faults(const std::vector<FaultRecord>& batch) {
   DedupResult out;
@@ -48,87 +39,6 @@ DedupResult dedup_faults(const std::vector<FaultRecord>& batch) {
     }
   }
   return out;
-}
-
-DedupResult dedup_faults_sharded(const std::vector<FaultRecord>& batch,
-                                 ShardExecutor& exec) {
-  // The sharded algorithm trades shards-many whole-batch scans for
-  // parallel hashing, so it only pays when the executor will actually
-  // fan those scans out; run inline it is strictly more work than the
-  // single-pass serial dedup. Both algorithms produce identical output,
-  // so this branch is invisible to logs/traces/metrics.
-  if (!exec.would_fan_out(batch.size(), 10) ||
-      batch.size() < kMinShardedDedupBatch) {
-    return dedup_faults(batch);
-  }
-  const unsigned shards = exec.shards();
-
-  struct ShardOut {
-    // Survivors as (original batch index, record), naturally sorted by
-    // index since each shard scans the batch front to back.
-    std::vector<std::pair<std::size_t, FaultRecord>> unique;
-    std::uint32_t dup_same_utlb = 0;
-    std::uint32_t dup_cross_utlb = 0;
-  };
-  std::vector<ShardOut> outs(shards);
-
-  // Every shard scans the whole batch (cheap filter) but only hashes its
-  // own pages; ~10ns/record of scan+hash work per lane feeds the gate.
-  exec.for_each_shard(batch.size(), 10, [&](unsigned s) {
-    ShardOut& out = outs[s];
-    struct Seen {
-      std::size_t unique_slot;
-      std::uint64_t utlb_mask;
-    };
-    std::unordered_map<PageId, Seen> seen;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const FaultRecord& fault = batch[i];
-      if (fault.page % shards != s) continue;
-      const std::uint64_t utlb_bit = 1ULL << (fault.utlb % 64);
-      auto [it, inserted] =
-          seen.try_emplace(fault.page, Seen{out.unique.size(), utlb_bit});
-      if (inserted) {
-        out.unique.emplace_back(i, fault);
-        continue;
-      }
-      if (it->second.utlb_mask & utlb_bit) {
-        ++out.dup_same_utlb;
-      } else {
-        ++out.dup_cross_utlb;
-        it->second.utlb_mask |= utlb_bit;
-      }
-      if (fault.access == AccessType::kWrite) {
-        out.unique[it->second.unique_slot].second.access = AccessType::kWrite;
-      }
-    }
-  });
-
-  // Deterministic merge barrier: splice the shard-local survivor lists
-  // back into first-arrival order by original batch index.
-  DedupResult merged;
-  std::size_t total = 0;
-  for (const ShardOut& out : outs) {
-    total += out.unique.size();
-    merged.dup_same_utlb += out.dup_same_utlb;
-    merged.dup_cross_utlb += out.dup_cross_utlb;
-  }
-  merged.unique.reserve(total);
-  std::vector<std::size_t> cursor(shards, 0);
-  while (merged.unique.size() < total) {
-    unsigned best = shards;
-    std::size_t best_index = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-      if (cursor[s] >= outs[s].unique.size()) continue;
-      const std::size_t index = outs[s].unique[cursor[s]].first;
-      if (best == shards || index < best_index) {
-        best = s;
-        best_index = index;
-      }
-    }
-    merged.unique.push_back(std::move(outs[best].unique[cursor[best]].second));
-    ++cursor[best];
-  }
-  return merged;
 }
 
 }  // namespace uvmsim

@@ -13,8 +13,6 @@
 
 namespace uvmsim {
 
-class ShardExecutor;
-
 struct DedupResult {
   std::vector<FaultRecord> unique;  // one record per distinct page
   std::uint32_t dup_same_utlb = 0;
@@ -24,17 +22,5 @@ struct DedupResult {
 /// Filter duplicates out of a drained batch, preserving first-arrival
 /// order of the surviving records.
 DedupResult dedup_faults(const std::vector<FaultRecord>& batch);
-
-/// Sharded dedup: every per-page decision (first occurrence, same- vs
-/// cross-µTLB classification, write upgrade) depends only on that page's
-/// records, so pages are partitioned across shards (page % shards) and
-/// each shard filters its pages in original batch order. The shard-local
-/// survivor lists — each sorted by original batch index — are then merged
-/// back by index, reproducing dedup_faults' first-arrival order exactly;
-/// duplicate counters are summed. Bit-identical to the serial function
-/// for every batch and shard count. Small batches (or a non-parallel
-/// executor) fall through to the serial path.
-DedupResult dedup_faults_sharded(const std::vector<FaultRecord>& batch,
-                                 ShardExecutor& exec);
 
 }  // namespace uvmsim

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/shard_executor.hpp"
 #include "uvm/dedup.hpp"
 #include "uvm/lpt_schedule.hpp"
 
@@ -332,8 +331,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
   }
 
   // -- Dedup / classify ----------------------------------------------------
-  DedupResult dedup = shard_exec_ ? dedup_faults_sharded(raw, *shard_exec_)
-                                  : dedup_faults(raw);
+  DedupResult dedup = dedup_faults(raw);
   record.phases.dedup_ns = config_.per_fault_dedup_ns * raw.size();
   record.counters.unique_faults =
       static_cast<std::uint32_t>(dedup.unique.size());
@@ -365,44 +363,6 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
   const TreePrefetcher prefetcher(config_.prefetch_threshold,
                                   config_.big_page_promotion);
 
-  // -- Sharded servicing: parallel plan, serial apply ----------------------
-  // The plan phase does the read-only per-block work (fault mask and
-  // density-prefetch mask) across shard lanes, with a residency-epoch
-  // snapshot per block. The apply loop below remains the serial funnel
-  // for every mutation; a stale plan (epoch moved — an earlier block's
-  // eviction or a recovery action touched this block) is recomputed
-  // inline, so the outcome is byte-identical to the serial servicer.
-  struct BlockPlan {
-    VaBlockState::PageMask faulted;
-    VaBlockState::PageMask prefetch;
-    std::uint64_t epoch = 0;
-  };
-  std::vector<std::pair<const VaBlockId, std::vector<const FaultRecord*>>*>
-      entries;
-  entries.reserve(by_block.size());
-  for (auto& entry : by_block) entries.push_back(&entry);
-  std::vector<BlockPlan> plans;
-  const bool planned = shard_exec_ != nullptr && shard_exec_->parallel();
-  if (planned) {
-    plans.resize(entries.size());
-    // ~a few hundred ns per block: two 512-bit mask builds plus the
-    // prefetcher's tree walk.
-    constexpr std::uint64_t kPlanPerItemNs = 400;
-    shard_exec_->parallel_for(
-        entries.size(), kPlanPerItemNs, [&](std::size_t i) {
-          BlockPlan& plan = plans[i];
-          const VaBlockState& block = space_.block(entries[i]->first);
-          for (const FaultRecord* f : entries[i]->second) {
-            plan.faulted.set(page_index_in_block(f->page));
-          }
-          if (config_.prefetch_enabled) {
-            plan.prefetch =
-                prefetcher.compute(block.gpu_resident(), plan.faulted);
-          }
-          plan.epoch = block.residency_epoch();
-        });
-  }
-
   // Per-VABlock service costs double as the parallel model's work units.
   std::vector<SimTime> block_costs;
   if (parallel) block_costs.reserve(by_block.size());
@@ -412,9 +372,9 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
 
   const bool detailed = detailed_trace();
 
-  for (std::size_t bi = 0; bi < entries.size(); ++bi) {
-    const VaBlockId block_id = entries[bi]->first;
-    const std::vector<const FaultRecord*>& faults = entries[bi]->second;
+  for (const auto& entry : by_block) {
+    const VaBlockId block_id = entry.first;
+    const std::vector<const FaultRecord*>& faults = entry.second;
     VaBlockState& block = space_.block(block_id);
     const SimTime block_cost_start = record.phases.sum();
     record.phases.vablock_ns += config_.per_vablock_ns;
@@ -507,15 +467,9 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
       }
     }
 
-    // The fault mask is a pure function of the batch's fault list, so a
-    // planned mask is always valid regardless of epoch.
     VaBlockState::PageMask faulted;
-    if (planned) {
-      faulted = plans[bi].faulted;
-    } else {
-      for (const FaultRecord* f : faults) {
-        faulted.set(page_index_in_block(f->page));
-      }
+    for (const FaultRecord* f : faults) {
+      faulted.set(page_index_in_block(f->page));
     }
 
     // Multi-GPU placement: which GPU faulted this block (dedup keeps
@@ -533,17 +487,11 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
       }
     }
 
-    // Reactive density prefetch, VABlock-scoped (§5.2). The planned mask
-    // is used only if the block's residency is unchanged since planning;
-    // otherwise it is recomputed here — the same program point the serial
-    // servicer computes it, on the same inputs, so either way the value
-    // (and the charged cost) is identical.
+    // Reactive density prefetch, VABlock-scoped (§5.2).
     VaBlockState::PageMask prefetch_mask;
     if (config_.prefetch_enabled) {
       const SimTime prefetch_t0 = start + record.phases.sum();
-      prefetch_mask = planned && plans[bi].epoch == block.residency_epoch()
-                          ? plans[bi].prefetch
-                          : prefetcher.compute(block.gpu_resident(), faulted);
+      prefetch_mask = prefetcher.compute(block.gpu_resident(), faulted);
       record.phases.prefetch_ns +=
           config_.prefetch_compute_per_fault_ns * faults.size();
       if (detailed) {

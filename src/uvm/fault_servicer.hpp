@@ -52,8 +52,6 @@
 
 namespace uvmsim {
 
-class ShardExecutor;
-
 class FaultServicer {
  public:
   FaultServicer(const DriverConfig& config, VaSpace& space, GpuMemory& memory,
@@ -75,29 +73,6 @@ class FaultServicer {
   /// default, and byte-identical to the pre-recovery servicer).
   void set_recovery(RecoveryManager* recovery) noexcept {
     recovery_ = recovery;
-  }
-
-  /// Attach host shard lanes, enabling the sharded servicing pipeline:
-  ///   * large batches run the dedup/classify stage sharded by page
-  ///     (uvm/dedup.hpp), merged deterministically — bit-identical to
-  ///     serial dedup;
-  ///   * per-VABlock servicing splits into a parallel PLAN phase and a
-  ///     serial APPLY phase. Planning is pure per-block read-only work
-  ///     (fault mask + density-prefetch mask + a residency-epoch
-  ///     snapshot, hash-partitioned across lanes by block index), so it
-  ///     takes no lock on the fast path. Every mutation — evictions,
-  ///     recovery-ladder actions, residency updates, RNG draws, span
-  ///     emission — funnels through the apply phase, which walks blocks
-  ///     in ascending id order: that serial funnel is the owner-shard
-  ///     handoff queue for cross-block effects. A plan whose block was
-  ///     mutated by an earlier block's eviction or recovery action fails
-  ///     its epoch check and is recomputed inline at the exact program
-  ///     point the serial servicer would have computed it, which is why
-  ///     the result is byte-identical in every mode (injection,
-  ///     recovery, thrashing included) for every shard count.
-  /// May be null (the default): fully serial reference pipeline.
-  void set_shard_executor(ShardExecutor* exec) noexcept {
-    shard_exec_ = exec;
   }
 
   /// Arm multi-GPU servicing: the interconnect topology plus one memory
@@ -177,7 +152,6 @@ class FaultServicer {
   ThrashingDetector* thrash_;        // may be null (no detection)
   RecoveryManager* recovery_ = nullptr;  // may be null (no fatal faults)
   Obs obs_;                          // null members = no recording
-  ShardExecutor* shard_exec_ = nullptr;  // not owned; null = serial dedup
   const Topology* topo_ = nullptr;   // not owned; null = single-GPU
   std::vector<GpuMemCtx> gpu_ctx_;   // empty = single-GPU legacy paths
   std::uint64_t total_evictions_ = 0;

@@ -28,7 +28,7 @@
 // is ever drawn and no recovery cost charged — byte-identical to the
 // pre-recovery driver. With it enabled, every decision derives from the
 // injector's per-site streams, so identical (config, seed) runs produce
-// bit-identical recovery traces for all shard counts and engine modes.
+// bit-identical recovery traces.
 //
 // Model choice: retirement and reset are *driver-coordinated* — resident
 // data is salvaged to host frames before the chunk/VA teardown, so the

@@ -5,7 +5,7 @@
 // who the worker services next. All state updates are driven by explicit
 // charge() calls with simulated quantities (service nanoseconds, fault
 // counts), so decisions depend only on deterministic simulation state —
-// identical runs, shard counts, and engine modes pick identical tenants.
+// identical runs pick identical tenants.
 //
 // Two weighted disciplines are implemented:
 //   * kStride — start-time-fair virtual time. Each tenant carries

@@ -174,13 +174,6 @@ class UvmDriver final : public ResidencyOracle {
     return counter_servicer_;
   }
 
-  /// Attach host shard lanes for batch preprocessing (sharded dedup —
-  /// see FaultServicer::set_shard_executor). May be null (the default);
-  /// the driver does not own it.
-  void set_shard_executor(ShardExecutor* exec) noexcept {
-    servicer_.set_shard_executor(exec);
-  }
-
   const BatchLog& log() const noexcept { return log_; }
   BatchLog take_log() noexcept { return std::move(log_); }
 

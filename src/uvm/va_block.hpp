@@ -37,26 +37,17 @@ class VaBlockState {
   bool is_gpu_resident(std::uint32_t page) const { return gpu_resident_[page]; }
   bool is_retired(std::uint32_t page) const { return retired_[page]; }
 
-  /// Counts every mutation of the residency-relevant masks (gpu_resident /
-  /// host_data / retired). The sharded servicer snapshots this when it
-  /// plans a block in parallel and revalidates at apply time: an epoch
-  /// mismatch means an earlier block's eviction or recovery action touched
-  /// this block, so the stale plan is recomputed inline instead of applied.
-  std::uint64_t residency_epoch() const noexcept { return residency_epoch_; }
-
   void set_cpu_initialized(std::uint32_t page, CpuThreadMask toucher) {
     cpu_mapped_.set(page);
     host_data_.set(page);
     populated_.set(page);
     cpu_sharers_ |= toucher;
-    ++residency_epoch_;
   }
 
   void set_gpu_resident(std::uint32_t page) {
     gpu_resident_.set(page);
     populated_.set(page);
     host_data_.reset(page);  // GPU copy is now the authoritative one
-    ++residency_epoch_;
   }
 
   /// unmap_mapping_range() effect: host PTEs gone, data still in frames.
@@ -74,7 +65,6 @@ class VaBlockState {
     gpu_resident_.reset(page);
     if (populated_[page]) host_data_.set(page);
     retired_.set(page);
-    ++residency_epoch_;
   }
 
   /// Retire every page of the block (double-bit ECC on the chunk).
@@ -104,7 +94,6 @@ class VaBlockState {
     owner_gpu_ = 0;
     peer_map_mask_ = 0;
     peer_pages_.reset();
-    ++residency_epoch_;
     return moved;
   }
 
@@ -114,10 +103,7 @@ class VaBlockState {
   // mappings into it over the fabric. Single-GPU runs never touch these:
   // owner stays 0 and the peer mask stays empty.
   std::uint32_t owner_gpu() const noexcept { return owner_gpu_; }
-  void set_owner_gpu(std::uint32_t gpu) noexcept {
-    owner_gpu_ = gpu;
-    ++residency_epoch_;
-  }
+  void set_owner_gpu(std::uint32_t gpu) noexcept { owner_gpu_ = gpu; }
   bool peer_mapped(std::uint32_t gpu) const noexcept {
     return (peer_map_mask_ >> gpu) & 1u;
   }
@@ -173,7 +159,6 @@ class VaBlockState {
   PageMask populated_;
   PageMask retired_;
   CpuThreadMask cpu_sharers_ = 0;
-  std::uint64_t residency_epoch_ = 0;
   std::optional<GpuMemory::ChunkId> chunk_;
   std::uint32_t owner_gpu_ = 0;
   std::uint32_t last_gpu_ = 0;

@@ -119,21 +119,6 @@ class VaSpace {
            blocks_[b].is_gpu_resident(page_index_in_block(page));
   }
 
-  /// Bulk form of is_gpu_resident_on (resident-sprint probe for GPU `gpu`).
-  bool all_gpu_resident_on(std::uint32_t gpu, PageId base,
-                           const std::uint64_t* bits,
-                           std::size_t words) const {
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t word = bits[w];
-      while (word != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(word));
-        word &= word - 1;
-        if (!is_gpu_resident_on(gpu, base + w * 64 + b)) return false;
-      }
-    }
-    return true;
-  }
-
   /// Retired pages resolve remotely forever (recovery tier 2). The flag
   /// keeps the classify fast path a single branch until the first
   /// retirement actually happens.

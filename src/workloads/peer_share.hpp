@@ -7,8 +7,7 @@
 // becomes its owner; the other GPUs then either remote-map it over
 // NVLink or migrate it peer-to-peer — exactly the placement decisions
 // the topology ablation measures. All shaping is deterministic in the
-// parameters, so runs are byte-identical across shard counts and
-// engine modes.
+// parameters, so repeat runs are byte-identical.
 #pragma once
 
 #include <cstdint>

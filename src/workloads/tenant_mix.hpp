@@ -5,7 +5,7 @@
 // footprints are small enough that the whole roster simulates in seconds,
 // yet heterogeneous enough that tenants contend unevenly (the paper's
 // mixed-application server scenario). All sizing is deterministic in
-// (index, seed) so rosters are byte-identical across runs and shards.
+// (index, seed) so rosters are byte-identical across runs.
 #pragma once
 
 #include <cstdint>

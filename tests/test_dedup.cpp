@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "common/shard_executor.hpp"
 
 namespace uvmsim {
 namespace {
@@ -78,99 +77,6 @@ TEST(Dedup, EmptyBatch) {
   const auto r = dedup_faults({});
   EXPECT_TRUE(r.unique.empty());
   EXPECT_EQ(r.dup_same_utlb + r.dup_cross_utlb, 0u);
-}
-
-// --- Sharded dedup: the parallel path must be bit-equal to the serial
-// reference for every batch, shard count, and duplicate pattern. ---
-
-void expect_same_result(const DedupResult& a, const DedupResult& b) {
-  ASSERT_EQ(a.unique.size(), b.unique.size());
-  for (std::size_t i = 0; i < a.unique.size(); ++i) {
-    EXPECT_EQ(a.unique[i].page, b.unique[i].page) << "record " << i;
-    EXPECT_EQ(a.unique[i].utlb, b.unique[i].utlb) << "record " << i;
-    EXPECT_EQ(a.unique[i].access, b.unique[i].access) << "record " << i;
-  }
-  EXPECT_EQ(a.dup_same_utlb, b.dup_same_utlb);
-  EXPECT_EQ(a.dup_cross_utlb, b.dup_cross_utlb);
-}
-
-std::vector<FaultRecord> random_batch(std::uint64_t seed, std::size_t size,
-                                      std::uint64_t page_span) {
-  Xoshiro256 rng(seed);
-  std::vector<FaultRecord> batch;
-  batch.reserve(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    batch.push_back(fault(rng.uniform(page_span),
-                          static_cast<std::uint32_t>(rng.uniform(8)),
-                          rng.bernoulli(0.3) ? AccessType::kWrite
-                                             : AccessType::kRead));
-  }
-  return batch;
-}
-
-TEST(ShardedDedup, MatchesSerialAcrossShardCountsAndBatchShapes) {
-  // Small page spans force heavy duplication (every shard sees long
-  // chains of repeats); large spans exercise the mostly-unique path.
-  for (const unsigned shards : {2u, 3u, 4u, 8u}) {
-    ShardExecutor exec(shards);
-    for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      for (const std::uint64_t span : {16ull, 500ull, 100000ull}) {
-        const auto batch = random_batch(0xDED0'0000 + seed, 4096, span);
-        const auto serial = dedup_faults(batch);
-        const auto sharded = dedup_faults_sharded(batch, exec);
-        expect_same_result(sharded, serial);
-      }
-    }
-  }
-}
-
-TEST(ShardedDedup, WriteUpgradeCrossesShardMergeIntact) {
-  // A write duplicate must upgrade the surviving record even when the
-  // page's survivor and the write land in the same shard-local list but
-  // far apart in the original batch.
-  std::vector<FaultRecord> batch;
-  for (std::uint64_t p = 0; p < 2048; ++p) {
-    batch.push_back(fault(p, 0, AccessType::kRead));
-  }
-  batch.push_back(fault(7, 3, AccessType::kWrite));    // cross-µTLB + upgrade
-  batch.push_back(fault(12, 0, AccessType::kWrite));   // same-µTLB + upgrade
-  ShardExecutor exec(4);
-  const auto sharded = dedup_faults_sharded(batch, exec);
-  expect_same_result(sharded, dedup_faults(batch));
-  ASSERT_EQ(sharded.unique.size(), 2048u);
-  EXPECT_EQ(sharded.unique[7].access, AccessType::kWrite);
-  EXPECT_EQ(sharded.unique[12].access, AccessType::kWrite);
-  EXPECT_EQ(sharded.dup_cross_utlb, 1u);
-  EXPECT_EQ(sharded.dup_same_utlb, 1u);
-}
-
-TEST(ShardedDedup, SmallBatchFallsBackToSerialPath) {
-  // Below the fork/join threshold the sharded entry point must still
-  // return the exact serial result (it routes to dedup_faults).
-  ShardExecutor exec(4);
-  const auto batch = random_batch(0xBEEF, 100, 32);
-  expect_same_result(dedup_faults_sharded(batch, exec), dedup_faults(batch));
-}
-
-TEST(ShardedDedup, SingleShardExecutorIsServedInline) {
-  ShardExecutor exec(1);
-  const auto batch = random_batch(0xCAFE, 4096, 64);
-  expect_same_result(dedup_faults_sharded(batch, exec), dedup_faults(batch));
-  EXPECT_EQ(exec.forks(), 0u);
-}
-
-TEST(ShardedDedup, FirstArrivalOrderSurvivesKWayMerge) {
-  // Pages arriving in strictly decreasing order stress the merge: each
-  // shard's list is index-sorted but the global interleave alternates
-  // shards on every record.
-  std::vector<FaultRecord> batch;
-  for (std::uint64_t p = 3000; p-- > 0;) batch.push_back(fault(p, 0));
-  ShardExecutor exec(8);
-  const auto r = dedup_faults_sharded(batch, exec);
-  ASSERT_EQ(r.unique.size(), 3000u);
-  for (std::size_t i = 0; i < r.unique.size(); ++i) {
-    EXPECT_EQ(r.unique[i].page, 2999u - i);
-  }
 }
 
 TEST(Dedup, CountsAreConserved) {

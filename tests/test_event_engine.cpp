@@ -1,22 +1,14 @@
-// Unit tests for the discrete-event engine (core/event_engine.hpp) and
-// the host shard executor (common/shard_executor.hpp): queue ordering,
-// (time, component, seq) tie-break determinism, idle-gap skipping vs the
-// time-stepped reference mode, cancel/reschedule semantics, the
-// deterministic fork/join partition, and the adaptive fan-out gate
-// (common/shard_gate.hpp).
+// Unit tests for the discrete-event engine (core/event_engine.hpp): queue
+// ordering, (time, component, seq) tie-break determinism, idle-gap
+// skipping, and cancel/reschedule semantics.
 #include "core/event_engine.hpp"
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "common/shard_executor.hpp"
 
 namespace uvmsim {
 namespace {
@@ -62,57 +54,11 @@ TEST(EventEngine, TieBreakIsDeterministicAcrossRepeats) {
 }
 
 TEST(EventEngine, SkipsIdleGapsInEventMode) {
-  EventEngine eng;  // default kEventDriven
+  EventEngine eng;
   eng.post(1'000'000, components::kGpu, [](SimTime) {});
   eng.run();
   EXPECT_EQ(eng.now(), 1'000'000u);
   EXPECT_EQ(eng.stats().idle_ns_skipped, 1'000'000u);
-  EXPECT_EQ(eng.stats().quantum_steps, 0u);
-}
-
-TEST(EventEngine, SteppedModeWalksQuantaAndPolls) {
-  EngineConfig config;
-  config.mode = AdvanceMode::kTimeStepped;
-  config.step_quantum_ns = 100;
-  EventEngine eng(config);
-  std::uint64_t polls = 0;
-  eng.set_idle_poll([&] { ++polls; });
-  eng.post(1000, components::kGpu, [](SimTime) {});
-  eng.run();
-  EXPECT_EQ(eng.now(), 1000u);
-  EXPECT_EQ(eng.stats().quantum_steps, 10u);
-  EXPECT_EQ(polls, 10u);
-  EXPECT_EQ(eng.stats().idle_ns_skipped, 0u);
-}
-
-TEST(EventEngine, SteppedModeClampsFinalPartialQuantum) {
-  EngineConfig config;
-  config.mode = AdvanceMode::kTimeStepped;
-  config.step_quantum_ns = 300;
-  EventEngine eng(config);
-  eng.post(1000, components::kGpu, [](SimTime) {});
-  eng.run();
-  EXPECT_EQ(eng.now(), 1000u);          // never overshoots the target
-  EXPECT_EQ(eng.stats().quantum_steps, 4u);  // 300+300+300+100
-}
-
-TEST(EventEngine, ModesProduceIdenticalEventTimeline) {
-  // The reference mode must execute the same events at the same times.
-  const auto run_mode = [](AdvanceMode mode) {
-    EngineConfig config;
-    config.mode = mode;
-    EventEngine eng(config);
-    std::vector<std::pair<int, SimTime>> fired;
-    eng.post(500, 1, [&](SimTime t) { fired.emplace_back(1, t); });
-    eng.post(120, 0, [&](SimTime t) {
-      fired.emplace_back(0, t);
-      eng.post(t + 77, 2, [&](SimTime u) { fired.emplace_back(2, u); });
-    });
-    eng.run();
-    return fired;
-  };
-  EXPECT_EQ(run_mode(AdvanceMode::kEventDriven),
-            run_mode(AdvanceMode::kTimeStepped));
 }
 
 TEST(EventEngine, PastTimePostFiresAtCurrentNow) {
@@ -204,189 +150,6 @@ TEST(EventEngine, ResetClockRequiresDrainedQueueAndMonotonicTime) {
   EXPECT_THROW(eng.reset_clock(50), std::logic_error);  // backwards
   eng.reset_clock(500);
   EXPECT_EQ(eng.now(), 500u);
-}
-
-TEST(ShardExecutor, InlineWhenSingleShard) {
-  ShardExecutor exec(1);
-  EXPECT_FALSE(exec.parallel());
-  std::vector<int> hits(8, 0);
-  exec.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 8);
-  EXPECT_EQ(exec.forks(), 0u);  // no fork/join cycle for inline runs
-}
-
-TEST(ShardExecutor, CoversEveryIndexExactlyOnce) {
-  ShardExecutor exec(4);
-  std::vector<std::atomic<int>> hits(1000);
-  exec.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(exec.forks(), 1u);
-}
-
-TEST(ShardExecutor, PartitionIsStaticByIndexModShards) {
-  // Shard-local outputs written without synchronization must be disjoint:
-  // shard s owns exactly the indices i % shards == s.
-  ShardExecutor exec(3);
-  std::vector<int> owner(99, -1);
-  exec.for_each_shard([&](unsigned s) {
-    for (std::size_t i = s; i < owner.size(); i += 3) {
-      owner[i] = static_cast<int>(s);
-    }
-  });
-  for (std::size_t i = 0; i < owner.size(); ++i) {
-    EXPECT_EQ(owner[i], static_cast<int>(i % 3));
-  }
-}
-
-TEST(ShardExecutor, RethrowsFirstExceptionByShardIndex) {
-  ShardExecutor exec(4);
-  try {
-    exec.parallel_for(8, [&](std::size_t i) {
-      if (i % 4 == 1) throw std::runtime_error("shard one failed");
-      if (i % 4 == 3) throw std::runtime_error("shard three failed");
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "shard one failed");
-  }
-  // The executor survives a throwing cycle and runs the next one.
-  std::atomic<int> count{0};
-  exec.parallel_for(16, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 16);
-}
-
-TEST(ShardExecutor, ReusableAcrossManyCycles) {
-  ShardExecutor exec(2);
-  std::atomic<std::uint64_t> total{0};
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    exec.parallel_for(10, [&](std::size_t i) { total += i; });
-  }
-  EXPECT_EQ(total.load(), 50u * 45u);
-  EXPECT_EQ(exec.forks(), 50u);
-}
-
-TEST(FanoutGate, InlineBelowThresholdFanOutAtOrAbove) {
-  // The decision flips where the work a fan-out takes off the caller —
-  // work * (lanes - 1) / lanes — reaches overhead * kMargin. With 2
-  // lanes that is work == 2 * threshold; with 4 lanes, earlier.
-  const FanoutGate gate(10'000);  // injected overhead, no clock involved
-  const std::uint64_t threshold = 10'000 * FanoutGate::kMargin;
-  const std::size_t flip2 = 2 * threshold / 100;
-  EXPECT_FALSE(gate.should_fan_out(flip2 - 1, 100, 2));
-  EXPECT_TRUE(gate.should_fan_out(flip2, 100, 2));
-  EXPECT_TRUE(gate.should_fan_out(flip2 + 1, 100, 2));
-  // More lanes -> bigger savings from the same batch -> earlier flip.
-  EXPECT_TRUE(gate.should_fan_out(flip2 - 1, 100, 4));
-}
-
-TEST(FanoutGate, DegenerateInputsNeverFanOut) {
-  const FanoutGate gate(1);  // cheapest possible dispatch
-  EXPECT_FALSE(gate.should_fan_out(0, 1'000'000));
-  EXPECT_FALSE(gate.should_fan_out(1'000'000, 0));
-  // A single schedulable lane has nothing to save at any batch size.
-  EXPECT_FALSE(gate.should_fan_out(1'000'000'000, 1'000'000, 1));
-}
-
-TEST(FanoutGate, MonotonicInItemCountAndItemCost) {
-  // Once a batch is worth fanning out, a strictly bigger batch (more
-  // items, or costlier items) must be too — no decision flapping as the
-  // estimate grows.
-  const FanoutGate gate(50'000);
-  bool prev = false;
-  for (std::size_t items = 1; items <= 4096; items *= 2) {
-    const bool now = gate.should_fan_out(items, 100);
-    EXPECT_TRUE(!prev || now) << "non-monotonic at items=" << items;
-    prev = now;
-  }
-  prev = false;
-  for (std::uint64_t ns = 1; ns <= 1 << 20; ns *= 2) {
-    const bool now = gate.should_fan_out(64, ns);
-    EXPECT_TRUE(!prev || now) << "non-monotonic at per_item_ns=" << ns;
-    prev = now;
-  }
-}
-
-TEST(FanoutGate, OverflowingEstimateFansOut) {
-  const FanoutGate gate(1'000'000);
-  EXPECT_TRUE(gate.should_fan_out(std::numeric_limits<std::size_t>::max(),
-                                  std::numeric_limits<std::uint64_t>::max()));
-}
-
-TEST(FanoutGate, DecisionIsStableUnderRepetition) {
-  // Pure function of (items, per_item_ns, overhead): 1000 identical
-  // calls must agree, for a decision on each side of the threshold.
-  const FanoutGate gate(10'000);
-  const bool below = gate.should_fan_out(10, 100);
-  const bool above = gate.should_fan_out(10'000, 100);
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(gate.should_fan_out(10, 100), below);
-    ASSERT_EQ(gate.should_fan_out(10'000, 100), above);
-  }
-  EXPECT_FALSE(below);
-  EXPECT_TRUE(above);
-}
-
-TEST(FanoutGate, ZeroOverheadClampsToOne) {
-  const FanoutGate gate(0);
-  EXPECT_EQ(gate.overhead_ns(), 1u);
-  EXPECT_TRUE(gate.calibrated());
-}
-
-TEST(ShardExecutor, ForcedModeIgnoresTheGate) {
-  // kForced is the legacy contract: gated entry points fan out no matter
-  // how tiny the batch says it is.
-  ShardExecutor exec(4, ShardGateMode::kForced);
-  std::vector<std::atomic<int>> hits(8);
-  exec.parallel_for(hits.size(), 1 /* per_item_ns */,
-                    [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(exec.dispatches(), 1u);
-  EXPECT_EQ(exec.inline_runs(), 0u);
-}
-
-TEST(ShardExecutor, AutoModeRunsTinyBatchesInlineAndBigBatchesFannedOut) {
-  // per_item_ns = 0 estimates zero work (always inline); a huge per-item
-  // cost clears any calibrated overhead, so it fans out whenever the
-  // host has a second core to run a lane on (gate_lanes > 1 — on a
-  // single-core host NO batch is worth a fan-out and auto mode must
-  // stay inline). Both bounds hold regardless of what calibration
-  // measured.
-  ShardExecutor exec(4, ShardGateMode::kAuto);
-  EXPECT_TRUE(exec.gate().calibrated());
-  const bool can_win = exec.gate_lanes() > 1;
-
-  std::vector<int> inline_hits(16, 0);  // unsynchronized: must run inline
-  exec.parallel_for(inline_hits.size(), 0,
-                    [&](std::size_t i) { ++inline_hits[i]; });
-  EXPECT_EQ(std::accumulate(inline_hits.begin(), inline_hits.end(), 0), 16);
-  EXPECT_EQ(exec.inline_runs(), 1u);
-  EXPECT_EQ(exec.dispatches(), 0u);
-
-  std::vector<std::atomic<int>> fan_hits(16);
-  exec.parallel_for(fan_hits.size(), std::uint64_t{1} << 40,
-                    [&](std::size_t i) { ++fan_hits[i]; });
-  for (const auto& h : fan_hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(exec.inline_runs(), can_win ? 1u : 2u);
-  EXPECT_EQ(exec.dispatches(), can_win ? 1u : 0u);
-  EXPECT_EQ(exec.tasks(), 32u);  // both paths count their items
-}
-
-TEST(ShardExecutor, GatedForEachShardInlineMatchesFannedOutput) {
-  // The inline path calls fn(0..shards-1) sequentially; per-shard outputs
-  // must match what the worker lanes would produce.
-  ShardExecutor auto_exec(3, ShardGateMode::kAuto);
-  std::vector<int> inline_out(3, -1);
-  auto_exec.for_each_shard(1, 0, [&](unsigned s) {
-    inline_out[s] = static_cast<int>(s) * 10;
-  });
-  ShardExecutor forced_exec(3, ShardGateMode::kForced);
-  std::vector<int> fanned_out(3, -1);
-  forced_exec.for_each_shard(1, 0, [&](unsigned s) {
-    fanned_out[s] = static_cast<int>(s) * 10;
-  });
-  EXPECT_EQ(inline_out, fanned_out);
-  EXPECT_EQ(auto_exec.inline_runs(), 1u);
-  EXPECT_EQ(forced_exec.dispatches(), 1u);
 }
 
 }  // namespace

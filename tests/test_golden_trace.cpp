@@ -269,69 +269,6 @@ TEST(GoldenTrace, CounterTracedRunsAreByteIdentical) {
   EXPECT_EQ(json, trace_to_json(second.tracer()));
 }
 
-TEST(GoldenTrace, ShardedRunMatchesPreRefactorFixture) {
-  // The fixtures were captured on the pre-event-engine runner. Sharded
-  // event execution (shards=4) must land on the SAME checked-in batch
-  // log, field for field — sharding is invisible to simulated behavior.
-  std::ifstream in(kFixture);
-  ASSERT_TRUE(in) << "missing golden fixture " << kFixture;
-  const auto parsed = read_batch_log(in);
-  ASSERT_EQ(parsed.skipped_lines, 0u);
-  ASSERT_FALSE(parsed.log.empty());
-
-  SystemConfig cfg = small_config(256);
-  cfg.engine.shards = 4;
-  System system(cfg);
-  const auto result = system.run(make_vecadd_paged());
-  EXPECT_EQ(system.shards(), 4u);
-  ASSERT_EQ(result.log.size(), parsed.log.size());
-  for (std::size_t i = 0; i < parsed.log.size(); ++i) {
-    const auto diffs = diff_records(parsed.log[i], result.log[i]);
-    for (const auto& d : diffs) {
-      ADD_FAILURE() << "shards=4 batch " << i << ": " << d;
-    }
-  }
-}
-
-TEST(GoldenTrace, SteppedModeMatchesPreRefactorFixture) {
-  // The time-stepped reference mode (the pre-refactor advancement style)
-  // must also land on the checked-in fixture: both engine modes execute
-  // the same events at the same simulated times.
-  std::ifstream in(kFixture);
-  ASSERT_TRUE(in) << "missing golden fixture " << kFixture;
-  const auto parsed = read_batch_log(in);
-  ASSERT_EQ(parsed.skipped_lines, 0u);
-
-  SystemConfig cfg = small_config(256);
-  cfg.engine.mode = AdvanceMode::kTimeStepped;
-  System system(cfg);
-  const auto result = system.run(make_vecadd_paged());
-  // The walked quanta are the cost the event mode skips.
-  EXPECT_GT(system.engine_stats().quantum_steps, 0u);
-  ASSERT_EQ(result.log.size(), parsed.log.size());
-  for (std::size_t i = 0; i < parsed.log.size(); ++i) {
-    EXPECT_EQ(serialize_batch(result.log[i]), serialize_batch(parsed.log[i]))
-        << "batch " << i;
-  }
-}
-
-TEST(GoldenTrace, ShardedChromeTraceMatchesFixtureByteForByte) {
-  // Chrome trace JSON under shards=4 vs the checked-in fixture: span
-  // timestamps come from the event clock, so any sharding-induced drift
-  // in event order or timing shows up here as a byte diff.
-  std::ifstream in(kTraceFixture, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden trace fixture " << kTraceFixture;
-  std::ostringstream fixture;
-  fixture << in.rdbuf();
-
-  SystemConfig cfg = small_config(256);
-  cfg.obs.trace = true;
-  cfg.engine.shards = 4;
-  System system(cfg);
-  system.run(make_vecadd_paged());
-  EXPECT_EQ(trace_to_json(system.tracer()), fixture.str());
-}
-
 TEST(GoldenTrace, FixtureRoundTripsThroughLogIo) {
   // The fixture exercises the serializer too: parse -> serialize must
   // reproduce the file byte for byte (modulo trailing whitespace).

@@ -1,19 +1,13 @@
 // Property-style fuzz harness: randomized small workloads over many seeds
 // and every servicing policy must preserve the system's conservation
 // invariants. This is the safety net for the live driver-parallelism
-// model, which changes simulated time on every batch — and, below, the
-// differential determinism suite for the event engine: every host shard
-// count and the time-stepped reference mode must reproduce the default
-// run byte for byte (fault logs, trace JSON, metrics JSON).
-#include <sstream>
+// model, which changes simulated time on every batch.
 #include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "analysis/log_io.hpp"
-#include "analysis/tenant_report.hpp"
-#include "core/multi_client.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
 
@@ -276,195 +270,6 @@ TEST(Invariants, ParallelServicingNeverSlowsARunDown) {
           << "policy " << static_cast<int>(policy) << " x" << workers;
       check_run_invariants(system, par_cfg, result);
     }
-  }
-}
-
-/// One observed run: aggregates + serialized batch log + serialized
-/// trace/metrics JSON, everything a run externalizes.
-struct ObservedRun {
-  RunResult result;
-  std::string log_text;
-  std::string trace_json;
-  std::string metrics_json;
-};
-
-ObservedRun observe(const FuzzCase& c, unsigned shards, AdvanceMode mode,
-                    ShardGateMode gate = ShardGateMode::kForced) {
-  SystemConfig cfg = c.config;
-  cfg.obs.trace = true;
-  cfg.obs.metrics = true;
-  cfg.engine.shards = shards;
-  cfg.engine.mode = mode;
-  cfg.engine.shard_gate = gate;
-  System system(cfg);
-  ObservedRun run;
-  run.result = system.run(c.spec);
-  for (const auto& rec : run.result.log) {
-    run.log_text += serialize_batch(rec);
-    run.log_text += '\n';
-  }
-  std::ostringstream trace, metrics;
-  write_trace_json(trace, system.tracer());
-  write_metrics_json(metrics, system.metrics());
-  run.trace_json = trace.str();
-  run.metrics_json = metrics.str();
-  return run;
-}
-
-void expect_identical(const ObservedRun& run, const ObservedRun& base,
-                      const std::string& what) {
-  EXPECT_EQ(run.result.kernel_time_ns, base.result.kernel_time_ns) << what;
-  EXPECT_EQ(run.result.total_faults, base.result.total_faults) << what;
-  EXPECT_EQ(run.result.duplicate_emissions, base.result.duplicate_emissions)
-      << what;
-  EXPECT_EQ(run.result.replays, base.result.replays) << what;
-  EXPECT_EQ(run.result.evictions, base.result.evictions) << what;
-  EXPECT_EQ(run.result.bytes_h2d, base.result.bytes_h2d) << what;
-  EXPECT_EQ(run.result.bytes_d2h, base.result.bytes_d2h) << what;
-  ASSERT_EQ(run.log_text, base.log_text) << what;
-  ASSERT_EQ(run.trace_json, base.trace_json) << what;
-  ASSERT_EQ(run.metrics_json, base.metrics_json) << what;
-}
-
-TEST(ShardDeterminism, FuzzedRunsAreByteIdenticalAcrossShardCounts) {
-  // The core determinism contract: sharded event execution is a host-side
-  // implementation detail. shards ∈ {2, 4, 8} must reproduce the shards=1
-  // run byte for byte — batch log, Chrome trace, metrics registry.
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    const FuzzCase c = make_fuzz_case(seed);
-    const ObservedRun base = observe(c, 1, AdvanceMode::kEventDriven);
-    ASSERT_GT(base.result.total_faults, 0u) << "seed " << seed;
-    for (const unsigned shards : {2u, 4u, 8u}) {
-      const ObservedRun run = observe(c, shards, AdvanceMode::kEventDriven);
-      expect_identical(run, base,
-                       "seed " + std::to_string(seed) + " shards " +
-                           std::to_string(shards));
-    }
-  }
-}
-
-TEST(ShardDeterminism, SteppedReferenceModeIsByteIdenticalToEventMode) {
-  // The time-stepped reference mode walks idle gaps instead of jumping
-  // them; simulated behavior must not notice the difference.
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    const FuzzCase c = make_fuzz_case(seed);
-    const ObservedRun base = observe(c, 1, AdvanceMode::kEventDriven);
-    const ObservedRun stepped = observe(c, 1, AdvanceMode::kTimeStepped);
-    expect_identical(stepped, base, "seed " + std::to_string(seed));
-  }
-}
-
-TEST(ShardDeterminism, InjectedRunsAreByteIdenticalAcrossShards) {
-  // Fault injection exercises the RNG-heavy paths (storms, retry
-  // backoff, lost interrupts); sharding must not perturb a single draw.
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    const FuzzCase c = make_injected_fuzz_case(seed);
-    const ObservedRun base = observe(c, 1, AdvanceMode::kEventDriven);
-    const ObservedRun sharded = observe(c, 4, AdvanceMode::kEventDriven);
-    expect_identical(sharded, base, "seed " + std::to_string(seed));
-  }
-}
-
-TEST(ShardDeterminism, FatalRunsAreByteIdenticalAcrossShardsAndModes) {
-  // Recovery traces are part of the determinism contract: identical
-  // (config, seed) must produce bit-identical recovery records for every
-  // shard count and both engine modes, even through GPU resets.
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    const FuzzCase c = testutil::make_fatal_fuzz_case(seed);
-    const ObservedRun base = observe(c, 1, AdvanceMode::kEventDriven);
-    ASSERT_GT(base.result.total_faults, 0u) << "seed " << seed;
-    for (const unsigned shards : {2u, 4u, 8u}) {
-      const ObservedRun run = observe(c, shards, AdvanceMode::kEventDriven);
-      expect_identical(run, base,
-                       "seed " + std::to_string(seed) + " shards " +
-                           std::to_string(shards));
-    }
-    const ObservedRun stepped = observe(c, 1, AdvanceMode::kTimeStepped);
-    expect_identical(stepped, base,
-                     "seed " + std::to_string(seed) + " stepped");
-  }
-}
-
-TEST(ShardDeterminism, GateModesAndEnginesAreByteIdenticalAcrossTheMatrix) {
-  // The adaptive fan-out gate changes only WHERE work runs (inline vs
-  // worker lanes), never what it computes — so the full configuration
-  // matrix {1,2,4,8} shards × {auto,forced} gate × both engine modes
-  // must reproduce one reference run byte for byte. Seeds alternate
-  // plain and fatal-injected cases so the gate is exercised both on the
-  // hot servicing path and through recovery resets.
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    const FuzzCase c = seed % 2 == 0 ? make_fuzz_case(seed)
-                                     : testutil::make_fatal_fuzz_case(seed);
-    const ObservedRun base =
-        observe(c, 1, AdvanceMode::kEventDriven, ShardGateMode::kForced);
-    ASSERT_GT(base.result.total_faults, 0u) << "seed " << seed;
-    for (const unsigned shards : {1u, 2u, 4u, 8u}) {
-      for (const ShardGateMode gate :
-           {ShardGateMode::kForced, ShardGateMode::kAuto}) {
-        for (const AdvanceMode mode :
-             {AdvanceMode::kEventDriven, AdvanceMode::kTimeStepped}) {
-          if (shards == 1 && gate == ShardGateMode::kForced &&
-              mode == AdvanceMode::kEventDriven) {
-            continue;  // the reference cell itself
-          }
-          const ObservedRun run = observe(c, shards, mode, gate);
-          expect_identical(
-              run, base,
-              "seed " + std::to_string(seed) + " shards " +
-                  std::to_string(shards) + " gate " +
-                  (gate == ShardGateMode::kAuto ? "auto" : "forced") +
-                  (mode == AdvanceMode::kTimeStepped ? " stepped" : " event"));
-        }
-      }
-    }
-  }
-}
-
-TEST(ShardDeterminism, TenantSchedulingIsByteIdenticalAcrossShardsAndModes) {
-  // The weighted fair scheduler consults only simulated quantities
-  // (grant times, service ns, fault counts), so randomized multi-tenant
-  // rosters must reproduce the full contention ledger — tenant lines and
-  // every client's batch log — for every shard count and both engine
-  // modes.
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const testutil::TenantFuzzCase c = testutil::make_tenant_fuzz_case(seed);
-    const auto observe = [&c](unsigned shards, AdvanceMode mode) {
-      SystemConfig cfg = c.config;
-      cfg.engine.shards = shards;
-      cfg.engine.mode = mode;
-      MultiClientSystem multi(cfg, c.tenants, c.sched);
-      const auto result = multi.run(c.specs);
-      std::string text;
-      for (std::size_t i = 0; i < result.per_tenant.size(); ++i) {
-        text += serialize_tenant(i, result.per_tenant[i]);
-        text += '\n';
-      }
-      for (const RunResult& r : result.per_client) {
-        for (const auto& rec : r.log) {
-          text += serialize_batch(rec);
-          text += '\n';
-        }
-      }
-      return text;
-    };
-    const std::string base = observe(1, AdvanceMode::kEventDriven);
-    for (const unsigned shards : {2u, 4u}) {
-      ASSERT_EQ(observe(shards, AdvanceMode::kEventDriven), base)
-          << "seed " << seed << " shards " << shards;
-    }
-    ASSERT_EQ(observe(1, AdvanceMode::kTimeStepped), base)
-        << "seed " << seed << " stepped";
-  }
-}
-
-TEST(ShardDeterminism, CounterRunsAreByteIdenticalAcrossShards) {
-  // The access-counter channel adds the post-kernel drain events; the
-  // sharded engine must reproduce them exactly.
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    const FuzzCase c = make_counter_fuzz_case(seed);
-    const ObservedRun base = observe(c, 1, AdvanceMode::kEventDriven);
-    const ObservedRun sharded = observe(c, 4, AdvanceMode::kEventDriven);
-    expect_identical(sharded, base, "seed " + std::to_string(seed));
   }
 }
 

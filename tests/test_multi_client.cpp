@@ -14,9 +14,7 @@
 namespace uvmsim {
 namespace {
 
-using testutil::make_tenant_fuzz_case;
 using testutil::small_config;
-using testutil::TenantFuzzCase;
 
 // A 64-client roster cycling through four paper workloads with varied
 // footprints, so contention mixes regular, strided, and butterfly access.
@@ -195,45 +193,6 @@ TEST(MultiClient, PerClientTracesAreIsolated) {
   EXPECT_EQ(traced_batches, result.batches_serviced);
 }
 
-TEST(MultiClient, SixtyFourClientRunIsByteIdenticalAcrossShards) {
-  // Sharded fan-out of the per-client generation streams must not change
-  // ANY observable: per-client results, the shared makespan, or the
-  // per-client trace JSON, for every shard count.
-  const auto observe = [](unsigned shards) {
-    SystemConfig cfg = small_config();
-    cfg.obs.trace = true;
-    cfg.engine.shards = shards;
-    MultiClientSystem multi(cfg, 64);
-    const auto result = multi.run(mixed_roster_64());
-    std::vector<std::string> traces;
-    traces.reserve(64);
-    for (std::uint32_t i = 0; i < 64; ++i) {
-      traces.push_back(trace_to_json(*multi.client_tracer(i)));
-    }
-    return std::make_pair(result, std::move(traces));
-  };
-
-  const auto [base, base_traces] = observe(1);
-  for (const unsigned shards : {2u, 4u, 8u}) {
-    const auto [result, traces] = observe(shards);
-    EXPECT_EQ(result.makespan_ns, base.makespan_ns) << "shards " << shards;
-    EXPECT_EQ(result.worker_busy_ns, base.worker_busy_ns)
-        << "shards " << shards;
-    EXPECT_EQ(result.batches_serviced, base.batches_serviced)
-        << "shards " << shards;
-    for (std::uint32_t i = 0; i < 64; ++i) {
-      EXPECT_EQ(result.per_client[i].total_faults,
-                base.per_client[i].total_faults)
-          << "shards " << shards << " client " << i;
-      EXPECT_EQ(result.per_client[i].kernel_time_ns,
-                base.per_client[i].kernel_time_ns)
-          << "shards " << shards << " client " << i;
-      ASSERT_EQ(traces[i], base_traces[i])
-          << "shards " << shards << " client " << i;
-    }
-  }
-}
-
 // Everything a multi-tenant run externalizes, serialized for bytewise
 // comparison: aggregates, the per-tenant ledger, every client's batch log.
 std::string serialize_multi_run(const MultiClientResult& result) {
@@ -267,29 +226,6 @@ TEST(MultiClient, UniformFcfsTenantsAreByteIdenticalToLegacyRoster) {
   const auto b = tenants.run(specs);
   EXPECT_EQ(b.sched_policy, TenantSchedPolicy::kFcfs);
   ASSERT_EQ(serialize_multi_run(b), serialize_multi_run(a));
-}
-
-TEST(MultiClient, TenantRunsAreByteIdenticalAcrossShardsAndModes) {
-  // The weighted arbitration must stay a pure function of simulation
-  // state: every shard count and the time-stepped reference mode
-  // reproduce the tenant ledger and every client's batch log exactly.
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const TenantFuzzCase c = make_tenant_fuzz_case(seed);
-    const auto observe = [&c](unsigned shards, AdvanceMode mode) {
-      SystemConfig cfg = c.config;
-      cfg.engine.shards = shards;
-      cfg.engine.mode = mode;
-      MultiClientSystem multi(cfg, c.tenants, c.sched);
-      return serialize_multi_run(multi.run(c.specs));
-    };
-    const std::string base = observe(1, AdvanceMode::kEventDriven);
-    for (const unsigned shards : {2u, 4u}) {
-      ASSERT_EQ(observe(shards, AdvanceMode::kEventDriven), base)
-          << "seed " << seed << " shards " << shards;
-    }
-    ASSERT_EQ(observe(1, AdvanceMode::kTimeStepped), base)
-        << "seed " << seed << " stepped";
-  }
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //   * the end-to-end ladder — each fatal class contained by its tier with
 //     the run completing, the books balancing, and conservation holding;
 //   * the zero-cost-off and determinism contracts the golden fixtures and
-//     shard suites rely on.
+//     replay suites rely on.
 #include <gtest/gtest.h>
 
 #include "analysis/log_io.hpp"

@@ -3,9 +3,11 @@
 // These are the regression net for the whole stack.
 #include <gtest/gtest.h>
 
+#include "core/multi_client.hpp"
 #include "core/parallel_runner.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
+#include "workloads/tenant_mix.hpp"
 
 namespace uvmsim {
 namespace {
@@ -125,6 +127,35 @@ TEST(ParallelRunner, PropagatesFirstExceptionByJobOrder) {
   jobs.push_back({broken, make_stream_triad(2 << 20)});
   jobs.push_back({small_config(), make_stream_triad(1 << 12)});
   EXPECT_THROW(run_parallel(jobs, 3), std::runtime_error);
+}
+
+TEST(ParallelRunner, RunTasksKeepsTaskOrderForAnyResultType) {
+  // Multi-tenant simulations (not Systems) on the pool: each result comes
+  // back in its task's slot and equals the serial run of the same task.
+  const auto run_policy = [](TenantSchedPolicy policy) {
+    TenantSchedConfig sched;
+    sched.policy = policy;
+    MultiClientSystem multi(small_config(16),
+                            make_tenant_matrix(4, {1.0, 2.0}, 0, 1), sched);
+    return multi.run(make_tenant_roster(4, TenantMix::kMixed, 7, 512));
+  };
+  const std::vector<TenantSchedPolicy> policies = {
+      TenantSchedPolicy::kFcfs, TenantSchedPolicy::kDeficitRoundRobin,
+      TenantSchedPolicy::kStride, TenantSchedPolicy::kFcfs};
+  std::vector<std::function<MultiClientResult()>> tasks;
+  for (const TenantSchedPolicy policy : policies) {
+    tasks.push_back([&run_policy, policy] { return run_policy(policy); });
+  }
+  const std::vector<MultiClientResult> parallel = run_tasks(tasks, 4);
+
+  ASSERT_EQ(parallel.size(), policies.size());
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const MultiClientResult serial = run_policy(policies[i]);
+    EXPECT_EQ(parallel[i].sched_policy, policies[i]) << i;
+    EXPECT_EQ(parallel[i].makespan_ns, serial.makespan_ns) << i;
+    EXPECT_EQ(parallel[i].worker_busy_ns, serial.worker_busy_ns) << i;
+    EXPECT_EQ(parallel[i].batches_serviced, serial.batches_serviced) << i;
+  }
 }
 
 class OversubRatioTest : public ::testing::TestWithParam<std::uint64_t> {};

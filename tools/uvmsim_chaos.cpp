@@ -4,7 +4,7 @@
 // A *schedule* is a full knob assignment — transient error rates, fatal
 // class rates, retry/watchdog/pool settings, batching — derived
 // deterministically from one seed. Each schedule runs under an invariant
-// oracle (conservation, accounting balance, replay and shard determinism);
+// oracle (conservation, accounting balance, replay determinism);
 // a violation is a finding. The harness then *shrinks* the schedule:
 // greedily resetting knobs to their benign values while the failure
 // persists, until the schedule is 1-minimal (resetting any single
@@ -250,14 +250,6 @@ std::optional<std::string> violation(const Schedule& s,
   const RunResult replay = replay_system.run(spec);
   CHAOS_CHECK(log_text(replay) == log_text(result),
               "replay log differs (nondeterminism)");
-
-  // Shard determinism: host sharding is an implementation detail.
-  SystemConfig sharded_cfg = cfg;
-  sharded_cfg.engine.shards = 2;
-  System sharded_system(sharded_cfg);
-  const RunResult sharded = sharded_system.run(spec);
-  CHAOS_CHECK(log_text(sharded) == log_text(result),
-              "shards=2 log differs from shards=1");
 
   return std::nullopt;
 }

@@ -3,18 +3,24 @@
 // The library's counterpart to the paper artifact's "Experiments and
 // Evaluation Tool".
 //
-//   uvmsim_cli run --workload stream --elements 1048576 --gpu-mb 64 \
+//   uvmsim_cli run --workload stream --elements 1048576 --gpu-mb 64
 //       --no-prefetch --batch-size 512 --log out.batchlog
 //   uvmsim_cli trace --workload vecadd-paged --gpu-mb 256 --out trace.json
 //   uvmsim_cli analyze out.batchlog --phases
 //   uvmsim_cli list
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/log_io.hpp"
@@ -33,6 +39,150 @@ namespace {
 
 using namespace uvmsim;
 
+/// A command-line mistake: reported as one line, exit status 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses a whole decimal unsigned integer; anything else (a sign, a
+/// suffix, an out-of-range value) is a usage error.
+std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw UsageError("--" + flag + " wants an unsigned integer (got '" +
+                     text + "')");
+  }
+  return value;
+}
+
+/// Parses a whole finite, non-negative decimal number.
+double parse_f64(const std::string& flag, const std::string& text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(value) || value < 0) {
+    throw UsageError("--" + flag + " wants a non-negative number (got '" +
+                     text + "')");
+  }
+  return value;
+}
+
+/// How a flag takes its value.
+enum class Value : std::uint8_t {
+  kNone,      // bare switch
+  kOptional,  // bare, or followed by text (--trace [FILE])
+  kText,
+  kUnsigned,  // decimal integer >= 0
+  kNumber,    // decimal number >= 0
+};
+
+/// Which subcommands accept a flag (bit mask).
+enum Command : std::uint8_t { kRun = 1, kTrace = 2, kAnalyze = 4 };
+
+struct FlagSpec {
+  std::string_view name;
+  Value value;
+  std::uint8_t commands = kRun | kTrace;
+};
+
+/// Every flag the CLI accepts. Anything else, or a value of the wrong
+/// shape, exits 2 before a run starts (see parse_args).
+constexpr FlagSpec kFlags[] = {
+    // Workload selection and shape.
+    {"workload", Value::kText},
+    {"elements", Value::kUnsigned},
+    {"bytes", Value::kUnsigned},
+    {"n", Value::kUnsigned},
+    {"nx", Value::kUnsigned},
+    {"ny", Value::kUnsigned},
+    {"sweeps", Value::kUnsigned},
+    {"vcycles", Value::kUnsigned},
+    {"fine-log2", Value::kUnsigned},
+    {"host-threads", Value::kUnsigned},
+    {"iterations", Value::kUnsigned},
+    {"seed", Value::kUnsigned},
+    {"pin-host", Value::kNone},
+    // Driver / GPU configuration.
+    {"gpu-mb", Value::kUnsigned},
+    {"batch-size", Value::kUnsigned},
+    {"no-prefetch", Value::kNone},
+    {"no-promotion", Value::kNone},
+    {"no-flush", Value::kNone},
+    {"fifo-evict", Value::kNone},
+    {"adaptive-batch", Value::kNone},
+    {"async-host-ops", Value::kNone},
+    {"service-policy", Value::kText},
+    {"service-workers", Value::kUnsigned},
+    // Outputs.
+    {"log", Value::kText},
+    {"trace", Value::kOptional},
+    {"metrics", Value::kOptional},
+    {"engine-stats", Value::kNone},
+    {"fail-on-abort", Value::kNone},
+    {"out", Value::kText, kTrace},
+    // Transient fault injection and retry policy.
+    {"inject", Value::kNone},
+    {"inject-seed", Value::kUnsigned},
+    {"inject-transfer-err", Value::kNumber},
+    {"inject-dma-err", Value::kNumber},
+    {"inject-irq-delay-prob", Value::kNumber},
+    {"inject-irq-delay-ns", Value::kUnsigned},
+    {"inject-irq-loss", Value::kNumber},
+    {"inject-storm-prob", Value::kNumber},
+    {"inject-storm-faults", Value::kUnsigned},
+    {"inject-counter-loss", Value::kNumber},
+    {"retry-max", Value::kUnsigned},
+    {"retry-backoff-ns", Value::kUnsigned},
+    {"retry-backoff-cap-ns", Value::kUnsigned},
+    // Fatal faults and the recovery ladder.
+    {"inject-fatal", Value::kNone},
+    {"inject-ecc", Value::kNumber},
+    {"inject-poison", Value::kNumber},
+    {"inject-ce-fail", Value::kNumber},
+    {"inject-wedge", Value::kNumber},
+    {"wedge-gpu-frac", Value::kNumber},
+    {"recovery-pool", Value::kUnsigned},
+    {"watchdog-stuck", Value::kUnsigned},
+    {"channel-reset-ns", Value::kUnsigned},
+    {"gpu-reset-ns", Value::kUnsigned},
+    // Thrashing detection.
+    {"thrash-detect", Value::kNone},
+    {"thrash-mitigation", Value::kText},
+    {"thrash-threshold", Value::kUnsigned},
+    {"thrash-lapse-ns", Value::kUnsigned},
+    // Access counters.
+    {"access-counters", Value::kOptional},
+    {"ctr-buffer", Value::kUnsigned},
+    {"ctr-batch", Value::kUnsigned},
+    {"ctr-migrate-advised", Value::kNone},
+    {"ctr-evict", Value::kNone},
+    // Multi-tenant server.
+    {"tenants", Value::kUnsigned},
+    {"tenant-weights", Value::kText},
+    {"tenant-sched", Value::kText},
+    {"drr-quantum", Value::kUnsigned},
+    {"tenant-quota-mb", Value::kUnsigned},
+    {"tenant-max-batches", Value::kUnsigned},
+    {"tenant-mix", Value::kText},
+    {"tenant-kb", Value::kUnsigned},
+    {"tenant-table", Value::kNone},
+    {"tenant-log", Value::kText},
+    {"check-fairness", Value::kText},
+    // Multi-GPU topology.
+    {"gpus", Value::kUnsigned},
+    {"topology", Value::kText},
+    {"placement", Value::kText},
+    {"private-kb", Value::kUnsigned},
+    {"shared-kb", Value::kUnsigned},
+    {"passes", Value::kUnsigned},
+    // analyze.
+    {"phases", Value::kNone, kAnalyze},
+    {"json", Value::kNone, kAnalyze},
+};
+
 struct Args {
   std::map<std::string, std::string> named;
   bool flag(const std::string& name) const { return named.contains(name); }
@@ -42,25 +192,52 @@ struct Args {
   }
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const {
     const auto it = named.find(name);
-    return it == named.end() ? fallback : std::stoull(it->second);
+    return it == named.end() ? fallback : parse_u64(name, it->second);
   }
   double get_f64(const std::string& name, double fallback) const {
     const auto it = named.find(name);
-    return it == named.end() ? fallback : std::stod(it->second);
+    return it == named.end() ? fallback : parse_f64(name, it->second);
   }
 };
 
-Args parse_args(int argc, char** argv, int first) {
+/// Parse argv[first..] as `--flag [value]` pairs for `command`, checking
+/// each flag against kFlags and each value against the flag's kind.
+/// Throws UsageError on an unknown flag, a stray argument, a missing or
+/// unexpected value, or a malformed number.
+Args parse_args(int argc, char** argv, int first, Command command) {
   Args args;
   for (int i = first; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;
-    token = token.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.named[token] = argv[++i];
-    } else {
-      args.named[token] = "1";
+    const std::string token = argv[i];
+    if (token.rfind("--", 0) != 0) {
+      throw UsageError("unexpected argument '" + token + "'");
     }
+    const std::string name = token.substr(2);
+    const auto* spec = std::find_if(
+        std::begin(kFlags), std::end(kFlags), [&](const FlagSpec& f) {
+          return f.name == name && (f.commands & command) != 0;
+        });
+    if (spec == std::end(kFlags)) {
+      throw UsageError("unknown flag '" + token + "'");
+    }
+    const bool has_value =
+        i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+    if (!has_value) {
+      if (spec->value != Value::kNone && spec->value != Value::kOptional) {
+        throw UsageError(token + " wants a value");
+      }
+      args.named[name] = "1";
+      continue;
+    }
+    const std::string value = argv[++i];
+    switch (spec->value) {
+      case Value::kNone:
+        throw UsageError(token + " takes no value (got '" + value + "')");
+      case Value::kUnsigned: parse_u64(name, value); break;
+      case Value::kNumber: parse_f64(name, value); break;
+      case Value::kOptional:
+      case Value::kText: break;
+    }
+    args.named[name] = value;
   }
   return args;
 }
@@ -111,6 +288,15 @@ std::optional<WorkloadSpec> build_workload(const Args& args) {
   return std::nullopt;
 }
 
+void print_engine_stats(const EventEngine::Stats& es) {
+  std::printf("engine: events=%llu posted=%llu cancelled=%llu "
+              "idle_skipped_ms=%.3f max_queue=%zu\n",
+              static_cast<unsigned long long>(es.executed),
+              static_cast<unsigned long long>(es.posted),
+              static_cast<unsigned long long>(es.cancelled),
+              es.idle_ns_skipped / 1e6, es.max_queue_depth);
+}
+
 int cmd_list() {
   std::printf("workloads: stream vecadd vecadd-paged vecadd-prefetch "
               "regular random sgemm dgemm fft gauss-seidel hpgmg\n");
@@ -125,10 +311,7 @@ int cmd_list() {
               "JSON); `trace` subcommand = run + --trace, --out FILE\n");
   std::printf("driver parallelism (paper §6): --service-policy "
               "serial|vablock|sm --service-workers K\n");
-  std::printf("event engine: --shards N|auto (host lanes; byte-identical "
-              "for every N) --shard-gate auto|forced --engine event|stepped "
-              "--step-quantum-ns N --engine-stats (prints engine+shard "
-              "stats and records shard.* counters into --metrics/--trace)\n");
+  std::printf("event engine: --engine-stats (prints event counters)\n");
   std::printf("fault injection: --inject --inject-seed N "
               "--inject-transfer-err P --inject-dma-err P "
               "--inject-irq-delay-prob P --inject-irq-delay-ns N "
@@ -161,7 +344,7 @@ int cmd_list() {
   std::printf("analyze: --phases (per-phase distribution) --json "
               "(machine-readable summary incl. counter_stats and "
               "recovery_stats; tenant logs yield tenant_stats with "
-              "Jain's index; metrics snapshots yield shard_stats)\n");
+              "Jain's index)\n");
   return 0;
 }
 
@@ -194,14 +377,8 @@ int run_tenants(const Args& args, SystemConfig cfg) {
   if (std::string weights = args.get("tenant-weights", ""); !weights.empty()) {
     while (!weights.empty()) {
       const std::size_t comma = weights.find(',');
-      const std::string item = weights.substr(0, comma);
-      try {
-        weight_cycle.push_back(std::stod(item));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "bad weight '%s' in --tenant-weights\n",
-                     item.c_str());
-        return 2;
-      }
+      weight_cycle.push_back(
+          parse_f64("tenant-weights", weights.substr(0, comma)));
       if (comma == std::string::npos) break;
       weights.erase(0, comma + 1);
     }
@@ -224,6 +401,20 @@ int run_tenants(const Args& args, SystemConfig cfg) {
   const auto roster = make_tenant_roster(n, mix, cfg.seed,
                                          args.get_u64("tenant-kb", 256));
 
+  // --check-fairness MAXERR[%][,MINJAIN], parsed before the run.
+  std::optional<std::pair<double, double>> check_fairness;
+  if (const std::string check = args.get("check-fairness", "");
+      !check.empty()) {
+    const std::size_t comma = check.find(',');
+    std::string max_err = check.substr(0, comma);
+    if (!max_err.empty() && max_err.back() == '%') max_err.pop_back();
+    check_fairness.emplace(
+        parse_f64("check-fairness", max_err),
+        comma == std::string::npos
+            ? 0.0
+            : parse_f64("check-fairness", check.substr(comma + 1)));
+  }
+
   MultiClientSystem system(cfg, std::move(tenants), sched);
   const MultiClientResult result = system.run(roster);
   const TenantReport report = build_tenant_report(result.per_tenant);
@@ -241,13 +432,7 @@ int run_tenants(const Args& args, SystemConfig cfg) {
     std::printf("%s", tenant_report_table(report).c_str());
   }
   if (args.flag("engine-stats")) {
-    const auto& es = system.engine_stats();
-    std::printf("engine: events=%llu posted=%llu cancelled=%llu "
-                "idle_skipped_ms=%.3f max_queue=%zu\n",
-                static_cast<unsigned long long>(es.executed),
-                static_cast<unsigned long long>(es.posted),
-                static_cast<unsigned long long>(es.cancelled),
-                es.idle_ns_skipped / 1e6, es.max_queue_depth);
+    print_engine_stats(system.engine_stats());
   }
 
   if (const std::string path = args.get("tenant-log", ""); !path.empty()) {
@@ -279,21 +464,8 @@ int run_tenants(const Args& args, SystemConfig cfg) {
   // --check-fairness MAXERR%,MINJAIN: gate for CI — exit 5 when the
   // in-window shares drift past MAXERR percent of the weight targets or
   // Jain's index drops below MINJAIN.
-  if (const std::string check = args.get("check-fairness", "");
-      !check.empty()) {
-    const std::size_t comma = check.find(',');
-    double max_err_pct = 0.0;
-    double min_jain = 0.0;
-    try {
-      max_err_pct = std::stod(check.substr(0, comma));
-      if (comma != std::string::npos) {
-        min_jain = std::stod(check.substr(comma + 1));
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad --check-fairness '%s' (want ERR%%,JAIN)\n",
-                   check.c_str());
-      return 2;
-    }
+  if (check_fairness) {
+    const auto [max_err_pct, min_jain] = *check_fairness;
     if (report.max_abs_share_error * 100.0 > max_err_pct ||
         report.jain_index < min_jain) {
       std::fprintf(stderr,
@@ -385,13 +557,7 @@ int run_multi_gpu(const Args& args, SystemConfig cfg) {
                 link.busy_ns / 1e6, link.utilization * 100.0);
   }
   if (args.flag("engine-stats")) {
-    const auto& es = system.engine_stats();
-    std::printf("engine: events=%llu posted=%llu cancelled=%llu "
-                "idle_skipped_ms=%.3f max_queue=%zu\n",
-                static_cast<unsigned long long>(es.executed),
-                static_cast<unsigned long long>(es.posted),
-                static_cast<unsigned long long>(es.cancelled),
-                es.idle_ns_skipped / 1e6, es.max_queue_depth);
+    print_engine_stats(system.engine_stats());
   }
   if (const std::string path = args.get("log", ""); !path.empty()) {
     std::ofstream out(path);
@@ -435,37 +601,6 @@ int cmd_run(const Args& args) {
       static_cast<std::uint32_t>(args.get_u64("service-workers", 1));
   cfg.seed = args.get_u64("seed", cfg.seed);
 
-  // Event engine: --shards N host lanes (results are byte-identical for
-  // every N), or --shards auto to size lanes from the host's core count;
-  // --shard-gate auto|forced picks between adaptive and unconditional
-  // fan-out (host-time-only difference); --engine stepped selects the
-  // time-stepped reference mode.
-  if (const std::string shards = args.get("shards", "");
-      shards == "auto") {
-    cfg.engine.shards = EngineConfig::kAutoShards;
-  } else {
-    cfg.engine.shards =
-        static_cast<unsigned>(args.get_u64("shards", cfg.engine.shards));
-  }
-  if (const std::string gate = args.get("shard-gate", "auto");
-      gate == "forced") {
-    cfg.engine.shard_gate = ShardGateMode::kForced;
-  } else if (gate != "auto") {
-    std::fprintf(stderr, "unknown --shard-gate '%s' (auto|forced)\n",
-                 gate.c_str());
-    return 2;
-  }
-  if (const std::string engine = args.get("engine", "event");
-      engine == "stepped") {
-    cfg.engine.mode = AdvanceMode::kTimeStepped;
-  } else if (engine != "event") {
-    std::fprintf(stderr, "unknown --engine '%s' (event|stepped)\n",
-                 engine.c_str());
-    return 2;
-  }
-  cfg.engine.step_quantum_ns =
-      args.get_u64("step-quantum-ns", cfg.engine.step_quantum_ns);
-
   // A bare --trace/--metrics enables the sink without writing a file
   // (overhead checks); a value is the output path.
   const std::string trace_arg = args.get("trace", "");
@@ -474,11 +609,6 @@ int cmd_run(const Args& args) {
   const std::string metrics_path = metrics_arg == "1" ? "" : metrics_arg;
   cfg.obs.trace = !trace_arg.empty();
   cfg.obs.metrics = !metrics_arg.empty();
-  // --engine-stats also folds host shard-executor stats into whichever
-  // sinks are on: shard.* counters in the metrics snapshot (feed to
-  // `analyze --json` for shard_stats) and per-lane Gantt tracks in the
-  // trace. Host wall-clock values — excluded from determinism checks.
-  cfg.obs.record_shard_stats = args.flag("engine-stats");
 
   if (args.flag("inject")) {
     auto& inj = cfg.driver.inject;
@@ -558,9 +688,9 @@ int cmd_run(const Args& args) {
         return 2;
       }
       ac.granularity_pages = static_cast<std::uint32_t>(
-          std::stoull(regs.substr(0, comma)));
+          parse_u64("access-counters", regs.substr(0, comma)));
       ac.threshold = static_cast<std::uint32_t>(
-          std::stoull(regs.substr(comma + 1)));
+          parse_u64("access-counters", regs.substr(comma + 1)));
     }
     ac.buffer_entries = static_cast<std::uint32_t>(
         args.get_u64("ctr-buffer", ac.buffer_entries));
@@ -654,35 +784,7 @@ int cmd_run(const Args& args) {
                     result.watchdog_stuck_wakeups));
   }
   if (args.flag("engine-stats")) {
-    const auto& es = system.engine_stats();
-    std::printf("engine: mode=%s shards=%u events=%llu posted=%llu "
-                "idle_skipped_ms=%.3f quantum_steps=%llu max_queue=%zu\n",
-                cfg.engine.mode == AdvanceMode::kTimeStepped ? "stepped"
-                                                             : "event",
-                system.shards(),
-                static_cast<unsigned long long>(es.executed),
-                static_cast<unsigned long long>(es.posted),
-                es.idle_ns_skipped / 1e6,
-                static_cast<unsigned long long>(es.quantum_steps),
-                es.max_queue_depth);
-    if (const ShardExecutor* ex = system.shard_executor()) {
-      std::string busy;
-      for (unsigned s = 0; s < ex->shards(); ++s) {
-        if (s) busy += ',';
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.1f",
-                      static_cast<double>(ex->worker_busy_ns(s)) / 1e3);
-        busy += buf;
-      }
-      std::printf("shards: gate=%s dispatches=%llu inline_runs=%llu "
-                  "tasks=%llu barrier_wait_us=%.1f busy_us=[%s]\n",
-                  ex->gate_mode() == ShardGateMode::kAuto ? "auto" : "forced",
-                  static_cast<unsigned long long>(ex->dispatches()),
-                  static_cast<unsigned long long>(ex->inline_runs()),
-                  static_cast<unsigned long long>(ex->tasks()),
-                  static_cast<double>(ex->barrier_wait_ns()) / 1e3,
-                  busy.c_str());
-    }
+    print_engine_stats(system.engine_stats());
   }
   if (cfg.driver.access_counters.enabled) {
     std::printf("counters: notif=%llu serviced=%llu dropped=%llu lost=%llu "
@@ -780,115 +882,19 @@ int analyze_tenant_log(std::ifstream& in, const std::string& path,
   return 0;
 }
 
-/// Analyze a metrics-registry snapshot (the `--metrics FILE` JSON, which
-/// opens `{\n"counters": {`): extract the shard.* executor counters
-/// recorded under --engine-stats into a shard_stats view.
-int analyze_metrics_json(std::ifstream& in, const std::string& path,
-                         const Args& args) {
-  // The snapshot's counters block is one `  "name": value,` line per
-  // counter (log_io.cpp writes it; names are JSON-escaped but shard.*
-  // names contain nothing to escape). Scan it without a JSON parser.
-  std::map<std::string, std::uint64_t> shard_counters;
-  std::string line;
-  bool in_counters = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("\"counters\"", 0) == 0) {
-      in_counters = true;
-      continue;
-    }
-    if (!in_counters) continue;
-    const std::size_t open = line.find('"');
-    if (open == std::string::npos) break;  // "}," closes the block
-    const std::size_t close = line.find('"', open + 1);
-    const std::size_t colon = line.find(':', close);
-    if (close == std::string::npos || colon == std::string::npos) break;
-    const std::string name = line.substr(open + 1, close - open - 1);
-    if (name.rfind("shard.", 0) != 0) continue;
-    try {
-      shard_counters[name] = std::stoull(line.substr(colon + 1));
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "malformed counter line in %s: %s\n", path.c_str(),
-                   line.c_str());
-      return 2;
-    }
-  }
-  if (shard_counters.empty()) {
-    std::fprintf(stderr,
-                 "no shard.* counters in %s (record them with "
-                 "`run --shards N --engine-stats --metrics FILE`)\n",
-                 path.c_str());
-    return 2;
-  }
-
-  std::vector<std::uint64_t> busy;
-  for (unsigned s = 0;; ++s) {
-    const auto it =
-        shard_counters.find("shard.worker." + std::to_string(s) + ".busy_ns");
-    if (it == shard_counters.end()) break;
-    busy.push_back(it->second);
-  }
-  const auto counter = [&](const char* name) {
-    const auto it = shard_counters.find(name);
-    return it == shard_counters.end() ? 0ULL : it->second;
-  };
-
-  if (args.flag("json")) {
-    std::printf("{\"shard_stats\": {\"dispatches\": %llu, "
-                "\"inline_runs\": %llu, \"tasks\": %llu, "
-                "\"barrier_wait_ns\": %llu, \"worker_busy_ns\": [",
-                static_cast<unsigned long long>(counter("shard.dispatches")),
-                static_cast<unsigned long long>(counter("shard.inline_runs")),
-                static_cast<unsigned long long>(counter("shard.tasks")),
-                static_cast<unsigned long long>(
-                    counter("shard.barrier_wait_ns")));
-    for (std::size_t s = 0; s < busy.size(); ++s) {
-      std::printf("%s%llu", s ? ", " : "",
-                  static_cast<unsigned long long>(busy[s]));
-    }
-    std::printf("]}}\n");
-    return 0;
-  }
-
-  TablePrinter table({"metric", "value"});
-  table.add_row({"fan-out dispatches",
-                 std::to_string(counter("shard.dispatches"))});
-  table.add_row({"gated inline runs",
-                 std::to_string(counter("shard.inline_runs"))});
-  table.add_row({"tasks executed", std::to_string(counter("shard.tasks"))});
-  table.add_row({"barrier wait (us)",
-                 fmt(static_cast<double>(counter("shard.barrier_wait_ns")) /
-                         1e3, 1)});
-  for (std::size_t s = 0; s < busy.size(); ++s) {
-    table.add_row({"worker " + std::to_string(s) + " busy (us)",
-                   fmt(static_cast<double>(busy[s]) / 1e3, 1)});
-  }
-  std::printf("%s", table.render().c_str());
-  return 0;
-}
-
 int cmd_analyze(const std::string& path, const Args& args) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 2;
   }
-  // Sniff the first line: tenant logs carry a version header, metrics
-  // snapshots open a JSON object with a "counters" block, batch logs
+  // Sniff the first line: tenant logs carry a version header, batch logs
   // start straight with "batch ..." records.
   {
     std::string first_line;
     if (std::getline(in, first_line) && is_tenant_log_header(first_line)) {
       in.seekg(0);
       return analyze_tenant_log(in, path, args);
-    }
-    if (first_line == "{") {
-      std::string second_line;
-      if (std::getline(in, second_line) &&
-          second_line.rfind("\"counters\"", 0) == 0) {
-        in.clear();
-        in.seekg(0);
-        return analyze_metrics_json(in, path, args);
-      }
     }
     in.clear();
     in.seekg(0);
@@ -1064,14 +1070,21 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   if (command == "list") return cmd_list();
-  if (command == "run") return cmd_run(parse_args(argc, argv, 2));
-  if (command == "trace") return cmd_trace(parse_args(argc, argv, 2));
-  if (command == "analyze") {
-    if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
-      std::fprintf(stderr, "analyze requires a batch-log file\n");
-      return 1;
+  try {
+    if (command == "run") return cmd_run(parse_args(argc, argv, 2, kRun));
+    if (command == "trace") {
+      return cmd_trace(parse_args(argc, argv, 2, kTrace));
     }
-    return cmd_analyze(argv[2], parse_args(argc, argv, 3));
+    if (command == "analyze") {
+      if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
+        std::fprintf(stderr, "analyze requires a batch-log file\n");
+        return 1;
+      }
+      return cmd_analyze(argv[2], parse_args(argc, argv, 3, kAnalyze));
+    }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
   return 1;
