@@ -14,10 +14,13 @@ namespace {
 
 using testutil::small_config;
 
+// gpu_mb leads: gtest names each case with a byte dump of this struct,
+// so names cut short start with a fixed value rather than std::string's
+// heap pointer, which moves from build to build.
 struct SweepCase {
+  std::uint64_t gpu_mb;  // sized to oversubscribe some workloads
   std::string label;
   std::function<WorkloadSpec()> build;
-  std::uint64_t gpu_mb;  // sized to oversubscribe some workloads
 };
 
 class SystemSweepTest : public ::testing::TestWithParam<
@@ -59,28 +62,28 @@ TEST_P(SystemSweepTest, CompletesWithInvariants) {
 
 std::vector<SweepCase> sweep_cases() {
   return {
-      {"stream_small", [] { return make_stream_triad(1 << 15); }, 256},
-      {"stream_oversub", [] { return make_stream_triad(1 << 20, 2); }, 16},
-      {"sgemm", [] {
+      {256, "stream_small", [] { return make_stream_triad(1 << 15); }},
+      {16, "stream_oversub", [] { return make_stream_triad(1 << 20, 2); }},
+      {256, "sgemm", [] {
          GemmParams p;
          p.n = 512;
          return make_gemm(p);
-       }, 256},
-      {"fft", [] { return make_fft(1 << 16); }, 256},
-      {"gauss_seidel", [] {
+       }},
+      {256, "fft", [] { return make_fft(1 << 16); }},
+      {256, "gauss_seidel", [] {
          GaussSeidelParams p;
          p.nx = 1024;
          p.ny = 256;
          return make_gauss_seidel(p);
-       }, 256},
-      {"hpgmg", [] {
+       }},
+      {256, "hpgmg", [] {
          HpgmgParams p;
          p.fine_elements_log2 = 17;
          p.levels = 3;
          p.vcycles = 1;
          return make_hpgmg(p);
-       }, 256},
-      {"random", [] { return make_random(64ULL << 20, 3, 4, 64, 32); }, 256},
+       }},
+      {256, "random", [] { return make_random(64ULL << 20, 3, 4, 64, 32); }},
   };
 }
 
