@@ -88,5 +88,19 @@ int main() {
       static_cast<unsigned long long>(ladder.result.chunks_retired),
       static_cast<unsigned long long>(ladder.result.injected_wedges),
       static_cast<unsigned long long>(ladder.result.watchdog_stuck_wakeups));
+
+  std::printf("\n");
+  shape_check(clean.result.service_aborts == 0 &&
+                  !recovery_totals(clean.result.log).any(),
+              "the clean run aborts nothing and never recovers");
+  shape_check(transient.result.service_aborts > 0,
+              "transient-only injection abandons blocks on retry "
+              "exhaustion");
+  shape_check(ladder.result.service_aborts == 0,
+              "the ladder turns every exhausted copy into a channel reset: "
+              "no aborts");
+  shape_check(ladder.result.pages_retired >=
+                  ladder.result.injected_poison_faults,
+              "the ladder retires at least one page per poison injection");
   return 0;
 }

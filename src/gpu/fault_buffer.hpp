@@ -7,10 +7,14 @@
 //   * the driver drains from the head up to its batch-size limit;
 //   * before a replay the driver *flushes* the buffer: all remaining
 //     entries are discarded, and µTLBs reissue any that still miss (§4.2).
+//
+// Records live in one flat array: the pending ones are [head_, end), so a
+// drain only advances head_ and a push allocates nothing once the array
+// has grown to its working size. The array is compacted when head_ passes
+// the capacity, which bounds it at about twice the capacity.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -51,8 +55,8 @@ class FaultBuffer {
   /// (future-timestamped) records survive and land after the replay.
   std::size_t flush_arrived(SimTime now);
 
-  bool empty() const noexcept { return entries_.empty(); }
-  std::size_t size() const noexcept { return entries_.size(); }
+  bool empty() const noexcept { return head_ == entries_.size(); }
+  std::size_t size() const noexcept { return entries_.size() - head_; }
   std::size_t capacity() const noexcept { return capacity_; }
 
   /// Wedged state (injected fatal class): the buffer's GET/PUT interface
@@ -72,8 +76,12 @@ class FaultBuffer {
   std::uint64_t total_flushed() const noexcept { return flushed_; }
 
  private:
+  /// Remove the `n` oldest pending records.
+  void pop_front(std::size_t n);
+
   std::size_t capacity_;
-  std::deque<FaultRecord> entries_;
+  std::vector<FaultRecord> entries_;  // pending records are [head_, end)
+  std::size_t head_ = 0;
   bool wedged_ = false;
   std::uint64_t pushed_ = 0;
   std::uint64_t dropped_full_ = 0;

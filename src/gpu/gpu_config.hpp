@@ -48,9 +48,6 @@ struct GpuConfig {
   // Probability that a thread touching a page already outstanding in its
   // own µTLB emits a duplicate fault record (type-1 duplicates, §4.2).
   double dup_same_utlb_prob = 0.35;
-  // Probability per outstanding entry per generation window that an SM
-  // spuriously wakes up and reissues the same fault (§4.2).
-  double spurious_refault_prob = 0.02;
 
   // Per-access HBM service time once data is resident; folded into the
   // kernel compute term.

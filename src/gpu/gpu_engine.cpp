@@ -222,8 +222,6 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
   ++window_seq_;
   const std::uint32_t warps_at_start = std::max(1u, active_warps_);
 
-  emit_spurious_refaults(now, result);
-
   bool any_retired = true;
   while (any_retired) {
     any_retired = false;
@@ -278,18 +276,6 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
     obs_.metrics->set_gauge("gpu.blocks_retired", blocks_retired_);
   }
   return result;
-}
-
-void GpuEngine::emit_spurious_refaults(SimTime now, GenerateResult& result) {
-  if (config_.spurious_refault_prob <= 0.0) return;
-  for (std::uint32_t t = 0; t < utlbs_.size(); ++t) {
-    for (const PageId page : utlbs_[t].outstanding()) {
-      if (!rng_.bernoulli(config_.spurious_refault_prob)) continue;
-      const std::uint32_t sm = t * config_.sms_per_utlb;
-      emit_fault(page, AccessType::kRead, sm, /*block=*/0, now,
-                 /*phase=*/0, /*duplicate=*/true, result);
-    }
-  }
 }
 
 void GpuEngine::emit_injected_storm(SimTime now, GenerateResult& result) {

@@ -180,7 +180,6 @@ class GpuEngine {
                   std::uint32_t block, SimTime now, SimTime phase,
                   bool duplicate, GenerateResult& result);
   SimTime block_phase(BlockRt& block);
-  void emit_spurious_refaults(SimTime now, GenerateResult& result);
   void emit_injected_storm(SimTime now, GenerateResult& result);
 
   GpuConfig config_;

@@ -125,9 +125,8 @@ void CounterServicer::promote_peer_block(VaBlockId id, VaBlockState& block,
   const SimTime promote_t0 = record.start_ns + record.phases.sum();
   std::vector<PageId> resident_pages;
   const PageId base = first_page_of(id);
-  for (std::uint32_t i = 0; i < kPagesPerVaBlock; ++i) {
-    if (block.gpu_resident()[i]) resident_pages.push_back(base + i);
-  }
+  block.gpu_resident().for_each_set(
+      [&](std::uint32_t i) { resident_pages.push_back(base + i); });
   const auto old_chunk = block.chunk();
   std::optional<GpuMemory::ChunkId> dst;
   for (;;) {

@@ -1,9 +1,10 @@
 // Duplicate-fault filtering and classification (Section 4.2).
 //
 // The driver distinguishes (1) duplicates from the same µTLB (spatial
-// locality within a warp/block, spurious SM wakeups) and (2) duplicates
-// from different µTLBs (data sharing across blocks). Both are filtered
-// before servicing; write faults upgrade the surviving record's access.
+// locality within a warp/block; the paper also names spurious SM wakeups,
+// which the GPU engine does not model) and (2) duplicates from different
+// µTLBs (data sharing across blocks). Both are filtered before servicing;
+// write faults upgrade the surviving record's access.
 #pragma once
 
 #include <cstdint>

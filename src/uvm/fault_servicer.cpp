@@ -268,9 +268,8 @@ bool FaultServicer::service_peer_block(std::uint32_t gpu, VaBlockId id,
   // established by the normal service path afterwards.
   std::vector<PageId> resident_pages;
   const PageId base = first_page_of(id);
-  for (std::uint32_t i = 0; i < kPagesPerVaBlock; ++i) {
-    if (block.gpu_resident()[i]) resident_pages.push_back(base + i);
-  }
+  block.gpu_resident().for_each_set(
+      [&](std::uint32_t i) { resident_pages.push_back(base + i); });
   const auto old_chunk = block.chunk();
   std::optional<GpuMemory::ChunkId> dst;
   for (;;) {
@@ -570,20 +569,15 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
       }
     }
 
-    // Partition target pages: host-backed pages migrate; the rest are
-    // zero-fill populated on the GPU. A fresh chunk populates everything
-    // first (eviction-restart semantics, §5.1).
+    // Partition target pages: host-backed pages migrate (in ascending page
+    // order); the rest are zero-fill populated on the GPU. A fresh chunk
+    // populates everything first (eviction-restart semantics, §5.1).
     std::vector<PageId> migrate;
-    std::uint32_t populate = 0;
     const PageId base = first_page_of(block_id);
-    for (std::uint32_t i = 0; i < kPagesPerVaBlock; ++i) {
-      if (!target[i]) continue;
-      if (block.host_data()[i]) {
-        migrate.push_back(base + i);
-      } else {
-        ++populate;
-      }
-    }
+    (target & block.host_data()).for_each_set(
+        [&](std::uint32_t i) { migrate.push_back(base + i); });
+    std::uint32_t populate =
+        static_cast<std::uint32_t>(target.count() - migrate.size());
     // Fatal poisoned page (recovery tiers 1+2): the copy engine discovers
     // poison on the migration set's first page; that page is retired to
     // its host frame and dropped from the transfer, the rest of the block
@@ -644,17 +638,13 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
       }
     }
 
-    std::uint32_t established = 0;
-    for (std::uint32_t i = 0; i < kPagesPerVaBlock; ++i) {
-      if (!target[i]) continue;
-      // A retired page is permanently banned from GPU residency.
-      if (block.is_retired(i)) continue;
-      // A page whose migration was abandoned still has its only valid
-      // copy in the host frame — it must not be mapped GPU-resident.
-      if (!migrate_ok && block.host_data()[i]) continue;
-      block.set_gpu_resident(i);
-      ++established;
-    }
+    // A retired page is permanently banned from GPU residency. A page
+    // whose migration was abandoned still has its only valid copy in the
+    // host frame — it must not be mapped GPU-resident.
+    VaBlockState::PageMask resident_now = target & ~block.retired();
+    if (!migrate_ok) resident_now &= ~block.host_data();
+    block.set_gpu_resident(resident_now);
+    const auto established = static_cast<std::uint32_t>(resident_now.count());
     const SimTime pte_t0 = start + record.phases.sum();
     record.phases.pagetable_ns += config_.per_page_pte_ns * established;
     record.counters.pages_prefetched += static_cast<std::uint32_t>(

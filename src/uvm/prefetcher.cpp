@@ -1,69 +1,44 @@
 #include "uvm/prefetcher.hpp"
 
-#include <array>
+#include <bit>
 
 namespace uvmsim {
 
 TreePrefetcher::PageMask TreePrefetcher::compute(const PageMask& resident,
                                                  const PageMask& faulted) const {
-  PageMask target = resident | faulted;
+  const PageMask target = resident | faulted;
   if (target.none()) return {};
 
   // 4 KB -> 64 KB promotion: every faulted page drags in its big page.
-  PageMask expanded = target;
-  if (promote_) {
-    for (std::uint32_t big = 0; big < kBigPagesPerVaBlock; ++big) {
-      const std::uint32_t base = big * kPagesPerBigPage;
-      bool any = false;
-      for (std::uint32_t p = 0; p < kPagesPerBigPage && !any; ++p) {
-        any = faulted[base + p];
-      }
-      if (any) {
-        for (std::uint32_t p = 0; p < kPagesPerBigPage; ++p) {
-          expanded.set(base + p);
-        }
-      }
-    }
-  }
+  std::uint32_t pulled = promote_ ? faulted.big_pages() : 0;
 
   // Leaf occupancy: a big page is occupied if any of its pages is in the
-  // (expanded) target set.
-  std::array<std::uint32_t, kBigPagesPerVaBlock> occupied{};
-  for (std::uint32_t big = 0; big < kBigPagesPerVaBlock; ++big) {
-    const std::uint32_t base = big * kPagesPerBigPage;
-    for (std::uint32_t p = 0; p < kPagesPerBigPage; ++p) {
-      if (expanded[base + p]) {
-        occupied[big] = 1;
-        break;
-      }
-    }
-  }
+  // target set (promotion adds none: a faulted page's big page is already
+  // occupied).
+  std::uint32_t occupied = target.big_pages();
 
   // Bottom-up density sweep over subtree widths 2, 4, ..., 32 big pages.
-  // A node qualifies when occupied/width >= threshold; the widest
-  // qualifying node containing each leaf determines the prefetch region.
-  std::array<std::uint32_t, kBigPagesPerVaBlock> counts = occupied;
-  PageMask result = expanded;
+  // A node qualifies when occupied/width >= threshold; it is pulled in
+  // whole and counts as fully occupied for higher levels.
   for (std::uint32_t width = 2; width <= kBigPagesPerVaBlock; width *= 2) {
-    const std::uint32_t nodes = kBigPagesPerVaBlock / width;
-    std::array<std::uint32_t, kBigPagesPerVaBlock> next{};
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-      next[n] = counts[2 * n] + counts[2 * n + 1];
+    const auto node_bits =
+        static_cast<std::uint32_t>((std::uint64_t{1} << width) - 1);
+    std::uint32_t qualified = 0;
+    for (std::uint32_t first = 0; first < kBigPagesPerVaBlock;
+         first += width) {
+      const std::uint32_t node = node_bits << first;
+      const auto count =
+          static_cast<std::uint32_t>(std::popcount(occupied & node));
       const double density =
-          static_cast<double>(next[n]) / static_cast<double>(width);
-      if (next[n] > 0 && density >= threshold_) {
-        const std::uint32_t first_page = n * width * kPagesPerBigPage;
-        for (std::uint32_t p = 0; p < width * kPagesPerBigPage; ++p) {
-          result.set(first_page + p);
-        }
-        next[n] = width;  // node is now fully occupied for higher levels
-      }
+          static_cast<double>(count) / static_cast<double>(width);
+      if (count > 0 && density >= threshold_) qualified |= node;
     }
-    counts = next;
+    occupied |= qualified;
+    pulled |= qualified;
   }
 
   // Report only genuinely new pages.
-  return result & ~resident & ~faulted;
+  return PageMask::of_big_pages(pulled) & ~resident & ~faulted;
 }
 
 }  // namespace uvmsim

@@ -11,16 +11,16 @@
 // prefetching", §2.2).
 #pragma once
 
-#include <bitset>
 #include <cstdint>
 
 #include "common/types.hpp"
+#include "uvm/page_mask.hpp"
 
 namespace uvmsim {
 
 class TreePrefetcher {
  public:
-  using PageMask = std::bitset<kPagesPerVaBlock>;
+  using PageMask = uvmsim::PageMask;
 
   explicit TreePrefetcher(double density_threshold = 0.51,
                           bool big_page_promotion = true)

@@ -87,19 +87,7 @@ class UvmDriver final : public ResidencyOracle {
   /// pin lasts.
   PageLocation classify(PageId page) const override {
     if (space_.is_gpu_resident(page)) return PageLocation::kGpuResident;
-    // Retired pages (recovery tier 2) are permanently host-pinned; the
-    // any_retired flag keeps this a dead branch until a retirement fires.
-    if (space_.any_retired() && space_.is_page_retired(page)) {
-      return PageLocation::kRemoteMapped;
-    }
-    if (space_.advise_of(page) == MemAdvise::kPreferredLocationHost) {
-      return PageLocation::kRemoteMapped;
-    }
-    if (thrash_.enabled() &&
-        thrash_.is_pinned(va_block_of(page), clock_ns_)) {
-      return PageLocation::kRemoteMapped;
-    }
-    return PageLocation::kFaultRequired;
+    return classify_non_resident(page);
   }
 
   /// Bulk probe against the residency bitmasks directly. Exact for the
@@ -126,17 +114,7 @@ class UvmDriver final : public ResidencyOracle {
       }
       return PageLocation::kFaultRequired;
     }
-    if (space_.any_retired() && space_.is_page_retired(page)) {
-      return PageLocation::kRemoteMapped;
-    }
-    if (space_.advise_of(page) == MemAdvise::kPreferredLocationHost) {
-      return PageLocation::kRemoteMapped;
-    }
-    if (thrash_.enabled() &&
-        thrash_.is_pinned(va_block_of(page), clock_ns_)) {
-      return PageLocation::kRemoteMapped;
-    }
-    return PageLocation::kFaultRequired;
+    return classify_non_resident(page);
   }
 
   bool is_resident_for(std::uint32_t gpu, PageId page) const {
@@ -194,6 +172,25 @@ class UvmDriver final : public ResidencyOracle {
   SimTime async_background_time() const noexcept { return async_ns_; }
 
  private:
+  /// The shared tail of classify() and classify_for() for a page that is
+  /// not GPU-resident: retired, advised-host and thrash-pinned pages
+  /// resolve remotely; everything else faults.
+  PageLocation classify_non_resident(PageId page) const {
+    // Retired pages (recovery tier 2) are permanently host-pinned; the
+    // any_retired flag keeps this a dead branch until a retirement fires.
+    if (space_.any_retired() && space_.is_page_retired(page)) {
+      return PageLocation::kRemoteMapped;
+    }
+    if (space_.advise_of(page) == MemAdvise::kPreferredLocationHost) {
+      return PageLocation::kRemoteMapped;
+    }
+    if (thrash_.enabled() &&
+        thrash_.is_pinned(va_block_of(page), clock_ns_)) {
+      return PageLocation::kRemoteMapped;
+    }
+    return PageLocation::kFaultRequired;
+  }
+
   /// Mirror one completed batch into the metrics registry: every
   /// BatchCounters field as a "driver.*" counter (differential-testable
   /// against the batch log), every phase timer as a "phase.*_ns" counter,

@@ -13,19 +13,19 @@
 //     (zero-fill population or CPU initialization).
 #pragma once
 
-#include <bitset>
 #include <cstdint>
 #include <optional>
 
 #include "common/types.hpp"
 #include "gpu/gpu_memory.hpp"
 #include "hostos/unmap.hpp"
+#include "uvm/page_mask.hpp"
 
 namespace uvmsim {
 
 class VaBlockState {
  public:
-  using PageMask = std::bitset<kPagesPerVaBlock>;
+  using PageMask = uvmsim::PageMask;
 
   // -- Residency masks ----------------------------------------------------
   const PageMask& gpu_resident() const noexcept { return gpu_resident_; }
@@ -50,6 +50,13 @@ class VaBlockState {
     host_data_.reset(page);  // GPU copy is now the authoritative one
   }
 
+  /// Mask form of set_gpu_resident(page), for every page in `pages`.
+  void set_gpu_resident(const PageMask& pages) {
+    gpu_resident_ |= pages;
+    populated_ |= pages;
+    host_data_ &= ~pages;
+  }
+
   /// unmap_mapping_range() effect: host PTEs gone, data still in frames.
   std::uint32_t unmap_cpu_pages() {
     const auto n = static_cast<std::uint32_t>(cpu_mapped_.count());
@@ -71,7 +78,9 @@ class VaBlockState {
   /// Returns how many pages were newly retired.
   std::uint32_t retire_all_pages() {
     const auto before = static_cast<std::uint32_t>(retired_.count());
-    for (std::uint32_t i = 0; i < kPagesPerVaBlock; ++i) retire_page(i);
+    gpu_resident_.reset();
+    host_data_ |= populated_;
+    retired_.set();
     return kPagesPerVaBlock - before;
   }
 
@@ -82,13 +91,8 @@ class VaBlockState {
   /// Eviction effect: all GPU-resident pages move to host frames but are
   /// NOT remapped into the CPU page table (lazy remap on CPU access).
   std::uint32_t evict_to_host() {
-    std::uint32_t moved = 0;
-    for (std::uint32_t i = 0; i < kPagesPerVaBlock; ++i) {
-      if (gpu_resident_[i]) {
-        host_data_.set(i);
-        ++moved;
-      }
-    }
+    const auto moved = static_cast<std::uint32_t>(gpu_resident_.count());
+    host_data_ |= gpu_resident_;
     gpu_resident_.reset();
     chunk_.reset();
     owner_gpu_ = 0;

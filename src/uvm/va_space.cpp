@@ -23,6 +23,7 @@ const AllocationInfo& VaSpace::allocate(std::uint64_t bytes, std::string name,
   info.advise = advise;
 
   blocks_.resize(layout_.total_blocks());
+  block_alloc_.resize(layout_.total_blocks(), info.id);
   vmas_.insert(info.first_page, info.first_page + info.pages, info.id,
                info.name);
   allocations_.push_back(info);
@@ -58,17 +59,19 @@ void VaSpace::apply_host_init(const AllocationInfo& alloc) {
 }
 
 MemAdvise VaSpace::advise_of(PageId page) const {
-  const auto vma = vmas_.find(page);
-  if (!vma) return MemAdvise::kNone;
-  return allocations_[vma->alloc].advise;
+  const VaBlockId b = va_block_of(page);
+  if (b >= block_alloc_.size()) return MemAdvise::kNone;
+  const AllocationInfo& alloc = allocations_[block_alloc_[b]];
+  // The last block's tail past the allocation belongs to no VMA.
+  if (page >= alloc.first_page + alloc.pages) return MemAdvise::kNone;
+  return alloc.advise;
 }
 
 std::uint32_t VaSpace::unmap_block_cpu(VaBlockId id) {
   VaBlockState& b = block(id);
   const PageId base = first_page_of(id);
-  for (std::uint32_t i = 0; i < kPagesPerVaBlock; ++i) {
-    if (b.cpu_mapped()[i]) host_pt_.unmap(base + i);
-  }
+  b.cpu_mapped().for_each_set(
+      [&](std::uint32_t i) { host_pt_.unmap(base + i); });
   return b.unmap_cpu_pages();
 }
 

@@ -79,7 +79,8 @@ class VaSpace {
                                  MemAdvise advise = MemAdvise::kNone);
 
   /// Placement advice for the allocation containing `page` (kNone for
-  /// unmapped pages).
+  /// unmapped pages). O(1): allocations are VABlock-aligned, so each
+  /// block belongs to exactly one.
   MemAdvise advise_of(PageId page) const;
 
   VaBlockState& block(VaBlockId id) { return blocks_.at(id); }
@@ -151,6 +152,7 @@ class VaSpace {
   AllocLayout layout_;
   std::vector<AllocationInfo> allocations_;
   std::vector<VaBlockState> blocks_;
+  std::vector<AllocId> block_alloc_;  // owning allocation of each block
   VmaMap vmas_;
   PageTable host_pt_;
   std::uint64_t next_host_frame_ = 0;

@@ -20,13 +20,15 @@ FaultRecord fault(PageId page, AccessType type = AccessType::kRead,
 /// Test rig bundling the servicer with all its collaborators.
 struct Rig {
   explicit Rig(DriverConfig cfg = plain_config(),
-               std::uint64_t gpu_bytes = 64 * kVaBlockSize)
+               std::uint64_t gpu_bytes = 64 * kVaBlockSize,
+               FaultInjector* injector = nullptr)
       : config(cfg),
         memory(gpu_bytes),
         link(PcieConfig{}),
         copy(link),
         dma(cfg.dma),
-        servicer(config, space, memory, dma, copy, evictor, /*num_sms=*/80) {}
+        servicer(config, space, memory, dma, copy, evictor, /*num_sms=*/80,
+                 injector) {}
 
   static DriverConfig plain_config() {
     DriverConfig cfg;
@@ -75,6 +77,41 @@ TEST(FaultServicer, UnpopulatedPageIsZeroFilledNotMigrated) {
   EXPECT_GE(rec.counters.pages_populated, 1u);
   EXPECT_EQ(rec.counters.write_faults, 1u);
   EXPECT_TRUE(rig.space.is_gpu_resident(0));
+}
+
+TEST(FaultServicer, AbortedCopyKeepsHostBackedPagesHome) {
+  // Every transfer fails and the retry budget is one attempt, so the copy
+  // is abandoned: the host-backed page keeps its only copy at home, while
+  // the zero-fill page of the same block is established regardless.
+  FaultInjectConfig inject;
+  inject.enabled = true;
+  inject.transfer_error_prob = 1.0;
+  FaultInjector injector(inject);
+  DriverConfig cfg = Rig::plain_config();
+  cfg.retry.max_attempts = 1;
+  Rig rig(cfg, 64 * kVaBlockSize, &injector);
+  rig.space.allocate(3 * kPageSize, "a", HostInit::single());  // pages 0-2
+  const auto rec = rig.service({fault(0), fault(5)});
+  EXPECT_EQ(rec.counters.service_aborts, 1u);
+  EXPECT_EQ(rec.counters.pages_migrated, 0u);
+  EXPECT_FALSE(rig.space.is_gpu_resident(0));
+  EXPECT_TRUE(rig.space.block(0).host_data()[0]);
+  EXPECT_TRUE(rig.space.is_gpu_resident(5));
+}
+
+TEST(FaultServicer, PrefetchNeverEstablishesRetiredPages) {
+  // Promotion pulls all of big page 0 into the target; its retired page
+  // stays banned from GPU residency.
+  DriverConfig cfg = Rig::plain_config();
+  cfg.prefetch_enabled = true;
+  cfg.big_page_promotion = true;
+  Rig rig(cfg);
+  rig.space.allocate(kVaBlockSize, "a", HostInit::none());
+  rig.space.block(0).retire_page(3);
+  rig.service({fault(0)});
+  for (PageId p = 0; p < kPagesPerBigPage; ++p) {
+    EXPECT_EQ(rig.space.is_gpu_resident(p), p != 3) << "page " << p;
+  }
 }
 
 TEST(FaultServicer, WholeBlockUnmappedOnFirstGpuTouch) {

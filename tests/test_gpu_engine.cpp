@@ -20,7 +20,6 @@ struct SetOracle : ResidencyOracle {
 GpuConfig quiet_config() {
   GpuConfig cfg;
   cfg.dup_same_utlb_prob = 0.0;
-  cfg.spurious_refault_prob = 0.0;
   cfg.fault_arrival_jitter_ns = 0;
   return cfg;
 }
@@ -188,25 +187,6 @@ TEST(GpuEngine, SameUtlbDuplicatesEmittedWhenProbabilityIsOne) {
   const auto result = gpu.generate(0, oracle);
   EXPECT_EQ(result.faults_pushed, 2u);
   EXPECT_EQ(result.duplicate_pushes, 1u);
-}
-
-TEST(GpuEngine, SpuriousRefaultsEmittedWhenProbabilityIsOne) {
-  GpuConfig cfg = quiet_config();
-  cfg.spurious_refault_prob = 1.0;
-  GpuEngine gpu(cfg, 1);
-  KernelDesc kernel;
-  BlockProgram block;
-  WarpProgram warp;
-  AccessGroup g;
-  g.accesses.push_back({7, AccessType::kRead});
-  warp.groups.push_back(g);
-  block.warps.push_back(warp);
-  kernel.blocks.push_back(block);
-  gpu.launch(kernel);
-  SetOracle oracle;
-  gpu.generate(0, oracle);                 // outstanding entry for page 7
-  const auto again = gpu.generate(0, oracle);  // spurious reissue window
-  EXPECT_EQ(again.duplicate_pushes, 1u);
 }
 
 TEST(GpuEngine, BlocksSpreadAcrossSms) {

@@ -28,6 +28,29 @@ TEST(MemAdvise, VaSpaceResolvesAdvicePerAllocation) {
   EXPECT_EQ(space.advise_of(100 * kPagesPerVaBlock), MemAdvise::kNone);
 }
 
+TEST(MemAdvise, AdviceMatchesTheVmaOfEveryPageIncludingBlockTails) {
+  // Allocations end mid-block; the rest of their last block belongs to no
+  // VMA and so carries no advice.
+  VaSpace space;
+  space.allocate(kVaBlockSize + 3 * kPageSize, "a", HostInit::none(),
+                 MemAdvise::kPreferredLocationHost);
+  space.allocate(5 * kPageSize, "b", HostInit::single());
+  space.allocate(2 * kVaBlockSize, "c", HostInit::none(),
+                 MemAdvise::kPreferredLocationHost);
+  space.allocate(kVaBlockSize - kPageSize, "d", HostInit::none(),
+                 MemAdvise::kPreferredLocationHost);
+  EXPECT_EQ(space.advise_of(kPagesPerVaBlock + 2),
+            MemAdvise::kPreferredLocationHost);
+  EXPECT_EQ(space.advise_of(kPagesPerVaBlock + 3), MemAdvise::kNone);
+  for (PageId page = 0; page < space.total_pages() + kPagesPerVaBlock;
+       ++page) {
+    const auto vma = space.vmas().find(page);
+    const MemAdvise want =
+        vma ? space.allocations()[vma->alloc].advise : MemAdvise::kNone;
+    ASSERT_EQ(space.advise_of(page), want) << "page " << page;
+  }
+}
+
 TEST(MemAdvise, DriverClassifiesPinnedPagesAsRemote) {
   DriverConfig cfg;
   UvmDriver driver(cfg, 256ULL << 20, 80);

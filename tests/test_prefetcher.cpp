@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
+#include "common/rng.hpp"
+
 namespace uvmsim {
 namespace {
 
@@ -11,6 +16,141 @@ PageMask mask_of(std::initializer_list<std::uint32_t> pages) {
   PageMask m;
   for (const auto p : pages) m.set(p);
   return m;
+}
+
+/// The per-page tree walk TreePrefetcher::compute replaced: the reference
+/// its word-parallel form must match exactly.
+PageMask reference_compute(double threshold, bool promote,
+                           const PageMask& resident, const PageMask& faulted) {
+  PageMask target = resident | faulted;
+  if (target.none()) return {};
+
+  PageMask expanded = target;
+  if (promote) {
+    for (std::uint32_t big = 0; big < kBigPagesPerVaBlock; ++big) {
+      const std::uint32_t base = big * kPagesPerBigPage;
+      bool any = false;
+      for (std::uint32_t p = 0; p < kPagesPerBigPage && !any; ++p) {
+        any = faulted[base + p];
+      }
+      if (any) {
+        for (std::uint32_t p = 0; p < kPagesPerBigPage; ++p) {
+          expanded.set(base + p);
+        }
+      }
+    }
+  }
+
+  std::array<std::uint32_t, kBigPagesPerVaBlock> occupied{};
+  for (std::uint32_t big = 0; big < kBigPagesPerVaBlock; ++big) {
+    const std::uint32_t base = big * kPagesPerBigPage;
+    for (std::uint32_t p = 0; p < kPagesPerBigPage; ++p) {
+      if (expanded[base + p]) {
+        occupied[big] = 1;
+        break;
+      }
+    }
+  }
+
+  std::array<std::uint32_t, kBigPagesPerVaBlock> counts = occupied;
+  PageMask result = expanded;
+  for (std::uint32_t width = 2; width <= kBigPagesPerVaBlock; width *= 2) {
+    const std::uint32_t nodes = kBigPagesPerVaBlock / width;
+    std::array<std::uint32_t, kBigPagesPerVaBlock> next{};
+    for (std::uint32_t n = 0; n < nodes; ++n) {
+      next[n] = counts[2 * n] + counts[2 * n + 1];
+      const double density =
+          static_cast<double>(next[n]) / static_cast<double>(width);
+      if (next[n] > 0 && density >= threshold) {
+        const std::uint32_t first_page = n * width * kPagesPerBigPage;
+        for (std::uint32_t p = 0; p < width * kPagesPerBigPage; ++p) {
+          result.set(first_page + p);
+        }
+        next[n] = width;
+      }
+    }
+    counts = next;
+  }
+  return result & ~resident & ~faulted;
+}
+
+/// Random mask of one of three shapes: scattered pages, whole big pages,
+/// or pages clustered inside a few big pages — so trees qualify at every
+/// level, not only at the leaves.
+PageMask random_mask(Xoshiro256& rng) {
+  PageMask m;
+  const double p = std::array{0.002, 0.01, 0.05, 0.2, 0.5}[rng.uniform(5)];
+  switch (rng.uniform(3)) {
+    case 0:
+      for (std::uint32_t i = 0; i < kPagesPerVaBlock; ++i) {
+        if (rng.bernoulli(p)) m.set(i);
+      }
+      break;
+    case 1:
+      for (std::uint32_t big = 0; big < kBigPagesPerVaBlock; ++big) {
+        if (!rng.bernoulli(p * 2)) continue;
+        for (std::uint32_t i = 0; i < kPagesPerBigPage; ++i) {
+          m.set(big * kPagesPerBigPage + i);
+        }
+      }
+      break;
+    default:
+      for (std::uint32_t big = 0; big < kBigPagesPerVaBlock; ++big) {
+        if (!rng.bernoulli(0.3)) continue;
+        for (std::uint32_t i = 0; i < kPagesPerBigPage; ++i) {
+          if (rng.bernoulli(p)) m.set(big * kPagesPerBigPage + i);
+        }
+      }
+      break;
+  }
+  return m;
+}
+
+constexpr std::array kThresholds{0.25, 0.51, 0.75, 1.0};
+
+void expect_matches_reference(const PageMask& resident,
+                              const PageMask& faulted,
+                              const std::string& label) {
+  for (const double threshold : kThresholds) {
+    for (const bool promote : {true, false}) {
+      const TreePrefetcher pf(threshold, promote);
+      ASSERT_TRUE(pf.compute(resident, faulted) ==
+                  reference_compute(threshold, promote, resident, faulted))
+          << label << " threshold " << threshold << " promote " << promote;
+    }
+  }
+}
+
+TEST(TreePrefetcher, MatchesPerPageReferenceOnRandomMasks) {
+  Xoshiro256 rng(2024);
+  for (int pair = 0; pair < 2500; ++pair) {
+    const PageMask resident = rng.bernoulli(0.2) ? PageMask{} : random_mask(rng);
+    // Faults hit only non-resident pages, as in the driver.
+    const PageMask faulted = random_mask(rng) & ~resident;
+    expect_matches_reference(resident, faulted,
+                             "pair " + std::to_string(pair));
+  }
+}
+
+TEST(TreePrefetcher, MatchesPerPageReferenceOnEdgeMasks) {
+  const PageMask empty;
+  const PageMask full = PageMask{}.set();
+  expect_matches_reference(empty, empty, "empty");
+  expect_matches_reference(full, empty, "full resident");
+  expect_matches_reference(empty, full, "full faulted");
+  for (std::uint32_t big = 0; big < kBigPagesPerVaBlock; ++big) {
+    PageMask one_big;
+    for (std::uint32_t i = 0; i < kPagesPerBigPage; ++i) {
+      one_big.set(big * kPagesPerBigPage + i);
+    }
+    const PageMask one_page = mask_of({big * kPagesPerBigPage + 7});
+    const std::string label = "big page " + std::to_string(big);
+    expect_matches_reference(empty, one_big, label + " faulted");
+    expect_matches_reference(one_big, empty, label + " resident");
+    expect_matches_reference(empty, one_page, label + " one page faulted");
+    expect_matches_reference(~one_big, one_big & one_page,
+                             label + " last hole faulted");
+  }
 }
 
 TEST(TreePrefetcher, NothingFaultedNothingPrefetched) {

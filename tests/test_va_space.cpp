@@ -16,8 +16,8 @@ TEST(AllocLayout, BlockAlignedPlacement) {
 
 TEST(VaSpace, AllocationMatchesLayout) {
   VaSpace space;
-  const auto& a = space.allocate(100, "a", HostInit::none());
-  const auto& b = space.allocate(3 * kVaBlockSize, "b", HostInit::none());
+  const auto a = space.allocate(100, "a", HostInit::none());
+  const auto b = space.allocate(3 * kVaBlockSize, "b", HostInit::none());
   EXPECT_EQ(a.first_page, 0u);
   EXPECT_EQ(b.first_page, kPagesPerVaBlock);
   EXPECT_EQ(space.block_count(), 4u);
