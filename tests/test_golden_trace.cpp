@@ -1,7 +1,9 @@
 // Golden-trace regression test: a canonical batch log, checked in under
 // tests/golden/, pins down the exact simulated behaviour of the default
 // driver on the paper's Listing-1 microbenchmark (vecadd-paged, one warp,
-// one page per thread) on the scaled_titan_v(256) testbed.
+// one page per thread) on the scaled_titan_v(256) testbed. Two more logs
+// pin the shared-driver multi-GPU path (peer-share on four NVLink-ring
+// GPUs, and on two PCIe-only GPUs with evict-to-host placement).
 //
 // Any change to fault generation, dedup, prefetching, cost constants, or
 // batch timing shows up here as a field-level diff. If the change is
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/log_io.hpp"
+#include "core/multi_gpu.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
 
@@ -31,6 +34,20 @@ constexpr const char* kRegenerate =
     "build/tools/uvmsim_cli run --workload vecadd-paged --gpu-mb 256 "
     "--log tests/golden/vecadd_paged_titanv256.batchlog";
 
+constexpr const char* kRing4Fixture =
+    UVMSIM_GOLDEN_DIR "/peer_share_nvlink_ring4.batchlog";
+constexpr const char* kRing4Regenerate =
+    "build/tools/uvmsim_cli run --gpus 4 --topology nvlink-ring --gpu-mb 4 "
+    "--private-kb 4096 --shared-kb 2048 --passes 2 "
+    "--log tests/golden/peer_share_nvlink_ring4.batchlog";
+
+constexpr const char* kPcie2HostFixture =
+    UVMSIM_GOLDEN_DIR "/peer_share_pcie2_evict_host.batchlog";
+constexpr const char* kPcie2HostRegenerate =
+    "build/tools/uvmsim_cli run --gpus 2 --topology pcie --placement host "
+    "--gpu-mb 4 --private-kb 4096 --shared-kb 2048 --passes 2 "
+    "--log tests/golden/peer_share_pcie2_evict_host.batchlog";
+
 constexpr const char* kTraceFixture =
     UVMSIM_GOLDEN_DIR "/vecadd_paged_titanv256.trace.json";
 constexpr const char* kTraceRegenerate =
@@ -41,6 +58,63 @@ constexpr const char* kTraceRegenerate =
 RunResult golden_run() {
   System system(small_config(256));
   return system.run(make_vecadd_paged());
+}
+
+/// Byte-for-byte comparison of `got` against a fixture's text. Reports the
+/// first diverging line, not a wall of output.
+void expect_matches_fixture(const std::string& fixture, const std::string& got,
+                            const char* regenerate) {
+  if (got == fixture) return;
+  std::istringstream want_in(fixture);
+  std::istringstream got_in(got);
+  std::string want_line, got_line;
+  std::size_t line = 1;
+  while (std::getline(want_in, want_line)) {
+    if (!std::getline(got_in, got_line)) {
+      ADD_FAILURE() << "output truncated at fixture line " << line
+                    << "; if intended, regenerate with: " << regenerate;
+      return;
+    }
+    if (want_line != got_line) {
+      ADD_FAILURE() << "output diverges at line " << line << ":\n  golden: "
+                    << want_line << "\n  run:    " << got_line
+                    << "\nif intended, regenerate with: " << regenerate;
+      return;
+    }
+    ++line;
+  }
+  ADD_FAILURE() << "output has extra lines after fixture line " << line
+                << "; if intended, regenerate with: " << regenerate;
+}
+
+/// A peer-share run on the multi-GPU node, as `uvmsim_cli run --gpus`
+/// builds it: 4 MiB of HBM per GPU, 4 MiB private slices, a 2 MiB shared
+/// region, two sweeps. Returns the serialized aggregate batch log.
+std::string peer_share_log(std::uint32_t gpus, TopologyKind topology,
+                           PlacementPolicy placement) {
+  SystemConfig cfg = small_config(4);
+  cfg.driver.multi_gpu.num_gpus = gpus;
+  cfg.driver.multi_gpu.topology = topology;
+  cfg.driver.multi_gpu.placement = placement;
+  PeerShareParams params;
+  params.num_gpus = gpus;
+  params.private_kb_per_gpu = 4096;
+  params.shared_kb = 2048;
+  params.sweeps = 2;
+  MultiGpuSystem system(cfg);
+  std::ostringstream out;
+  write_batch_log(out, system.run(make_peer_share(params)).aggregate.log);
+  return out.str();
+}
+
+void expect_log_matches_fixture(const char* path, const std::string& got,
+                                const char* regenerate) {
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden fixture " << path
+                  << "\nregenerate with: " << regenerate;
+  std::ostringstream fixture;
+  fixture << in.rdbuf();
+  expect_matches_fixture(fixture.str(), got, regenerate);
 }
 
 /// Field-by-field comparison with one human-readable line per mismatch.
@@ -178,33 +252,8 @@ TEST(GoldenTrace, VecaddPagedChromeTraceMatchesFixture) {
   cfg.obs.trace = true;
   System system(cfg);
   system.run(make_vecadd_paged());
-  const std::string got = trace_to_json(system.tracer());
-
-  if (got != fixture.str()) {
-    // Report the first diverging line, not a wall of JSON.
-    std::istringstream want_in(fixture.str());
-    std::istringstream got_in(got);
-    std::string want_line, got_line;
-    std::size_t line = 1;
-    while (std::getline(want_in, want_line)) {
-      if (!std::getline(got_in, got_line)) {
-        ADD_FAILURE() << "trace truncated at fixture line " << line
-                      << "; if intended, regenerate with: "
-                      << kTraceRegenerate;
-        return;
-      }
-      if (want_line != got_line) {
-        ADD_FAILURE() << "trace diverges at line " << line << ":\n  golden: "
-                      << want_line << "\n  run:    " << got_line
-                      << "\nif intended, regenerate with: "
-                      << kTraceRegenerate;
-        return;
-      }
-      ++line;
-    }
-    ADD_FAILURE() << "trace has extra output after fixture line " << line
-                  << "; if intended, regenerate with: " << kTraceRegenerate;
-  }
+  expect_matches_fixture(fixture.str(), trace_to_json(system.tracer()),
+                         kTraceRegenerate);
 }
 
 TEST(GoldenTrace, TraceFixtureParsesAsChromeTraceJson) {
@@ -267,6 +316,24 @@ TEST(GoldenTrace, CounterTracedRunsAreByteIdentical) {
   EXPECT_NE(json.find("access counters"), std::string::npos);
   EXPECT_NE(json.find("counter_service"), std::string::npos);
   EXPECT_EQ(json, trace_to_json(second.tracer()));
+}
+
+TEST(GoldenTrace, PeerShareNvlinkRing4MatchesFixture) {
+  // Four GPUs on an NVLink ring with peer-first placement: peer
+  // migrations, remote maps and evictions all appear in the log.
+  expect_log_matches_fixture(
+      kRing4Fixture,
+      peer_share_log(4, TopologyKind::kNvlinkRing, PlacementPolicy::kPeerFirst),
+      kRing4Regenerate);
+}
+
+TEST(GoldenTrace, PeerSharePcie2EvictHostMatchesFixture) {
+  // Two PCIe-only GPUs with evict-to-host placement: every handoff of a
+  // peer-owned block bounces through host memory.
+  expect_log_matches_fixture(
+      kPcie2HostFixture,
+      peer_share_log(2, TopologyKind::kPcieOnly, PlacementPolicy::kEvictHost),
+      kPcie2HostRegenerate);
 }
 
 TEST(GoldenTrace, FixtureRoundTripsThroughLogIo) {

@@ -162,6 +162,85 @@ TEST(MultiGpu, PerGpuCapacityHolds) {
   }
 }
 
+// Driver-level N>=2 scenarios: one UvmDriver with two NVLink-connected
+// GPUs of one 2 MB chunk each, fed hand-built fault batches so each
+// placement branch is reached directly.
+class TwoGpuDriver : public ::testing::Test {
+ protected:
+  using Loc = ResidencyOracle::PageLocation;
+
+  static DriverConfig config() {
+    DriverConfig cfg;
+    cfg.prefetch_enabled = false;  // one faulted page = one target page
+    cfg.big_page_promotion = false;
+    cfg.multi_gpu.num_gpus = 2;
+    cfg.multi_gpu.topology = TopologyKind::kNvlinkAll;
+    cfg.access_counters.enabled = true;
+    cfg.access_counters.evict_for_promotion = true;
+    return cfg;
+  }
+
+  static FaultRecord fault(std::uint32_t gpu, PageId page) {
+    FaultRecord f;
+    f.gpu = gpu;
+    f.page = page;
+    return f;
+  }
+
+  /// GPU 0 fills its only chunk with block 0, then takes a sparse fault on
+  /// block 1. Returns that second batch's record.
+  BatchRecord borrow() {
+    driver.managed_alloc(2 * kVaBlockSize, "buf", HostInit::single());
+    driver.handle_batch({fault(0, 0)}, 0);
+    return driver.handle_batch({fault(0, kBorrowedPage)}, 1'000'000);
+  }
+
+  static constexpr PageId kBorrowedPage = kPagesPerVaBlock + 3;
+  UvmDriver driver{config(), kVaBlockSize, 4};
+};
+
+// kPeerFirst under local pressure: a sparse fault places the block in the
+// cheapest NVLink peer with a free chunk instead of evicting, and the
+// faulting GPU maps it remotely.
+TEST_F(TwoGpuDriver, PeerFirstBorrowsAPeerChunkForASparseFault) {
+  const BatchRecord rec = borrow();
+  EXPECT_EQ(rec.counters.peer_placements, 1u);
+  EXPECT_EQ(rec.counters.peer_maps, 1u);
+  EXPECT_EQ(rec.counters.evictions, 0u);
+  EXPECT_EQ(rec.counters.pages_migrated, 1u);
+  EXPECT_EQ(driver.gpu_memory_of(0).chunks_in_use(), 1u);
+  EXPECT_EQ(driver.gpu_memory_of(1).chunks_in_use(), 1u);
+  EXPECT_EQ(driver.va_space().block(1).owner_gpu(), 1u);
+  EXPECT_EQ(driver.classify_for(0, kBorrowedPage), Loc::kRemoteMapped);
+  EXPECT_EQ(driver.classify_for(1, kBorrowedPage), Loc::kGpuResident);
+  EXPECT_EQ(driver.classify_for(0, 0), Loc::kGpuResident);
+}
+
+// MIMC promotion of a peer-mapped block: the counters prove GPU 0 keeps
+// reaching into GPU 1's HBM, so the whole block migrates peer-to-peer to
+// GPU 0 (evicting block 0 to make room) and the remote mapping goes.
+TEST_F(TwoGpuDriver, CounterPromotionMovesAPeerMappedBlockToItsAccessor) {
+  borrow();
+  AccessCounterUnit unit(16, 1, 64);
+  driver.set_access_counters(&unit);
+  unit.record_remote_access(kBorrowedPage, 0, 2'000'000);
+  const BatchRecord& rec = driver.service_counter_interrupt(2'000'000);
+  EXPECT_EQ(rec.counters.ctr_notifications, 1u);
+  EXPECT_EQ(rec.counters.ctr_pages_promoted, 1u);
+  EXPECT_EQ(rec.counters.peer_pages_migrated, 1u);
+  EXPECT_EQ(rec.counters.bytes_peer, kPageSize);
+  EXPECT_EQ(rec.counters.ctr_evictions, 1u);
+  EXPECT_EQ(rec.counters.bytes_d2h, kPageSize);  // block 0's writeback
+  const VaBlockState& block = driver.va_space().block(1);
+  EXPECT_EQ(block.owner_gpu(), 0u);
+  EXPECT_EQ(block.peer_map_mask(), 0u);
+  EXPECT_EQ(driver.gpu_memory_of(0).chunks_in_use(), 1u);
+  EXPECT_EQ(driver.gpu_memory_of(1).chunks_in_use(), 0u);
+  EXPECT_EQ(driver.classify_for(0, kBorrowedPage), Loc::kGpuResident);
+  EXPECT_EQ(driver.classify_for(1, kBorrowedPage), Loc::kFaultRequired);
+  EXPECT_EQ(driver.classify_for(0, 0), Loc::kFaultRequired);
+}
+
 // 20-seed repeat fuzz: for every (gpus, topology), two fresh systems run
 // the same seed and serialize byte-identical batch logs.
 TEST(MultiGpu, FuzzedRunsRepeatIdentically) {
