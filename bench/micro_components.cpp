@@ -105,19 +105,19 @@ void BM_PrefetcherCompute(benchmark::State& state) {
 BENCHMARK(BM_PrefetcherCompute);
 
 void BM_CopyCoalescing(benchmark::State& state) {
-  PcieLink link;
-  CopyEngine copy(link);
+  Topology topo(TopologyConfig{}, PcieConfig{});
+  CopyEngine copy(topo);
   Xoshiro256 rng(4);
-  std::vector<PageId> pages(state.range(0));
-  for (auto& p : pages) p = rng.uniform(1 << 20);
+  PageMask pages;  // up to range(0) scattered pages of one VABlock
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    pages.set(static_cast<std::uint32_t>(rng.uniform(kPagesPerVaBlock)));
+  }
   for (auto _ : state) {
-    auto copy_pages = pages;
-    benchmark::DoNotOptimize(
-        copy.copy_pages(std::move(copy_pages), CopyDirection::kHostToDevice));
+    benchmark::DoNotOptimize(copy.copy_pages(pages, kHostNode, gpu_node(0)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_CopyCoalescing)->Arg(256)->Arg(4096);
+BENCHMARK(BM_CopyCoalescing)->Arg(64)->Arg(256);
 
 void BM_UnmapCostModel(benchmark::State& state) {
   UnmapCostModel model;

@@ -6,7 +6,8 @@
 // cost eight word operations instead of a 512-step loop. Page i is bit
 // i % 64 of word i / 64; this type is the only code that knows that. Users
 // get the subset of the bitset API the driver needs, word access, ascending
-// set-bit iteration, and the 64 KB big-page view the prefetcher works on.
+// set-bit and set-run iteration (the copy engine makes one DMA op per run),
+// and the 64 KB big-page view the prefetcher works on.
 #pragma once
 
 #include <array>
@@ -67,6 +68,43 @@ class PageMask {
         f(w * kWordBits + static_cast<std::uint32_t>(std::countr_zero(bits)));
       }
     }
+  }
+
+  /// Lowest set page; kPagesPerVaBlock when none is set.
+  std::uint32_t first_set() const {
+    for (std::uint32_t w = 0; w < kWords; ++w) {
+      if (words_[w] != 0) {
+        return w * kWordBits +
+               static_cast<std::uint32_t>(std::countr_zero(words_[w]));
+      }
+    }
+    return kPagesPerVaBlock;
+  }
+
+  /// Call `f(first, count)` for every maximal run of consecutive set pages,
+  /// in ascending page order. A run may span words.
+  template <class F>
+  void for_each_run(F&& f) const {
+    std::uint32_t start = 0;
+    bool in_run = false;
+    for (std::uint32_t w = 0; w < kWords; ++w) {
+      // Alternately skip to the next set bit (run start) and the next clear
+      // bit (run end) within this word; a run still open at the word's end
+      // continues into the next one.
+      for (std::uint32_t bit = 0; bit < kWordBits;) {
+        const std::uint64_t rest =
+            (in_run ? ~words_[w] : words_[w]) >> bit;
+        if (rest == 0) break;
+        bit += static_cast<std::uint32_t>(std::countr_zero(rest));
+        if (in_run) {
+          f(start, w * kWordBits + bit - start);
+        } else {
+          start = w * kWordBits + bit;
+        }
+        in_run = !in_run;
+      }
+    }
+    if (in_run) f(start, kPagesPerVaBlock - start);
   }
 
   /// Big-page occupancy: bit b is set when any page of 64 KB big page b is.

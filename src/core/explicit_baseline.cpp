@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "interconnect/copy_engine.hpp"
+#include "interconnect/pcie.hpp"
 
 namespace uvmsim {
 
@@ -15,22 +15,20 @@ ExplicitResult run_explicit(const WorkloadSpec& spec,
   }
 
   ExplicitResult result;
-  PcieLink link(config.pcie);
-  CopyEngine copy(link);
+  const PcieLink link(config.pcie);
 
   // Stage every input buffer up front; copy outputs back at the end. Both
-  // directions move the full allocation, as a cudaMemcpy port would.
+  // directions move the full allocation in one DMA operation each, as a
+  // cudaMemcpy port would.
   for (const auto& alloc : spec.allocs) {
-    const std::uint64_t pages = ceil_div(alloc.bytes, kPageSize);
+    const std::uint64_t bytes = ceil_div(alloc.bytes, kPageSize) * kPageSize;
     if (alloc.init.pattern != HostInit::Pattern::kNone) {
-      result.transfer_ns +=
-          copy.copy_range(0, pages, CopyDirection::kHostToDevice).time_ns;
+      result.transfer_ns += link.transfer_time(bytes);
     }
     // Output arrays (written by the kernel) come back afterwards; treat
     // every allocation as copied back once, the common conservative port.
-    result.transfer_ns +=
-        copy.copy_range(0, pages, CopyDirection::kDeviceToHost).time_ns;
-    result.bytes_staged += pages * kPageSize;
+    result.transfer_ns += link.transfer_time(bytes);
+    result.bytes_staged += bytes;
   }
 
   // Kernel compute: all data resident, so only arithmetic and HBM access

@@ -20,10 +20,6 @@ MultiGpuSystem::MultiGpuSystem(SystemConfig config)
               Obs{config_.obs.trace ? &tracer_ : nullptr,
                   config_.obs.metrics ? &metrics_ : nullptr}) {
   const std::uint32_t n = config_.driver.multi_gpu.num_gpus;
-  if (n == 0) {
-    throw std::invalid_argument(
-        "MultiGpuSystem: driver.multi_gpu.num_gpus must be >= 1");
-  }
   gpus_.reserve(n);
   views_.resize(n);
   const Obs obs{config_.obs.trace ? &tracer_ : nullptr,

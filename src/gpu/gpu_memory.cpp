@@ -18,7 +18,6 @@ std::optional<GpuMemory::ChunkId> GpuMemory::alloc_chunk() {
     // healthy never-used tail chunk per retired chunk.
     chunk = next_never_used_++;
   } else {
-    ++failed_;
     return std::nullopt;
   }
   allocated_[chunk] = true;

@@ -40,7 +40,6 @@ class GpuMemory {
   std::uint64_t free_chunks() const noexcept { return total_chunks_ - in_use_; }
   bool full() const noexcept { return in_use_ >= total_chunks_; }
 
-  std::uint64_t failed_allocations() const noexcept { return failed_; }
   std::uint64_t retired_chunks() const noexcept { return retired_count_; }
 
  private:
@@ -50,7 +49,6 @@ class GpuMemory {
   std::vector<ChunkId> free_list_;
   std::vector<bool> allocated_;
   std::vector<bool> retired_;
-  std::uint64_t failed_ = 0;
   std::uint64_t retired_count_ = 0;
 };
 

@@ -1,127 +1,50 @@
 #include "interconnect/copy_engine.hpp"
 
-#include <algorithm>
-
 namespace uvmsim {
 
-void CopyEngine::account(CopyDirection direction,
-                         std::uint64_t bytes) noexcept {
-  if (direction == CopyDirection::kHostToDevice) {
-    to_device_ += bytes;
-  } else {
-    to_host_ += bytes;
-  }
-  link_.record(bytes);
-  if (obs_.metrics) {
-    obs_.metrics->add(direction == CopyDirection::kHostToDevice
-                          ? "copy.bytes_h2d"
-                          : "copy.bytes_d2h",
-                      bytes);
-  }
-}
-
-void CopyEngine::account_between(NodeId from, NodeId to,
-                                 std::uint64_t bytes) noexcept {
-  topo_->record(from, to, bytes);
+void CopyEngine::account(NodeId from, NodeId to, const CopyResult& copy) {
+  topo_.record(from, to, copy.bytes);
+  const char* metric = "copy.bytes_peer";
   if (from == kHostNode) {
-    to_device_ += bytes;
-    if (obs_.metrics) obs_.metrics->add("copy.bytes_h2d", bytes);
+    to_device_ += copy.bytes;
+    metric = "copy.bytes_h2d";
   } else if (to == kHostNode) {
-    to_host_ += bytes;
-    if (obs_.metrics) obs_.metrics->add("copy.bytes_d2h", bytes);
+    to_host_ += copy.bytes;
+    metric = "copy.bytes_d2h";
   } else {
-    peer_ += bytes;
-    if (obs_.metrics) obs_.metrics->add("copy.bytes_peer", bytes);
+    peer_ += copy.bytes;
   }
-}
-
-CopyEngine::CopyResult CopyEngine::copy_pages(std::vector<PageId> pages,
-                                              CopyDirection direction) {
-  CopyResult out;
-  if (pages.empty()) return out;
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-
-  std::size_t run_start = 0;
-  for (std::size_t i = 1; i <= pages.size(); ++i) {
-    const bool run_breaks =
-        i == pages.size() || pages[i] != pages[i - 1] + 1;
-    if (!run_breaks) continue;
-    const std::uint64_t run_pages = i - run_start;
-    const std::uint64_t bytes = run_pages * kPageSize;
-    out.time_ns += link_.transfer_time(bytes);
-    out.bytes += bytes;
-    ++out.dma_ops;
-    if (obs_.metrics) obs_.metrics->observe("copy.run_pages", run_pages);
-    run_start = i;
-  }
-  account(direction, out.bytes);
-  if (obs_.metrics) obs_.metrics->add("copy.dma_ops", out.dma_ops);
-  return out;
-}
-
-CopyEngine::CopyResult CopyEngine::copy_range(PageId /*first*/,
-                                              std::uint64_t count,
-                                              CopyDirection direction) {
-  CopyResult out;
-  if (count == 0) return out;
-  out.bytes = count * kPageSize;
-  out.time_ns = link_.transfer_time(out.bytes);
-  out.dma_ops = 1;
-  account(direction, out.bytes);
   if (obs_.metrics) {
-    obs_.metrics->observe("copy.run_pages", count);
-    obs_.metrics->add("copy.dma_ops", 1);
+    obs_.metrics->add(metric, copy.bytes);
+    obs_.metrics->add("copy.dma_ops", copy.dma_ops);
   }
-  return out;
 }
 
-CopyEngine::CopyResult CopyEngine::copy_pages_between(
-    std::vector<PageId> pages, NodeId from, NodeId to) {
+CopyEngine::CopyResult CopyEngine::copy_pages(const PageMask& pages,
+                                              NodeId from, NodeId to) {
   CopyResult out;
-  if (pages.empty() || from == to) return out;
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-
-  std::size_t run_start = 0;
-  for (std::size_t i = 1; i <= pages.size(); ++i) {
-    const bool run_breaks =
-        i == pages.size() || pages[i] != pages[i - 1] + 1;
-    if (!run_breaks) continue;
-    const std::uint64_t run_pages = i - run_start;
-    const std::uint64_t bytes = run_pages * kPageSize;
-    out.time_ns += topo_->transfer_time(from, to, bytes);
+  if (from == to) return out;
+  pages.for_each_run([&](std::uint32_t /*first*/, std::uint32_t run_pages) {
+    const std::uint64_t bytes = std::uint64_t{run_pages} * kPageSize;
+    out.time_ns += topo_.transfer_time(from, to, bytes);
     out.bytes += bytes;
     ++out.dma_ops;
     if (obs_.metrics) obs_.metrics->observe("copy.run_pages", run_pages);
-    run_start = i;
-  }
-  account_between(from, to, out.bytes);
-  if (obs_.metrics) obs_.metrics->add("copy.dma_ops", out.dma_ops);
+  });
+  if (out.dma_ops > 0) account(from, to, out);
   return out;
 }
 
-CopyEngine::CopyResult CopyEngine::copy_range_between(PageId /*first*/,
-                                                      std::uint64_t count,
-                                                      NodeId from,
-                                                      NodeId to) {
+CopyEngine::CopyResult CopyEngine::copy_range(std::uint64_t count,
+                                              NodeId from, NodeId to) {
   CopyResult out;
   if (count == 0 || from == to) return out;
   out.bytes = count * kPageSize;
-  out.time_ns = topo_->transfer_time(from, to, out.bytes);
+  out.time_ns = topo_.transfer_time(from, to, out.bytes);
   out.dma_ops = 1;
-  account_between(from, to, out.bytes);
-  if (obs_.metrics) {
-    obs_.metrics->observe("copy.run_pages", count);
-    obs_.metrics->add("copy.dma_ops", 1);
-  }
+  if (obs_.metrics) obs_.metrics->observe("copy.run_pages", count);
+  account(from, to, out);
   return out;
-}
-
-SimTime CopyEngine::schedule_transfer(NodeId from, NodeId to,
-                                      std::uint64_t bytes,
-                                      SimTime earliest_start) {
-  return topo_->reserve(from, to, bytes, earliest_start).finish;
 }
 
 }  // namespace uvmsim

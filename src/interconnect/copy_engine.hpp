@@ -1,32 +1,28 @@
-// GPU copy engine: executes host<->device page migrations.
+// GPU copy engine: executes page migrations between the host and the GPUs.
 //
 // The driver instructs the GPU (through the command push-buffer) to copy
 // pages with hardware copy engines. Contiguous page runs coalesce into a
 // single DMA operation — this is why fault batches that migrate dense
 // ranges are so much cheaper per byte than scattered ones.
 //
-// With an attached Topology the engine also exposes endpoint-addressed
-// copies (`*_between`): the transfer routes over the min-cost path and
-// every link on the route is accounted per hop. The legacy single-link
-// API stays untouched — it is the byte-exact path every single-GPU
-// golden fixture runs through.
+// Every copy is addressed by its endpoints (the host or GPU g): the
+// transfer routes over the topology's min-cost path and every link on the
+// route is accounted per hop. A one-GPU PCIe-only topology times a copy
+// exactly as PcieLink::transfer_time does.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "common/page_mask.hpp"
 #include "common/types.hpp"
-#include "interconnect/pcie.hpp"
 #include "interconnect/topology.hpp"
 #include "obs/obs.hpp"
 
 namespace uvmsim {
 
-enum class CopyDirection : std::uint8_t { kHostToDevice, kDeviceToHost };
-
 class CopyEngine {
  public:
-  explicit CopyEngine(PcieLink& link) : link_(link) {}
+  explicit CopyEngine(Topology& topo) : topo_(topo) {}
 
   struct CopyResult {
     SimTime time_ns = 0;
@@ -34,35 +30,13 @@ class CopyEngine {
     std::uint64_t bytes = 0;
   };
 
-  /// Copy the given pages (page indices, any order, duplicates ignored by
-  /// the caller). Pages are sorted and coalesced into maximal contiguous
-  /// runs; each run is one DMA operation.
-  CopyResult copy_pages(std::vector<PageId> pages, CopyDirection direction);
+  /// Copy one VABlock's pages set in `pages` from `from` to `to`: each
+  /// maximal run of consecutive pages is one DMA operation.
+  CopyResult copy_pages(const PageMask& pages, NodeId from, NodeId to);
 
-  /// Copy one contiguous range of `count` pages (used by prefetch regions
-  /// and whole-buffer explicit staging).
-  CopyResult copy_range(PageId first, std::uint64_t count,
-                        CopyDirection direction);
-
-  /// Attach the interconnect topology, enabling the endpoint-addressed
-  /// copies below. May be null (single-link legacy mode); not owned.
-  void set_topology(Topology* topo) noexcept { topo_ = topo; }
-  const Topology* topology() const noexcept { return topo_; }
-
-  /// Endpoint-addressed forms: same coalescing, but timing and per-link
-  /// accounting follow the topology route from `from` to `to` (host,
-  /// peer GPU, ...). Requires set_topology.
-  CopyResult copy_pages_between(std::vector<PageId> pages, NodeId from,
-                                NodeId to);
-  CopyResult copy_range_between(PageId first, std::uint64_t count,
-                                NodeId from, NodeId to);
-
-  /// Schedule one transfer as an occupancy reservation on the route's
-  /// links (overlaps with in-flight transfers on disjoint links,
-  /// serializes behind transfers sharing a link). Returns the completion
-  /// time. Requires set_topology.
-  SimTime schedule_transfer(NodeId from, NodeId to, std::uint64_t bytes,
-                            SimTime earliest_start);
+  /// Copy `count` contiguous pages as one DMA operation (whole-block
+  /// writebacks and salvage).
+  CopyResult copy_range(std::uint64_t count, NodeId from, NodeId to);
 
   std::uint64_t bytes_to_device() const noexcept { return to_device_; }
   std::uint64_t bytes_to_host() const noexcept { return to_host_; }
@@ -73,15 +47,14 @@ class CopyEngine {
   void set_obs(Obs obs) noexcept { obs_ = obs; }
 
  private:
-  void account(CopyDirection direction, std::uint64_t bytes) noexcept;
-  void account_between(NodeId from, NodeId to, std::uint64_t bytes) noexcept;
+  /// Per-link, per-direction and metrics accounting of one finished copy.
+  void account(NodeId from, NodeId to, const CopyResult& copy);
 
-  PcieLink& link_;
-  Topology* topo_ = nullptr;  // not owned; null = single-link legacy mode
+  Topology& topo_;
   Obs obs_;
   std::uint64_t to_device_ = 0;
   std::uint64_t to_host_ = 0;
-  std::uint64_t peer_ = 0;  // GPU<->GPU bytes (never through account())
+  std::uint64_t peer_ = 0;  // GPU<->GPU bytes
 };
 
 }  // namespace uvmsim

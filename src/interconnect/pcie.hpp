@@ -32,19 +32,8 @@ class PcieLink {
 
   const PcieConfig& config() const noexcept { return config_; }
 
-  std::uint64_t total_bytes_moved() const noexcept { return bytes_moved_; }
-  std::uint64_t total_ops() const noexcept { return ops_; }
-
-  /// Accounting hook used by the copy engine.
-  void record(std::uint64_t bytes) noexcept {
-    bytes_moved_ += bytes;
-    ++ops_;
-  }
-
  private:
   PcieConfig config_;
-  std::uint64_t bytes_moved_ = 0;
-  std::uint64_t ops_ = 0;
 };
 
 }  // namespace uvmsim

@@ -1,13 +1,12 @@
 // Interconnect topology: the link graph between the host and the GPUs.
 //
-// The single host<->GPU PCIe pipe the simulator grew up with is one
-// special case of a graph: PCIe host links (one per GPU, through the
-// root complex) plus optional NVLink peer links (ring or fully
-// connected). Every transfer routes over the min-cost path; each hop
-// keeps the exact PcieLink cost shape (per-op latency + bytes/bandwidth)
-// so a 1-GPU PCIe-only topology times transfers bit-identically to the
-// legacy PcieLink path. Per-link byte/op/busy accounting feeds the
-// `analyze` link table and the ablation bench, and the busy-window
+// PCIe host links (one per GPU, through the root complex) plus optional
+// NVLink peer links (ring or fully connected). A single-GPU node is the
+// one-link case. Every transfer routes over the min-cost path; each hop
+// keeps the exact PcieLink cost shape (per-op latency + bytes/bandwidth),
+// so a 1-GPU PCIe-only topology times a transfer exactly as
+// PcieLink::transfer_time does. Per-link byte/op/busy accounting feeds
+// the multi-GPU link table and the ablation bench, and the busy-window
 // reservation API models concurrent transfers: independent links
 // overlap, a shared link serializes.
 #pragma once
@@ -102,7 +101,7 @@ class Topology {
   /// deterministic candidate order for peer placement and promotion.
   const std::vector<std::uint32_t>& peers_by_cost(std::uint32_t gpu) const;
 
-  /// Per-link byte/op accounting along the route (mirrors PcieLink::record).
+  /// Per-link byte/op/busy accounting along the route (one op per call).
   void record(NodeId from, NodeId to, std::uint64_t bytes);
 
   struct Reservation {

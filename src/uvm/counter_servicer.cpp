@@ -1,20 +1,18 @@
 #include "uvm/counter_servicer.hpp"
 
-#include <optional>
 #include <stdexcept>
-#include <vector>
 
 namespace uvmsim {
 
 CounterServicer::CounterServicer(const DriverConfig& config, VaSpace& space,
-                                 GpuMemory& memory, CopyEngine& copy,
-                                 Evictor& evictor, ThrashingDetector* thrash,
+                                 const Topology& topo, GpuMemCtxs& gpus,
+                                 CopyEngine& copy, ThrashingDetector* thrash,
                                  Obs obs)
     : config_(config),
       space_(space),
-      memory_(memory),
+      topo_(topo),
+      gpus_(gpus),
       copy_(copy),
-      evictor_(evictor),
       thrash_(thrash),
       obs_(obs) {}
 
@@ -23,7 +21,7 @@ void CounterServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
   const SimTime evict_t0 = record.start_ns + record.phases.sum();
   record.phases.counter_ns += config_.evict_fail_alloc_ns;
 
-  Evictor& evictor = evictor_of(gpu);
+  Evictor& evictor = gpus_[gpu].evictor;
   const bool shields = thrash_ && thrash_->enabled();
   const SimTime now = record.start_ns + record.phases.sum();
   const auto victim =
@@ -39,19 +37,12 @@ void CounterServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
 
   VaBlockState& v = space_.block(*victim);
   const std::uint32_t resident = v.gpu_resident_count();
-  if (resident > 0) {
-    const auto xfer =
-        multi_gpu()
-            ? copy_.copy_range_between(first_page_of(*victim), resident,
-                                       gpu_node(gpu), kHostNode)
-            : copy_.copy_range(first_page_of(*victim), resident,
-                               CopyDirection::kDeviceToHost);
-    record.phases.counter_ns += xfer.time_ns;
-    record.counters.bytes_d2h += xfer.bytes;
-  }
+  const auto xfer = copy_.copy_range(resident, gpu_node(gpu), kHostNode);
+  record.phases.counter_ns += xfer.time_ns;
+  record.counters.bytes_d2h += xfer.bytes;
   const auto chunk = v.chunk();
   v.evict_to_host();
-  if (chunk) memory_of(gpu).free_chunk(*chunk);
+  if (chunk) gpus_[gpu].memory.free_chunk(*chunk);
   evictor.remove(*victim);
   if (thrash_) {
     thrash_->record_eviction(*victim, record.start_ns + record.phases.sum());
@@ -70,31 +61,26 @@ void CounterServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
   }
 }
 
-bool CounterServicer::ensure_chunk(std::uint32_t gpu, VaBlockId id,
-                                   VaBlockState& block, BatchRecord& record) {
-  if (block.has_chunk()) return false;
+GpuMemory::ChunkId CounterServicer::alloc_chunk(std::uint32_t gpu,
+                                                VaBlockId protect,
+                                                BatchRecord& record) {
   for (;;) {
-    if (const auto chunk = memory_of(gpu).alloc_chunk(); chunk) {
-      block.set_chunk(*chunk);
-      if (multi_gpu()) block.set_owner_gpu(gpu);
-      return true;
-    }
+    if (const auto chunk = gpus_[gpu].memory.alloc_chunk()) return *chunk;
     if (!config_.eviction_enabled) {
       throw std::runtime_error(
           "uvmsim: GPU memory oversubscribed with eviction disabled");
     }
-    evict_one(gpu, id, record);
+    evict_one(gpu, protect, record);
   }
 }
 
 std::uint32_t CounterServicer::pick_target_gpu(const VaBlockState& block) {
-  if (!multi_gpu()) return 0;
   const std::uint32_t last = block.last_gpu();
-  if (!memory_of(last).full()) return last;
+  if (!gpus_[last].memory.full()) return last;
   // The hot GPU's HBM is full: the next-best placement is the cheapest
   // peer (by fabric path cost from the accessor) with a free chunk.
-  for (const std::uint32_t p : topo_->peers_by_cost(last)) {
-    if (!memory_of(p).full()) return p;
+  for (const std::uint32_t p : topo_.peers_by_cost(last)) {
+    if (!gpus_[p].memory.full()) return p;
   }
   return last;  // everything full; eviction policy decides below
 }
@@ -116,55 +102,38 @@ void CounterServicer::promote_peer_block(VaBlockId id, VaBlockState& block,
     }
   }
   if (target == owner) return;
-  if (memory_of(target).full() &&
+  if (gpus_[target].memory.full() &&
       !(config_.access_counters.evict_for_promotion &&
         config_.eviction_enabled)) {
     return;  // opportunistic promotion only, same as the host path
   }
 
   const SimTime promote_t0 = record.start_ns + record.phases.sum();
-  std::vector<PageId> resident_pages;
-  const PageId base = first_page_of(id);
-  block.gpu_resident().for_each_set(
-      [&](std::uint32_t i) { resident_pages.push_back(base + i); });
+  const VaBlockState::PageMask resident = block.gpu_resident();
+  const auto pages = static_cast<std::uint32_t>(resident.count());
   const auto old_chunk = block.chunk();
-  std::optional<GpuMemory::ChunkId> dst;
-  for (;;) {
-    if ((dst = memory_of(target).alloc_chunk())) break;
-    if (!config_.eviction_enabled) {
-      throw std::runtime_error(
-          "uvmsim: GPU memory oversubscribed with eviction disabled");
-    }
-    evict_one(target, id, record);
-  }
-  if (!resident_pages.empty()) {
-    const auto xfer = copy_.copy_pages_between(resident_pages,
-                                               gpu_node(owner),
-                                               gpu_node(target));
-    record.phases.counter_ns += xfer.time_ns;
-    record.counters.bytes_peer += xfer.bytes;
-    record.counters.peer_pages_migrated +=
-        static_cast<std::uint32_t>(resident_pages.size());
-    record.counters.ctr_pages_promoted +=
-        static_cast<std::uint32_t>(resident_pages.size());
-    promoted_ += resident_pages.size();
-  }
-  if (old_chunk) memory_of(owner).free_chunk(*old_chunk);
-  evictor_of(owner).remove(id);
-  block.set_chunk(*dst);
+  const GpuMemory::ChunkId dst = alloc_chunk(target, id, record);
+  const auto xfer =
+      copy_.copy_pages(resident, gpu_node(owner), gpu_node(target));
+  record.phases.counter_ns += xfer.time_ns;
+  record.counters.bytes_peer += xfer.bytes;
+  record.counters.peer_pages_migrated += pages;
+  record.counters.ctr_pages_promoted += pages;
+  promoted_ += pages;
+  if (old_chunk) gpus_[owner].memory.free_chunk(*old_chunk);
+  gpus_[owner].evictor.remove(id);
+  block.set_chunk(dst);
   block.set_owner_gpu(target);
   block.clear_peer_maps();
-  record.phases.counter_ns +=
-      config_.per_page_pte_ns *
-      static_cast<SimTime>(resident_pages.size());
-  evictor_of(target).touch(id);
+  record.phases.counter_ns += config_.per_page_pte_ns * pages;
+  gpus_[target].evictor.touch(id);
   if (obs_.tracer) {
     obs_.tracer->span(tracks::kCounters, "peer_promote", promote_t0,
                       record.start_ns + record.phases.sum(),
                       {{"block", id},
                        {"from", owner},
                        {"to", target},
-                       {"pages", resident_pages.size()}});
+                       {"pages", pages}});
   }
 }
 
@@ -215,12 +184,12 @@ void CounterServicer::service(AccessCounterUnit& unit, BatchRecord& record) {
     // A hot peer-mapped block: the counters prove a peer GPU is paying
     // per-access fabric latency on every touch. Migrate the block to the
     // accessor instead of leaving the remote mapping in place forever.
-    if (multi_gpu() && block.has_chunk() && block.peer_map_mask() != 0) {
+    if (block.has_chunk() && block.peer_map_mask() != 0) {
       promote_peer_block(block_id, block, record);
       continue;
     }
 
-    // Promotion target: the best-placed GPU (single-GPU: always 0).
+    // Promotion target: the best-placed GPU.
     const std::uint32_t target = pick_target_gpu(block);
 
     // Opportunistic promotion: unless the config says otherwise, counter
@@ -228,7 +197,7 @@ void CounterServicer::service(AccessCounterUnit& unit, BatchRecord& record) {
     // whose block has no chunk while GPU memory is full stays remote —
     // re-armed by the clear above, pin intact — and retries on the next
     // threshold crossing.
-    if (!block.has_chunk() && memory_of(target).full() &&
+    if (!block.has_chunk() && gpus_[target].memory.full() &&
         !(cfg.evict_for_promotion && config_.eviction_enabled)) {
       continue;
     }
@@ -243,53 +212,44 @@ void CounterServicer::service(AccessCounterUnit& unit, BatchRecord& record) {
       }
     }
 
+    // The region's target pages: not yet resident, and not retired — a
+    // retired page is host-pinned for good, as on the fault path. A
+    // region never spans blocks.
+    VaBlockState::PageMask region;
     const std::uint32_t first = page_index_in_block(n.base_page);
-    const std::uint32_t last_excl = first + n.region_pages;  // never spans
-    std::vector<PageId> migrate;
-    std::uint32_t populate = 0;
-    bool any_target = false;
-    for (std::uint32_t i = first; i < last_excl; ++i) {
-      if (block.gpu_resident()[i]) continue;
-      any_target = true;
-      if (block.host_data()[i]) {
-        migrate.push_back(first_page_of(block_id) + i);
-      } else {
-        ++populate;
-      }
+    for (std::uint32_t i = first; i < first + n.region_pages; ++i) {
+      region.set(i);
     }
-    if (!any_target) continue;  // region re-faulted home since notifying
+    const VaBlockState::PageMask target_pages =
+        region & ~block.gpu_resident() & ~block.retired();
+    if (target_pages.none()) continue;  // re-faulted home since notifying
+    const VaBlockState::PageMask migrate = target_pages & block.host_data();
+    const auto migrated = static_cast<std::uint32_t>(migrate.count());
+    const auto established = static_cast<std::uint32_t>(target_pages.count());
 
     const SimTime promote_t0 = record.start_ns + record.phases.sum();
     // GPU backing; eviction may run inside. A fresh chunk populates every
     // target page first (restart semantics, same as the fault path).
-    const bool fresh_chunk = ensure_chunk(target, block_id, block, record);
+    const bool fresh_chunk = !block.has_chunk();
     if (fresh_chunk) {
-      populate += static_cast<std::uint32_t>(migrate.size());
+      block.set_chunk(alloc_chunk(target, block_id, record));
+      block.set_owner_gpu(target);
     }
+    const std::uint32_t populate =
+        fresh_chunk ? established : established - migrated;
     record.phases.counter_ns += config_.per_page_populate_ns * populate;
     record.counters.pages_populated += populate;
 
-    if (!migrate.empty()) {
-      const auto xfer =
-          multi_gpu()
-              ? copy_.copy_pages_between(migrate, kHostNode,
-                                         gpu_node(block.owner_gpu()))
-              : copy_.copy_pages(migrate, CopyDirection::kHostToDevice);
-      record.phases.counter_ns += xfer.time_ns;
-      record.counters.bytes_h2d += xfer.bytes;
-      record.counters.ctr_pages_promoted +=
-          static_cast<std::uint32_t>(migrate.size());
-      promoted_ += migrate.size();
-    }
+    const auto xfer =
+        copy_.copy_pages(migrate, kHostNode, gpu_node(block.owner_gpu()));
+    record.phases.counter_ns += xfer.time_ns;
+    record.counters.bytes_h2d += xfer.bytes;
+    record.counters.ctr_pages_promoted += migrated;
+    promoted_ += migrated;
 
-    std::uint32_t established = 0;
-    for (std::uint32_t i = first; i < last_excl; ++i) {
-      if (block.gpu_resident()[i]) continue;
-      block.set_gpu_resident(i);
-      ++established;
-    }
+    block.set_gpu_resident(target_pages);
     record.phases.counter_ns += config_.per_page_pte_ns * established;
-    evictor_of(block.owner_gpu()).touch(block_id);
+    gpus_[block.owner_gpu()].evictor.touch(block_id);
     if (obs_.tracer) {
       obs_.tracer->span(tracks::kCounters, "promote", promote_t0,
                         record.start_ns + record.phases.sum(),

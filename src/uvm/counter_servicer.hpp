@@ -13,10 +13,14 @@
 //           advised-host (explicit placement advice wins by default)
 //        -> lift the block's thrashing pin (ThrashingDetector::unpin) —
 //           the counters prove the region is hot enough to migrate back
-//        -> ensure a GPU chunk (evicting victims via the shared Evictor
-//           machinery when memory is full)
+//        -> ensure a GPU chunk on the promotion target (the last GPU
+//           that faulted the block, or the cheapest peer with room),
+//           evicting that GPU's victims when memory is full
 //        -> copy-engine promotion of the region's host-backed pages,
 //           zero-fill population of never-touched ones, PTE updates.
+//           Retired pages stay host-pinned: they are never promoted.
+//      A block already resident in a peer's HBM and remote-mapped by
+//      another GPU migrates whole to that accessor instead.
 //
 // All costs charge into the batch's dedicated `counter_ns` phase and
 // extend the batch record's end time, so the duration <= phase-sum
@@ -27,8 +31,6 @@
 #pragma once
 
 #include <cstdint>
-
-#include <vector>
 
 #include "gpu/access_counters.hpp"
 #include "gpu/gpu_memory.hpp"
@@ -46,8 +48,9 @@ namespace uvmsim {
 
 class CounterServicer {
  public:
+  /// `gpus` holds one memory context per GPU of `topo`; neither is owned.
   CounterServicer(const DriverConfig& config, VaSpace& space,
-                  GpuMemory& memory, CopyEngine& copy, Evictor& evictor,
+                  const Topology& topo, GpuMemCtxs& gpus, CopyEngine& copy,
                   ThrashingDetector* thrash = nullptr, Obs obs = {});
 
   /// Run one servicing pass against `unit` at the end of the fault batch
@@ -56,39 +59,25 @@ class CounterServicer {
   /// record.phases.counter_ns / record.end_ns plus the ctr_* counters.
   void service(AccessCounterUnit& unit, BatchRecord& record);
 
-  /// Arm multi-GPU promotion: with the topology and per-GPU contexts set,
-  /// each promotion targets the best-placed GPU (the last GPU whose
-  /// faults the block serviced, falling back to the cheapest peer with
-  /// free HBM). Unset (the default) = single-GPU behavior, bit-identical.
-  void set_multi_gpu(const Topology* topo, std::vector<GpuMemCtx> ctx) {
-    topo_ = topo;
-    gpu_ctx_ = std::move(ctx);
-  }
-
   std::uint64_t total_pages_promoted() const noexcept { return promoted_; }
   std::uint64_t total_unpins() const noexcept { return unpins_; }
   std::uint64_t total_evictions() const noexcept { return evictions_; }
 
  private:
-  bool multi_gpu() const noexcept { return !gpu_ctx_.empty(); }
-  GpuMemory& memory_of(std::uint32_t gpu) {
-    return gpu_ctx_.empty() ? memory_ : *gpu_ctx_[gpu].memory;
-  }
-  Evictor& evictor_of(std::uint32_t gpu) {
-    return gpu_ctx_.empty() ? evictor_ : *gpu_ctx_[gpu].evictor;
-  }
-
   /// Promotion target for `block`: its last serving GPU when that HBM has
-  /// room (or eviction is allowed), else the cheapest peer with a free
-  /// chunk. Single-GPU: always 0.
+  /// room, else the cheapest peer with a free chunk, else the last
+  /// serving GPU anyway (the eviction policy decides). One GPU: always 0.
   std::uint32_t pick_target_gpu(const VaBlockState& block);
 
   /// Evict one victim to make room for a promotion; mirrors the fault
   /// path's eviction (shield-aware victim pick, forced writeback, thrash
   /// bookkeeping) but charges counter_ns and ctr_evictions.
   void evict_one(std::uint32_t gpu, VaBlockId protect, BatchRecord& record);
-  bool ensure_chunk(std::uint32_t gpu, VaBlockId id, VaBlockState& block,
-                    BatchRecord& record);
+
+  /// A chunk from `gpu`'s pool, evicting that GPU's victims (never
+  /// `protect`) until one frees up.
+  GpuMemory::ChunkId alloc_chunk(std::uint32_t gpu, VaBlockId protect,
+                                 BatchRecord& record);
 
   /// MIMC promotion of a peer-mapped resident block: the remote traffic is
   /// a peer GPU hammering the owner's HBM over the fabric, so promotion
@@ -99,13 +88,11 @@ class CounterServicer {
 
   const DriverConfig& config_;
   VaSpace& space_;
-  GpuMemory& memory_;
+  const Topology& topo_;
+  GpuMemCtxs& gpus_;
   CopyEngine& copy_;
-  Evictor& evictor_;
   ThrashingDetector* thrash_;  // may be null (no detection)
   Obs obs_;                    // null members = no recording
-  const Topology* topo_ = nullptr;  // not owned; null = single-GPU
-  std::vector<GpuMemCtx> gpu_ctx_;  // empty = single-GPU legacy paths
   std::uint64_t promoted_ = 0;
   std::uint64_t unpins_ = 0;
   std::uint64_t evictions_ = 0;

@@ -149,13 +149,13 @@ enum class PlacementPolicy : std::uint8_t {
                // (remote-map or migrate by fault pressure); evict to
                // host only when no peer has room
   kEvictHost,  // ablation baseline: ignore peer HBM, always evict to
-               // host — every placement decision the single-GPU driver
-               // would make
+               // host — every placement decision a lone GPU would make
 };
 
 /// Multi-GPU topology + placement knobs (interconnect/topology.hpp).
-/// Default num_gpus = 1 is the stock single-GPU driver: no peer state is
-/// ever consulted and behavior stays bit-identical to prior fixtures.
+/// The driver keeps one memory context per GPU and runs one servicing
+/// path for every count; the default num_gpus = 1 is the stock
+/// single-GPU driver over one PCIe link, where no peer branch can fire.
 struct MultiGpuConfig {
   std::uint32_t num_gpus = 1;
   TopologyKind topology = TopologyKind::kPcieOnly;
@@ -166,10 +166,10 @@ struct MultiGpuConfig {
   // migrates to the faulting GPU; below it the block stays put and the
   // faulting GPU gets a remote NVLink mapping (cheap PTEs, no copy).
   std::uint32_t peer_migrate_threshold = 8;
-
-  bool active() const noexcept { return num_gpus > 1; }
 };
 
+/// UvmDriver rejects (std::invalid_argument) a batch_size of 0, adaptive
+/// sizing with a zero bound, and num_gpus = 0: no run completes under them.
 struct DriverConfig {
   // ---- Policies -------------------------------------------------------
   std::uint32_t batch_size = 256;     // default UVM_PERF_FAULT_BATCH_COUNT

@@ -10,16 +10,16 @@
 namespace uvmsim {
 
 FaultServicer::FaultServicer(const DriverConfig& config, VaSpace& space,
-                             GpuMemory& memory, DmaMapper& dma,
-                             CopyEngine& copy, Evictor& evictor,
+                             const Topology& topo, GpuMemCtxs& gpus,
+                             DmaMapper& dma, CopyEngine& copy,
                              std::uint32_t num_sms, FaultInjector* injector,
                              ThrashingDetector* thrash, Obs obs)
     : config_(config),
       space_(space),
-      memory_(memory),
+      topo_(topo),
+      gpus_(gpus),
       dma_(dma),
       copy_(copy),
-      evictor_(evictor),
       num_sms_(num_sms),
       injector_(injector),
       thrash_(thrash),
@@ -66,7 +66,7 @@ void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
   const SimTime evict_t0 = record.start_ns + record.phases.sum();
   record.phases.eviction_ns += config_.evict_fail_alloc_ns;
 
-  Evictor& evictor = evictor_of(gpu);
+  Evictor& evictor = gpus_[gpu].evictor;
   const bool shields = thrash_ && thrash_->enabled();
   const SimTime now = record.start_ns + record.phases.sum();
   const auto victim =
@@ -94,19 +94,8 @@ void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
         injector_->ce_permanent_failure()) {
       recovery_->channel_reset(record);
     }
-    const auto xfer =
-        multi_gpu()
-            ? copy_.copy_range_between(first_page_of(*victim), resident,
-                                       gpu_node(gpu), kHostNode)
-            : copy_.copy_range(first_page_of(*victim), resident,
-                               CopyDirection::kDeviceToHost);
-    record.phases.eviction_ns += xfer.time_ns;
-    record.counters.bytes_d2h += xfer.bytes;
   }
-  const auto chunk = v.chunk();
-  v.evict_to_host();  // also drops the block's chunk reference
-  if (chunk) memory_of(gpu).free_chunk(*chunk);
-  evictor.remove(*victim);
+  release_to_host(gpu, *victim, v, record);
   if (thrash_) {
     thrash_->record_eviction(*victim, record.start_ns + record.phases.sum());
   }
@@ -124,64 +113,63 @@ void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
   }
 }
 
-bool FaultServicer::ensure_chunk(std::uint32_t gpu, VaBlockId id,
-                                 VaBlockState& block, BatchRecord& record,
-                                 std::uint32_t target_pages) {
-  if (block.has_chunk()) return false;
-  if (multi_gpu()) {
-    if (const auto chunk = memory_of(gpu).alloc_chunk(); chunk) {
-      block.set_chunk(*chunk);
-      block.set_owner_gpu(gpu);
-      return true;
-    }
-    // Local HBM is full. kPeerFirst: before paying an eviction, a SPARSE
-    // batch places the block in the cheapest NVLink-reachable peer with a
-    // free chunk — the faulting GPU gets a remote mapping into it after
-    // the copy lands. Dense batches stay local: bulk data behind remote
-    // PTEs would pay a fabric crossing on every access.
-    if (config_.multi_gpu.placement == PlacementPolicy::kPeerFirst &&
-        target_pages < config_.multi_gpu.peer_migrate_threshold) {
-      for (const std::uint32_t p : topo_->peers_by_cost(gpu)) {
-        if (!topo_->nvlink_path(gpu, p)) continue;
-        if (const auto chunk = memory_of(p).alloc_chunk(); chunk) {
-          block.set_chunk(*chunk);
-          block.set_owner_gpu(p);
-          block.add_peer_map(gpu);
-          // Everything this block ever holds is remote for the faulting
-          // GPU; sustained traffic promotes it home via the counters.
-          block.add_peer_pages(VaBlockState::PageMask{}.set());
-          ++record.counters.peer_placements;
-          ++record.counters.peer_maps;
-          // Remote PTEs for the faulting GPU over the fabric.
-          record.phases.pagetable_ns += config_.per_page_pte_ns;
-          return true;
-        }
-      }
-    }
-    for (;;) {
-      if (const auto chunk = memory_of(gpu).alloc_chunk(); chunk) {
-        block.set_chunk(*chunk);
-        block.set_owner_gpu(gpu);
-        return true;
-      }
-      if (!config_.eviction_enabled) {
-        throw std::runtime_error(
-            "uvmsim: GPU memory oversubscribed with eviction disabled");
-      }
-      evict_one(gpu, id, record);
-    }
-  }
+void FaultServicer::release_to_host(std::uint32_t gpu, VaBlockId id,
+                                    VaBlockState& block, BatchRecord& record) {
+  const auto xfer =
+      copy_.copy_range(block.gpu_resident_count(), gpu_node(gpu), kHostNode);
+  record.phases.eviction_ns += xfer.time_ns;
+  record.counters.bytes_d2h += xfer.bytes;
+  const auto chunk = block.chunk();
+  block.evict_to_host();  // also drops the block's chunk reference
+  if (chunk) gpus_[gpu].memory.free_chunk(*chunk);
+  gpus_[gpu].evictor.remove(id);
+}
+
+GpuMemory::ChunkId FaultServicer::alloc_chunk(std::uint32_t gpu,
+                                              VaBlockId protect,
+                                              BatchRecord& record) {
   for (;;) {
-    if (const auto chunk = memory_.alloc_chunk(); chunk) {
-      block.set_chunk(*chunk);
-      return true;
-    }
+    if (const auto chunk = gpus_[gpu].memory.alloc_chunk()) return *chunk;
     if (!config_.eviction_enabled) {
       throw std::runtime_error(
           "uvmsim: GPU memory oversubscribed with eviction disabled");
     }
-    evict_one(0, id, record);
+    evict_one(gpu, protect, record);
   }
+}
+
+bool FaultServicer::ensure_chunk(std::uint32_t gpu, VaBlockId id,
+                                 VaBlockState& block, BatchRecord& record,
+                                 std::uint32_t target_pages) {
+  if (block.has_chunk()) return false;
+  // Local HBM is full. kPeerFirst: before paying an eviction, a SPARSE
+  // batch places the block in the cheapest NVLink-reachable peer with a
+  // free chunk — the faulting GPU gets a remote mapping into it after
+  // the copy lands. Dense batches stay local: bulk data behind remote
+  // PTEs would pay a fabric crossing on every access.
+  if (gpus_[gpu].memory.full() &&
+      config_.multi_gpu.placement == PlacementPolicy::kPeerFirst &&
+      target_pages < config_.multi_gpu.peer_migrate_threshold) {
+    for (const std::uint32_t p : topo_.peers_by_cost(gpu)) {
+      if (!topo_.nvlink_path(gpu, p)) continue;
+      if (const auto chunk = gpus_[p].memory.alloc_chunk()) {
+        block.set_chunk(*chunk);
+        block.set_owner_gpu(p);
+        block.add_peer_map(gpu);
+        // Everything this block ever holds is remote for the faulting
+        // GPU; sustained traffic promotes it home via the counters.
+        block.add_peer_pages(VaBlockState::PageMask{}.set());
+        ++record.counters.peer_placements;
+        ++record.counters.peer_maps;
+        // Remote PTEs for the faulting GPU over the fabric.
+        record.phases.pagetable_ns += config_.per_page_pte_ns;
+        return true;
+      }
+    }
+  }
+  block.set_chunk(alloc_chunk(gpu, id, record));
+  block.set_owner_gpu(gpu);
+  return true;
 }
 
 void FaultServicer::pin_block(VaBlockId id, VaBlockState& block, SimTime now,
@@ -191,24 +179,7 @@ void FaultServicer::pin_block(VaBlockId id, VaBlockState& block, SimTime now,
   // relieves memory pressure immediately). Charged like an eviction
   // writeback but not counted as one — the whole point of the pin is to
   // stop the eviction churn.
-  if (block.has_chunk()) {
-    const std::uint32_t owner = block.owner_gpu();
-    const std::uint32_t resident = block.gpu_resident_count();
-    if (resident > 0) {
-      const auto xfer =
-          multi_gpu()
-              ? copy_.copy_range_between(first_page_of(id), resident,
-                                         gpu_node(owner), kHostNode)
-              : copy_.copy_range(first_page_of(id), resident,
-                                 CopyDirection::kDeviceToHost);
-      record.phases.eviction_ns += xfer.time_ns;
-      record.counters.bytes_d2h += xfer.bytes;
-    }
-    const auto chunk = block.chunk();
-    block.evict_to_host();
-    if (chunk) memory_of(owner).free_chunk(*chunk);
-    evictor_of(owner).remove(id);
-  }
+  if (block.has_chunk()) release_to_host(block.owner_gpu(), id, block, record);
   thrash_->pin(id, now + config_.thrash.pin_lapse_ns);
   ++record.counters.thrash_pins;
   if (detailed_trace()) {
@@ -225,23 +196,13 @@ bool FaultServicer::service_peer_block(std::uint32_t gpu, VaBlockId id,
       static_cast<std::uint32_t>(faulted.count());
   const bool all_faulted_resident = (faulted & ~block.gpu_resident()).none();
   const std::uint32_t owner = block.owner_gpu();
-  const bool nvlink = topo_->nvlink_path(gpu, owner);
+  const bool nvlink = topo_.nvlink_path(gpu, owner);
   if (config_.multi_gpu.placement == PlacementPolicy::kEvictHost) {
     // The no-P2P baseline: the owner's copy is evicted to sysmem and the
     // faulting GPU re-populates it over its own host link like any other
     // host-resident fault — the handoff pays two host hops plus the
     // refault, which is exactly what NVLink peer migration saves.
-    const std::uint32_t resident = block.gpu_resident_count();
-    if (resident > 0) {
-      const auto xfer = copy_.copy_range_between(first_page_of(id), resident,
-                                                 gpu_node(owner), kHostNode);
-      record.phases.eviction_ns += xfer.time_ns;
-      record.counters.bytes_d2h += xfer.bytes;
-    }
-    const auto chunk = block.chunk();
-    block.evict_to_host();
-    if (chunk) memory_of(owner).free_chunk(*chunk);
-    evictor_of(owner).remove(id);
+    release_to_host(owner, id, block, record);
     record.phases.eviction_ns += config_.evict_restart_ns;
     ++record.counters.evictions;
     ++total_evictions_;
@@ -258,7 +219,7 @@ bool FaultServicer::service_peer_block(std::uint32_t gpu, VaBlockId id,
     block.add_peer_pages(faulted);
     record.phases.pagetable_ns += config_.per_page_pte_ns * faulted_pages;
     ++record.counters.peer_maps;
-    evictor_of(owner).touch(id);
+    gpus_[owner].evictor.touch(id);
     return true;
   }
 
@@ -266,31 +227,18 @@ bool FaultServicer::service_peer_block(std::uint32_t gpu, VaBlockId id,
   // over) moves the block's resident pages owner -> gpu across the fabric
   // and ownership follows the faulting GPU. Non-resident target pages are
   // established by the normal service path afterwards.
-  std::vector<PageId> resident_pages;
-  const PageId base = first_page_of(id);
-  block.gpu_resident().for_each_set(
-      [&](std::uint32_t i) { resident_pages.push_back(base + i); });
+  const VaBlockState::PageMask resident = block.gpu_resident();
   const auto old_chunk = block.chunk();
-  std::optional<GpuMemory::ChunkId> dst;
-  for (;;) {
-    if ((dst = memory_of(gpu).alloc_chunk())) break;
-    if (!config_.eviction_enabled) {
-      throw std::runtime_error(
-          "uvmsim: GPU memory oversubscribed with eviction disabled");
-    }
-    evict_one(gpu, id, record);
-  }
-  if (!resident_pages.empty()) {
-    const auto xfer = copy_.copy_pages_between(
-        resident_pages, gpu_node(owner), gpu_node(gpu));
-    record.phases.transfer_ns += xfer.time_ns;
-    record.counters.bytes_peer += xfer.bytes;
-    record.counters.peer_pages_migrated +=
-        static_cast<std::uint32_t>(resident_pages.size());
-  }
-  memory_of(owner).free_chunk(*old_chunk);
-  evictor_of(owner).remove(id);
-  block.set_chunk(*dst);
+  const GpuMemory::ChunkId dst = alloc_chunk(gpu, id, record);
+  const auto xfer =
+      copy_.copy_pages(resident, gpu_node(owner), gpu_node(gpu));
+  record.phases.transfer_ns += xfer.time_ns;
+  record.counters.bytes_peer += xfer.bytes;
+  record.counters.peer_pages_migrated +=
+      static_cast<std::uint32_t>(resident.count());
+  gpus_[owner].memory.free_chunk(*old_chunk);
+  gpus_[owner].evictor.remove(id);
+  block.set_chunk(dst);
   block.set_owner_gpu(gpu);
   block.clear_peer_maps();
   return false;
@@ -471,19 +419,15 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
       faulted.set(page_index_in_block(f->page));
     }
 
-    // Multi-GPU placement: which GPU faulted this block (dedup keeps
-    // first arrival, so the choice is deterministic), and — when its
-    // chunk lives in a peer's HBM — remote-map vs. peer-migrate.
-    const std::uint32_t serving_gpu = multi_gpu() ? faults.front()->gpu : 0;
-    if (multi_gpu()) {
-      block.set_last_gpu(serving_gpu);
-      if (block.has_chunk() && block.owner_gpu() != serving_gpu) {
-        if (service_peer_block(serving_gpu, block_id, block, faulted,
-                               record)) {
-          finish_block();
-          continue;
-        }
-      }
+    // Placement: which GPU faulted this block (dedup keeps first
+    // arrival, so the choice is deterministic), and — when its chunk
+    // lives in a peer's HBM — remote-map vs. peer-migrate.
+    const std::uint32_t serving_gpu = faults.front()->gpu;
+    block.set_last_gpu(serving_gpu);
+    if (block.has_chunk() && block.owner_gpu() != serving_gpu &&
+        service_peer_block(serving_gpu, block_id, block, faulted, record)) {
+      finish_block();
+      continue;
     }
 
     // Reactive density prefetch, VABlock-scoped (§5.2).
@@ -569,27 +513,24 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
       }
     }
 
-    // Partition target pages: host-backed pages migrate (in ascending page
-    // order); the rest are zero-fill populated on the GPU. A fresh chunk
-    // populates everything first (eviction-restart semantics, §5.1).
-    std::vector<PageId> migrate;
-    const PageId base = first_page_of(block_id);
-    (target & block.host_data()).for_each_set(
-        [&](std::uint32_t i) { migrate.push_back(base + i); });
+    // Partition target pages: host-backed pages migrate; the rest are
+    // zero-fill populated on the GPU. A fresh chunk populates everything
+    // first (eviction-restart semantics, §5.1).
+    VaBlockState::PageMask migrate = target & block.host_data();
     std::uint32_t populate =
-        static_cast<std::uint32_t>(target.count() - migrate.size());
+        static_cast<std::uint32_t>(target.count() - migrate.count());
     // Fatal poisoned page (recovery tiers 1+2): the copy engine discovers
     // poison on the migration set's first page; that page is retired to
     // its host frame and dropped from the transfer, the rest of the block
     // services normally.
-    if (recovery_ && recovery_->enabled() && injector_ && !migrate.empty() &&
+    if (recovery_ && recovery_->enabled() && injector_ && migrate.any() &&
         injector_->poisoned_page()) {
-      recovery_->fatal_poisoned_page(
-          block_id, block, page_index_in_block(migrate.front()), record);
-      migrate.erase(migrate.begin());
+      const std::uint32_t poisoned = migrate.first_set();
+      recovery_->fatal_poisoned_page(block_id, block, poisoned, record);
+      migrate.reset(poisoned);
     }
     if (fresh_chunk) {
-      populate += static_cast<std::uint32_t>(migrate.size());
+      populate += static_cast<std::uint32_t>(migrate.count());
     }
     const SimTime populate_t0 = start + record.phases.sum();
     record.phases.populate_ns += config_.per_page_populate_ns * populate;
@@ -604,7 +545,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
     // budget runs out the host-backed pages stay home (they re-fault after
     // the replay); zero-filled pages are established regardless.
     bool migrate_ok = true;
-    if (!migrate.empty()) {
+    if (migrate.any()) {
       bool transfer_ready = attempt_with_retries(RetrySite::kTransfer, record);
       if (!transfer_ready && recovery_ && recovery_->enabled() && injector_ &&
           injector_->ce_permanent_failure()) {
@@ -615,20 +556,17 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
       }
       if (transfer_ready) {
         const SimTime copy_t0 = start + record.phases.sum();
-        const auto xfer =
-            multi_gpu()
-                ? copy_.copy_pages_between(migrate, kHostNode,
-                                           gpu_node(block.owner_gpu()))
-                : copy_.copy_pages(migrate, CopyDirection::kHostToDevice);
+        const auto xfer = copy_.copy_pages(migrate, kHostNode,
+                                           gpu_node(block.owner_gpu()));
         record.phases.transfer_ns += xfer.time_ns;
         record.counters.bytes_h2d += xfer.bytes;
         record.counters.pages_migrated +=
-            static_cast<std::uint32_t>(migrate.size());
+            static_cast<std::uint32_t>(migrate.count());
         if (detailed) {
           tracer->span(tracks::kDriver, "copy", copy_t0,
                        start + record.phases.sum(),
                        {{"block", block_id},
-                        {"pages", migrate.size()},
+                        {"pages", migrate.count()},
                         {"dma_ops", xfer.dma_ops},
                         {"bytes", xfer.bytes}});
         }
@@ -655,7 +593,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
                    {{"block", block_id}, {"pages", established}});
     }
 
-    evictor_of(block.owner_gpu()).touch(block_id);
+    gpus_[block.owner_gpu()].evictor.touch(block_id);
     finish_block();
   }
 

@@ -28,6 +28,12 @@
 // batch — its faults re-surface through the µTLB reissue path after the
 // replay, so no work is lost, only deferred. An optional ThrashingDetector
 // replaces eviction ping-pong with pin+remote-map or throttling (§5.1).
+//
+// One path serves every GPU count. Each faulted block is serviced for the
+// GPU whose fault arrived first; its chunk comes from that GPU's memory
+// context (or, under kPeerFirst, a peer's), and a block already owned by
+// a peer is remote-mapped or peer-migrated first. With one GPU the peer
+// branches never fire and every copy runs over the single PCIe link.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +45,8 @@
 #include "gpu/gpu_memory.hpp"
 #include "hostos/dma.hpp"
 #include "interconnect/copy_engine.hpp"
-#include "obs/obs.hpp"
 #include "interconnect/topology.hpp"
+#include "obs/obs.hpp"
 #include "uvm/batch.hpp"
 #include "uvm/driver_config.hpp"
 #include "uvm/eviction.hpp"
@@ -54,9 +60,11 @@ namespace uvmsim {
 
 class FaultServicer {
  public:
-  FaultServicer(const DriverConfig& config, VaSpace& space, GpuMemory& memory,
-                DmaMapper& dma, CopyEngine& copy, Evictor& evictor,
-                std::uint32_t num_sms, FaultInjector* injector = nullptr,
+  /// `gpus` holds one memory context per GPU of `topo`; neither is owned.
+  FaultServicer(const DriverConfig& config, VaSpace& space,
+                const Topology& topo, GpuMemCtxs& gpus, DmaMapper& dma,
+                CopyEngine& copy, std::uint32_t num_sms,
+                FaultInjector* injector = nullptr,
                 ThrashingDetector* thrash = nullptr, Obs obs = {});
 
   /// Service one batch starting at simulated time `start`. Updates all
@@ -75,28 +83,11 @@ class FaultServicer {
     recovery_ = recovery;
   }
 
-  /// Arm multi-GPU servicing: the interconnect topology plus one memory
-  /// context per GPU (index 0 aliases the primary memory/evictor). With
-  /// this unset (the default) every path below is the single-GPU servicer,
-  /// bit-identical to the pre-topology driver.
-  void set_multi_gpu(const Topology* topo, std::vector<GpuMemCtx> ctx) {
-    topo_ = topo;
-    gpu_ctx_ = std::move(ctx);
-  }
-
   std::uint64_t total_evictions() const noexcept { return total_evictions_; }
 
  private:
   /// Retryable hook sites on the fault path.
   enum class RetrySite : std::uint8_t { kTransfer, kDmaMap };
-
-  bool multi_gpu() const noexcept { return !gpu_ctx_.empty(); }
-  GpuMemory& memory_of(std::uint32_t gpu) {
-    return gpu_ctx_.empty() ? memory_ : *gpu_ctx_[gpu].memory;
-  }
-  Evictor& evictor_of(std::uint32_t gpu) {
-    return gpu_ctx_.empty() ? evictor_ : *gpu_ctx_[gpu].evictor;
-  }
 
   /// Peer-owned block faulted by `gpu`: decide remote-map vs. migrate and
   /// apply it. Returns true when the faulted pages were remote-mapped
@@ -115,16 +106,27 @@ class FaultServicer {
 
   /// Make sure `block` has a GPU chunk, evicting victims as needed.
   /// Returns true if the chunk was allocated by this call (fresh chunk:
-  /// population applies to every target page). In multi-GPU runs `gpu`
-  /// is the faulting GPU: the chunk lands there, or — kPeerFirst under
-  /// local pressure with a sparse batch (`target_pages` below the
-  /// migrate threshold) — in the cheapest NVLink peer with room. A dense
-  /// batch always allocates locally: parking bulk data behind remote
-  /// PTEs would tax every subsequent access with a fabric crossing.
+  /// population applies to every target page). `gpu` is the faulting GPU:
+  /// the chunk lands there, or — kPeerFirst under local pressure with a
+  /// sparse batch (`target_pages` below the migrate threshold) — in the
+  /// cheapest NVLink peer with room. A dense batch always allocates
+  /// locally: parking bulk data behind remote PTEs would tax every
+  /// subsequent access with a fabric crossing.
   bool ensure_chunk(std::uint32_t gpu, VaBlockId id, VaBlockState& block,
-                    BatchRecord& record, std::uint32_t target_pages = 0);
+                    BatchRecord& record, std::uint32_t target_pages);
+
+  /// A chunk from `gpu`'s pool, evicting that GPU's victims (never
+  /// `protect`) until one frees up.
+  GpuMemory::ChunkId alloc_chunk(std::uint32_t gpu, VaBlockId protect,
+                                 BatchRecord& record);
 
   void evict_one(std::uint32_t gpu, VaBlockId protect, BatchRecord& record);
+
+  /// Write `block`'s resident pages back from GPU `gpu` to host frames,
+  /// return its chunk to that GPU's pool and drop it from the GPU's
+  /// eviction order. Charged into eviction_ns.
+  void release_to_host(std::uint32_t gpu, VaBlockId id, VaBlockState& block,
+                       BatchRecord& record);
 
   /// kPin mitigation: write any resident pages back, release the chunk,
   /// and mark the block host-pinned; its accesses resolve remotely.
@@ -143,17 +145,15 @@ class FaultServicer {
 
   const DriverConfig& config_;
   VaSpace& space_;
-  GpuMemory& memory_;
+  const Topology& topo_;
+  GpuMemCtxs& gpus_;
   DmaMapper& dma_;
   CopyEngine& copy_;
-  Evictor& evictor_;
   std::uint32_t num_sms_;
   FaultInjector* injector_;          // may be null (no injection)
   ThrashingDetector* thrash_;        // may be null (no detection)
   RecoveryManager* recovery_ = nullptr;  // may be null (no fatal faults)
   Obs obs_;                          // null members = no recording
-  const Topology* topo_ = nullptr;   // not owned; null = single-GPU
-  std::vector<GpuMemCtx> gpu_ctx_;   // empty = single-GPU legacy paths
   std::uint64_t total_evictions_ = 0;
 };
 

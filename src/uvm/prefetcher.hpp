@@ -14,7 +14,7 @@
 #include <cstdint>
 
 #include "common/types.hpp"
-#include "uvm/page_mask.hpp"
+#include "common/page_mask.hpp"
 
 namespace uvmsim {
 

@@ -3,15 +3,26 @@
 namespace uvmsim {
 
 RecoveryManager::RecoveryManager(const DriverConfig& config, VaSpace& space,
-                                 GpuMemory& memory, DmaMapper& dma,
-                                 CopyEngine& copy, Evictor& evictor, Obs obs)
+                                 GpuMemCtxs& gpus, DmaMapper& dma,
+                                 CopyEngine& copy, Obs obs)
     : config_(config),
       space_(space),
-      memory_(memory),
+      gpus_(gpus),
       dma_(dma),
       copy_(copy),
-      evictor_(evictor),
       obs_(obs) {}
+
+GpuMemCtx& RecoveryManager::salvage(VaBlockId id, VaBlockState& block,
+                                    BatchRecord& record) {
+  const std::uint32_t owner = block.owner_gpu();  // evict_to_host resets it
+  const auto xfer =
+      copy_.copy_range(block.gpu_resident_count(), gpu_node(owner), kHostNode);
+  record.phases.recovery_ns += xfer.time_ns;
+  record.counters.bytes_d2h += xfer.bytes;
+  block.evict_to_host();
+  gpus_[owner].evictor.remove(id);
+  return gpus_[owner];
+}
 
 void RecoveryManager::note_pool_use(std::uint32_t pages) {
   retired_pool_used_ += pages;
@@ -38,25 +49,17 @@ void RecoveryManager::fatal_chunk_ecc(VaBlockId id, VaBlockState& block,
   // store going forward, but the driver still copies the resident pages'
   // last-written data home before retiring it (driver-coordinated
   // retirement — no defined contents are orphaned).
-  const std::uint32_t resident = block.gpu_resident_count();
-  if (resident > 0) {
-    const auto xfer = copy_.copy_range(first_page_of(id), resident,
-                                       CopyDirection::kDeviceToHost);
-    record.phases.recovery_ns += xfer.time_ns;
-    c.bytes_d2h += xfer.bytes;
-  }
+  const auto chunk = block.chunk();
+  GpuMemory& memory = salvage(id, block, record).memory;
 
   // Tier 2: blacklist the chunk and retire every page of the block to
   // the host remote-map path. Capacity floor: with one usable chunk left
   // blacklisting would brick the board, so the suspect chunk returns to
   // the pool instead (the pages still leave it — remapped to host).
-  const auto chunk = block.chunk();
-  block.evict_to_host();
-  evictor_.remove(id);
   bool blacklisted = false;
   if (chunk) {
-    if (memory_.total_chunks() > 1) blacklisted = memory_.retire_chunk(*chunk);
-    if (!blacklisted) memory_.free_chunk(*chunk);
+    if (memory.total_chunks() > 1) blacklisted = memory.retire_chunk(*chunk);
+    if (!blacklisted) memory.free_chunk(*chunk);
   }
   const std::uint32_t newly = block.retire_all_pages();
   space_.note_page_retired();
@@ -129,7 +132,6 @@ void RecoveryManager::channel_reset(BatchRecord& record) {
 void RecoveryManager::full_gpu_reset(BatchRecord& record) {
   const SimTime before = record.phases.sum();
   const SimTime t0 = record.start_ns + before;
-  BatchCounters& c = record.counters;
 
   // VA-space teardown: every block loses its GPU residency and chunk.
   // Resident data is salvaged home first (driver-coordinated reset).
@@ -138,21 +140,12 @@ void RecoveryManager::full_gpu_reset(BatchRecord& record) {
   for (VaBlockId id = 0; id < space_.block_count(); ++id) {
     VaBlockState& block = space_.block(id);
     if (!block.has_chunk()) continue;
-    const std::uint32_t resident = block.gpu_resident_count();
-    if (resident > 0) {
-      const auto xfer = copy_.copy_range(first_page_of(id), resident,
-                                         CopyDirection::kDeviceToHost);
-      record.phases.recovery_ns += xfer.time_ns;
-      c.bytes_d2h += xfer.bytes;
-    }
     const auto chunk = block.chunk();
-    block.evict_to_host();
-    if (chunk) memory_.free_chunk(*chunk);
-    evictor_.remove(id);
+    salvage(id, block, record).memory.free_chunk(*chunk);
     ++blocks_torn_down;
   }
   record.phases.recovery_ns += config_.recovery.gpu_reset_ns;
-  ++c.gpu_resets;
+  ++record.counters.gpu_resets;
   ++gpu_resets_;
   // The reset clears the soft pool accounting; the physical blacklist
   // (GpuMemory retired chunks, per-page retired masks) persists.

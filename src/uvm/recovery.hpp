@@ -36,36 +36,41 @@
 // holds through every rung of the ladder. Host-side DMA mappings survive
 // a GPU reset (the radix tree is host state); GPU-side page tables do
 // not, which is what the per-block teardown models.
+//
+// Every chunk goes back to the GPU that owns its block: salvage copies run
+// over that GPU's host link, and the chunk is freed (or blacklisted) in
+// that GPU's pool and dropped from that GPU's eviction order.
 #pragma once
 
 #include <cstdint>
 
 #include "common/types.hpp"
-#include "gpu/gpu_memory.hpp"
 #include "hostos/dma.hpp"
 #include "interconnect/copy_engine.hpp"
 #include "obs/obs.hpp"
 #include "uvm/batch.hpp"
 #include "uvm/driver_config.hpp"
-#include "uvm/eviction.hpp"
+#include "uvm/gpu_ctx.hpp"
 #include "uvm/va_space.hpp"
 
 namespace uvmsim {
 
 class RecoveryManager {
  public:
+  /// `gpus` holds one memory context per GPU; not owned.
   RecoveryManager(const DriverConfig& config, VaSpace& space,
-                  GpuMemory& memory, DmaMapper& dma, CopyEngine& copy,
-                  Evictor& evictor, Obs obs);
+                  GpuMemCtxs& gpus, DmaMapper& dma, CopyEngine& copy,
+                  Obs obs);
 
   bool enabled() const noexcept { return config_.recovery.enabled; }
 
   /// Tiers 1+2: double-bit ECC on the block's resident chunk. Cancels the
   /// block's `faults` pending faults, salvages resident data home,
-  /// blacklists the chunk (capacity permitting — with one usable chunk
-  /// left the suspect chunk is returned to the pool instead, so the board
-  /// keeps serving), retires every page of the block to the host remote-
-  /// map path, and charges it all into `record.phases.recovery_ns`.
+  /// blacklists the chunk in its owner GPU's pool (capacity permitting —
+  /// with one usable chunk left the suspect chunk is returned to the pool
+  /// instead, so the board keeps serving), retires every page of the
+  /// block to the host remote-map path, and charges it all into
+  /// `record.phases.recovery_ns`.
   void fatal_chunk_ecc(VaBlockId id, VaBlockState& block,
                        std::uint32_t faults, BatchRecord& record);
 
@@ -79,12 +84,13 @@ class RecoveryManager {
   /// into recovery_ns; the caller replays the aborted work afterwards.
   void channel_reset(BatchRecord& record);
 
-  /// Tier 4: full GPU reset. Tears down every block's GPU residency
-  /// (salvage writeback, chunks freed, evictor emptied), charges the
-  /// teardown plus RecoveryConfig::gpu_reset_ns, clears the soft retired-
-  /// page pool accounting (the physical blacklist persists), and extends
-  /// `record.end_ns` by the total charged. The caller must also reset the
-  /// GPU engine side (GpuEngine::full_reset) so kernels re-fault.
+  /// Tier 4: full GPU reset. Tears down every block's GPU residency on
+  /// every GPU (salvage writeback, chunks freed, evictors emptied),
+  /// charges the teardown plus RecoveryConfig::gpu_reset_ns, clears the
+  /// soft retired-page pool accounting (the physical blacklist persists),
+  /// and extends `record.end_ns` by the total charged. The caller must
+  /// also reset the GPU engine side (GpuEngine::full_reset) so kernels
+  /// re-fault.
   void full_gpu_reset(BatchRecord& record);
 
   /// Pool-overflow escalation latch: set when retirements exceed
@@ -117,12 +123,16 @@ class RecoveryManager {
            !config_.async_host_ops;
   }
 
+  /// Copy `block`'s resident pages home from its owner GPU, evict it to
+  /// host and drop it from the owner's eviction order. Returns the owner's
+  /// context, whose pool the caller returns the block's chunk to.
+  GpuMemCtx& salvage(VaBlockId id, VaBlockState& block, BatchRecord& record);
+
   const DriverConfig& config_;
   VaSpace& space_;
-  GpuMemory& memory_;
+  GpuMemCtxs& gpus_;
   DmaMapper& dma_;
   CopyEngine& copy_;
-  Evictor& evictor_;
   Obs obs_;
 
   std::uint64_t faults_cancelled_ = 0;

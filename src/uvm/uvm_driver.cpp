@@ -1,52 +1,74 @@
 #include "uvm/uvm_driver.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace uvmsim {
 
+namespace {
+
+/// `config`, unless no run could complete under it. A zero fetch limit
+/// services empty batches forever, and a GPU without one whole chunk
+/// cannot back a single VABlock.
+DriverConfig validated(DriverConfig config, std::uint64_t gpu_memory_bytes) {
+  if (config.batch_size == 0) {
+    throw std::invalid_argument("UvmDriver: batch_size must be at least 1");
+  }
+  if (config.adaptive_batch_size &&
+      (config.adaptive_min_batch == 0 || config.adaptive_max_batch == 0)) {
+    throw std::invalid_argument(
+        "UvmDriver: adaptive batch sizing needs adaptive_min_batch and "
+        "adaptive_max_batch of at least 1");
+  }
+  if (config.multi_gpu.num_gpus == 0) {
+    throw std::invalid_argument("UvmDriver: multi_gpu.num_gpus must be >= 1");
+  }
+  if (gpu_memory_bytes < kVaBlockSize) {
+    throw std::invalid_argument(
+        "UvmDriver: GPU memory of " + std::to_string(gpu_memory_bytes) +
+        " bytes is below one 2 MB chunk");
+  }
+  return config;
+}
+
+GpuMemCtxs make_gpus(const DriverConfig& config,
+                     std::uint64_t gpu_memory_bytes) {
+  const Evictor::Policy policy = config.evict_policy == EvictPolicy::kLru
+                                     ? Evictor::Policy::kLru
+                                     : Evictor::Policy::kFifo;
+  GpuMemCtxs gpus;
+  gpus.reserve(config.multi_gpu.num_gpus);
+  for (std::uint32_t g = 0; g < config.multi_gpu.num_gpus; ++g) {
+    gpus.emplace_back(gpu_memory_bytes, policy);
+  }
+  return gpus;
+}
+
+}  // namespace
+
 UvmDriver::UvmDriver(DriverConfig config, std::uint64_t gpu_memory_bytes,
                      std::uint32_t num_sms, PcieConfig pcie,
                      FaultInjector* injector, Obs obs)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config), gpu_memory_bytes)),
       obs_(obs),
-      memory_(gpu_memory_bytes),
       pcie_(pcie),
       topo_(TopologyConfig{config_.multi_gpu.topology,
                            config_.multi_gpu.num_gpus,
                            config_.multi_gpu.nvlink},
             pcie),
-      copy_(pcie_),
+      gpus_(make_gpus(config_, gpu_memory_bytes)),
+      copy_(topo_),
       dma_(config_.dma),
-      evictor_(config_.evict_policy == EvictPolicy::kLru ? Evictor::Policy::kLru
-                                                         : Evictor::Policy::kFifo),
       thrash_(config_.thrash),
-      recovery_(config_, space_, memory_, dma_, copy_, evictor_, obs),
-      servicer_(config_, space_, memory_, dma_, copy_, evictor_, num_sms,
-                injector, &thrash_, obs),
-      counter_servicer_(config_, space_, memory_, copy_, evictor_, &thrash_,
-                        obs),
+      recovery_(config_, space_, gpus_, dma_, copy_, obs),
+      servicer_(config_, space_, topo_, gpus_, dma_, copy_, num_sms, injector,
+                &thrash_, obs),
+      counter_servicer_(config_, space_, topo_, gpus_, copy_, &thrash_, obs),
       effective_batch_size_(config_.batch_size) {
   copy_.set_obs(obs_);
   dma_.set_obs(obs_);
   servicer_.set_recovery(&recovery_);
-  if (config_.multi_gpu.active()) {
-    // Multi-GPU: route every transfer through the topology graph and give
-    // each peer GPU its own HBM pool + eviction state. GPU 0 aliases the
-    // primary memory_/evictor_ so all existing accessors stay truthful.
-    copy_.set_topology(&topo_);
-    const Evictor::Policy policy = config_.evict_policy == EvictPolicy::kLru
-                                       ? Evictor::Policy::kLru
-                                       : Evictor::Policy::kFifo;
-    gpu_ctx_.push_back(GpuMemCtx{&memory_, &evictor_});
-    for (std::uint32_t g = 1; g < config_.multi_gpu.num_gpus; ++g) {
-      peer_ctx_.push_back(std::make_unique<PeerCtx>(gpu_memory_bytes, policy));
-      gpu_ctx_.push_back(
-          GpuMemCtx{&peer_ctx_.back()->memory, &peer_ctx_.back()->evictor});
-    }
-    servicer_.set_multi_gpu(&topo_, gpu_ctx_);
-    counter_servicer_.set_multi_gpu(&topo_, gpu_ctx_);
-  }
 }
 
 const AllocationInfo& UvmDriver::managed_alloc(std::uint64_t bytes,

@@ -4,10 +4,14 @@
 // Exposes the operations the simulator's driver worker performs — fetch a
 // batch from the fault buffer, service it, replay — plus the managed-
 // allocation API user code calls before launching kernels.
+//
+// One driver serves DriverConfig::multi_gpu.num_gpus GPUs (one by
+// default) through a single code path: it owns one memory context per
+// GPU and the interconnect topology between them, and a single-GPU node
+// is simply the one-context, one-link case.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,7 +27,6 @@
 #include "uvm/batch.hpp"
 #include "uvm/counter_servicer.hpp"
 #include "uvm/driver_config.hpp"
-#include "uvm/eviction.hpp"
 #include "uvm/fault_servicer.hpp"
 #include "uvm/gpu_ctx.hpp"
 #include "uvm/recovery.hpp"
@@ -33,12 +36,17 @@ namespace uvmsim {
 
 class UvmDriver final : public ResidencyOracle {
  public:
-  /// `injector` (optional) is the cross-layer fault-injection schedule
-  /// shared with the GPU engine and the System loop; the driver consults
-  /// it for transient copy/DMA errors on the fault path. `obs` (optional)
-  /// carries the System's tracing/metrics sinks; it is forwarded to the
-  /// servicer, copy engine, and DMA mapper, and the driver itself mirrors
-  /// every BatchRecord into the registry after each batch.
+  /// `gpu_memory_bytes` is each GPU's HBM. `injector` (optional) is the
+  /// cross-layer fault-injection schedule shared with the GPU engine and
+  /// the System loop; the driver consults it for transient copy/DMA errors
+  /// on the fault path. `obs` (optional) carries the System's
+  /// tracing/metrics sinks; it is forwarded to the servicer, copy engine,
+  /// and DMA mapper, and the driver itself mirrors every BatchRecord into
+  /// the registry after each batch.
+  ///
+  /// Throws std::invalid_argument for a config no run can complete: a
+  /// zero batch size (or a zero adaptive-sizing bound), zero GPUs, or less
+  /// GPU memory than one 2 MB chunk.
   UvmDriver(DriverConfig config, std::uint64_t gpu_memory_bytes,
             std::uint32_t num_sms, PcieConfig pcie = {},
             FaultInjector* injector = nullptr, Obs obs = {});
@@ -99,11 +107,10 @@ class UvmDriver final : public ResidencyOracle {
     return space_.all_gpu_resident(base, bits, words);
   }
 
-  /// Per-GPU page-table view for multi-GPU runs: a resident page is local
-  /// only to the owner GPU; peers that hold a remote NVLink mapping into
-  /// the owner's HBM resolve it remotely; everyone else faults. The
-  /// non-resident tail matches classify(). GPU 0 with num_gpus = 1 is
-  /// exactly classify().
+  /// Per-GPU page-table view: a resident page is local only to the owner
+  /// GPU; peers that hold a remote NVLink mapping into the owner's HBM
+  /// resolve it remotely; everyone else faults. The non-resident tail
+  /// matches classify(). GPU 0 with num_gpus = 1 is exactly classify().
   PageLocation classify_for(std::uint32_t gpu, PageId page) const {
     if (space_.is_gpu_resident(page)) {
       const VaBlockState& b = space_.block(va_block_of(page));
@@ -124,20 +131,14 @@ class UvmDriver final : public ResidencyOracle {
   const DriverConfig& config() const noexcept { return config_; }
   VaSpace& va_space() noexcept { return space_; }
   const VaSpace& va_space() const noexcept { return space_; }
-  GpuMemory& gpu_memory() noexcept { return memory_; }
-  const GpuMemory& gpu_memory() const noexcept { return memory_; }
+  /// GPU `gpu`'s HBM chunk pool.
+  const GpuMemory& gpu_memory(std::uint32_t gpu = 0) const {
+    return gpus_.at(gpu).memory;
+  }
   const Topology& topology() const noexcept { return topo_; }
-  Topology& topology() noexcept { return topo_; }
-  std::uint32_t num_gpus() const noexcept {
-    return config_.multi_gpu.num_gpus;
-  }
-  const GpuMemory& gpu_memory_of(std::uint32_t gpu) const {
-    return gpu_ctx_.empty() ? memory_ : *gpu_ctx_.at(gpu).memory;
-  }
   const DmaMapper& dma() const noexcept { return dma_; }
   PcieLink& pcie() noexcept { return pcie_; }
   const CopyEngine& copy_engine() const noexcept { return copy_; }
-  const Evictor& evictor() const noexcept { return evictor_; }
   const ThrashingDetector& thrashing() const noexcept { return thrash_; }
   const RecoveryManager& recovery() const noexcept { return recovery_; }
 
@@ -197,31 +198,19 @@ class UvmDriver final : public ResidencyOracle {
   /// and per-batch shape distributions as histograms.
   void record_batch_metrics(const BatchRecord& record);
 
-  /// One peer GPU's memory context (GPUs 1..N-1; GPU 0 uses the primary
-  /// memory_/evictor_ so single-GPU state is untouched by the feature).
-  struct PeerCtx {
-    PeerCtx(std::uint64_t bytes, Evictor::Policy policy)
-        : memory(bytes), evictor(policy) {}
-    GpuMemory memory;
-    Evictor evictor;
-  };
-
   DriverConfig config_;
   Obs obs_;
   VaSpace space_;
-  GpuMemory memory_;
   PcieLink pcie_;
   Topology topo_;
+  GpuMemCtxs gpus_;  // one per GPU; sized once, never resized
   CopyEngine copy_;
   DmaMapper dma_;
-  Evictor evictor_;
   ThrashingDetector thrash_;
   RecoveryManager recovery_;
   FaultServicer servicer_;
   CounterServicer counter_servicer_;
   AccessCounterUnit* counters_ = nullptr;  // not owned; null = disabled
-  std::vector<std::unique_ptr<PeerCtx>> peer_ctx_;  // GPUs 1..N-1
-  std::vector<GpuMemCtx> gpu_ctx_;  // empty = single-GPU (the default)
   BatchLog log_;
   SimTime total_batch_ns_ = 0;
   SimTime async_ns_ = 0;

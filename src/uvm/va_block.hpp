@@ -19,7 +19,7 @@
 #include "common/types.hpp"
 #include "gpu/gpu_memory.hpp"
 #include "hostos/unmap.hpp"
-#include "uvm/page_mask.hpp"
+#include "common/page_mask.hpp"
 
 namespace uvmsim {
 
@@ -104,8 +104,8 @@ class VaBlockState {
   // -- Multi-GPU placement ---------------------------------------------------
   // Which GPU's HBM holds the block's chunk (chunk ids are scoped to the
   // owner's GpuMemory), and which other GPUs hold remote page-table
-  // mappings into it over the fabric. Single-GPU runs never touch these:
-  // owner stays 0 and the peer mask stays empty.
+  // mappings into it over the fabric. With one GPU, owner and last GPU
+  // stay 0 and the peer mask stays empty.
   std::uint32_t owner_gpu() const noexcept { return owner_gpu_; }
   void set_owner_gpu(std::uint32_t gpu) noexcept { owner_gpu_ = gpu; }
   bool peer_mapped(std::uint32_t gpu) const noexcept {

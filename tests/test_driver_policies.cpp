@@ -1,6 +1,11 @@
 // Ablations over the driver's policy knobs (DESIGN.md §6).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
+#include "core/multi_client.hpp"
+#include "core/multi_gpu.hpp"
 #include "core/system.hpp"
 
 namespace uvmsim {
@@ -156,6 +161,48 @@ TEST(RecordingToggles, DetailVectorsCanBeDisabled) {
     EXPECT_TRUE(rec.first_touch_blocks.empty());
     EXPECT_TRUE(rec.evicted_blocks.empty());
   }
+}
+
+// Configs no run can complete are rejected when the driver is built, not
+// discovered as a livelock (a zero fetch limit services empty batches
+// forever) or an abort (no chunk to back the first fault).
+TEST(ConfigValidation, DriverRejectsConfigsNoRunCanComplete) {
+  const auto build = [](DriverConfig cfg, std::uint64_t gpu_bytes) {
+    UvmDriver driver(std::move(cfg), gpu_bytes, 80);
+  };
+  const std::uint64_t bytes = 64 * kVaBlockSize;
+  EXPECT_NO_THROW(build(DriverConfig{}, bytes));
+  EXPECT_NO_THROW(build(DriverConfig{}, kVaBlockSize));  // one chunk is enough
+
+  DriverConfig zero_batch;
+  zero_batch.batch_size = 0;
+  EXPECT_THROW(build(zero_batch, bytes), std::invalid_argument);
+
+  DriverConfig adaptive;
+  adaptive.adaptive_batch_size = true;
+  adaptive.adaptive_min_batch = 0;
+  EXPECT_THROW(build(adaptive, bytes), std::invalid_argument);
+  adaptive.adaptive_min_batch = 1;
+  adaptive.adaptive_max_batch = 0;
+  EXPECT_THROW(build(adaptive, bytes), std::invalid_argument);
+  adaptive.adaptive_batch_size = false;  // the bounds are inert when off
+  EXPECT_NO_THROW(build(adaptive, bytes));
+
+  DriverConfig no_gpus;
+  no_gpus.multi_gpu.num_gpus = 0;
+  EXPECT_THROW(build(no_gpus, bytes), std::invalid_argument);
+
+  EXPECT_THROW(build(DriverConfig{}, 0), std::invalid_argument);
+  EXPECT_THROW(build(DriverConfig{}, kVaBlockSize - 1), std::invalid_argument);
+}
+
+TEST(ConfigValidation, EveryNodeShapeSurfacesTheRejection) {
+  SystemConfig cfg = base_config();
+  cfg.gpu.memory_bytes = 1 << 20;  // half a chunk
+  EXPECT_THROW(System{cfg}, std::invalid_argument);
+  EXPECT_THROW(MultiClientSystem(cfg, 4), std::invalid_argument);
+  cfg.driver.multi_gpu.num_gpus = 2;
+  EXPECT_THROW(MultiGpuSystem{cfg}, std::invalid_argument);
 }
 
 }  // namespace

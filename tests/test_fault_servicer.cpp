@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "interconnect/pcie.hpp"
+#include "interconnect/topology.hpp"
 
 namespace uvmsim {
 namespace {
@@ -17,17 +17,19 @@ FaultRecord fault(PageId page, AccessType type = AccessType::kRead,
   return f;
 }
 
-/// Test rig bundling the servicer with all its collaborators.
+/// Test rig bundling the servicer with all its collaborators: one GPU on
+/// one PCIe link.
 struct Rig {
   explicit Rig(DriverConfig cfg = plain_config(),
                std::uint64_t gpu_bytes = 64 * kVaBlockSize,
                FaultInjector* injector = nullptr)
       : config(cfg),
-        memory(gpu_bytes),
-        link(PcieConfig{}),
-        copy(link),
+        topo(TopologyConfig{}, PcieConfig{}),
+        gpus{GpuMemCtx(gpu_bytes, Evictor::Policy::kLru)},
+        memory(gpus[0].memory),
+        copy(topo),
         dma(cfg.dma),
-        servicer(config, space, memory, dma, copy, evictor, /*num_sms=*/80,
+        servicer(config, space, topo, gpus, dma, copy, /*num_sms=*/80,
                  injector) {}
 
   static DriverConfig plain_config() {
@@ -44,11 +46,11 @@ struct Rig {
 
   DriverConfig config;
   VaSpace space;
-  GpuMemory memory;
-  PcieLink link;
+  Topology topo;
+  GpuMemCtxs gpus;
+  GpuMemory& memory;
   CopyEngine copy;
   DmaMapper dma;
-  Evictor evictor;
   FaultServicer servicer;
   std::uint32_t next_id = 0;
 };

@@ -46,12 +46,17 @@ void check_run_invariants(const System& system, const SystemConfig& cfg,
   // Every touched page is resident-or-evicted: a page with defined
   // contents (populated) must live somewhere — in the GPU chunk or in a
   // host frame (eviction writes back; CPU init provides the original).
+  // A retired page (recovery tier 2) is banned from GPU residency for
+  // good: no servicing path may map it back.
   for (VaBlockId b = 0; b < space.block_count(); ++b) {
     const auto& block = space.block(b);
     const auto orphaned =
         block.populated() & ~(block.gpu_resident() | block.host_data());
     ASSERT_TRUE(orphaned.none())
         << "block " << b << " lost " << orphaned.count() << " pages";
+    const auto remapped = block.retired() & block.gpu_resident();
+    ASSERT_TRUE(remapped.none()) << "block " << b << " maps "
+                                 << remapped.count() << " retired pages";
   }
 }
 
@@ -204,6 +209,27 @@ TEST(Invariants, CounterAssistedRunsConserveAndBalanceAcrossSeeds) {
     EXPECT_GE(result.counter_notifications,
               result.counter_notifications_serviced)
         << "seed " << seed;
+  }
+}
+
+TEST(Invariants, CounterPromotionNeverRemapsRetiredPages) {
+  // Poisoned pages retire to their host frames and resolve remotely from
+  // then on, so their accesses feed the access counters. Promoting a hot
+  // region must skip them, as the fault path does.
+  for (const std::uint64_t seed : {2u, 3u, 5u, 6u, 7u}) {
+    SystemConfig cfg = small_config(8);
+    cfg.driver.prefetch_enabled = false;
+    cfg.driver.inject.enabled = true;
+    cfg.driver.inject.poison_prob = 0.2;
+    cfg.driver.recovery.enabled = true;
+    cfg.driver.access_counters.enabled = true;
+    cfg.driver.access_counters.granularity_pages = 16;
+    cfg.driver.access_counters.threshold = 4;
+    System system(cfg);
+    const auto result = system.run(make_random(16ULL << 20, seed));
+    ASSERT_GT(result.pages_retired, 0u) << "seed " << seed;
+    ASSERT_GT(result.counter_pages_promoted, 0u) << "seed " << seed;
+    check_run_invariants(system, cfg, result);
   }
 }
 

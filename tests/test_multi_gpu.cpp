@@ -37,9 +37,8 @@ std::string serialized_log(const BatchLog& log) {
 }
 
 // With one GPU the multi-GPU system must be the multi-client system with
-// one client: same arbitration loop, same decorrelated seed, and the
-// driver in legacy single-GPU mode — the batch logs serialize
-// byte-identically.
+// one client: same arbitration loop, same decorrelated seed, and the same
+// one-GPU driver — the batch logs serialize byte-identically.
 TEST(MultiGpu, SingleGpuMatchesSingleClientByteExact) {
   const auto wl = make_peer_share(small_workload(1));
   WorkloadSpec spec;
@@ -156,7 +155,7 @@ TEST(MultiGpu, PerGpuCapacityHolds) {
     const auto result = system.run(make_peer_share(params));
     EXPECT_GT(result.aggregate.evictions, 0u);
     for (std::uint32_t g = 0; g < system.num_gpus(); ++g) {
-      const GpuMemory& mem = system.driver().gpu_memory_of(g);
+      const GpuMemory& mem = system.driver().gpu_memory(g);
       EXPECT_LE(mem.chunks_in_use(), mem.total_chunks());
     }
   }
@@ -208,8 +207,8 @@ TEST_F(TwoGpuDriver, PeerFirstBorrowsAPeerChunkForASparseFault) {
   EXPECT_EQ(rec.counters.peer_maps, 1u);
   EXPECT_EQ(rec.counters.evictions, 0u);
   EXPECT_EQ(rec.counters.pages_migrated, 1u);
-  EXPECT_EQ(driver.gpu_memory_of(0).chunks_in_use(), 1u);
-  EXPECT_EQ(driver.gpu_memory_of(1).chunks_in_use(), 1u);
+  EXPECT_EQ(driver.gpu_memory(0).chunks_in_use(), 1u);
+  EXPECT_EQ(driver.gpu_memory(1).chunks_in_use(), 1u);
   EXPECT_EQ(driver.va_space().block(1).owner_gpu(), 1u);
   EXPECT_EQ(driver.classify_for(0, kBorrowedPage), Loc::kRemoteMapped);
   EXPECT_EQ(driver.classify_for(1, kBorrowedPage), Loc::kGpuResident);
@@ -234,11 +233,53 @@ TEST_F(TwoGpuDriver, CounterPromotionMovesAPeerMappedBlockToItsAccessor) {
   const VaBlockState& block = driver.va_space().block(1);
   EXPECT_EQ(block.owner_gpu(), 0u);
   EXPECT_EQ(block.peer_map_mask(), 0u);
-  EXPECT_EQ(driver.gpu_memory_of(0).chunks_in_use(), 1u);
-  EXPECT_EQ(driver.gpu_memory_of(1).chunks_in_use(), 0u);
+  EXPECT_EQ(driver.gpu_memory(0).chunks_in_use(), 1u);
+  EXPECT_EQ(driver.gpu_memory(1).chunks_in_use(), 0u);
   EXPECT_EQ(driver.classify_for(0, kBorrowedPage), Loc::kGpuResident);
   EXPECT_EQ(driver.classify_for(1, kBorrowedPage), Loc::kFaultRequired);
   EXPECT_EQ(driver.classify_for(0, 0), Loc::kFaultRequired);
+}
+
+// A full GPU reset tears down every block on every GPU: each chunk goes
+// back to the pool of the GPU that owns its block, and each salvage copy
+// runs over that GPU's host link.
+TEST_F(TwoGpuDriver, GpuResetReturnsEachChunkToItsOwner) {
+  driver.managed_alloc(2 * kVaBlockSize, "buf", HostInit::single());
+  driver.handle_batch({fault(1, 0)}, 0);                  // block 0 on GPU 1
+  driver.handle_batch({fault(0, kBorrowedPage)}, 1'000'000);  // block 1 on 0
+  ASSERT_EQ(driver.va_space().block(0).owner_gpu(), 1u);
+  ASSERT_EQ(driver.va_space().block(1).owner_gpu(), 0u);
+
+  const auto pcie_bytes = [&](std::uint32_t gpu) {
+    const Topology& topo = driver.topology();
+    for (std::size_t i = 0; i < topo.num_links(); ++i) {
+      if (topo.link(i).name == "pcie:host-gpu" + std::to_string(gpu)) {
+        return topo.stats(i).bytes;
+      }
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t before0 = pcie_bytes(0);
+  const std::uint64_t before1 = pcie_bytes(1);
+
+  const BatchRecord& rec = driver.service_gpu_reset(2'000'000);
+  EXPECT_EQ(rec.counters.gpu_resets, 1u);
+  EXPECT_EQ(rec.counters.bytes_d2h, 2 * kPageSize);
+  for (std::uint32_t g = 0; g < 2; ++g) {
+    EXPECT_EQ(driver.gpu_memory(g).chunks_in_use(), 0u) << "gpu " << g;
+  }
+  EXPECT_FALSE(driver.va_space().block(0).has_chunk());
+  EXPECT_FALSE(driver.va_space().block(1).has_chunk());
+  EXPECT_EQ(pcie_bytes(0) - before0, kPageSize);
+  EXPECT_EQ(pcie_bytes(1) - before1, kPageSize);
+
+  // Both GPUs can place a block again afterwards.
+  driver.handle_batch({fault(1, kBorrowedPage)}, 3'000'000);
+  driver.handle_batch({fault(0, 0)}, 4'000'000);
+  EXPECT_EQ(driver.va_space().block(1).owner_gpu(), 1u);
+  EXPECT_EQ(driver.va_space().block(0).owner_gpu(), 0u);
+  EXPECT_EQ(driver.gpu_memory(0).chunks_in_use(), 1u);
+  EXPECT_EQ(driver.gpu_memory(1).chunks_in_use(), 1u);
 }
 
 // 20-seed repeat fuzz: for every (gpus, topology), two fresh systems run

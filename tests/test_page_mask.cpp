@@ -1,7 +1,9 @@
-#include "uvm/page_mask.hpp"
+#include "common/page_mask.hpp"
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
 #include <vector>
 
 namespace uvmsim {
@@ -13,6 +15,30 @@ std::vector<std::uint32_t> set_pages(const PageMask& m) {
   std::vector<std::uint32_t> pages;
   m.for_each_set([&](std::uint32_t p) { pages.push_back(p); });
   return pages;
+}
+
+using Runs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+Runs runs_of(const PageMask& m) {
+  Runs runs;
+  m.for_each_run([&](std::uint32_t first, std::uint32_t count) {
+    runs.emplace_back(first, count);
+  });
+  return runs;
+}
+
+/// Per-page reference for for_each_run: extend a run while pages stay set.
+Runs reference_runs(const PageMask& m) {
+  Runs runs;
+  for (std::uint32_t p = 0; p < kPagesPerVaBlock; ++p) {
+    if (!m[p]) continue;
+    if (!runs.empty() && runs.back().first + runs.back().second == p) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(p, 1);
+    }
+  }
+  return runs;
 }
 
 TEST(PageMask, EmptyByDefault) {
@@ -81,6 +107,43 @@ TEST(PageMask, SetAndResetAll) {
   EXPECT_EQ(set_pages(m).size(), kPagesPerVaBlock);
   m.reset();
   EXPECT_TRUE(m.none());
+}
+
+TEST(PageMask, RunsSpanWordBoundaries) {
+  EXPECT_TRUE(runs_of(PageMask{}).empty());
+  EXPECT_EQ(runs_of(PageMask{}.set()), (Runs{{0, kPagesPerVaBlock}}));
+
+  PageMask m;
+  for (std::uint32_t p = 60; p < 130; ++p) m.set(p);  // words 0, 1 and 2
+  m.set(200).set(511);
+  EXPECT_EQ(runs_of(m), (Runs{{60, 70}, {200, 1}, {511, 1}}));
+
+  PageMask edges;
+  for (const std::uint32_t page : kEdges) edges.set(page);
+  EXPECT_EQ(runs_of(edges), (Runs{{0, 1}, {63, 2}, {511, 1}}));
+  EXPECT_EQ(runs_of(~edges), (Runs{{1, 62}, {65, 446}}));
+}
+
+TEST(PageMask, RunsMatchPerPageReferenceOnRandomMasks) {
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    // Vary the density so masks range from sparse singletons to long runs.
+    const std::uint32_t density = static_cast<std::uint32_t>(rng() % 100);
+    PageMask m;
+    for (std::uint32_t p = 0; p < kPagesPerVaBlock; ++p) {
+      if (rng() % 100 < density) m.set(p);
+    }
+    ASSERT_EQ(runs_of(m), reference_runs(m)) << "density " << density;
+  }
+}
+
+TEST(PageMask, FirstSetFindsTheLowestPage) {
+  EXPECT_EQ(PageMask{}.first_set(), kPagesPerVaBlock);
+  for (const std::uint32_t page : kEdges) {
+    PageMask m;
+    m.set(page).set(511);
+    EXPECT_EQ(m.first_set(), page);
+  }
 }
 
 TEST(PageMask, BigPageViewRoundTrips) {

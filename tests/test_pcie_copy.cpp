@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
+#include "common/page_mask.hpp"
 #include "interconnect/copy_engine.hpp"
 #include "interconnect/pcie.hpp"
+#include "interconnect/topology.hpp"
 
 namespace uvmsim {
 namespace {
@@ -23,75 +27,78 @@ TEST(PcieLink, InterruptLatencyFromConfig) {
   EXPECT_EQ(link.interrupt_latency(), 777u);
 }
 
+/// The copy engine of a one-GPU node: one PCIe link, host <-> GPU 0.
+struct SingleGpu {
+  Topology topo{TopologyConfig{}, PcieConfig{}};
+  CopyEngine copy{topo};
+
+  const LinkStats& link() const { return topo.stats(0); }
+};
+
+PageMask mask_of(std::initializer_list<std::uint32_t> pages) {
+  PageMask m;
+  for (const std::uint32_t p : pages) m.set(p);
+  return m;
+}
+
 TEST(CopyEngine, ContiguousPagesCoalesceToOneOp) {
-  PcieLink link;
-  CopyEngine copy(link);
-  const auto r = copy.copy_pages({5, 6, 7, 8}, CopyDirection::kHostToDevice);
+  SingleGpu node;
+  const auto r =
+      node.copy.copy_pages(mask_of({5, 6, 7, 8}), kHostNode, gpu_node(0));
   EXPECT_EQ(r.dma_ops, 1u);
   EXPECT_EQ(r.bytes, 4 * kPageSize);
-  EXPECT_EQ(copy.bytes_to_device(), 4 * kPageSize);
+  EXPECT_EQ(node.copy.bytes_to_device(), 4 * kPageSize);
 }
 
 TEST(CopyEngine, GapsSplitRuns) {
-  PcieLink link;
-  CopyEngine copy(link);
-  const auto r =
-      copy.copy_pages({1, 2, 10, 11, 12, 50}, CopyDirection::kHostToDevice);
+  SingleGpu node;
+  const auto r = node.copy.copy_pages(mask_of({1, 2, 10, 11, 12, 50}),
+                                      kHostNode, gpu_node(0));
   EXPECT_EQ(r.dma_ops, 3u);
   EXPECT_EQ(r.bytes, 6 * kPageSize);
-}
-
-TEST(CopyEngine, UnsortedAndDuplicatePagesHandled) {
-  PcieLink link;
-  CopyEngine copy(link);
-  const auto r =
-      copy.copy_pages({3, 1, 2, 2, 3}, CopyDirection::kHostToDevice);
-  EXPECT_EQ(r.dma_ops, 1u);
-  EXPECT_EQ(r.bytes, 3 * kPageSize);
 }
 
 TEST(CopyEngine, ScatteredCostsMoreThanDense) {
   // Same byte count, different layouts: coalescing must make the dense
   // copy cheaper (this is why access pattern shapes Fig 6's variance).
-  PcieLink link;
-  CopyEngine copy(link);
-  std::vector<PageId> dense, sparse;
-  for (PageId p = 0; p < 64; ++p) {
-    dense.push_back(p);
-    sparse.push_back(p * 2);
+  SingleGpu node;
+  PageMask dense, sparse;
+  for (std::uint32_t p = 0; p < 64; ++p) {
+    dense.set(p);
+    sparse.set(p * 2);
   }
-  const auto d = copy.copy_pages(dense, CopyDirection::kHostToDevice);
-  const auto s = copy.copy_pages(sparse, CopyDirection::kHostToDevice);
+  const auto d = node.copy.copy_pages(dense, kHostNode, gpu_node(0));
+  const auto s = node.copy.copy_pages(sparse, kHostNode, gpu_node(0));
   EXPECT_LT(d.time_ns, s.time_ns);
   EXPECT_EQ(d.bytes, s.bytes);
 }
 
 TEST(CopyEngine, DirectionsAccountedSeparately) {
-  PcieLink link;
-  CopyEngine copy(link);
-  copy.copy_pages({0}, CopyDirection::kHostToDevice);
-  copy.copy_pages({1, 2}, CopyDirection::kDeviceToHost);
-  EXPECT_EQ(copy.bytes_to_device(), kPageSize);
-  EXPECT_EQ(copy.bytes_to_host(), 2 * kPageSize);
-  EXPECT_EQ(link.total_bytes_moved(), 3 * kPageSize);
-  EXPECT_EQ(link.total_ops(), 2u);
+  SingleGpu node;
+  node.copy.copy_pages(mask_of({0}), kHostNode, gpu_node(0));
+  node.copy.copy_pages(mask_of({1, 2}), gpu_node(0), kHostNode);
+  EXPECT_EQ(node.copy.bytes_to_device(), kPageSize);
+  EXPECT_EQ(node.copy.bytes_to_host(), 2 * kPageSize);
+  EXPECT_EQ(node.copy.bytes_peer(), 0u);
+  EXPECT_EQ(node.link().bytes, 3 * kPageSize);
+  EXPECT_EQ(node.link().ops, 2u);
 }
 
 TEST(CopyEngine, CopyRangeSingleOp) {
-  PcieLink link;
-  CopyEngine copy(link);
-  const auto r = copy.copy_range(100, 512, CopyDirection::kDeviceToHost);
+  SingleGpu node;
+  const auto r = node.copy.copy_range(512, gpu_node(0), kHostNode);
   EXPECT_EQ(r.dma_ops, 1u);
   EXPECT_EQ(r.bytes, kVaBlockSize);
-  EXPECT_EQ(copy.bytes_to_host(), kVaBlockSize);
+  EXPECT_EQ(node.copy.bytes_to_host(), kVaBlockSize);
 }
 
 TEST(CopyEngine, EmptyInputsAreFree) {
-  PcieLink link;
-  CopyEngine copy(link);
-  EXPECT_EQ(copy.copy_pages({}, CopyDirection::kHostToDevice).time_ns, 0u);
-  EXPECT_EQ(copy.copy_range(0, 0, CopyDirection::kHostToDevice).time_ns, 0u);
-  EXPECT_EQ(link.total_ops(), 0u);
+  SingleGpu node;
+  EXPECT_EQ(node.copy.copy_pages(PageMask{}, kHostNode, gpu_node(0)).time_ns,
+            0u);
+  EXPECT_EQ(node.copy.copy_range(0, kHostNode, gpu_node(0)).time_ns, 0u);
+  EXPECT_EQ(node.link().ops, 0u);
+  EXPECT_EQ(node.copy.bytes_to_device(), 0u);
 }
 
 }  // namespace

@@ -162,32 +162,38 @@ TEST(Topology, ReserveOverlapsIndependentLinksAndSerializesSharedOnes) {
   EXPECT_EQ(c.finish - c.start, a.finish - a.start);
 }
 
-TEST(CopyEngine, BetweenFormsMatchLegacyOnSingleGpuPcie) {
+TEST(CopyEngine, SingleGpuPcieMatchesPcieLinkTransferTime) {
+  // A one-GPU node's copies cost exactly what PcieLink charges: one
+  // transfer_time per DMA op, i.e. per range or per run of a page mask.
   const PcieConfig pcie;
-  PcieLink link(pcie);
-  CopyEngine legacy(link);
-  const auto want =
-      legacy.copy_range(0, 64, CopyDirection::kHostToDevice);
-
-  PcieLink link2(pcie);
-  CopyEngine engine(link2);
+  const PcieLink link(pcie);
   Topology topo(make_config(TopologyKind::kPcieOnly, 1), pcie);
-  engine.set_topology(&topo);
-  const auto got = engine.copy_range_between(0, 64, kHostNode, gpu_node(0));
-  EXPECT_EQ(got.time_ns, want.time_ns);
-  EXPECT_EQ(got.bytes, want.bytes);
-  EXPECT_EQ(got.dma_ops, want.dma_ops);
-  EXPECT_EQ(engine.bytes_to_device(), want.bytes);
+  CopyEngine engine(topo);
+
+  const auto range = engine.copy_range(64, kHostNode, gpu_node(0));
+  EXPECT_EQ(range.time_ns, link.transfer_time(64 * kPageSize));
+  EXPECT_EQ(range.bytes, 64 * kPageSize);
+  EXPECT_EQ(range.dma_ops, 1u);
+
+  PageMask pages;  // runs of 10 pages across a word boundary, and 3 pages
+  for (std::uint32_t p = 60; p < 70; ++p) pages.set(p);
+  pages.set(500).set(501).set(502);
+  const auto runs = engine.copy_pages(pages, gpu_node(0), kHostNode);
+  EXPECT_EQ(runs.time_ns, link.transfer_time(10 * kPageSize) +
+                              link.transfer_time(3 * kPageSize));
+  EXPECT_EQ(runs.bytes, 13 * kPageSize);
+  EXPECT_EQ(runs.dma_ops, 2u);
+
+  EXPECT_EQ(engine.bytes_to_device(), 64 * kPageSize);
+  EXPECT_EQ(engine.bytes_to_host(), 13 * kPageSize);
   EXPECT_EQ(engine.bytes_peer(), 0u);
 }
 
 TEST(CopyEngine, PeerCopyAccountsPeerBytesNotHostBytes) {
   const PcieConfig pcie;
-  PcieLink link(pcie);
-  CopyEngine engine(link);
   Topology topo(make_config(TopologyKind::kNvlinkAll, 2), pcie);
-  engine.set_topology(&topo);
-  const auto got = engine.copy_range_between(0, 8, gpu_node(0), gpu_node(1));
+  CopyEngine engine(topo);
+  const auto got = engine.copy_range(8, gpu_node(0), gpu_node(1));
   EXPECT_EQ(got.bytes, 8u * kPageSize);
   EXPECT_EQ(engine.bytes_peer(), 8u * kPageSize);
   EXPECT_EQ(engine.bytes_to_device(), 0u);

@@ -1085,6 +1085,10 @@ int main(int argc, char** argv) {
   } catch (const UsageError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
+  } catch (const std::invalid_argument& e) {
+    // A config the library rejects at construction, before any run.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
   return 1;
