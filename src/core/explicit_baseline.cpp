@@ -34,18 +34,14 @@ ExplicitResult run_explicit(const WorkloadSpec& spec,
   // Kernel compute: all data resident, so only arithmetic and HBM access
   // time remain. Groups across warps overlap; charge the average serial
   // share per concurrently-active warp, as System does for resident work.
-  std::uint64_t warps = 0;
+  const KernelDesc& kernel = spec.kernel;
+  const std::uint64_t warps = kernel.num_warps();
   SimTime compute = 0;
-  for (const auto& block : spec.kernel.blocks) {
-    warps += block.warps.size();
-    for (const auto& warp : block.warps) {
-      for (const auto& group : warp.groups) {
-        compute += group.compute_ns +
-                   config.gpu.resident_access_ns * group.accesses.size();
-        result.total_accesses += group.accesses.size();
-      }
-    }
+  for (std::uint32_t g = 0; g < kernel.num_groups(); ++g) {
+    compute += kernel.compute_ns(g) + config.gpu.resident_access_ns *
+                                          kernel.accesses_of(g).size();
   }
+  result.total_accesses = kernel.total_accesses();
   const std::uint64_t concurrent =
       std::min<std::uint64_t>(std::max<std::uint64_t>(warps, 1),
                               static_cast<std::uint64_t>(config.gpu.num_sms) *

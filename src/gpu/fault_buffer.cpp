@@ -1,6 +1,8 @@
 #include "gpu/fault_buffer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 namespace uvmsim {
 
@@ -58,11 +60,60 @@ std::optional<SimTime> FaultBuffer::next_arrival() const {
 }
 
 void FaultBuffer::sort_pending() {
-  std::stable_sort(entries_.begin() + static_cast<std::ptrdiff_t>(head_),
-                   entries_.end(),
-                   [](const FaultRecord& a, const FaultRecord& b) {
-                     return a.timestamp < b.timestamp;
-                   });
+  // Any stable sort by timestamp gives the same order. When the pending
+  // records span less than 2^22 ns, two 11-bit digits of
+  // `timestamp - min` key them, and a stable LSD radix sort orders them in
+  // two scatter passes; few records or a wider span take std::stable_sort.
+  constexpr std::size_t kMinRadixRecords = 64;
+  constexpr unsigned kDigitBits = 11;
+  constexpr SimTime kBuckets = SimTime{1} << kDigitBits;
+  constexpr SimTime kRadixRange = kBuckets * kBuckets;  // 2^22 ns
+
+  const std::size_t n = size();
+  if (n < 2) return;
+  FaultRecord* const pending = entries_.data() + head_;
+  SimTime lo = pending[0].timestamp;
+  SimTime hi = lo;
+  bool sorted = true;
+  for (std::size_t i = 1; i < n; ++i) {
+    const SimTime t = pending[i].timestamp;
+    sorted = sorted && pending[i - 1].timestamp <= t;
+    lo = std::min(lo, t);
+    hi = std::max(hi, t);
+  }
+  if (sorted) return;
+  if (n < kMinRadixRecords || hi - lo >= kRadixRange) {
+    std::stable_sort(pending, pending + n,
+                     [](const FaultRecord& a, const FaultRecord& b) {
+                       return a.timestamp < b.timestamp;
+                     });
+    return;
+  }
+
+  // Bucket starts for the low digit in [0, kBuckets) and the high digit in
+  // [kBuckets, 2 * kBuckets), from one counting pass.
+  std::array<std::uint32_t, 2 * kBuckets> start{};
+  const auto low = [lo](const FaultRecord& f) {
+    return (f.timestamp - lo) & (kBuckets - 1);
+  };
+  const auto high = [lo](const FaultRecord& f) {
+    return kBuckets + ((f.timestamp - lo) >> kDigitBits);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    ++start[low(pending[i])];
+    ++start[high(pending[i])];
+  }
+  std::uint32_t low_sum = 0;
+  std::uint32_t high_sum = 0;
+  for (SimTime b = 0; b < kBuckets; ++b) {
+    low_sum += std::exchange(start[b], low_sum);
+    high_sum += std::exchange(start[kBuckets + b], high_sum);
+  }
+  sort_scratch_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sort_scratch_[start[low(pending[i])]++] = pending[i];
+  }
+  for (const FaultRecord& f : sort_scratch_) pending[start[high(f)]++] = f;
 }
 
 std::size_t FaultBuffer::flush() {

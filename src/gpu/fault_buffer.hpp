@@ -44,8 +44,9 @@ class FaultBuffer {
   /// Earliest pending arrival time; nullopt when empty.
   std::optional<SimTime> next_arrival() const;
 
-  /// Restore arrival (timestamp) order. The engine emits per-SM streams
-  /// interleaved in scan order; hardware writes records as they arrive.
+  /// Restore arrival (timestamp) order, stably. The engine emits per-SM
+  /// streams interleaved in scan order; hardware writes records as they
+  /// arrive.
   void sort_pending();
 
   /// Discard everything (pre-replay flush). Returns how many were dropped.
@@ -81,6 +82,7 @@ class FaultBuffer {
 
   std::size_t capacity_;
   std::vector<FaultRecord> entries_;  // pending records are [head_, end)
+  std::vector<FaultRecord> sort_scratch_;  // sort_pending's radix pass
   std::size_t head_ = 0;
   bool wedged_ = false;
   std::uint64_t pushed_ = 0;

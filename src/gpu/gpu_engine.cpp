@@ -4,16 +4,15 @@
 
 namespace uvmsim {
 
-void GpuEngine::WarpRt::load_group() {
-  if (!prog || group >= prog->groups.size()) {
+void GpuEngine::WarpRt::load_group(const KernelDesc& kernel) {
+  if (group >= group_end) {
     finished = true;
     state.clear();
     remaining = 0;
     return;
   }
-  const auto& accesses = prog->groups[group].accesses;
-  state.assign(accesses.size(), kPending);
-  remaining = static_cast<std::uint32_t>(accesses.size());
+  remaining = kernel.accesses_of(group).size();
+  state.assign(remaining, kPending);
 }
 
 GpuEngine::GpuEngine(const GpuConfig& config, std::uint64_t seed)
@@ -32,11 +31,8 @@ GpuEngine::GpuEngine(const GpuConfig& config, std::uint64_t seed)
 void GpuEngine::launch(const KernelDesc& kernel, PageId page_offset) {
   kernel_ = &kernel;
   page_offset_ = page_offset;
-  pending_blocks_.clear();
+  next_block_ = 0;
   active_blocks_.clear();
-  for (std::uint32_t i = 0; i < kernel.blocks.size(); ++i) {
-    pending_blocks_.push_back(i);
-  }
   std::fill(sm_active_blocks_.begin(), sm_active_blocks_.end(), 0u);
   std::fill(sm_tokens_.begin(), sm_tokens_.end(), config_.sm_token_capacity);
   for (auto& tlb : utlbs_) tlb.clear();
@@ -49,7 +45,7 @@ void GpuEngine::schedule_pending_blocks() {
   // ties broken by index — the round-robin placement real block schedulers
   // approximate. This is what spreads a kernel's access frontier across
   // (nearly) all SMs, the root cause of Table 2's fault-origin mix.
-  while (!pending_blocks_.empty()) {
+  while (next_block_ < kernel_->num_blocks()) {
     std::uint32_t best_sm = 0;
     std::uint32_t best_load = sm_active_blocks_[0];
     for (std::uint32_t sm = 1; sm < config_.num_sms; ++sm) {
@@ -60,18 +56,18 @@ void GpuEngine::schedule_pending_blocks() {
     }
     if (best_load >= config_.max_blocks_per_sm) break;
 
-    const std::uint32_t block_id = pending_blocks_.front();
-    pending_blocks_.pop_front();
-
     BlockRt rt;
-    rt.prog = &kernel_->blocks[block_id];
-    rt.block_id = block_id;
+    rt.block_id = next_block_++;
     rt.sm = best_sm;
-    rt.warps.resize(rt.prog->warps.size());
-    for (std::size_t w = 0; w < rt.warps.size(); ++w) {
-      rt.warps[w].prog = &rt.prog->warps[w];
-      rt.warps[w].load_group();
-      if (!rt.warps[w].finished) ++rt.live_warps;
+    const IndexRange warps = kernel_->warps_of(rt.block_id);
+    rt.warps.resize(warps.size());
+    for (std::uint32_t w = 0; w < warps.size(); ++w) {
+      WarpRt& warp = rt.warps[w];
+      const IndexRange groups = kernel_->groups_of(warps.first + w);
+      warp.group = groups.first;
+      warp.group_end = groups.last;
+      warp.load_group(*kernel_);
+      if (!warp.finished) ++rt.live_warps;
     }
     active_warps_ += rt.live_warps;
     ++sm_active_blocks_[best_sm];
@@ -126,16 +122,16 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
   // Zero-compute warps (dependence-free access microbenchmarks) never
   // de-synchronize: their faults arrive back-to-back at hardware rate.
   const bool zero_compute =
-      !warp.finished && warp.prog->groups[warp.group].compute_ns == 0;
+      !warp.finished && kernel_->compute_ns(warp.group) == 0;
   const SimTime phase = zero_compute ? 0 : block_phase(block);
   while (!warp.finished) {
-    const AccessGroup& group = warp.prog->groups[warp.group];
+    const IndexRange accesses = kernel_->accesses_of(warp.group);
     UTlb& tlb = utlbs_[config_.utlb_of_sm(block.sm)];
 
-    for (std::size_t i = 0; i < group.accesses.size(); ++i) {
+    for (std::uint32_t i = 0; i < accesses.size(); ++i) {
       if (warp.state[i] != kPending && warp.state[i] != kReissue) continue;
       const bool is_reissue = warp.state[i] == kReissue;
-      const PageAccess& access = group.accesses[i];
+      const PageAccess access = kernel_->access(accesses.first + i);
       const PageId page = access.page + page_offset_;
       const auto location = residency.classify(page);
 
@@ -205,9 +201,9 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
     if (warp.remaining != 0) break;  // scoreboard stall until replay
 
     // Group complete: charge its compute and move to the next group.
-    result.compute_ns += group.compute_ns;
+    result.compute_ns += kernel_->compute_ns(warp.group);
     ++warp.group;
-    warp.load_group();
+    warp.load_group(*kernel_);
     progressed = true;
   }
   return progressed;
@@ -250,7 +246,8 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
         ++it;
       }
     }
-    if (active_blocks_.size() != before && !pending_blocks_.empty()) {
+    if (active_blocks_.size() != before &&
+        next_block_ < kernel_->num_blocks()) {
       schedule_pending_blocks();
       any_retired = true;
     }
@@ -338,7 +335,8 @@ void GpuEngine::full_reset() {
 }
 
 bool GpuEngine::all_done() const noexcept {
-  return kernel_ && pending_blocks_.empty() && active_blocks_.empty();
+  return kernel_ && next_block_ == kernel_->num_blocks() &&
+         active_blocks_.empty();
 }
 
 }  // namespace uvmsim

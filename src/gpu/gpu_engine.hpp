@@ -20,7 +20,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/fault_inject.hpp"
@@ -154,17 +153,16 @@ class GpuEngine {
   enum : std::uint8_t { kPending = 0, kWaiting = 1, kDone = 2, kReissue = 3 };
 
   struct WarpRt {
-    const WarpProgram* prog = nullptr;
-    std::size_t group = 0;
+    std::uint32_t group = 0;      // current group, kernel-wide index
+    std::uint32_t group_end = 0;  // one past the warp's last group
     std::vector<std::uint8_t> state;  // parallel to current group's accesses
     std::uint32_t remaining = 0;
     bool finished = false;
 
-    void load_group();
+    void load_group(const KernelDesc& kernel);
   };
 
   struct BlockRt {
-    const BlockProgram* prog = nullptr;
     std::uint32_t block_id = 0;
     std::uint32_t sm = 0;
     std::vector<WarpRt> warps;
@@ -193,7 +191,7 @@ class GpuEngine {
   std::vector<std::uint32_t> sm_active_blocks_;
 
   const KernelDesc* kernel_ = nullptr;
-  std::deque<std::uint32_t> pending_blocks_;
+  std::uint32_t next_block_ = 0;  // blocks before it have been scheduled
   std::vector<BlockRt> active_blocks_;
 
   std::uint32_t active_warps_ = 0;

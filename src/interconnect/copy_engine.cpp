@@ -2,8 +2,17 @@
 
 namespace uvmsim {
 
+void CopyEngine::dma(std::uint64_t count, NodeId from, NodeId to,
+                     CopyResult& out) {
+  const std::uint64_t bytes = count * kPageSize;
+  out.time_ns += topo_.transfer_time(from, to, bytes);
+  out.bytes += bytes;
+  ++out.dma_ops;
+  topo_.record(from, to, bytes);
+  if (obs_.metrics) obs_.metrics->observe("copy.run_pages", count);
+}
+
 void CopyEngine::account(NodeId from, NodeId to, const CopyResult& copy) {
-  topo_.record(from, to, copy.bytes);
   const char* metric = "copy.bytes_peer";
   if (from == kHostNode) {
     to_device_ += copy.bytes;
@@ -25,11 +34,7 @@ CopyEngine::CopyResult CopyEngine::copy_pages(const PageMask& pages,
   CopyResult out;
   if (from == to) return out;
   pages.for_each_run([&](std::uint32_t /*first*/, std::uint32_t run_pages) {
-    const std::uint64_t bytes = std::uint64_t{run_pages} * kPageSize;
-    out.time_ns += topo_.transfer_time(from, to, bytes);
-    out.bytes += bytes;
-    ++out.dma_ops;
-    if (obs_.metrics) obs_.metrics->observe("copy.run_pages", run_pages);
+    dma(run_pages, from, to, out);
   });
   if (out.dma_ops > 0) account(from, to, out);
   return out;
@@ -39,10 +44,7 @@ CopyEngine::CopyResult CopyEngine::copy_range(std::uint64_t count,
                                               NodeId from, NodeId to) {
   CopyResult out;
   if (count == 0 || from == to) return out;
-  out.bytes = count * kPageSize;
-  out.time_ns = topo_.transfer_time(from, to, out.bytes);
-  out.dma_ops = 1;
-  if (obs_.metrics) obs_.metrics->observe("copy.run_pages", count);
+  dma(count, from, to, out);
   account(from, to, out);
   return out;
 }

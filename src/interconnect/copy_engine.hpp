@@ -5,10 +5,10 @@
 // single DMA operation — this is why fault batches that migrate dense
 // ranges are so much cheaper per byte than scattered ones.
 //
-// Every copy is addressed by its endpoints (the host or GPU g): the
-// transfer routes over the topology's min-cost path and every link on the
-// route is accounted per hop. A one-GPU PCIe-only topology times a copy
-// exactly as PcieLink::transfer_time does.
+// Every copy is addressed by its endpoints (the host or GPU g): each DMA
+// op routes over the topology's min-cost path and is booked on every link
+// of the route. A one-GPU PCIe-only topology times a copy exactly as
+// PcieLink::transfer_time does.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,11 @@ class CopyEngine {
   void set_obs(Obs obs) noexcept { obs_ = obs; }
 
  private:
-  /// Per-link, per-direction and metrics accounting of one finished copy.
+  /// One DMA op of `count` contiguous pages, added to `out` and booked on
+  /// every link of the route.
+  void dma(std::uint64_t count, NodeId from, NodeId to, CopyResult& out);
+
+  /// Per-direction and metrics accounting of one finished copy.
   void account(NodeId from, NodeId to, const CopyResult& copy);
 
   Topology& topo_;

@@ -182,29 +182,4 @@ void Topology::record(NodeId from, NodeId to, std::uint64_t bytes) {
   }
 }
 
-Topology::Reservation Topology::reserve(NodeId from, NodeId to,
-                                        std::uint64_t bytes,
-                                        SimTime earliest_start) {
-  Reservation out;
-  out.start = earliest_start;
-  if (from == to) {
-    out.finish = earliest_start;
-    return out;
-  }
-  const std::vector<std::uint32_t>& links = route(from, to);
-  for (std::uint32_t li : links) {
-    out.start = std::max(out.start, stats_[li].busy_until);
-  }
-  const SimTime duration = transfer_time(from, to, bytes);
-  out.finish = out.start + duration;
-  for (std::uint32_t li : links) {
-    LinkStats& s = stats_[li];
-    s.busy_until = out.finish;
-    s.busy_ns += duration;
-    s.bytes += bytes;
-    ++s.ops;
-  }
-  return out;
-}
-
 }  // namespace uvmsim

@@ -5,10 +5,8 @@
 // one-link case. Every transfer routes over the min-cost path; each hop
 // keeps the exact PcieLink cost shape (per-op latency + bytes/bandwidth),
 // so a 1-GPU PCIe-only topology times a transfer exactly as
-// PcieLink::transfer_time does. Per-link byte/op/busy accounting feeds
-// the multi-GPU link table and the ablation bench, and the busy-window
-// reservation API models concurrent transfers: independent links
-// overlap, a shared link serializes.
+// PcieLink::transfer_time does. Per-link byte/op/busy accounting of every
+// DMA op feeds the multi-GPU link table and the ablation bench.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +58,7 @@ struct LinkDesc {
 struct LinkStats {
   std::uint64_t bytes = 0;
   std::uint64_t ops = 0;
-  SimTime busy_ns = 0;     // total reserved occupancy
-  SimTime busy_until = 0;  // end of the latest reserved window
+  SimTime busy_ns = 0;  // total wire time of the ops on this link
 };
 
 class Topology {
@@ -103,20 +100,6 @@ class Topology {
 
   /// Per-link byte/op/busy accounting along the route (one op per call).
   void record(NodeId from, NodeId to, std::uint64_t bytes);
-
-  struct Reservation {
-    SimTime start = 0;
-    SimTime finish = 0;
-  };
-
-  /// Reserve the route's links for one transfer that may begin no earlier
-  /// than `earliest_start`: the transfer starts once every link on the
-  /// route is free, occupies them for transfer_time, and pushes their
-  /// busy_until forward. Transfers on disjoint links overlap in time;
-  /// transfers sharing any link serialize — the copy-engine concurrency
-  /// model the single-link code could not express.
-  Reservation reserve(NodeId from, NodeId to, std::uint64_t bytes,
-                      SimTime earliest_start);
 
  private:
   std::size_t route_index(NodeId from, NodeId to) const {

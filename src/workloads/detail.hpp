@@ -9,18 +9,11 @@
 
 namespace uvmsim::detail {
 
-/// Append the unique pages covering bytes [offset, offset+len) of an
-/// allocation that starts at `base_page`. Pages already in the group are
-/// skipped (the hardware coalescer emits one request per page per warp).
-void add_span(AccessGroup& group, PageId base_page, std::uint64_t offset,
-              std::uint64_t len, AccessType type);
-
-/// Append a single page access if not already present; a write upgrades an
-/// existing read to a write.
-void add_page(AccessGroup& group, PageId page, AccessType type);
-
 /// Compute the VABlock-aligned layout for a spec's allocations and return
 /// the base page of each (mirrors VaSpace::allocate placement).
 std::vector<PageId> layout_bases(const std::vector<AllocSpec>& allocs);
+
+/// Pages the layout of `allocs` spans: the page bound of their kernel.
+std::uint64_t layout_pages(const std::vector<AllocSpec>& allocs);
 
 }  // namespace uvmsim::detail

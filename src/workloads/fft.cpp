@@ -25,14 +25,11 @@ WorkloadSpec make_fft(std::uint64_t elements, std::uint32_t elems_per_warp) {
   const std::uint64_t warps = ceil_div(elements, elems_per_warp);
   const std::uint64_t blocks = ceil_div(warps, kWarpsPerBlock);
 
-  spec.kernel.name = spec.name;
-  spec.kernel.blocks.reserve(blocks);
+  KernelBuilder kernel(spec.name, detail::layout_pages(spec.allocs));
   for (std::uint64_t b = 0; b < blocks; ++b) {
-    BlockProgram block;
     for (std::uint32_t w = 0; w < kWarpsPerBlock; ++w) {
       const std::uint64_t warp_id = b * kWarpsPerBlock + w;
       if (warp_id >= warps) break;
-      WarpProgram warp;
       const std::uint64_t first = warp_id * elems_per_warp;
       const std::uint64_t count =
           std::min<std::uint64_t>(elems_per_warp, elements - first);
@@ -44,26 +41,22 @@ WorkloadSpec make_fft(std::uint64_t elements, std::uint32_t elems_per_warp) {
         const PageId dst = (p % 2 == 0) ? base[1] : base[0];
         const std::uint64_t stride = elements >> (p + 1);
 
-        AccessGroup reads;
-        detail::add_span(reads, src, first * kElem, count * kElem,
-                         AccessType::kRead);
+        kernel.add_span(src, first * kElem, count * kElem, AccessType::kRead);
         const std::uint64_t partner = (first + stride) % elements;
         const std::uint64_t partner_count =
             std::min(count, elements - partner);
-        detail::add_span(reads, src, partner * kElem, partner_count * kElem,
-                         AccessType::kRead);
-        reads.compute_ns = 800;
-        AccessGroup writes;
-        detail::add_span(writes, dst, first * kElem, count * kElem,
-                         AccessType::kWrite);
-        writes.compute_ns = 200;
-        warp.groups.push_back(std::move(reads));
-        warp.groups.push_back(std::move(writes));
+        kernel.add_span(src, partner * kElem, partner_count * kElem,
+                        AccessType::kRead);
+        kernel.end_group(800);
+        kernel.add_span(dst, first * kElem, count * kElem,
+                        AccessType::kWrite);
+        kernel.end_group(200);
       }
-      block.warps.push_back(std::move(warp));
+      kernel.end_warp();
     }
-    spec.kernel.blocks.push_back(std::move(block));
+    kernel.end_block();
   }
+  spec.kernel = kernel.finish();
   return spec;
 }
 

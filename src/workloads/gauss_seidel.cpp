@@ -24,49 +24,52 @@ WorkloadSpec make_gauss_seidel(const GaussSeidelParams& params) {
   const std::uint64_t blocks_per_sweep =
       ceil_div(params.ny, params.rows_per_block);
 
-  spec.kernel.name = spec.name;
+  // Per row and page-wide segment: a read group of the rows above, at and
+  // below plus rhs, then a write group; the first and last rows lack a
+  // neighbour. When rows are whole pages (every benchmark size), each span
+  // is one access and these sizes are exact.
+  const std::uint64_t ny = params.ny;
+  const std::uint64_t warps = params.sweeps * ny;
+  const std::uint64_t column_accesses = ny == 0 ? 0 : 5 * ny - 2;
+  KernelBuilder kernel(spec.name, detail::layout_pages(spec.allocs));
+  kernel.reserve(params.sweeps * blocks_per_sweep, warps,
+                 2 * warps * pages_per_row,
+                 params.sweeps * pages_per_row * column_accesses);
   for (std::uint32_t sweep = 0; sweep < params.sweeps; ++sweep) {
     for (std::uint64_t blk = 0; blk < blocks_per_sweep; ++blk) {
-      BlockProgram block;
       const std::uint64_t row0 = blk * params.rows_per_block;
       for (std::uint32_t r = 0; r < params.rows_per_block; ++r) {
         const std::uint64_t row = row0 + r;
         if (row >= params.ny) break;
-        WarpProgram warp;
         // Walk the row one page-wide segment at a time: read the segment
         // of rows row-1, row, row+1 plus rhs, then update in place.
         for (std::uint64_t seg = 0; seg < pages_per_row; ++seg) {
           const std::uint64_t off = seg * kPageSize;
           const std::uint64_t len =
               std::min<std::uint64_t>(kPageSize, row_bytes - off);
-          AccessGroup reads;
           if (row > 0) {
-            detail::add_span(reads, base[0], (row - 1) * row_bytes + off, len,
-                             AccessType::kRead);
+            kernel.add_span(base[0], (row - 1) * row_bytes + off, len,
+                            AccessType::kRead);
           }
-          detail::add_span(reads, base[0], row * row_bytes + off, len,
-                           AccessType::kRead);
+          kernel.add_span(base[0], row * row_bytes + off, len,
+                          AccessType::kRead);
           if (row + 1 < params.ny) {
-            detail::add_span(reads, base[0], (row + 1) * row_bytes + off, len,
-                             AccessType::kRead);
+            kernel.add_span(base[0], (row + 1) * row_bytes + off, len,
+                            AccessType::kRead);
           }
-          detail::add_span(reads, base[1], row * row_bytes + off, len,
-                           AccessType::kRead);
-          reads.compute_ns = 900;
-          AccessGroup writes;
-          detail::add_span(writes, base[0], row * row_bytes + off, len,
-                           AccessType::kWrite);
-          writes.compute_ns = 200;
-          warp.groups.push_back(std::move(reads));
-          warp.groups.push_back(std::move(writes));
+          kernel.add_span(base[1], row * row_bytes + off, len,
+                          AccessType::kRead);
+          kernel.end_group(900);
+          kernel.add_span(base[0], row * row_bytes + off, len,
+                          AccessType::kWrite);
+          kernel.end_group(200);
         }
-        block.warps.push_back(std::move(warp));
+        kernel.end_warp();
       }
-      if (!block.warps.empty()) {
-        spec.kernel.blocks.push_back(std::move(block));
-      }
+      kernel.end_block();
     }
   }
+  spec.kernel = kernel.finish();
   return spec;
 }
 

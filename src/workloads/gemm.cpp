@@ -27,50 +27,50 @@ WorkloadSpec make_gemm(const GemmParams& params) {
 
   const std::uint64_t tiles = n / params.tile;  // tiles per dimension
   const std::uint64_t row_bytes = n * elem;
+  const std::uint64_t span_bytes = params.tile * elem;
   const std::uint32_t wpb = params.warps_per_block;
   const std::uint32_t rows_per_warp = params.tile / wpb;
 
-  spec.kernel.name = spec.name;
-  spec.kernel.blocks.reserve(tiles * tiles);
+  // Per warp: `tiles` read groups of an A and a B span per row, then one
+  // write group of a C span per row. When rows start on page boundaries
+  // and the span size divides the page size (every benchmark size), each
+  // span is one access and these sizes are exact; otherwise the arrays
+  // adjust.
+  const std::uint64_t warps = tiles * tiles * wpb;
+  KernelBuilder kernel(spec.name, detail::layout_pages(spec.allocs));
+  kernel.reserve(tiles * tiles, warps, warps * (tiles + 1),
+                 warps * rows_per_warp * (2 * tiles + 1));
   for (std::uint64_t bi = 0; bi < tiles; ++bi) {
     for (std::uint64_t bj = 0; bj < tiles; ++bj) {
-      BlockProgram block;
       for (std::uint32_t w = 0; w < wpb; ++w) {
-        WarpProgram warp;
         // k-panel loop: read this warp's slice of the A row panel and the
         // B column panel, accumulate, repeat.
         for (std::uint64_t kk = 0; kk < tiles; ++kk) {
-          AccessGroup reads;
           for (std::uint32_t r = 0; r < rows_per_warp; ++r) {
             const std::uint64_t a_row =
                 bi * params.tile + w * rows_per_warp + r;
-            detail::add_span(reads, base[0],
-                             a_row * row_bytes + kk * params.tile * elem,
-                             params.tile * elem, AccessType::kRead);
+            kernel.add_span(base[0], a_row * row_bytes + kk * span_bytes,
+                            span_bytes, AccessType::kRead);
             const std::uint64_t b_row =
                 kk * params.tile + w * rows_per_warp + r;
-            detail::add_span(reads, base[1],
-                             b_row * row_bytes + bj * params.tile * elem,
-                             params.tile * elem, AccessType::kRead);
+            kernel.add_span(base[1], b_row * row_bytes + bj * span_bytes,
+                            span_bytes, AccessType::kRead);
           }
-          reads.compute_ns = 2000;  // tile FMAs
-          warp.groups.push_back(std::move(reads));
+          kernel.end_group(2000);  // tile FMAs
         }
         // Write the warp's rows of the C tile.
-        AccessGroup writes;
         for (std::uint32_t r = 0; r < rows_per_warp; ++r) {
           const std::uint64_t c_row = bi * params.tile + w * rows_per_warp + r;
-          detail::add_span(writes, base[2],
-                           c_row * row_bytes + bj * params.tile * elem,
-                           params.tile * elem, AccessType::kWrite);
+          kernel.add_span(base[2], c_row * row_bytes + bj * span_bytes,
+                          span_bytes, AccessType::kWrite);
         }
-        writes.compute_ns = 300;
-        warp.groups.push_back(std::move(writes));
-        block.warps.push_back(std::move(warp));
+        kernel.end_group(300);
+        kernel.end_warp();
       }
-      spec.kernel.blocks.push_back(std::move(block));
+      kernel.end_block();
     }
   }
+  spec.kernel = kernel.finish();
   return spec;
 }
 

@@ -16,38 +16,31 @@ namespace {
 /// One smoothing (or transfer) sweep over a level array: blocks of
 /// contiguous 16-page segments, one warp per 4-page slice, stencil reads
 /// with a neighbour page plus rhs, write in place.
-void append_sweep(KernelDesc& kernel, PageId u_base, PageId r_base,
+void append_sweep(KernelBuilder& kernel, PageId u_base, PageId r_base,
                   std::uint64_t level_pages, bool write_rhs_level) {
   constexpr std::uint64_t kSegPages = 16;
   constexpr std::uint32_t kWarps = 4;
   const std::uint64_t segs = ceil_div(level_pages, kSegPages);
   for (std::uint64_t s = 0; s < segs; ++s) {
-    BlockProgram block;
     for (std::uint32_t w = 0; w < kWarps; ++w) {
       const std::uint64_t first = s * kSegPages + w * (kSegPages / kWarps);
       if (first >= level_pages) break;
       const std::uint64_t last = std::min(
           level_pages, first + kSegPages / kWarps);
-      WarpProgram warp;
       for (std::uint64_t p = first; p < last; ++p) {
-        AccessGroup reads;
-        detail::add_page(reads, u_base + p, AccessType::kRead);
+        kernel.add_page(u_base + p, AccessType::kRead);
         if (p + 1 < level_pages) {
-          detail::add_page(reads, u_base + p + 1, AccessType::kRead);
+          kernel.add_page(u_base + p + 1, AccessType::kRead);
         }
-        detail::add_page(reads, r_base + p, AccessType::kRead);
-        reads.compute_ns = 1200;
-        AccessGroup writes;
-        detail::add_page(writes,
-                         (write_rhs_level ? r_base : u_base) + p,
-                         AccessType::kWrite);
-        writes.compute_ns = 300;
-        warp.groups.push_back(std::move(reads));
-        warp.groups.push_back(std::move(writes));
+        kernel.add_page(r_base + p, AccessType::kRead);
+        kernel.end_group(1200);
+        kernel.add_page((write_rhs_level ? r_base : u_base) + p,
+                        AccessType::kWrite);
+        kernel.end_group(300);
       }
-      block.warps.push_back(std::move(warp));
+      kernel.end_warp();
     }
-    if (!block.warps.empty()) kernel.blocks.push_back(std::move(block));
+    kernel.end_block();
   }
 }
 
@@ -80,26 +73,27 @@ WorkloadSpec make_hpgmg(const HpgmgParams& params) {
   const auto u_base = [&](std::uint32_t l) { return base[2 * l]; };
   const auto r_base = [&](std::uint32_t l) { return base[2 * l + 1]; };
 
-  spec.kernel.name = spec.name;
+  KernelBuilder kernel(spec.name, detail::layout_pages(spec.allocs));
   for (std::uint32_t cycle = 0; cycle < params.vcycles; ++cycle) {
     // Down-sweep: smooth each level, then restrict to the next coarser.
     for (std::uint32_t l = 0; l + 1 < params.levels; ++l) {
       for (std::uint32_t s = 0; s < params.smooth_passes; ++s) {
-        append_sweep(spec.kernel, u_base(l), r_base(l), level_pages[l],
+        append_sweep(kernel, u_base(l), r_base(l), level_pages[l],
                      /*write_rhs_level=*/false);
       }
       // Restriction: read level l, write level l+1's rhs.
-      append_sweep(spec.kernel, u_base(l), r_base(l + 1),
+      append_sweep(kernel, u_base(l), r_base(l + 1),
                    level_pages[l + 1], /*write_rhs_level=*/true);
     }
     // Coarse solve + up-sweep with post-smoothing.
     for (std::uint32_t l = params.levels; l-- > 0;) {
       for (std::uint32_t s = 0; s < params.smooth_passes; ++s) {
-        append_sweep(spec.kernel, u_base(l), r_base(l), level_pages[l],
+        append_sweep(kernel, u_base(l), r_base(l), level_pages[l],
                      /*write_rhs_level=*/false);
       }
     }
   }
+  spec.kernel = kernel.finish();
   return spec;
 }
 

@@ -6,8 +6,8 @@
 
 namespace uvmsim {
 
-using detail::add_page;
 using detail::layout_bases;
+using detail::layout_pages;
 
 WorkloadSpec make_vecadd_paged(std::uint32_t threads,
                                std::uint32_t statements) {
@@ -26,30 +26,27 @@ WorkloadSpec make_vecadd_paged(std::uint32_t threads,
   const auto base = layout_bases(spec.allocs);
 
   const std::uint32_t warps = (threads + 31) / 32;
-  BlockProgram block;
-  block.warps.resize(warps);
+  KernelBuilder kernel(spec.name, layout_pages(spec.allocs));
   for (std::uint32_t w = 0; w < warps; ++w) {
-    WarpProgram& warp = block.warps[w];
+    const std::uint32_t lanes = std::min(32u, threads - w * 32);
     for (std::uint32_t s = 0; s < statements; ++s) {
-      AccessGroup reads;
-      AccessGroup writes;
-      for (std::uint32_t lane = 0; lane < 32; ++lane) {
-        const std::uint32_t tid = w * 32 + lane;
-        if (tid >= threads) break;
-        const std::uint64_t page =
-            static_cast<std::uint64_t>(s) * threads + tid;
-        add_page(reads, base[0] + page, AccessType::kRead);
-        add_page(reads, base[1] + page, AccessType::kRead);
-        add_page(writes, base[2] + page, AccessType::kWrite);
+      // Thread w * 32 + lane touches page s * threads + w * 32 + lane.
+      const std::uint64_t first =
+          static_cast<std::uint64_t>(s) * threads + w * 32;
+      for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+        kernel.add_page(base[0] + first + lane, AccessType::kRead);
+        kernel.add_page(base[1] + first + lane, AccessType::kRead);
       }
-      reads.compute_ns = 500;
-      writes.compute_ns = 200;
-      warp.groups.push_back(std::move(reads));
-      warp.groups.push_back(std::move(writes));
+      kernel.end_group(500);
+      for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+        kernel.add_page(base[2] + first + lane, AccessType::kWrite);
+      }
+      kernel.end_group(200);
     }
+    kernel.end_warp();
   }
-  spec.kernel.name = spec.name;
-  spec.kernel.blocks.push_back(std::move(block));
+  kernel.end_block();
+  spec.kernel = kernel.finish();
   return spec;
 }
 
@@ -65,10 +62,10 @@ WorkloadSpec make_vecadd_coalesced(std::uint64_t elements,
 
   const std::uint64_t warps = ceil_div(elements, 32);
   const std::uint64_t blocks = ceil_div(warps, warps_per_block);
-  spec.kernel.name = spec.name;
-  spec.kernel.blocks.reserve(blocks);
+  // A span is 32 aligned floats, so always one page: the sizes are exact.
+  KernelBuilder kernel(spec.name, layout_pages(spec.allocs));
+  kernel.reserve(blocks, warps, 2 * warps, 3 * warps);
   for (std::uint64_t b = 0; b < blocks; ++b) {
-    BlockProgram block;
     for (std::uint32_t w = 0; w < warps_per_block; ++w) {
       const std::uint64_t warp_id = b * warps_per_block + w;
       if (warp_id >= warps) break;
@@ -76,20 +73,16 @@ WorkloadSpec make_vecadd_coalesced(std::uint64_t elements,
       const std::uint64_t len =
           std::min<std::uint64_t>(32, elements - warp_id * 32) *
           sizeof(float);
-      WarpProgram warp;
-      AccessGroup reads;
-      detail::add_span(reads, base[0], offset, len, AccessType::kRead);
-      detail::add_span(reads, base[1], offset, len, AccessType::kRead);
-      reads.compute_ns = 300;
-      AccessGroup writes;
-      detail::add_span(writes, base[2], offset, len, AccessType::kWrite);
-      writes.compute_ns = 100;
-      warp.groups.push_back(std::move(reads));
-      warp.groups.push_back(std::move(writes));
-      block.warps.push_back(std::move(warp));
+      kernel.add_span(base[0], offset, len, AccessType::kRead);
+      kernel.add_span(base[1], offset, len, AccessType::kRead);
+      kernel.end_group(300);
+      kernel.add_span(base[2], offset, len, AccessType::kWrite);
+      kernel.end_group(100);
+      kernel.end_warp();
     }
-    spec.kernel.blocks.push_back(std::move(block));
+    kernel.end_block();
   }
+  spec.kernel = kernel.finish();
   return spec;
 }
 
@@ -105,31 +98,24 @@ WorkloadSpec make_vecadd_prefetch(std::uint32_t pages_per_vector) {
                  {bytes, "c", HostInit::none()}};
   const auto base = layout_bases(spec.allocs);
 
-  BlockProgram block;
-  WarpProgram warp;
-  AccessGroup prefetch;
+  KernelBuilder kernel(spec.name, layout_pages(spec.allocs));
   for (std::uint32_t v = 0; v < 3; ++v) {
     for (std::uint32_t p = 0; p < pages_per_vector; ++p) {
-      prefetch.accesses.push_back({base[v] + p, AccessType::kPrefetch});
+      kernel.add_page(base[v] + p, AccessType::kPrefetch);
     }
   }
-  prefetch.compute_ns = 100;
-  warp.groups.push_back(std::move(prefetch));
+  kernel.end_group(100);
 
   for (std::uint32_t p = 0; p < pages_per_vector; ++p) {
-    AccessGroup reads;
-    add_page(reads, base[0] + p, AccessType::kRead);
-    add_page(reads, base[1] + p, AccessType::kRead);
-    reads.compute_ns = 200;
-    AccessGroup writes;
-    add_page(writes, base[2] + p, AccessType::kWrite);
-    writes.compute_ns = 100;
-    warp.groups.push_back(std::move(reads));
-    warp.groups.push_back(std::move(writes));
+    kernel.add_page(base[0] + p, AccessType::kRead);
+    kernel.add_page(base[1] + p, AccessType::kRead);
+    kernel.end_group(200);
+    kernel.add_page(base[2] + p, AccessType::kWrite);
+    kernel.end_group(100);
   }
-  block.warps.push_back(std::move(warp));
-  spec.kernel.name = spec.name;
-  spec.kernel.blocks.push_back(std::move(block));
+  kernel.end_warp();
+  kernel.end_block();
+  spec.kernel = kernel.finish();
   return spec;
 }
 
@@ -150,29 +136,36 @@ WorkloadSpec make_regular(std::uint64_t total_bytes,
       static_cast<std::uint64_t>(warps_per_block) * blocks;
   const std::uint64_t chunk = std::max<std::uint64_t>(1, pages / total_warps);
 
-  spec.kernel.name = spec.name;
+  // Warps own whole chunks until the pages run out; at most one owns a
+  // shorter tail, and the rest own nothing. The sizes are exact.
+  const std::uint64_t full_warps = std::min(total_warps, pages / chunk);
+  const std::uint64_t tail =
+      full_warps < total_warps ? pages - full_warps * chunk : 0;
+  const std::uint64_t warps = full_warps + (tail > 0 ? 1 : 0);
+  KernelBuilder kernel(spec.name, layout_pages(spec.allocs));
+  kernel.reserve(ceil_div(warps, warps_per_block), warps,
+                 full_warps * ceil_div(chunk, pages_per_group) +
+                     ceil_div(tail, pages_per_group),
+                 full_warps * chunk + tail);
   for (std::uint32_t b = 0; b < blocks; ++b) {
-    BlockProgram block;
     for (std::uint32_t w = 0; w < warps_per_block; ++w) {
       const std::uint64_t warp_id =
           static_cast<std::uint64_t>(b) * warps_per_block + w;
       const std::uint64_t first = warp_id * chunk;
       if (first >= pages) break;
       const std::uint64_t last = std::min(pages, first + chunk);
-      WarpProgram warp;
       for (std::uint64_t p = first; p < last; p += pages_per_group) {
-        AccessGroup group;
         for (std::uint64_t q = p;
              q < std::min<std::uint64_t>(last, p + pages_per_group); ++q) {
-          add_page(group, base[0] + q, AccessType::kRead);
+          kernel.add_page(base[0] + q, AccessType::kRead);
         }
-        group.compute_ns = 0;  // dependence-free saturating microbenchmark
-        warp.groups.push_back(std::move(group));
+        kernel.end_group(0);  // dependence-free saturating microbenchmark
       }
-      block.warps.push_back(std::move(warp));
+      kernel.end_warp();
     }
-    if (!block.warps.empty()) spec.kernel.blocks.push_back(std::move(block));
+    kernel.end_block();
   }
+  spec.kernel = kernel.finish();
   return spec;
 }
 
@@ -185,23 +178,26 @@ WorkloadSpec make_random(std::uint64_t total_bytes, std::uint64_t seed,
   const auto base = layout_bases(spec.allocs);
   const std::uint64_t pages = ceil_div(total_bytes, kPageSize);
 
+  // Two draws per group; they rarely hit the same page, so the access
+  // count is exact up to those collisions.
+  const std::uint64_t warps =
+      static_cast<std::uint64_t>(blocks) * warps_per_block;
+  const std::uint64_t groups = warps * (accesses_per_warp / 2);
+  KernelBuilder kernel(spec.name, layout_pages(spec.allocs));
+  kernel.reserve(blocks, warps, groups, 2 * groups);
   Xoshiro256 rng(seed);
-  spec.kernel.name = spec.name;
   for (std::uint32_t b = 0; b < blocks; ++b) {
-    BlockProgram block;
     for (std::uint32_t w = 0; w < warps_per_block; ++w) {
-      WarpProgram warp;
       for (std::uint32_t g = 0; g < accesses_per_warp / 2; ++g) {
-        AccessGroup group;
-        add_page(group, base[0] + rng.uniform(pages), AccessType::kRead);
-        add_page(group, base[0] + rng.uniform(pages), AccessType::kRead);
-        group.compute_ns = 0;  // dependence-free saturating microbenchmark
-        warp.groups.push_back(std::move(group));
+        kernel.add_page(base[0] + rng.uniform(pages), AccessType::kRead);
+        kernel.add_page(base[0] + rng.uniform(pages), AccessType::kRead);
+        kernel.end_group(0);  // dependence-free saturating microbenchmark
       }
-      block.warps.push_back(std::move(warp));
+      kernel.end_warp();
     }
-    spec.kernel.blocks.push_back(std::move(block));
+    kernel.end_block();
   }
+  spec.kernel = kernel.finish();
   return spec;
 }
 

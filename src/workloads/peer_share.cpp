@@ -25,10 +25,10 @@ MultiGpuWorkload make_peer_share(const PeerShareParams& params) {
   constexpr std::uint64_t kBytesPerLane = sizeof(double);
   constexpr std::uint64_t kSpan = 32 * kBytesPerLane;
 
-  wl.kernels.resize(params.num_gpus);
+  wl.kernels.reserve(params.num_gpus);
   for (std::uint32_t g = 0; g < params.num_gpus; ++g) {
-    KernelDesc& kernel = wl.kernels[g];
-    kernel.name = wl.name + "." + std::to_string(g);
+    KernelBuilder kernel(wl.name + "." + std::to_string(g),
+                         detail::layout_pages(wl.allocs));
     const std::uint64_t warps_priv = ceil_div(private_bytes, kSpan);
     const std::uint64_t warps_shared = ceil_div(shared_bytes, kSpan);
 
@@ -41,27 +41,19 @@ MultiGpuWorkload make_peer_share(const PeerShareParams& params) {
       const std::uint64_t blocks_priv =
           ceil_div(warps_priv, params.warps_per_block);
       for (std::uint64_t b = 0; b < blocks_priv; ++b) {
-        BlockProgram block;
         for (std::uint32_t w = 0; w < params.warps_per_block; ++w) {
           const std::uint64_t warp_id = b * params.warps_per_block + w;
           if (warp_id >= warps_priv) break;
           const std::uint64_t offset = warp_id * kSpan;
           const std::uint64_t len =
               std::min<std::uint64_t>(kSpan, private_bytes - offset);
-          WarpProgram warp;
-          AccessGroup reads;
-          detail::add_span(reads, base[slice], offset, len,
-                           AccessType::kRead);
-          reads.compute_ns = 250;
-          AccessGroup writes;
-          detail::add_span(writes, base[slice], offset, len,
-                           AccessType::kWrite);
-          writes.compute_ns = 100;
-          warp.groups.push_back(std::move(reads));
-          warp.groups.push_back(std::move(writes));
-          block.warps.push_back(std::move(warp));
+          kernel.add_span(base[slice], offset, len, AccessType::kRead);
+          kernel.end_group(250);
+          kernel.add_span(base[slice], offset, len, AccessType::kWrite);
+          kernel.end_group(100);
+          kernel.end_warp();
         }
-        kernel.blocks.push_back(std::move(block));
+        kernel.end_block();
       }
 
       // Shared halo: every GPU reads the whole region each sweep. The
@@ -70,24 +62,20 @@ MultiGpuWorkload make_peer_share(const PeerShareParams& params) {
       const std::uint64_t blocks_shared =
           ceil_div(warps_shared, params.warps_per_block);
       for (std::uint64_t b = 0; b < blocks_shared; ++b) {
-        BlockProgram block;
         for (std::uint32_t w = 0; w < params.warps_per_block; ++w) {
           const std::uint64_t warp_id = b * params.warps_per_block + w;
           if (warp_id >= warps_shared) break;
           const std::uint64_t offset = warp_id * kSpan;
           const std::uint64_t len =
               std::min<std::uint64_t>(kSpan, shared_bytes - offset);
-          WarpProgram warp;
-          AccessGroup reads;
-          detail::add_span(reads, shared_base, offset, len,
-                           AccessType::kRead);
-          reads.compute_ns = 200;
-          warp.groups.push_back(std::move(reads));
-          block.warps.push_back(std::move(warp));
+          kernel.add_span(shared_base, offset, len, AccessType::kRead);
+          kernel.end_group(200);
+          kernel.end_warp();
         }
-        kernel.blocks.push_back(std::move(block));
+        kernel.end_block();
       }
     }
+    wl.kernels.push_back(kernel.finish());
   }
   return wl;
 }

@@ -26,11 +26,14 @@ WorkloadSpec make_stream_triad(std::uint64_t elements,
   // BabelStream repeats the triad kernel: each iteration is a fresh grid
   // sweep over the arrays (front to back), which is what drives LRU
   // re-page-in under oversubscription.
-  spec.kernel.name = spec.name;
-  spec.kernel.blocks.reserve(blocks * iterations);
+  // Each warp reads one span of b and c and writes one of a; a span is
+  // 32 aligned doubles, so always one page: the sizes are exact.
+  const std::uint64_t all_warps = warps * iterations;
+  KernelBuilder kernel(spec.name, detail::layout_pages(spec.allocs));
+  kernel.reserve(blocks * iterations, all_warps, 2 * all_warps,
+                 3 * all_warps);
   for (std::uint32_t iter = 0; iter < iterations; ++iter) {
     for (std::uint64_t b = 0; b < blocks; ++b) {
-      BlockProgram block;
       for (std::uint32_t w = 0; w < kWarpsPerBlock; ++w) {
         const std::uint64_t warp_id = b * kWarpsPerBlock + w;
         if (warp_id >= warps) break;
@@ -38,21 +41,17 @@ WorkloadSpec make_stream_triad(std::uint64_t elements,
         const std::uint64_t len =
             std::min<std::uint64_t>(32, elements - warp_id * 32) *
             sizeof(double);
-        WarpProgram warp;
-        AccessGroup reads;
-        detail::add_span(reads, base[1], offset, len, AccessType::kRead);
-        detail::add_span(reads, base[2], offset, len, AccessType::kRead);
-        reads.compute_ns = 250;
-        AccessGroup writes;
-        detail::add_span(writes, base[0], offset, len, AccessType::kWrite);
-        writes.compute_ns = 100;
-        warp.groups.push_back(std::move(reads));
-        warp.groups.push_back(std::move(writes));
-        block.warps.push_back(std::move(warp));
+        kernel.add_span(base[1], offset, len, AccessType::kRead);
+        kernel.add_span(base[2], offset, len, AccessType::kRead);
+        kernel.end_group(250);
+        kernel.add_span(base[0], offset, len, AccessType::kWrite);
+        kernel.end_group(100);
+        kernel.end_warp();
       }
-      spec.kernel.blocks.push_back(std::move(block));
+      kernel.end_block();
     }
   }
+  spec.kernel = kernel.finish();
   return spec;
 }
 

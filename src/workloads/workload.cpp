@@ -4,32 +4,18 @@
 
 namespace uvmsim::detail {
 
-void add_page(AccessGroup& group, PageId page, AccessType type) {
-  for (auto& a : group.accesses) {
-    if (a.page == page) {
-      if (type == AccessType::kWrite && a.type == AccessType::kRead) {
-        a.type = AccessType::kWrite;
-      }
-      return;
-    }
-  }
-  group.accesses.push_back({page, type});
-}
-
-void add_span(AccessGroup& group, PageId base_page, std::uint64_t offset,
-              std::uint64_t len, AccessType type) {
-  if (len == 0) return;
-  const PageId first = base_page + offset / kPageSize;
-  const PageId last = base_page + (offset + len - 1) / kPageSize;
-  for (PageId p = first; p <= last; ++p) add_page(group, p, type);
-}
-
 std::vector<PageId> layout_bases(const std::vector<AllocSpec>& allocs) {
   AllocLayout layout;
   std::vector<PageId> bases;
   bases.reserve(allocs.size());
   for (const auto& a : allocs) bases.push_back(layout.add(a.bytes));
   return bases;
+}
+
+std::uint64_t layout_pages(const std::vector<AllocSpec>& allocs) {
+  AllocLayout layout;
+  for (const auto& a : allocs) layout.add(a.bytes);
+  return layout.next_free_page();
 }
 
 }  // namespace uvmsim::detail

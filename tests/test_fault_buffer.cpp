@@ -285,6 +285,61 @@ void expect_same_records(const std::vector<FaultRecord>& got,
   }
 }
 
+/// sort_pending against std::stable_sort of the same records. Each
+/// record's `block` is its push order, so any loss of stability shows.
+void expect_sort_matches_stable_sort(const std::vector<SimTime>& stamps,
+                                     const std::string& label) {
+  FaultBuffer buf(stamps.size() + 1);
+  buf.push(fault(0, 0));  // drained below, so the pending range is offset
+  std::vector<FaultRecord> want;
+  for (std::uint32_t i = 0; i < stamps.size(); ++i) {
+    FaultRecord f = fault(i, stamps[i]);
+    f.block = i;
+    ASSERT_TRUE(buf.push(f)) << label;
+    want.push_back(f);
+  }
+  ASSERT_EQ(buf.drain(1).size(), 1u);
+  std::stable_sort(want.begin(), want.end(),
+                   [](const FaultRecord& a, const FaultRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  buf.sort_pending();
+  expect_same_records(buf.drain(stamps.size()), want, label);
+}
+
+TEST(FaultBuffer, SortPendingMatchesStableSort) {
+  constexpr SimTime kRadixRange = SimTime{1} << 22;
+  Xoshiro256 rng(11);
+  const auto random = [&](std::size_t n, SimTime lo, SimTime range) {
+    std::vector<SimTime> stamps(n);
+    for (SimTime& t : stamps) t = lo + rng.uniform(range);
+    return stamps;
+  };
+  std::vector<SimTime> ascending(3000);
+  for (std::size_t i = 0; i < ascending.size(); ++i) ascending[i] = 500 + i;
+  const std::vector<SimTime> descending(ascending.rbegin(), ascending.rend());
+
+  expect_sort_matches_stable_sort(random(5000, 1'000'000, 60'000),
+                                  "random");
+  expect_sort_matches_stable_sort(random(5000, 7, 90), "random, many ties");
+  expect_sort_matches_stable_sort(ascending, "sorted");
+  expect_sort_matches_stable_sort(descending, "reversed");
+  expect_sort_matches_stable_sort(std::vector<SimTime>(2000, 4242),
+                                  "all equal");
+  expect_sort_matches_stable_sort(random(63, 0, 1000), "under 64 records");
+  expect_sort_matches_stable_sort(random(64, 0, 1000), "64 records");
+
+  std::vector<SimTime> widest = random(4000, 100, kRadixRange - 1);
+  widest[17] = 100;
+  widest[3999] = 100 + kRadixRange - 1;  // the largest two-digit key
+  expect_sort_matches_stable_sort(widest, "range just under 2^22 ns");
+  std::vector<SimTime> wide = widest;
+  wide[3999] = 100 + kRadixRange;
+  expect_sort_matches_stable_sort(wide, "range of exactly 2^22 ns");
+  expect_sort_matches_stable_sort(random(4000, 0, SimTime{1} << 40),
+                                  "range far above 2^22 ns");
+}
+
 TEST(FaultBuffer, MatchesDequeModelOnRandomOperationSequences) {
   // Small capacities and a narrow timestamp range make overflow drops,
   // in-flight survivors and timestamp ties common; thousands of steps per

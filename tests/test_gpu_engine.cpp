@@ -172,16 +172,14 @@ TEST(GpuEngine, SameUtlbDuplicatesEmittedWhenProbabilityIsOne) {
   GpuEngine gpu(cfg, 1);
   // Two warps in one block read the same page: the second warp must emit
   // a duplicate fault record.
-  KernelDesc kernel;
-  BlockProgram block;
+  KernelBuilder builder("same-page", 64);
   for (int w = 0; w < 2; ++w) {
-    WarpProgram warp;
-    AccessGroup g;
-    g.accesses.push_back({42, AccessType::kRead});
-    warp.groups.push_back(g);
-    block.warps.push_back(warp);
+    builder.add_page(42, AccessType::kRead);
+    builder.end_group(1000);
+    builder.end_warp();
   }
-  kernel.blocks.push_back(block);
+  builder.end_block();
+  const KernelDesc kernel = builder.finish();
   gpu.launch(kernel);
   SetOracle oracle;
   const auto result = gpu.generate(0, oracle);

@@ -1,5 +1,5 @@
-// Interconnect topology: routing, path cost, per-link accounting, and
-// the busy-window reservation model (concurrent-transfer semantics).
+// Interconnect topology: routing, path cost, and per-link accounting of
+// the copy engine's DMA ops.
 #include <gtest/gtest.h>
 
 #include "interconnect/copy_engine.hpp"
@@ -140,28 +140,6 @@ TEST(Topology, RecordAccountsEveryLinkOnTheRoute) {
   EXPECT_EQ(touched, 2u);  // both PCIe hops of the host bounce
 }
 
-// The copy-engine concurrency fix: transfers on independent links overlap
-// in time; transfers sharing a link serialize. The old single-link model
-// forced everything into one queue.
-TEST(Topology, ReserveOverlapsIndependentLinksAndSerializesSharedOnes) {
-  Topology topo(make_config(TopologyKind::kNvlinkAll, 3), PcieConfig{});
-
-  // Host->GPU0 (PCIe) and GPU1->GPU2 (NVLink) share nothing: both start
-  // at their earliest start.
-  const auto a = topo.reserve(kHostNode, gpu_node(0), 1 << 20, 100);
-  const auto b = topo.reserve(gpu_node(1), gpu_node(2), 1 << 20, 100);
-  EXPECT_EQ(a.start, 100u);
-  EXPECT_EQ(b.start, 100u);
-  EXPECT_GT(a.finish, a.start);
-  EXPECT_GT(b.finish, b.start);
-
-  // A second host->GPU0 transfer contends for the same PCIe link: it
-  // queues behind the first.
-  const auto c = topo.reserve(kHostNode, gpu_node(0), 1 << 20, 100);
-  EXPECT_EQ(c.start, a.finish);
-  EXPECT_EQ(c.finish - c.start, a.finish - a.start);
-}
-
 TEST(CopyEngine, SingleGpuPcieMatchesPcieLinkTransferTime) {
   // A one-GPU node's copies cost exactly what PcieLink charges: one
   // transfer_time per DMA op, i.e. per range or per run of a page mask.
@@ -187,6 +165,12 @@ TEST(CopyEngine, SingleGpuPcieMatchesPcieLinkTransferTime) {
   EXPECT_EQ(engine.bytes_to_device(), 64 * kPageSize);
   EXPECT_EQ(engine.bytes_to_host(), 13 * kPageSize);
   EXPECT_EQ(engine.bytes_peer(), 0u);
+
+  // The one PCIe link carries every DMA op and all of their wire time.
+  ASSERT_EQ(topo.num_links(), 1u);
+  EXPECT_EQ(topo.stats(0).ops, range.dma_ops + runs.dma_ops);
+  EXPECT_EQ(topo.stats(0).busy_ns, range.time_ns + runs.time_ns);
+  EXPECT_EQ(topo.stats(0).bytes, range.bytes + runs.bytes);
 }
 
 TEST(CopyEngine, PeerCopyAccountsPeerBytesNotHostBytes) {

@@ -17,6 +17,13 @@ struct NamedSpec {
 
 class WorkloadInvariantTest : public ::testing::TestWithParam<NamedSpec> {};
 
+/// The first access of `block`'s first warp's first group.
+PageAccess first_access(const KernelDesc& kernel, std::uint32_t block) {
+  const std::uint32_t warp = kernel.warps_of(block).first;
+  const std::uint32_t group = kernel.groups_of(warp).first;
+  return kernel.access(kernel.accesses_of(group).first);
+}
+
 TEST_P(WorkloadInvariantTest, AccessesStayInsideAllocations) {
   const WorkloadSpec spec = GetParam().build();
   AllocLayout layout;
@@ -25,53 +32,44 @@ TEST_P(WorkloadInvariantTest, AccessesStayInsideAllocations) {
     const PageId base = layout.add(a.bytes);
     ranges.emplace_back(base, base + ceil_div(a.bytes, kPageSize));
   }
-  std::uint64_t checked = 0;
-  for (const auto& block : spec.kernel.blocks) {
-    for (const auto& warp : block.warps) {
-      for (const auto& group : warp.groups) {
-        for (const auto& access : group.accesses) {
-          bool inside = false;
-          for (const auto& [lo, hi] : ranges) {
-            if (access.page >= lo && access.page < hi) {
-              inside = true;
-              break;
-            }
-          }
-          ASSERT_TRUE(inside) << "page " << access.page << " outside allocs";
-          ++checked;
-        }
+  const KernelDesc& kernel = spec.kernel;
+  for (std::uint32_t i = 0; i < kernel.total_accesses(); ++i) {
+    const PageId page = kernel.access(i).page;
+    bool inside = false;
+    for (const auto& [lo, hi] : ranges) {
+      if (page >= lo && page < hi) {
+        inside = true;
+        break;
       }
     }
+    ASSERT_TRUE(inside) << "page " << page << " outside allocs";
   }
-  EXPECT_GT(checked, 0u);
+  EXPECT_GT(kernel.total_accesses(), 0u);
 }
 
 TEST_P(WorkloadInvariantTest, HasBlocksAndNonEmptyGroups) {
   const WorkloadSpec spec = GetParam().build();
-  EXPECT_FALSE(spec.kernel.blocks.empty());
+  const KernelDesc& kernel = spec.kernel;
+  EXPECT_GT(kernel.num_blocks(), 0u);
   EXPECT_FALSE(spec.name.empty());
-  for (const auto& block : spec.kernel.blocks) {
-    EXPECT_FALSE(block.warps.empty());
-    for (const auto& warp : block.warps) {
-      for (const auto& group : warp.groups) {
-        EXPECT_FALSE(group.accesses.empty());
-      }
-    }
+  for (std::uint32_t b = 0; b < kernel.num_blocks(); ++b) {
+    EXPECT_FALSE(kernel.warps_of(b).empty());
+  }
+  for (std::uint32_t g = 0; g < kernel.num_groups(); ++g) {
+    EXPECT_FALSE(kernel.accesses_of(g).empty());
   }
 }
 
 TEST_P(WorkloadInvariantTest, NoDuplicatePagesWithinGroup) {
   // The coalescer emits one request per distinct page per warp.
   const WorkloadSpec spec = GetParam().build();
-  for (const auto& block : spec.kernel.blocks) {
-    for (const auto& warp : block.warps) {
-      for (const auto& group : warp.groups) {
-        std::set<PageId> pages;
-        for (const auto& access : group.accesses) {
-          EXPECT_TRUE(pages.insert(access.page).second)
-              << "duplicate page " << access.page << " in one group";
-        }
-      }
+  const KernelDesc& kernel = spec.kernel;
+  for (std::uint32_t g = 0; g < kernel.num_groups(); ++g) {
+    std::set<PageId> pages;
+    for (const std::uint32_t i : kernel.accesses_of(g)) {
+      const PageId page = kernel.access(i).page;
+      EXPECT_TRUE(pages.insert(page).second)
+          << "duplicate page " << page << " in one group";
     }
   }
 }
@@ -121,34 +119,36 @@ TEST(VecAddPaged, ThreadsPagesAndStatements) {
   const auto spec = make_vecadd_paged(32, 3);
   ASSERT_EQ(spec.allocs.size(), 3u);
   EXPECT_EQ(spec.allocs[0].bytes, 96 * kPageSize);
-  ASSERT_EQ(spec.kernel.blocks.size(), 1u);
-  ASSERT_EQ(spec.kernel.blocks[0].warps.size(), 1u);
+  const KernelDesc& kernel = spec.kernel;
+  ASSERT_EQ(kernel.num_blocks(), 1u);
+  ASSERT_EQ(kernel.warps_of(0).size(), 1u);
   // 3 statements x (reads group + writes group).
-  EXPECT_EQ(spec.kernel.blocks[0].warps[0].groups.size(), 6u);
-  EXPECT_EQ(spec.kernel.blocks[0].warps[0].groups[0].accesses.size(), 64u);
-  EXPECT_EQ(spec.kernel.blocks[0].warps[0].groups[1].accesses.size(), 32u);
+  const IndexRange groups = kernel.groups_of(0);
+  EXPECT_EQ(groups.size(), 6u);
+  EXPECT_EQ(kernel.accesses_of(groups.first).size(), 64u);
+  EXPECT_EQ(kernel.accesses_of(groups.first + 1).size(), 32u);
 }
 
 TEST(VecAddPaged, WritesOnlyInWriteGroups) {
   const auto spec = make_vecadd_paged();
-  const auto& groups = spec.kernel.blocks[0].warps[0].groups;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (const auto& a : groups[g].accesses) {
-      if (g % 2 == 0) {
-        EXPECT_EQ(a.type, AccessType::kRead);
-      } else {
-        EXPECT_EQ(a.type, AccessType::kWrite);
-      }
+  const KernelDesc& kernel = spec.kernel;
+  const IndexRange groups = kernel.groups_of(kernel.warps_of(0).first);
+  for (const std::uint32_t g : groups) {
+    const AccessType expected =
+        (g - groups.first) % 2 == 0 ? AccessType::kRead : AccessType::kWrite;
+    for (const std::uint32_t i : kernel.accesses_of(g)) {
+      EXPECT_EQ(kernel.access(i).type, expected);
     }
   }
 }
 
 TEST(VecAddPrefetch, FirstGroupIsAllPrefetch) {
   const auto spec = make_vecadd_prefetch(128);
-  const auto& g0 = spec.kernel.blocks[0].warps[0].groups[0];
-  EXPECT_EQ(g0.accesses.size(), 3 * 128u);
-  for (const auto& a : g0.accesses) {
-    EXPECT_EQ(a.type, AccessType::kPrefetch);
+  const KernelDesc& kernel = spec.kernel;
+  const IndexRange g0 = kernel.accesses_of(0);
+  EXPECT_EQ(g0.size(), 3 * 128u);
+  for (const std::uint32_t i : g0) {
+    EXPECT_EQ(kernel.access(i).type, AccessType::kPrefetch);
   }
 }
 
@@ -163,14 +163,9 @@ TEST(Gemm, CIsFullyWritten) {
   const std::uint64_t c_pages = ceil_div(spec.allocs[2].bytes, kPageSize);
 
   std::set<PageId> written;
-  for (const auto& block : spec.kernel.blocks) {
-    for (const auto& warp : block.warps) {
-      for (const auto& group : warp.groups) {
-        for (const auto& a : group.accesses) {
-          if (a.type == AccessType::kWrite) written.insert(a.page);
-        }
-      }
-    }
+  for (std::uint32_t i = 0; i < spec.kernel.total_accesses(); ++i) {
+    const PageAccess a = spec.kernel.access(i);
+    if (a.type == AccessType::kWrite) written.insert(a.page);
   }
   for (PageId p2 = c_base; p2 < c_base + c_pages; ++p2) {
     ASSERT_TRUE(written.contains(p2)) << "C page " << p2 << " never written";
@@ -189,37 +184,34 @@ TEST(Gemm, KLoopPrecedesWrites) {
   GemmParams p;
   p.n = 256;
   const auto spec = make_gemm(p);
-  const auto& warp = spec.kernel.blocks[0].warps[0];
+  const KernelDesc& kernel = spec.kernel;
+  const IndexRange groups = kernel.groups_of(kernel.warps_of(0).first);
   // tiles k-steps of reads, then exactly one write group at the end.
-  ASSERT_EQ(warp.groups.size(), p.n / p.tile + 1u);
-  for (std::size_t g = 0; g + 1 < warp.groups.size(); ++g) {
-    for (const auto& a : warp.groups[g].accesses) {
-      EXPECT_EQ(a.type, AccessType::kRead);
+  ASSERT_EQ(groups.size(), p.n / p.tile + 1u);
+  for (const std::uint32_t g : groups) {
+    const AccessType expected =
+        g + 1 < groups.last ? AccessType::kRead : AccessType::kWrite;
+    for (const std::uint32_t i : kernel.accesses_of(g)) {
+      EXPECT_EQ(kernel.access(i).type, expected);
     }
-  }
-  for (const auto& a : warp.groups.back().accesses) {
-    EXPECT_EQ(a.type, AccessType::kWrite);
   }
 }
 
 TEST(Stream, IterationsAreFullGridSweeps) {
   const auto one = make_stream_triad(1 << 14, 1);
   const auto three = make_stream_triad(1 << 14, 3);
-  EXPECT_EQ(three.kernel.blocks.size(), 3 * one.kernel.blocks.size());
+  EXPECT_EQ(three.kernel.num_blocks(), 3 * one.kernel.num_blocks());
   // Each sweep revisits the same pages (iteration 2's first block touches
   // the same pages as iteration 1's).
-  EXPECT_EQ(three.kernel.blocks[one.kernel.blocks.size()]
-                .warps[0]
-                .groups[0]
-                .accesses[0]
-                .page,
-            three.kernel.blocks[0].warps[0].groups[0].accesses[0].page);
+  EXPECT_EQ(first_access(three.kernel, one.kernel.num_blocks()).page,
+            first_access(three.kernel, 0).page);
 }
 
 TEST(Fft, PassCountIsLogN) {
   const auto spec = make_fft(1 << 14, 512);
   // Each pass contributes a read group and a write group per warp.
-  EXPECT_EQ(spec.kernel.blocks[0].warps[0].groups.size(), 2 * 14u);
+  EXPECT_EQ(spec.kernel.groups_of(spec.kernel.warps_of(0).first).size(),
+            2 * 14u);
 }
 
 TEST(GaussSeidel, SweepsRevisitTheGrid) {
@@ -230,7 +222,7 @@ TEST(GaussSeidel, SweepsRevisitTheGrid) {
   const auto two = make_gauss_seidel(p);
   p.sweeps = 1;
   const auto one = make_gauss_seidel(p);
-  EXPECT_EQ(two.kernel.blocks.size(), 2 * one.kernel.blocks.size());
+  EXPECT_EQ(two.kernel.num_blocks(), 2 * one.kernel.num_blocks());
 }
 
 TEST(Hpgmg, LevelsShrinkAndInitIsInterleaved) {
@@ -248,12 +240,10 @@ TEST(Hpgmg, LevelsShrinkAndInitIsInterleaved) {
 TEST(Random, DeterministicForSameSeed) {
   const auto a = make_random(8ULL << 20, 5, 2, 16);
   const auto b = make_random(8ULL << 20, 5, 2, 16);
-  ASSERT_EQ(a.kernel.blocks.size(), b.kernel.blocks.size());
-  EXPECT_EQ(a.kernel.blocks[0].warps[0].groups[0].accesses[0].page,
-            b.kernel.blocks[0].warps[0].groups[0].accesses[0].page);
+  ASSERT_EQ(a.kernel.num_blocks(), b.kernel.num_blocks());
+  EXPECT_EQ(first_access(a.kernel, 0).page, first_access(b.kernel, 0).page);
   const auto c = make_random(8ULL << 20, 6, 2, 16);
-  EXPECT_NE(a.kernel.blocks[0].warps[0].groups[0].accesses[0].page,
-            c.kernel.blocks[0].warps[0].groups[0].accesses[0].page);
+  EXPECT_NE(first_access(a.kernel, 0).page, first_access(c.kernel, 0).page);
 }
 
 }  // namespace
