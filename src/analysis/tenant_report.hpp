@@ -1,6 +1,6 @@
 // Multi-tenant fairness reporting: shares, Jain's index, wait latency.
 //
-// Consumes the TenantStats ledger MultiClientSystem::run fills and
+// Consumes the TenantStats ledger MultiClientSystem::run returns and
 // produces the `analyze --json tenant_stats` rows. Shares are measured
 // over the all-backlogged window (service accrued before the first tenant
 // completed): end-to-end totals just equal the workload sizes, so only

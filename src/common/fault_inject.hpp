@@ -10,7 +10,7 @@
 //
 // Hook sites:
 //   * GPU engine        — spurious fault storms that overflow the HW buffer;
-//   * System loop       — delayed and lost fault-buffer interrupts;
+//   * node event chain  — delayed and lost fault-buffer interrupts;
 //   * fault servicer    — transient copy-engine (PCIe) transfer errors;
 //   * fault servicer    — transient DMA-map failures (hostos/dma path).
 //
@@ -22,7 +22,7 @@
 //                         (single-page retirement);
 //   * fault servicer    — permanent copy-engine channel failure after the
 //                         transient-retry budget (channel reset);
-//   * System loop       — wedged fault buffer: the HW stops presenting
+//   * node event chain  — wedged fault buffer: the HW stops presenting
 //                         records until a channel or full GPU reset.
 //
 // When `enabled` is false every probe is a constant-false branch: no RNG

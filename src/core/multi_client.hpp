@@ -7,24 +7,25 @@
 // devices on the same systems" (§1) and §6 predicts the serial driver
 // bottleneck hits "any vendor implementing HMM for parallel devices".
 //
-// MultiClientSystem instantiates N independent tenants (each with its own
-// GPU: fault buffer, memory, VA space) whose fault batches are serviced
-// by ONE driver worker on a shared timeline: while the worker services
-// tenant A, tenant B's arrived faults wait. Per-tenant TenantConfig adds
-// a fair-share weight, an oversubscription quota (enforced by capping the
+// MultiClientSystem is the N-tenant preset over core/node.hpp: N private
+// single-GPU drivers (each with its own fault buffer, memory, VA space,
+// fault injector, optional access-counter unit and tracer) and N GPU
+// sources, one per driver, whose fault batches are serviced by ONE driver
+// worker on a shared timeline: while the worker services tenant A, tenant
+// B's arrived faults wait. Tenant i's GPU engine is seeded
+// config.seed + 0x9E37 * (i + 1) and its fault injector
+// config.driver.inject.seed + 0x9E37 * i. Per-tenant TenantConfig adds a
+// fair-share weight, an oversubscription quota (enforced by capping the
 // tenant's device memory, so the stock eviction machinery applies the
-// pressure), and a per-grant batch cap; TenantScheduler arbitrates the
+// pressure), and a per-grant batch cap; the node's arbiter grants the
 // worker across tenants (FCFS / deficit-round-robin / stride).
 //
-// Arbitration runs on the discrete-event engine. Under kFcfs each
-// contending tenant posts its earliest fault arrival as an event keyed
-// (time, client), so the worker always wakes for the oldest arrival and
-// ties at equal timestamps deterministically favor the lowest client
-// index — bit-identical to the pre-tenant system. Under the weighted
-// policies the scheduler picks among the backlogged tenants (arrival <=
-// grant time) and posts ONE grant event for the winner; scheduler state
-// advances only on explicit charges of simulated quantities, so decisions
-// are byte-identical across repeat runs.
+// Under kFcfs the worker always wakes for the oldest pending arrival, ties
+// at equal timestamps going to the lowest client index. Under the weighted
+// policies the scheduler picks among the tenants backlogged by the grant
+// time (the earliest arrival, clamped to now); scheduler state advances
+// only on explicit charges of simulated quantities, so decisions are
+// byte-identical across repeat runs.
 //
 // Contention accounting: every serviced batch records its queueing delay
 // (service start minus the earliest fault arrival it contains), and every
@@ -34,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/system.hpp"
@@ -44,32 +44,30 @@
 namespace uvmsim {
 
 struct MultiClientResult {
-  std::vector<RunResult> per_client;
+  std::vector<RunResult> per_client;  // this run's counters only
   SimTime makespan_ns = 0;        // all clients complete
   SimTime worker_busy_ns = 0;     // driver time spent servicing batches
   std::uint64_t batches_serviced = 0;
 
   // Multi-tenant contention ledger (one entry per tenant) and the policy
   // that produced it. Filled on every run; with the default uniform
-  // FCFS configuration the fields above are bit-identical to the
-  // pre-tenant system and this is pure extra observability.
+  // FCFS configuration it is pure extra observability.
   std::vector<TenantStats> per_tenant;
   TenantSchedPolicy sched_policy = TenantSchedPolicy::kFcfs;
 };
 
 class MultiClientSystem {
  public:
-  /// Legacy uniform roster: every client gets the same per-GPU
-  /// configuration (its own GPU memory of config.gpu.memory_bytes),
-  /// weight 1, no quota, FCFS arbitration. Seeds are decorrelated per
-  /// client. With config.obs.trace set, each client records into its OWN
-  /// tracer (one timeline per client — see client_tracer), keeping trace
-  /// streams isolated under contention.
+  /// Uniform roster: every client gets the same per-GPU configuration (its
+  /// own GPU memory of config.gpu.memory_bytes), weight 1, no quota, FCFS
+  /// arbitration. With config.obs.trace set, each client records into its
+  /// OWN tracer (one timeline per client — see client_tracer), keeping
+  /// trace streams isolated under contention.
   MultiClientSystem(SystemConfig config, std::uint32_t num_clients);
 
   /// Multi-tenant roster: tenants[i] configures client i (weight, quota,
   /// per-grant cap) and `sched` selects the arbitration discipline.
-  /// Uniform weights + quotas off + kFcfs is bit-identical to the legacy
+  /// Uniform weights + quotas off + kFcfs is bit-identical to the uniform
   /// constructor.
   MultiClientSystem(SystemConfig config, std::vector<TenantConfig> tenants,
                     TenantSchedConfig sched = {});
@@ -80,9 +78,9 @@ class MultiClientSystem {
   MultiClientResult run(const std::vector<WorkloadSpec>& specs);
 
   std::uint32_t num_clients() const noexcept {
-    return static_cast<std::uint32_t>(clients_.size());
+    return static_cast<std::uint32_t>(tenants_.size());
   }
-  UvmDriver& driver(std::uint32_t client) { return clients_.at(client)->driver; }
+  UvmDriver& driver(std::uint32_t client) { return node_.driver(client); }
 
   const TenantConfig& tenant(std::uint32_t client) const {
     return tenants_.at(client);
@@ -91,62 +89,27 @@ class MultiClientSystem {
 
   /// Client i's private trace; null unless config.obs.trace was set.
   const Tracer* client_tracer(std::uint32_t client) const {
-    return clients_.at(client)->tracer.get();
+    return config_.obs.trace ? &node_.tracer(client) : nullptr;
   }
 
-  /// Per-tenant counters ("tenant.NNNN.*") mirrored after run(); empty
-  /// unless config.obs.metrics was set.
-  const MetricsRegistry& metrics() const noexcept { return metrics_; }
+  /// Every client's driver and GPU metrics plus the per-tenant counters
+  /// ("tenant.NNNN.*") mirrored after run(); empty unless
+  /// config.obs.metrics was set.
+  const MetricsRegistry& metrics() const noexcept { return node_.metrics(); }
 
-  /// Event-engine stats of the last run() (arbitration events, idle ns
-  /// skipped between arrivals, …).
+  /// Event-engine stats (launch, interrupt and per-batch service events,
+  /// idle ns skipped between arrivals, …); they accumulate across runs.
   const EventEngine::Stats& engine_stats() const noexcept {
-    return engine_stats_;
+    return node_.engine().stats();
   }
 
  private:
-  struct Client {
-    Client(const SystemConfig& config, std::uint64_t gpu_memory_bytes,
-           std::uint64_t seed, bool trace)
-        : tracer(trace ? std::make_unique<Tracer>() : nullptr),
-          driver(config.driver, gpu_memory_bytes, config.gpu.num_sms,
-                 config.pcie, nullptr, Obs{tracer.get(), nullptr}),
-          gpu(config.gpu, seed) {
-      gpu.set_obs(Obs{tracer.get(), nullptr});
-      if (tracer) {
-        tracer->set_track_name(tracks::kDriver, "uvm driver");
-        tracer->set_track_name(tracks::kGpu, "gpu");
-      }
-    }
-
-    std::unique_ptr<Tracer> tracer;  // must precede driver/gpu (they hold
-                                     // pointers); null = tracing off
-    UvmDriver driver;
-    GpuEngine gpu;
-    SimTime compute_ns = 0;
-    SimTime done_at = 0;
-    bool done = false;
-  };
-
-  bool client_finished(const Client& c) const {
-    return c.gpu.all_done() && c.gpu.fault_buffer().empty();
-  }
-
-  /// Device memory for tenant `t`: the GPU's, capped by the tenant quota
-  /// (rounded up to whole 2 MB chunks, minimum two so eviction always has
-  /// a victim and a destination).
-  static std::uint64_t effective_memory_bytes(const SystemConfig& config,
-                                              const TenantConfig& t);
-
   void mirror_tenant_metrics(const MultiClientResult& result);
 
   SystemConfig config_;
   std::vector<TenantConfig> tenants_;
   TenantSchedConfig sched_;
-  std::unique_ptr<TenantScheduler> scheduler_;
-  std::vector<std::unique_ptr<Client>> clients_;
-  MetricsRegistry metrics_;
-  EventEngine::Stats engine_stats_;
+  Node node_;
 };
 
 }  // namespace uvmsim

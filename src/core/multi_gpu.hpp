@@ -11,16 +11,18 @@
 // migrates the pages peer-to-peer through the topology's copy paths
 // (FaultServicer::service_peer_block).
 //
-// Arbitration is the FCFS discipline of the multi-tenant server: each
-// contending GPU posts its earliest fault arrival as an event keyed
-// (time, component) and the worker wakes for the oldest, ties going to
-// the lowest GPU index, so identical runs are byte-identical. Faults are
-// stamped with their source GPU as they drain, so the servicer knows
-// which page tables to update and where to place the pages.
+// MultiGpuSystem is the N-GPU preset over core/node.hpp: one driver with
+// N GPU contexts (one fault injector, one shared access-counter unit, one
+// tracer) and N GPU sources, GPU g seeded config.seed + 0x9E37 * (g + 1).
+// Each source reads residency through its GPU's page-table view
+// (UvmDriver::classify_for). The worker is granted FCFS: it wakes for the
+// oldest pending arrival, ties going to the lowest GPU index, so identical
+// runs are byte-identical. Faults are stamped with their source GPU as they
+// drain, so the servicer knows which page tables to update and where to
+// place the pages.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,8 +43,8 @@ struct LinkReport {
 };
 
 struct MultiGpuResult {
-  /// Fleet-wide aggregate: the shared driver's batch log plus totals
-  /// summed over every GPU engine. kernel_time_ns is the makespan.
+  /// Fleet-wide aggregate over this run: the shared driver's batch log plus
+  /// totals summed over every GPU engine. kernel_time_ns is the makespan.
   RunResult aggregate;
   std::vector<SimTime> per_gpu_kernel_ns;  // launch-to-done per GPU
   SimTime makespan_ns = 0;
@@ -54,7 +56,7 @@ struct MultiGpuResult {
   std::uint64_t peer_placements = 0;
   std::uint64_t bytes_peer = 0;
 
-  std::vector<LinkReport> links;
+  std::vector<LinkReport> links;  // this run's traffic per link
 };
 
 class MultiGpuSystem {
@@ -70,43 +72,21 @@ class MultiGpuSystem {
   MultiGpuResult run(const MultiGpuWorkload& workload);
 
   std::uint32_t num_gpus() const noexcept {
-    return static_cast<std::uint32_t>(gpus_.size());
+    return static_cast<std::uint32_t>(node_.num_sources());
   }
-  UvmDriver& driver() noexcept { return driver_; }
-  const UvmDriver& driver() const noexcept { return driver_; }
-  GpuEngine& gpu(std::uint32_t g) { return *gpus_.at(g); }
-  const SystemConfig& config() const noexcept { return config_; }
+  UvmDriver& driver() noexcept { return node_.driver(0); }
+  const UvmDriver& driver() const noexcept { return node_.driver(0); }
+  GpuEngine& gpu(std::uint32_t g) { return node_.gpu(g); }
+  const SystemConfig& config() const noexcept { return node_.config(); }
 
-  const MetricsRegistry& metrics() const noexcept { return metrics_; }
+  const MetricsRegistry& metrics() const noexcept { return node_.metrics(); }
+  /// Event-engine stats; they accumulate across runs.
   const EventEngine::Stats& engine_stats() const noexcept {
-    return engine_stats_;
+    return node_.engine().stats();
   }
 
  private:
-  /// GPU g's page-table view of the shared VA space: classify_for(g).
-  struct GpuView final : ResidencyOracle {
-    const UvmDriver* driver = nullptr;
-    std::uint32_t gpu = 0;
-    bool is_resident_on_gpu(PageId page) const override {
-      return driver->is_resident_for(gpu, page);
-    }
-    PageLocation classify(PageId page) const override {
-      return driver->classify_for(gpu, page);
-    }
-  };
-
-  bool gpu_finished(const GpuEngine& g) const {
-    return g.all_done() && g.fault_buffer().empty();
-  }
-
-  SystemConfig config_;
-  Tracer tracer_;          // must precede driver_/gpus_ (they hold pointers)
-  MetricsRegistry metrics_;
-  std::unique_ptr<AccessCounterUnit> counters_;  // shared unit; may be null
-  UvmDriver driver_;
-  std::vector<std::unique_ptr<GpuEngine>> gpus_;
-  std::vector<GpuView> views_;
-  EventEngine::Stats engine_stats_;
+  Node node_;
 };
 
 }  // namespace uvmsim

@@ -63,7 +63,7 @@ class FaultBuffer {
   /// Wedged state (injected fatal class): the buffer's GET/PUT interface
   /// stops presenting records to the driver — drain_arrived returns
   /// nothing while entries pile up (and overflow) behind the wedge. Only
-  /// a channel or full GPU reset clears it (core/system watchdog).
+  /// a channel or full GPU reset clears it (core/node watchdog).
   void set_wedged() noexcept {
     if (!wedged_) ++total_wedges_;
     wedged_ = true;

@@ -2,10 +2,10 @@
 // paper's high-resolution fault-path timers, recorded as structured data
 // instead of printfs.
 //
-// Every layer of the stack (System loop, UVM driver, GPU engine, host OS,
-// interconnect) emits spans and instants against simulated time onto named
-// tracks (one per simulated execution context: the driver worker, the GPU,
-// and — under DriverConfig::parallelism — each simulated servicing
+// Every layer of the stack (node event chain, UVM driver, GPU engine, host
+// OS, interconnect) emits spans and instants against simulated time onto
+// named tracks (one per simulated execution context: the driver worker, the
+// GPU, and — under DriverConfig::parallelism — each simulated servicing
 // thread). The recorded events export as Chrome trace-event JSON
 // (analysis/log_io.hpp) loadable in Perfetto / chrome://tracing.
 //
@@ -33,7 +33,7 @@ namespace uvmsim {
 using TrackId = std::uint32_t;
 
 namespace tracks {
-constexpr TrackId kSim = 0;       // System loop: interrupts, wakeups
+constexpr TrackId kSim = 0;       // node event chain: interrupts, wakeups
 constexpr TrackId kDriver = 1;    // driver worker serial timeline
 constexpr TrackId kGpu = 2;       // GPU compute / fault generation
 constexpr TrackId kCounters = 3;  // access-counter servicing passes

@@ -1,78 +1,19 @@
 #include "uvm/counter_servicer.hpp"
 
-#include <stdexcept>
-
 namespace uvmsim {
 
 CounterServicer::CounterServicer(const DriverConfig& config, VaSpace& space,
                                  const Topology& topo, GpuMemCtxs& gpus,
-                                 CopyEngine& copy, ThrashingDetector* thrash,
-                                 Obs obs)
+                                 CopyEngine& copy, FaultServicer& faults,
+                                 ThrashingDetector* thrash, Obs obs)
     : config_(config),
       space_(space),
       topo_(topo),
       gpus_(gpus),
       copy_(copy),
+      faults_(faults),
       thrash_(thrash),
       obs_(obs) {}
-
-void CounterServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
-                                BatchRecord& record) {
-  const SimTime evict_t0 = record.start_ns + record.phases.sum();
-  record.phases.counter_ns += config_.evict_fail_alloc_ns;
-
-  Evictor& evictor = gpus_[gpu].evictor;
-  const bool shields = thrash_ && thrash_->enabled();
-  const SimTime now = record.start_ns + record.phases.sum();
-  const auto victim =
-      shields ? evictor.pick_victim(protect,
-                                    [&](VaBlockId b) {
-                                      return !thrash_->is_shielded(b, now);
-                                    })
-              : evictor.pick_victim(protect);
-  if (!victim) {
-    throw std::runtime_error(
-        "uvmsim: GPU memory exhausted with no evictable VABlock");
-  }
-
-  VaBlockState& v = space_.block(*victim);
-  const std::uint32_t resident = v.gpu_resident_count();
-  const auto xfer = copy_.copy_range(resident, gpu_node(gpu), kHostNode);
-  record.phases.counter_ns += xfer.time_ns;
-  record.counters.bytes_d2h += xfer.bytes;
-  const auto chunk = v.chunk();
-  v.evict_to_host();
-  if (chunk) gpus_[gpu].memory.free_chunk(*chunk);
-  evictor.remove(*victim);
-  if (thrash_) {
-    thrash_->record_eviction(*victim, record.start_ns + record.phases.sum());
-  }
-
-  record.phases.counter_ns += config_.evict_restart_ns;
-  ++record.counters.ctr_evictions;
-  ++evictions_;
-  if (obs_.tracer) {
-    obs_.tracer->span(tracks::kCounters, "evict", evict_t0,
-                      record.start_ns + record.phases.sum(),
-                      {{"victim", *victim}, {"pages_written_back", resident}});
-  }
-  if (config_.record_vablock_detail) {
-    record.evicted_blocks.push_back(*victim);
-  }
-}
-
-GpuMemory::ChunkId CounterServicer::alloc_chunk(std::uint32_t gpu,
-                                                VaBlockId protect,
-                                                BatchRecord& record) {
-  for (;;) {
-    if (const auto chunk = gpus_[gpu].memory.alloc_chunk()) return *chunk;
-    if (!config_.eviction_enabled) {
-      throw std::runtime_error(
-          "uvmsim: GPU memory oversubscribed with eviction disabled");
-    }
-    evict_one(gpu, protect, record);
-  }
-}
 
 std::uint32_t CounterServicer::pick_target_gpu(const VaBlockState& block) {
   const std::uint32_t last = block.last_gpu();
@@ -112,7 +53,8 @@ void CounterServicer::promote_peer_block(VaBlockId id, VaBlockState& block,
   const VaBlockState::PageMask resident = block.gpu_resident();
   const auto pages = static_cast<std::uint32_t>(resident.count());
   const auto old_chunk = block.chunk();
-  const GpuMemory::ChunkId dst = alloc_chunk(target, id, record);
+  const GpuMemory::ChunkId dst = faults_.alloc_chunk(
+      target, id, record, FaultServicer::EvictFor::kCounter);
   const auto xfer =
       copy_.copy_pages(resident, gpu_node(owner), gpu_node(target));
   record.phases.counter_ns += xfer.time_ns;
@@ -232,7 +174,8 @@ void CounterServicer::service(AccessCounterUnit& unit, BatchRecord& record) {
     // target page first (restart semantics, same as the fault path).
     const bool fresh_chunk = !block.has_chunk();
     if (fresh_chunk) {
-      block.set_chunk(alloc_chunk(target, block_id, record));
+      block.set_chunk(faults_.alloc_chunk(target, block_id, record,
+                                          FaultServicer::EvictFor::kCounter));
       block.set_owner_gpu(target);
     }
     const std::uint32_t populate =

@@ -39,7 +39,7 @@
 #include "obs/obs.hpp"
 #include "uvm/batch.hpp"
 #include "uvm/driver_config.hpp"
-#include "uvm/eviction.hpp"
+#include "uvm/fault_servicer.hpp"
 #include "uvm/gpu_ctx.hpp"
 #include "uvm/thrashing.hpp"
 #include "uvm/va_space.hpp"
@@ -49,9 +49,11 @@ namespace uvmsim {
 class CounterServicer {
  public:
   /// `gpus` holds one memory context per GPU of `topo`; neither is owned.
+  /// Promotions that need room evict through `faults`' eviction step.
   CounterServicer(const DriverConfig& config, VaSpace& space,
                   const Topology& topo, GpuMemCtxs& gpus, CopyEngine& copy,
-                  ThrashingDetector* thrash = nullptr, Obs obs = {});
+                  FaultServicer& faults, ThrashingDetector* thrash = nullptr,
+                  Obs obs = {});
 
   /// Run one servicing pass against `unit` at the end of the fault batch
   /// `record` (whose end_ns must already be set): drain arrived
@@ -61,23 +63,12 @@ class CounterServicer {
 
   std::uint64_t total_pages_promoted() const noexcept { return promoted_; }
   std::uint64_t total_unpins() const noexcept { return unpins_; }
-  std::uint64_t total_evictions() const noexcept { return evictions_; }
 
  private:
   /// Promotion target for `block`: its last serving GPU when that HBM has
   /// room, else the cheapest peer with a free chunk, else the last
   /// serving GPU anyway (the eviction policy decides). One GPU: always 0.
   std::uint32_t pick_target_gpu(const VaBlockState& block);
-
-  /// Evict one victim to make room for a promotion; mirrors the fault
-  /// path's eviction (shield-aware victim pick, forced writeback, thrash
-  /// bookkeeping) but charges counter_ns and ctr_evictions.
-  void evict_one(std::uint32_t gpu, VaBlockId protect, BatchRecord& record);
-
-  /// A chunk from `gpu`'s pool, evicting that GPU's victims (never
-  /// `protect`) until one frees up.
-  GpuMemory::ChunkId alloc_chunk(std::uint32_t gpu, VaBlockId protect,
-                                 BatchRecord& record);
 
   /// MIMC promotion of a peer-mapped resident block: the remote traffic is
   /// a peer GPU hammering the owner's HBM over the fabric, so promotion
@@ -91,11 +82,11 @@ class CounterServicer {
   const Topology& topo_;
   GpuMemCtxs& gpus_;
   CopyEngine& copy_;
+  FaultServicer& faults_;
   ThrashingDetector* thrash_;  // may be null (no detection)
   Obs obs_;                    // null members = no recording
   std::uint64_t promoted_ = 0;
   std::uint64_t unpins_ = 0;
-  std::uint64_t evictions_ = 0;
   std::uint64_t dropped_seen_ = 0;  // unit drop total at the last pass
 };
 

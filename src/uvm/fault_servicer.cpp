@@ -62,9 +62,12 @@ bool FaultServicer::attempt_with_retries(RetrySite site, BatchRecord& record) {
 }
 
 void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
-                              BatchRecord& record) {
+                              BatchRecord& record, EvictFor path) {
+  const bool fault_path = path == EvictFor::kFault;
+  SimTime& phase =
+      fault_path ? record.phases.eviction_ns : record.phases.counter_ns;
   const SimTime evict_t0 = record.start_ns + record.phases.sum();
-  record.phases.eviction_ns += config_.evict_fail_alloc_ns;
+  phase += config_.evict_fail_alloc_ns;
 
   Evictor& evictor = gpus_[gpu].evictor;
   const bool shields = thrash_ && thrash_->enabled();
@@ -82,7 +85,7 @@ void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
 
   VaBlockState& v = space_.block(*victim);
   const std::uint32_t resident = v.gpu_resident_count();
-  if (resident > 0) {
+  if (fault_path && resident > 0) {
     // Writeback: the whole block's resident pages return to host frames
     // (without CPU remapping — lazy remap on CPU access, §5.1). A
     // writeback may hit transient transfer errors too, but it can never
@@ -95,17 +98,21 @@ void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
       recovery_->channel_reset(record);
     }
   }
-  release_to_host(gpu, *victim, v, record);
+  release_to_host(gpu, *victim, v, record, phase);
   if (thrash_) {
     thrash_->record_eviction(*victim, record.start_ns + record.phases.sum());
   }
 
-  record.phases.eviction_ns += config_.evict_restart_ns;
-  ++record.counters.evictions;
-  ++total_evictions_;
+  phase += config_.evict_restart_ns;
+  if (fault_path) {
+    ++record.counters.evictions;
+    ++total_evictions_;
+  } else {
+    ++record.counters.ctr_evictions;
+  }
   if (detailed_trace()) {
-    obs_.tracer->span(tracks::kDriver, "evict", evict_t0,
-                      record.start_ns + record.phases.sum(),
+    obs_.tracer->span(fault_path ? tracks::kDriver : tracks::kCounters,
+                      "evict", evict_t0, record.start_ns + record.phases.sum(),
                       {{"victim", *victim}, {"pages_written_back", resident}});
   }
   if (config_.record_vablock_detail) {
@@ -114,10 +121,11 @@ void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
 }
 
 void FaultServicer::release_to_host(std::uint32_t gpu, VaBlockId id,
-                                    VaBlockState& block, BatchRecord& record) {
+                                    VaBlockState& block, BatchRecord& record,
+                                    SimTime& phase) {
   const auto xfer =
       copy_.copy_range(block.gpu_resident_count(), gpu_node(gpu), kHostNode);
-  record.phases.eviction_ns += xfer.time_ns;
+  phase += xfer.time_ns;
   record.counters.bytes_d2h += xfer.bytes;
   const auto chunk = block.chunk();
   block.evict_to_host();  // also drops the block's chunk reference
@@ -127,14 +135,15 @@ void FaultServicer::release_to_host(std::uint32_t gpu, VaBlockId id,
 
 GpuMemory::ChunkId FaultServicer::alloc_chunk(std::uint32_t gpu,
                                               VaBlockId protect,
-                                              BatchRecord& record) {
+                                              BatchRecord& record,
+                                              EvictFor path) {
   for (;;) {
     if (const auto chunk = gpus_[gpu].memory.alloc_chunk()) return *chunk;
     if (!config_.eviction_enabled) {
       throw std::runtime_error(
           "uvmsim: GPU memory oversubscribed with eviction disabled");
     }
-    evict_one(gpu, protect, record);
+    evict_one(gpu, protect, record, path);
   }
 }
 
@@ -179,7 +188,10 @@ void FaultServicer::pin_block(VaBlockId id, VaBlockState& block, SimTime now,
   // relieves memory pressure immediately). Charged like an eviction
   // writeback but not counted as one — the whole point of the pin is to
   // stop the eviction churn.
-  if (block.has_chunk()) release_to_host(block.owner_gpu(), id, block, record);
+  if (block.has_chunk()) {
+    release_to_host(block.owner_gpu(), id, block, record,
+                    record.phases.eviction_ns);
+  }
   thrash_->pin(id, now + config_.thrash.pin_lapse_ns);
   ++record.counters.thrash_pins;
   if (detailed_trace()) {
@@ -202,7 +214,7 @@ bool FaultServicer::service_peer_block(std::uint32_t gpu, VaBlockId id,
     // faulting GPU re-populates it over its own host link like any other
     // host-resident fault — the handoff pays two host hops plus the
     // refault, which is exactly what NVLink peer migration saves.
-    release_to_host(owner, id, block, record);
+    release_to_host(owner, id, block, record, record.phases.eviction_ns);
     record.phases.eviction_ns += config_.evict_restart_ns;
     ++record.counters.evictions;
     ++total_evictions_;

@@ -83,6 +83,21 @@ class FaultServicer {
     recovery_ = recovery;
   }
 
+  /// Which servicer an eviction serves. Both pick a shield-aware victim,
+  /// write it back, release its chunk and record it with the thrashing
+  /// detector. A fault-path eviction charges eviction_ns and `evictions`
+  /// on the driver track and retries its writeback under injection; a
+  /// counter-path eviction charges counter_ns and `ctr_evictions` on the
+  /// counters track and has no retry step.
+  enum class EvictFor : std::uint8_t { kFault, kCounter };
+
+  /// A chunk from `gpu`'s pool, evicting that GPU's victims (never
+  /// `protect`) until one frees up.
+  GpuMemory::ChunkId alloc_chunk(std::uint32_t gpu, VaBlockId protect,
+                                 BatchRecord& record,
+                                 EvictFor path = EvictFor::kFault);
+
+  /// Fault-path evictions so far (counter-path ones are in the batch log).
   std::uint64_t total_evictions() const noexcept { return total_evictions_; }
 
  private:
@@ -115,18 +130,14 @@ class FaultServicer {
   bool ensure_chunk(std::uint32_t gpu, VaBlockId id, VaBlockState& block,
                     BatchRecord& record, std::uint32_t target_pages);
 
-  /// A chunk from `gpu`'s pool, evicting that GPU's victims (never
-  /// `protect`) until one frees up.
-  GpuMemory::ChunkId alloc_chunk(std::uint32_t gpu, VaBlockId protect,
-                                 BatchRecord& record);
-
-  void evict_one(std::uint32_t gpu, VaBlockId protect, BatchRecord& record);
+  void evict_one(std::uint32_t gpu, VaBlockId protect, BatchRecord& record,
+                 EvictFor path);
 
   /// Write `block`'s resident pages back from GPU `gpu` to host frames,
   /// return its chunk to that GPU's pool and drop it from the GPU's
-  /// eviction order. Charged into eviction_ns.
+  /// eviction order. The copy time is charged into `phase`.
   void release_to_host(std::uint32_t gpu, VaBlockId id, VaBlockState& block,
-                       BatchRecord& record);
+                       BatchRecord& record, SimTime& phase);
 
   /// kPin mitigation: write any resident pages back, release the chunk,
   /// and mark the block host-pinned; its accesses resolve remotely.

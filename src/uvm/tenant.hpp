@@ -56,7 +56,7 @@ struct TenantConfig {
   std::string name;
 };
 
-/// Per-tenant contention ledger, filled by MultiClientSystem::run.
+/// Per-tenant contention ledger, filled by Node::run (core/node).
 struct TenantStats {
   double weight = 1.0;               // config echo (report convenience)
   std::uint64_t quota_pages = 0;     // effective (post-rounding) quota

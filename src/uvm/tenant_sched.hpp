@@ -19,10 +19,9 @@
 //     serviced; a grant always services at least one batch, so DRR is
 //     work-conserving even when a batch exceeds the quantum.
 //
-// kFcfs short-circuits to "lowest index" — MultiClientSystem keeps the
-// legacy earliest-arrival event arbitration for that policy and only
-// consults the scheduler for simultaneous arrivals, which the event
-// engine already breaks by client index.
+// kFcfs short-circuits to "lowest index": the node's arbiter (core/node)
+// hands it only the sources tied at the earliest pending arrival, so the
+// oldest fault wins and ties go to the lowest source index.
 #pragma once
 
 #include <cstddef>

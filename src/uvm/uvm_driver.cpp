@@ -64,7 +64,8 @@ UvmDriver::UvmDriver(DriverConfig config, std::uint64_t gpu_memory_bytes,
       recovery_(config_, space_, gpus_, dma_, copy_, obs),
       servicer_(config_, space_, topo_, gpus_, dma_, copy_, num_sms, injector,
                 &thrash_, obs),
-      counter_servicer_(config_, space_, topo_, gpus_, copy_, &thrash_, obs),
+      counter_servicer_(config_, space_, topo_, gpus_, copy_, servicer_,
+                        &thrash_, obs),
       effective_batch_size_(config_.batch_size) {
   copy_.set_obs(obs_);
   dma_.set_obs(obs_);
@@ -89,7 +90,7 @@ const BatchRecord& UvmDriver::handle_batch(const std::vector<FaultRecord>& raw,
   // pass extends the batch record's counter_ns phase and end time.
   if (counters_) counter_servicer_.service(*counters_, record);
   // Retired-page pool overflow escalates to a full GPU reset (recovery
-  // tier 4) as the last step of the bottom half; the System loop sees the
+  // tier 4) as the last step of the bottom half; the node's event chain sees the
   // reset through the recovery counters and resets the GPU engine side.
   if (recovery_.take_gpu_reset_request()) recovery_.full_gpu_reset(record);
   total_batch_ns_ += record.duration_ns();

@@ -38,11 +38,11 @@ class UvmDriver final : public ResidencyOracle {
  public:
   /// `gpu_memory_bytes` is each GPU's HBM. `injector` (optional) is the
   /// cross-layer fault-injection schedule shared with the GPU engine and
-  /// the System loop; the driver consults it for transient copy/DMA errors
-  /// on the fault path. `obs` (optional) carries the System's
-  /// tracing/metrics sinks; it is forwarded to the servicer, copy engine,
-  /// and DMA mapper, and the driver itself mirrors every BatchRecord into
-  /// the registry after each batch.
+  /// the node's event chain; the driver consults it for transient
+  /// copy/DMA errors on the fault path. `obs` (optional) carries the
+  /// node's tracing/metrics sinks; it is forwarded to the servicer, copy
+  /// engine, and DMA mapper, and the driver itself mirrors every
+  /// BatchRecord into the registry after each batch.
   ///
   /// Throws std::invalid_argument for a config no run can complete: a
   /// zero batch size (or a zero adaptive-sizing bound), zero GPUs, or less
@@ -61,20 +61,20 @@ class UvmDriver final : public ResidencyOracle {
   /// append the record to the batch log. Returns the appended record.
   /// `buffer_dropped` annotates how many fault records the HW buffer
   /// dropped (overflow) since the previous batch — observability for
-  /// overflow storms (the System loop supplies the delta).
+  /// overflow storms (the node's event chain supplies the delta).
   const BatchRecord& handle_batch(const std::vector<FaultRecord>& raw,
                                   SimTime start,
                                   std::uint32_t buffer_dropped = 0);
 
   /// Counter-interrupt bottom half with no fault batch attached: one
   /// servicing pass against the access-counter unit, appended to the log
-  /// as a counter-only record starting at `start`. The System loop calls
-  /// this when the GPU goes idle with notifications still buffered (real
-  /// nvidia-uvm drains the counter channel between kernels too). Requires
-  /// set_access_counters.
+  /// as a counter-only record starting at `start`. The node's event chain
+  /// calls this when the GPU goes idle with notifications still buffered
+  /// (real nvidia-uvm drains the counter channel between kernels too).
+  /// Requires set_access_counters.
   const BatchRecord& service_counter_interrupt(SimTime start);
 
-  /// Watchdog-driven recovery bottom halves (core/system escalation
+  /// Watchdog-driven recovery bottom halves (core/node escalation
   /// tiers). Each appends a recovery-only record to the batch log so the
   /// reset and its latency are first-class, replay-checkable batch data.
   /// Tier 3: reset the copy-engine channel at `start`.
@@ -154,7 +154,6 @@ class UvmDriver final : public ResidencyOracle {
   }
 
   const BatchLog& log() const noexcept { return log_; }
-  BatchLog take_log() noexcept { return std::move(log_); }
 
   /// Sum of end-start over all batches (Table 4's "Batch" column).
   SimTime total_batch_time() const noexcept { return total_batch_ns_; }

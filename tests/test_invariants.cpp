@@ -4,9 +4,11 @@
 // model, which changes simulated time on every batch.
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/invariants.hpp"
 #include "analysis/log_io.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
@@ -26,39 +28,8 @@ const std::vector<ServicingPolicy> kPolicies{
     ServicingPolicy::kSerial, ServicingPolicy::kPerVaBlock,
     ServicingPolicy::kPerSm};
 
-/// Conservation checks every run must satisfy, any policy, any seed.
-void check_run_invariants(const System& system, const SystemConfig& cfg,
-                          const RunResult& result) {
-  // Raw faults >= deduped faults, and the dedup classification is exact.
-  for (const auto& rec : result.log) {
-    ASSERT_GE(rec.counters.raw_faults, rec.counters.unique_faults);
-    ASSERT_EQ(rec.counters.raw_faults,
-              rec.counters.unique_faults + rec.counters.dup_same_utlb +
-                  rec.counters.dup_cross_utlb);
-    // Parallel servicing may only shorten a batch, never stretch it.
-    ASSERT_LE(rec.duration_ns(), rec.phases.sum());
-  }
-
-  // Resident bytes never exceed GPU memory.
-  const auto& space = system.driver().va_space();
-  ASSERT_LE(space.gpu_resident_pages() * kPageSize, cfg.gpu.memory_bytes);
-
-  // Every touched page is resident-or-evicted: a page with defined
-  // contents (populated) must live somewhere — in the GPU chunk or in a
-  // host frame (eviction writes back; CPU init provides the original).
-  // A retired page (recovery tier 2) is banned from GPU residency for
-  // good: no servicing path may map it back.
-  for (VaBlockId b = 0; b < space.block_count(); ++b) {
-    const auto& block = space.block(b);
-    const auto orphaned =
-        block.populated() & ~(block.gpu_resident() | block.host_data());
-    ASSERT_TRUE(orphaned.none())
-        << "block " << b << " lost " << orphaned.count() << " pages";
-    const auto remapped = block.retired() & block.gpu_resident();
-    ASSERT_TRUE(remapped.none()) << "block " << b << " maps "
-                                 << remapped.count() << " retired pages";
-  }
-}
+/// The shared run oracle (analysis/invariants.hpp) finds no violation.
+const std::vector<std::string> kClean;
 
 std::uint64_t total_pages_migrated(const RunResult& result) {
   std::uint64_t n = 0;
@@ -76,7 +47,8 @@ TEST(Invariants, FuzzedWorkloadsConserveAcrossPoliciesAndSeeds) {
       System system(cfg);
       const auto result = system.run(c.spec);
       ASSERT_GT(result.total_faults, 0u) << "seed " << seed;
-      check_run_invariants(system, cfg, result);
+      EXPECT_EQ(run_violations(system.driver(), result), kClean)
+          << "seed " << seed;
       // These cases are sized in-core: eviction must never fire, so the
       // cross-policy migration equality below is exact.
       ASSERT_EQ(result.evictions, 0u) << "seed " << seed;
@@ -103,23 +75,8 @@ TEST(Invariants, InjectedFaultsConserveAndBalanceAcrossSeeds) {
     System system(c.config);
     const auto result = system.run(c.spec);
     ASSERT_GT(result.total_faults, 0u) << "seed " << seed;
-    check_run_invariants(system, c.config, result);
-
-    // Accounting balance: each injected transfer/DMA error lands in
-    // exactly one batch record.
-    std::uint64_t logged_transfer_errors = 0;
-    std::uint64_t logged_dma_errors = 0;
-    std::uint64_t logged_dropped = 0;
-    for (const auto& rec : result.log) {
-      logged_transfer_errors += rec.counters.transfer_errors;
-      logged_dma_errors += rec.counters.dma_map_errors;
-      logged_dropped += rec.counters.buffer_dropped;
-    }
-    EXPECT_EQ(logged_transfer_errors, result.injected_transfer_errors)
+    EXPECT_EQ(run_violations(system.driver(), result), kClean)
         << "seed " << seed;
-    EXPECT_EQ(logged_dma_errors, result.injected_dma_errors)
-        << "seed " << seed;
-    EXPECT_EQ(logged_dropped, result.faults_dropped_full) << "seed " << seed;
 
     // Determinism: the same injected scenario replays bit-identically.
     System replay_system(c.config);
@@ -142,26 +99,8 @@ TEST(Invariants, FatalInjectedRunsConserveRecoverAndBalanceAcrossSeeds) {
     System system(c.config);
     const auto result = system.run(c.spec);
     ASSERT_GT(result.total_faults, 0u) << "seed " << seed;
-    check_run_invariants(system, c.config, result);
-
-    std::uint64_t cancelled = 0, pages_retired = 0, chunks_retired = 0;
-    std::uint64_t channel_resets = 0, gpu_resets = 0;
-    for (const auto& rec : result.log) {
-      cancelled += rec.counters.faults_cancelled;
-      pages_retired += rec.counters.pages_retired;
-      chunks_retired += rec.counters.chunks_retired;
-      channel_resets += rec.counters.channel_resets;
-      gpu_resets += rec.counters.gpu_resets;
-    }
-    EXPECT_EQ(cancelled, result.faults_cancelled) << "seed " << seed;
-    EXPECT_EQ(pages_retired, result.pages_retired) << "seed " << seed;
-    EXPECT_EQ(chunks_retired, result.chunks_retired) << "seed " << seed;
-    EXPECT_EQ(channel_resets, result.channel_resets) << "seed " << seed;
-    EXPECT_EQ(gpu_resets, result.gpu_resets) << "seed " << seed;
-    // Chunk blacklisting is permanent: the memory's retired count matches
-    // the log, and the allocatable capacity shrank by exactly that much.
-    const auto& mem = system.driver().gpu_memory();
-    EXPECT_EQ(mem.retired_chunks(), chunks_retired) << "seed " << seed;
+    EXPECT_EQ(run_violations(system.driver(), result), kClean)
+        << "seed " << seed;
 
     // Determinism: the same fatal schedule replays bit-identically,
     // including every recovery record.
@@ -185,7 +124,8 @@ TEST(Invariants, CounterAssistedRunsConserveAndBalanceAcrossSeeds) {
     System system(c.config);
     const auto result = system.run(c.spec);
     ASSERT_GT(result.total_faults, 0u) << "seed " << seed;
-    check_run_invariants(system, c.config, result);
+    EXPECT_EQ(run_violations(system.driver(), result), kClean)
+        << "seed " << seed;
 
     std::uint64_t logged_notifications = 0;
     std::uint64_t logged_promoted = 0;
@@ -229,7 +169,8 @@ TEST(Invariants, CounterPromotionNeverRemapsRetiredPages) {
     const auto result = system.run(make_random(16ULL << 20, seed));
     ASSERT_GT(result.pages_retired, 0u) << "seed " << seed;
     ASSERT_GT(result.counter_pages_promoted, 0u) << "seed " << seed;
-    check_run_invariants(system, cfg, result);
+    EXPECT_EQ(run_violations(system.driver(), result), kClean)
+        << "seed " << seed;
   }
 }
 
@@ -243,7 +184,8 @@ TEST(Invariants, OversubscribedRunsConserveUnderParallelServicing) {
     const auto result = system.run(make_stream_triad(2 << 20));
     EXPECT_GT(result.evictions, 0u);
     EXPECT_GT(result.bytes_d2h, 0u);
-    check_run_invariants(system, cfg, result);
+    EXPECT_EQ(run_violations(system.driver(), result), kClean)
+        << "policy " << static_cast<int>(policy);
   }
 }
 
@@ -294,7 +236,8 @@ TEST(Invariants, ParallelServicingNeverSlowsARunDown) {
       const auto result = system.run(make_stream_triad(1 << 17));
       EXPECT_LE(result.batch_time_ns, serial.batch_time_ns)
           << "policy " << static_cast<int>(policy) << " x" << workers;
-      check_run_invariants(system, par_cfg, result);
+      EXPECT_EQ(run_violations(system.driver(), result), kClean)
+          << "policy " << static_cast<int>(policy) << " x" << workers;
     }
   }
 }

@@ -230,6 +230,13 @@ TEST_F(TwoGpuDriver, CounterPromotionMovesAPeerMappedBlockToItsAccessor) {
   EXPECT_EQ(rec.counters.bytes_peer, kPageSize);
   EXPECT_EQ(rec.counters.ctr_evictions, 1u);
   EXPECT_EQ(rec.counters.bytes_d2h, kPageSize);  // block 0's writeback
+  // That eviction is the counter path's: it charges counter_ns and
+  // ctr_evictions, never the fault path's eviction_ns or evictions.
+  EXPECT_GE(rec.phases.counter_ns, driver.config().evict_fail_alloc_ns +
+                                       driver.config().evict_restart_ns);
+  EXPECT_EQ(rec.phases.eviction_ns, 0u);
+  EXPECT_EQ(rec.counters.evictions, 0u);
+  EXPECT_EQ(driver.total_evictions(), 0u);
   const VaBlockState& block = driver.va_space().block(1);
   EXPECT_EQ(block.owner_gpu(), 0u);
   EXPECT_EQ(block.peer_map_mask(), 0u);

@@ -230,9 +230,8 @@ TEST(TenantSystem, GrantCapBoundsBatchesAndCountsDeferrals) {
 }
 
 TEST(TenantSystem, WeightedArbitrationPostsNoCancelledEvents) {
-  // The weighted path posts exactly one grant event per round and steps
-  // it; nothing is ever cancelled (the FCFS contention pattern is
-  // posted == executed + cancelled with cancelled > 0).
+  // The weighted path posts exactly one interrupt per grant; every posted
+  // event executes (the engine has no cancellation).
   SystemConfig cfg = small_config();
   MultiClientSystem multi(cfg, std::vector<TenantConfig>(4),
                           {TenantSchedPolicy::kStride});
@@ -241,7 +240,6 @@ TEST(TenantSystem, WeightedArbitrationPostsNoCancelledEvents) {
                                  make_vecadd_coalesced(1 << 14),
                                  make_stream_triad(1 << 13)});
   const auto& stats = multi.engine_stats();
-  EXPECT_EQ(stats.cancelled, 0u);
   EXPECT_EQ(stats.posted, stats.executed);
   EXPECT_GT(result.batches_serviced, 0u);
 }

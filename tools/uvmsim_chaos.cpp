@@ -3,8 +3,8 @@
 //
 // A *schedule* is a full knob assignment — transient error rates, fatal
 // class rates, retry/watchdog/pool settings, batching — derived
-// deterministically from one seed. Each schedule runs under an invariant
-// oracle (conservation, accounting balance, replay determinism);
+// deterministically from one seed. Each schedule runs under the shared
+// run oracle (analysis/invariants.hpp) plus a replay-determinism check;
 // a violation is a finding. The harness then *shrinks* the schedule:
 // greedily resetting knobs to their benign values while the failure
 // persists, until the schedule is 1-minimal (resetting any single
@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/invariants.hpp"
 #include "analysis/log_io.hpp"
 #include "core/system.hpp"
 #include "workloads/workload.hpp"
@@ -170,13 +171,10 @@ std::string log_text(const RunResult& result) {
   return text;
 }
 
-#define CHAOS_CHECK(cond, what)                           \
-  do {                                                    \
-    if (!(cond)) return std::string("invariant: ") + what; \
-  } while (0)
-
-/// Run one schedule and check every invariant the simulator promises.
-/// Returns the first violation's description, or nullopt when clean.
+/// Run one schedule and check every invariant the simulator promises: the
+/// shared run oracle (analysis/invariants.hpp), that the run faulted at
+/// all, and replay determinism. Returns the first violation's
+/// description, or nullopt when clean.
 std::optional<std::string> violation(const Schedule& s,
                                      std::uint64_t elements) {
   const SystemConfig cfg = to_config(s);
@@ -188,73 +186,20 @@ std::optional<std::string> violation(const Schedule& s,
   } catch (const std::exception& e) {
     return std::string("exception: ") + e.what();
   }
-
-  CHAOS_CHECK(result.total_faults > 0, "run produced no faults");
-
-  // Dedup classification is exact; parallelism only shortens batches.
-  for (const auto& rec : result.log) {
-    CHAOS_CHECK(rec.counters.raw_faults >= rec.counters.unique_faults,
-                "raw < unique");
-    CHAOS_CHECK(rec.counters.raw_faults ==
-                    rec.counters.unique_faults + rec.counters.dup_same_utlb +
-                        rec.counters.dup_cross_utlb,
-                "raw != unique + duplicates");
-    CHAOS_CHECK(rec.duration_ns() <= rec.phases.sum(),
-                "batch duration exceeds phase sum");
+  if (result.total_faults == 0) {
+    return std::string("invariant: run produced no faults");
   }
-
-  // Residency and retirement conservation.
-  const auto& space = system.driver().va_space();
-  CHAOS_CHECK(space.gpu_resident_pages() * kPageSize <= cfg.gpu.memory_bytes,
-              "resident bytes exceed GPU memory");
-  for (VaBlockId b = 0; b < space.block_count(); ++b) {
-    const auto& block = space.block(b);
-    const auto orphaned =
-        block.populated() & ~(block.gpu_resident() | block.host_data());
-    CHAOS_CHECK(orphaned.none(), "populated page lost both copies");
-    CHAOS_CHECK((block.retired() & block.gpu_resident()).none(),
-                "retired page is GPU resident");
-  }
-  CHAOS_CHECK(system.driver().gpu_memory().retired_chunks() ==
-                  result.chunks_retired,
-              "retired chunk count != log total");
-
-  // Accounting balance: injected events land in exactly one batch record.
-  std::uint64_t xfer = 0, dma = 0, cancelled = 0, pgret = 0, chkret = 0,
-                cres = 0, gres = 0;
-  for (const auto& rec : result.log) {
-    xfer += rec.counters.transfer_errors;
-    dma += rec.counters.dma_map_errors;
-    cancelled += rec.counters.faults_cancelled;
-    pgret += rec.counters.pages_retired;
-    chkret += rec.counters.chunks_retired;
-    cres += rec.counters.channel_resets;
-    gres += rec.counters.gpu_resets;
-  }
-  CHAOS_CHECK(xfer == result.injected_transfer_errors,
-              "transfer-error books do not balance");
-  CHAOS_CHECK(dma == result.injected_dma_errors,
-              "dma-error books do not balance");
-  CHAOS_CHECK(cancelled == result.faults_cancelled,
-              "cancelled-fault books do not balance");
-  CHAOS_CHECK(pgret == result.pages_retired,
-              "retired-page books do not balance");
-  CHAOS_CHECK(chkret == result.chunks_retired,
-              "retired-chunk books do not balance");
-  CHAOS_CHECK(cres == result.channel_resets,
-              "channel-reset books do not balance");
-  CHAOS_CHECK(gres == result.gpu_resets, "gpu-reset books do not balance");
+  const auto found = run_violations(system.driver(), result);
+  if (!found.empty()) return "invariant: " + found.front();
 
   // Replay determinism: same schedule, bit-identical batch log.
   System replay_system(cfg);
   const RunResult replay = replay_system.run(spec);
-  CHAOS_CHECK(log_text(replay) == log_text(result),
-              "replay log differs (nondeterminism)");
-
+  if (log_text(replay) != log_text(result)) {
+    return std::string("invariant: replay log differs (nondeterminism)");
+  }
   return std::nullopt;
 }
-
-#undef CHAOS_CHECK
 
 // ---- Shrinker --------------------------------------------------------------
 

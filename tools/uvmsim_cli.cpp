@@ -289,11 +289,10 @@ std::optional<WorkloadSpec> build_workload(const Args& args) {
 }
 
 void print_engine_stats(const EventEngine::Stats& es) {
-  std::printf("engine: events=%llu posted=%llu cancelled=%llu "
-              "idle_skipped_ms=%.3f max_queue=%zu\n",
+  std::printf("engine: events=%llu posted=%llu idle_skipped_ms=%.3f "
+              "max_queue=%zu\n",
               static_cast<unsigned long long>(es.executed),
               static_cast<unsigned long long>(es.posted),
-              static_cast<unsigned long long>(es.cancelled),
               es.idle_ns_skipped / 1e6, es.max_queue_depth);
 }
 
