@@ -79,6 +79,9 @@ class MultiGpuSystem {
   GpuEngine& gpu(std::uint32_t g) { return node_.gpu(g); }
   const SystemConfig& config() const noexcept { return node_.config(); }
 
+  /// The shared driver's trace, with every GPU's windows on it; empty
+  /// unless config.obs.trace was set.
+  const Tracer& tracer() const noexcept { return node_.tracer(0); }
   const MetricsRegistry& metrics() const noexcept { return node_.metrics(); }
   /// Event-engine stats; they accumulate across runs.
   const EventEngine::Stats& engine_stats() const noexcept {

@@ -5,8 +5,7 @@
 namespace uvmsim {
 
 void GpuEngine::WarpRt::load_group(const KernelDesc& kernel) {
-  if (group >= group_end) {
-    finished = true;
+  if (finished()) {
     state.clear();
     remaining = 0;
     return;
@@ -67,7 +66,7 @@ void GpuEngine::schedule_pending_blocks() {
       warp.group = groups.first;
       warp.group_end = groups.last;
       warp.load_group(*kernel_);
-      if (!warp.finished) ++rt.live_warps;
+      if (!warp.finished()) ++rt.live_warps;
     }
     active_warps_ += rt.live_warps;
     ++sm_active_blocks_[best_sm];
@@ -116,23 +115,30 @@ void GpuEngine::emit_fault(PageId page, AccessType type, std::uint32_t sm,
 }
 
 bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
-                             const ResidencyOracle& residency,
+                             const ResidencyOracle& residency, bool replayed,
                              GenerateResult& result) {
+  ++visits_;
   bool progressed = false;
   // Zero-compute warps (dependence-free access microbenchmarks) never
   // de-synchronize: their faults arrive back-to-back at hardware rate.
-  const bool zero_compute =
-      !warp.finished && kernel_->compute_ns(warp.group) == 0;
+  const bool zero_compute = kernel_->compute_ns(warp.group) == 0;
   const SimTime phase = zero_compute ? 0 : block_phase(block);
-  while (!warp.finished) {
+  UTlb& tlb = utlbs_[config_.utlb_of_sm(block.sm)];
+  while (!warp.finished()) {
     const IndexRange accesses = kernel_->accesses_of(warp.group);
-    UTlb& tlb = utlbs_[config_.utlb_of_sm(block.sm)];
+    bool blocked = false;
 
     for (std::uint32_t i = 0; i < accesses.size(); ++i) {
-      if (warp.state[i] != kPending && warp.state[i] != kReissue) continue;
-      const bool is_reissue = warp.state[i] == kReissue;
+      std::uint8_t& st = warp.state[i];
+      if (st == kDone) continue;
+      if (st == kWaiting) {
+        if (!replayed) continue;
+        st = kReissue;  // the replay since its last visit cleared its entry
+      }
+      const bool is_reissue = st == kReissue;
       const PageAccess access = kernel_->access(accesses.first + i);
       const PageId page = access.page + page_offset_;
+      ++probes_;
       const auto location = residency.classify(page);
 
       if (access.type == AccessType::kPrefetch) {
@@ -143,14 +149,14 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
           emit_fault(page, access.type, block.sm, block.block_id, now, phase,
                      /*duplicate=*/false, result);
         }
-        warp.state[i] = kDone;
+        st = kDone;
         --warp.remaining;
         progressed = true;
         continue;
       }
 
       if (location == ResidencyOracle::PageLocation::kGpuResident) {
-        warp.state[i] = kDone;
+        st = kDone;
         --warp.remaining;
         progressed = true;
         continue;
@@ -161,7 +167,7 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
         // no driver batch and no migration, but the request crosses PCIe
         // (charged at pipelined throughput by the simulator loop) and
         // bumps the page's MIMC access counter at µTLB resolution.
-        warp.state[i] = kDone;
+        st = kDone;
         --warp.remaining;
         ++result.remote_requests;
         ++remote_accesses_;
@@ -179,7 +185,7 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
           emit_fault(page, access.type, block.sm, block.block_id, now, phase,
                      /*duplicate=*/true, result);
         }
-        warp.state[i] = kWaiting;
+        st = kWaiting;
         progressed = true;
         continue;
       }
@@ -191,14 +197,23 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
         // and land with the warp's de-synchronization phase.
         emit_fault(page, access.type, block.sm, block.block_id, now, phase,
                    /*duplicate=*/false, result);
-        warp.state[i] = kWaiting;
+        st = kWaiting;
         progressed = true;
         continue;
       }
       // Blocked by the µTLB cap or the fault-rate throttle: stays pending.
+      blocked = true;
     }
 
-    if (warp.remaining != 0) break;  // scoreboard stall until replay
+    if (warp.remaining != 0) {
+      // Scoreboard stall until replay. Waiting accesses and accesses
+      // behind a full µTLB stay put for the rest of the window; only a
+      // throttle-blocked access can still join a sibling's new entry.
+      if (!blocked || tlb.full()) {
+        warp.settled_window = static_cast<std::uint32_t>(window_seq_);
+      }
+      break;
+    }
 
     // Group complete: charge its compute and move to the next group.
     result.compute_ns += kernel_->compute_ns(warp.group);
@@ -206,6 +221,7 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
     warp.load_group(*kernel_);
     progressed = true;
   }
+  if (!progressed) ++idle_visits_;
   return progressed;
 }
 
@@ -215,42 +231,56 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
   if (!kernel_) return result;
 
   std::fill(sm_arrival_cursor_.begin(), sm_arrival_cursor_.end(), 0ULL);
-  ++window_seq_;
+  const auto window = static_cast<std::uint32_t>(++window_seq_);
   const std::uint32_t warps_at_start = std::max(1u, active_warps_);
+  const std::uint64_t visits_before = visits_;
+  const std::uint64_t idle_before = idle_visits_;
+  const std::uint64_t probes_before = probes_;
+  // The first pass visits every live warp; after a replay it turns the
+  // waiting accesses it meets into reissues. Rescans revisit warps this
+  // window already converted, and blocks scheduled mid-window start fresh.
+  bool replayed = replays_ != replays_at_window_;
+  replays_at_window_ = replays_;
 
-  bool any_retired = true;
-  while (any_retired) {
-    any_retired = false;
+  while (true) {
     for (auto& block : active_blocks_) {
       for (auto& warp : block.warps) {
-        if (warp.finished) continue;
-        if (advance_warp(block, warp, now, residency, result)) {
+        if (warp.finished()) continue;
+        if (warp.settled_window == window) {
+          // Only a rescan meets a warp settled this window. Its visit
+          // would change nothing but the block's phase draw; make it.
+          if (kernel_->compute_ns(warp.group) != 0) block_phase(block);
+          continue;
+        }
+        if (advance_warp(block, warp, now, residency, replayed, result)) {
           result.made_progress = true;
         }
-        if (warp.finished) {
+        if (warp.finished()) {
           --block.live_warps;
           --active_warps_;
         }
       }
     }
 
-    // Retire completed blocks and backfill from the grid queue; new blocks
-    // may be runnable immediately, so loop again if any were scheduled.
-    const std::size_t before = active_blocks_.size();
-    for (auto it = active_blocks_.begin(); it != active_blocks_.end();) {
-      if (it->live_warps == 0) {
-        --sm_active_blocks_[it->sm];
+    // Retire completed blocks in one stable compaction pass, then
+    // backfill from the grid queue; new blocks may be runnable
+    // immediately, so rescan if any were scheduled.
+    std::size_t kept = 0;
+    for (std::size_t b = 0; b < active_blocks_.size(); ++b) {
+      BlockRt& block = active_blocks_[b];
+      if (block.live_warps == 0) {
+        --sm_active_blocks_[block.sm];
         ++blocks_retired_;
-        it = active_blocks_.erase(it);
       } else {
-        ++it;
+        if (kept != b) active_blocks_[kept] = std::move(block);
+        ++kept;
       }
     }
-    if (active_blocks_.size() != before &&
-        next_block_ < kernel_->num_blocks()) {
-      schedule_pending_blocks();
-      any_retired = true;
-    }
+    if (kept == active_blocks_.size()) break;
+    active_blocks_.erase(active_blocks_.begin() + kept, active_blocks_.end());
+    if (next_block_ >= kernel_->num_blocks()) break;
+    schedule_pending_blocks();
+    replayed = false;
   }
 
   // Storms re-walk entries this window just made outstanding, so the burst
@@ -269,6 +299,9 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
     obs_.metrics->add("gpu.faults_emitted", result.faults_pushed);
     obs_.metrics->add("gpu.duplicate_emissions", result.duplicate_pushes);
     obs_.metrics->add("gpu.remote_accesses", result.remote_requests);
+    obs_.metrics->add("gpu.warp_visits", visits_ - visits_before);
+    obs_.metrics->add("gpu.idle_warp_visits", idle_visits_ - idle_before);
+    obs_.metrics->add("gpu.residency_probes", probes_ - probes_before);
     obs_.metrics->set_gauge("gpu.active_warps", active_warps_);
     obs_.metrics->set_gauge("gpu.blocks_retired", blocks_retired_);
   }
@@ -308,18 +341,11 @@ void GpuEngine::emit_injected_storm(SimTime now, GenerateResult& result) {
 }
 
 void GpuEngine::on_replay() {
-  ++replays_;
+  ++replays_;  // the next window's first pass reissues waiting accesses
   for (auto& tlb : utlbs_) tlb.clear();
   for (auto& tokens : sm_tokens_) {
     tokens = std::min(config_.sm_token_capacity,
                       tokens + config_.sm_tokens_per_replay);
-  }
-  for (auto& block : active_blocks_) {
-    for (auto& warp : block.warps) {
-      for (auto& st : warp.state) {
-        if (st == kWaiting) st = kReissue;
-      }
-    }
   }
 }
 

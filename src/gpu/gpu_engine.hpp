@@ -16,6 +16,20 @@
 // The engine is driven by the simulator in alternation with the UVM driver
 // (the paper finds the GPU effectively stalls during fault servicing, so a
 // lock-step model is faithful).
+//
+// Host cost follows the warps that can still move. Within one generate()
+// window residency is fixed, throttle tokens never rise and µTLB entries
+// are never removed. A visit that leaves every unfinished access of a
+// warp's current group waiting, or blocked by a full µTLB, therefore
+// leaves the warp *settled*: nothing can unblock it before the next
+// replay, and the rescans that follow mid-window block retirement skip it
+// (keeping only the block-phase draw its visit would make, so the RNG
+// stream is unchanged). A warp with a throttle-blocked access stays
+// eligible: a sibling SM may add that page to their shared µTLB, and the
+// warp then joins the entry. A replay costs O(µTLBs + SMs): it touches no
+// warp state. Every live warp is visited in the first pass of every
+// window, so after a replay that pass reads the waiting accesses it meets
+// as reissues.
 #pragma once
 
 #include <bit>
@@ -117,7 +131,8 @@ class GpuEngine {
   void set_obs(Obs obs) noexcept { obs_ = obs; }
 
   /// Driver-issued fault replay: clear µTLB waiting state, refill SM
-  /// throttle tokens, return waiting accesses to pending.
+  /// throttle tokens. Waiting accesses return to pending (as reissues)
+  /// when their warp is next visited.
   void on_replay();
 
   /// Throttle-timer expiry safety valve: refill all SM token buckets to
@@ -144,6 +159,13 @@ class GpuEngine {
   std::uint64_t blocks_retired() const noexcept { return blocks_retired_; }
   std::uint64_t replays_seen() const noexcept { return replays_; }
 
+  /// Host-cost counters: warp visits (advance_warp calls), visits that
+  /// changed no warp state, and residency probes (ResidencyOracle::classify
+  /// calls). Settled warps skipped by a rescan count as no visit.
+  std::uint64_t warp_visits() const noexcept { return visits_; }
+  std::uint64_t idle_warp_visits() const noexcept { return idle_visits_; }
+  std::uint64_t residency_probes() const noexcept { return probes_; }
+
  private:
   // Per-access progress within the current group. kReissue marks an
   // access whose fault was issued but not serviced before the replay: its
@@ -157,8 +179,9 @@ class GpuEngine {
     std::uint32_t group_end = 0;  // one past the warp's last group
     std::vector<std::uint8_t> state;  // parallel to current group's accesses
     std::uint32_t remaining = 0;
-    bool finished = false;
+    std::uint32_t settled_window = 0;  // window_seq_ (low bits) it settled in
 
+    bool finished() const noexcept { return group >= group_end; }
     void load_group(const KernelDesc& kernel);
   };
 
@@ -173,7 +196,8 @@ class GpuEngine {
 
   void schedule_pending_blocks();
   bool advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
-                    const ResidencyOracle& residency, GenerateResult& result);
+                    const ResidencyOracle& residency, bool replayed,
+                    GenerateResult& result);
   void emit_fault(PageId page, AccessType type, std::uint32_t sm,
                   std::uint32_t block, SimTime now, SimTime phase,
                   bool duplicate, GenerateResult& result);
@@ -200,6 +224,10 @@ class GpuEngine {
   std::uint64_t remote_accesses_ = 0;
   std::uint64_t blocks_retired_ = 0;
   std::uint64_t replays_ = 0;
+  std::uint64_t replays_at_window_ = 0;  // replays_ when generate() last ran
+  std::uint64_t visits_ = 0;
+  std::uint64_t idle_visits_ = 0;
+  std::uint64_t probes_ = 0;
   std::vector<std::uint64_t> sm_arrival_cursor_;  // per-SM arrival pacing
   std::uint64_t window_seq_ = 0;      // one per generate() call
   PageId page_offset_ = 0;

@@ -69,7 +69,7 @@ void CounterServicer::promote_peer_block(VaBlockId id, VaBlockState& block,
   block.clear_peer_maps();
   record.phases.counter_ns += config_.per_page_pte_ns * pages;
   gpus_[target].evictor.touch(id);
-  if (obs_.tracer) {
+  if (detailed_trace(config_, obs_)) {
     obs_.tracer->span(tracks::kCounters, "peer_promote", promote_t0,
                       record.start_ns + record.phases.sum(),
                       {{"block", id},
@@ -193,7 +193,7 @@ void CounterServicer::service(AccessCounterUnit& unit, BatchRecord& record) {
     block.set_gpu_resident(target_pages);
     record.phases.counter_ns += config_.per_page_pte_ns * established;
     gpus_[block.owner_gpu()].evictor.touch(block_id);
-    if (obs_.tracer) {
+    if (detailed_trace(config_, obs_)) {
       obs_.tracer->span(tracks::kCounters, "promote", promote_t0,
                         record.start_ns + record.phases.sum(),
                         {{"block", block_id},

@@ -15,6 +15,7 @@
 #include "hostos/dma.hpp"
 #include "hostos/unmap.hpp"
 #include "interconnect/topology.hpp"
+#include "obs/obs.hpp"
 #include "uvm/thrashing.hpp"
 
 namespace uvmsim {
@@ -242,5 +243,17 @@ struct DriverConfig {
   bool record_per_sm_counts = true;     // Table 2 statistics
   bool record_vablock_detail = true;    // Table 3 / case-study figures
 };
+
+/// Whether the driver's per-phase spans are valid on a timeline: each
+/// charge into BatchPhaseTimes advances wall-clock only when servicing is
+/// serial and host-OS ops are on the critical path. Under parallel or
+/// async modes a batch's end time is not start + phases.sum(), so the
+/// fault, counter and recovery paths emit only their envelope spans (the
+/// batch, fetch/dedup, worker jobs, replay and counter pass).
+inline bool detailed_trace(const DriverConfig& config,
+                           const Obs& obs) noexcept {
+  return obs.tracer != nullptr && !config.parallelism.active() &&
+         !config.async_host_ops;
+}
 
 }  // namespace uvmsim

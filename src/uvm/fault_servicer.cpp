@@ -45,7 +45,7 @@ bool FaultServicer::attempt_with_retries(RetrySite site, BatchRecord& record) {
       // clamp instead of wrapping the phase timer (see RetryPolicy).
       record.phases.backoff_ns =
           sat_add(record.phases.backoff_ns, config_.retry.backoff_ns(failures));
-      if (detailed_trace()) {
+      if (detailed_trace(config_, obs_)) {
         obs_.tracer->span(tracks::kDriver, "backoff", t0,
                           record.start_ns + record.phases.sum(),
                           {{"site", site == RetrySite::kTransfer ? 0u : 1u},
@@ -109,8 +109,9 @@ void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
     ++total_evictions_;
   } else {
     ++record.counters.ctr_evictions;
+    ++total_ctr_evictions_;
   }
-  if (detailed_trace()) {
+  if (detailed_trace(config_, obs_)) {
     obs_.tracer->span(fault_path ? tracks::kDriver : tracks::kCounters,
                       "evict", evict_t0, record.start_ns + record.phases.sum(),
                       {{"victim", *victim}, {"pages_written_back", resident}});
@@ -194,7 +195,7 @@ void FaultServicer::pin_block(VaBlockId id, VaBlockState& block, SimTime now,
   }
   thrash_->pin(id, now + config_.thrash.pin_lapse_ns);
   ++record.counters.thrash_pins;
-  if (detailed_trace()) {
+  if (detailed_trace(config_, obs_)) {
     obs_.tracer->span(tracks::kDriver, "thrash_pin", pin_t0,
                       record.start_ns + record.phases.sum(), {{"block", id}});
   }
@@ -329,7 +330,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
   std::vector<VaBlockId> block_order;
   if (parallel && tracer) block_order.reserve(by_block.size());
 
-  const bool detailed = detailed_trace();
+  const bool detailed = detailed_trace(config_, obs_);
 
   for (const auto& entry : by_block) {
     const VaBlockId block_id = entry.first;

@@ -97,8 +97,11 @@ class FaultServicer {
                                  BatchRecord& record,
                                  EvictFor path = EvictFor::kFault);
 
-  /// Fault-path evictions so far (counter-path ones are in the batch log).
+  /// Evictions so far on the fault path and on the counter path.
   std::uint64_t total_evictions() const noexcept { return total_evictions_; }
+  std::uint64_t total_counter_evictions() const noexcept {
+    return total_ctr_evictions_;
+  }
 
  private:
   /// Retryable hook sites on the fault path.
@@ -144,16 +147,6 @@ class FaultServicer {
   void pin_block(VaBlockId id, VaBlockState& block, SimTime now,
                  BatchRecord& record);
 
-  /// Whether the per-phase span timeline is valid: each charge into
-  /// BatchPhaseTimes advances wall-clock only when servicing is serial and
-  /// host-OS ops are on the critical path. Under parallel or async modes
-  /// the batch's end time is not start + phases.sum(), so only the batch
-  /// envelope, fetch/dedup prefix, worker jobs, and replay are emitted.
-  bool detailed_trace() const noexcept {
-    return obs_.tracer != nullptr && !config_.parallelism.active() &&
-           !config_.async_host_ops;
-  }
-
   const DriverConfig& config_;
   VaSpace& space_;
   const Topology& topo_;
@@ -166,6 +159,7 @@ class FaultServicer {
   RecoveryManager* recovery_ = nullptr;  // may be null (no fatal faults)
   Obs obs_;                          // null members = no recording
   std::uint64_t total_evictions_ = 0;
+  std::uint64_t total_ctr_evictions_ = 0;
 };
 
 }  // namespace uvmsim

@@ -84,7 +84,7 @@ void RecoveryManager::fatal_chunk_ecc(VaBlockId id, VaBlockState& block,
   }
   note_pool_use(newly);
 
-  if (detailed_trace()) {
+  if (detailed_trace(config_, obs_)) {
     obs_.tracer->span(tracks::kRecovery, "ecc_retire", t0,
                       record.start_ns + record.phases.sum(),
                       {{"block", id},
@@ -111,7 +111,7 @@ void RecoveryManager::fatal_poisoned_page(VaBlockId id, VaBlockState& block,
   ++pages_retired_;
   note_pool_use(1);
 
-  if (detailed_trace()) {
+  if (detailed_trace(config_, obs_)) {
     obs_.tracer->span(tracks::kRecovery, "poison_retire", t0,
                       record.start_ns + record.phases.sum(),
                       {{"block", id}, {"page", page}});
@@ -123,7 +123,7 @@ void RecoveryManager::channel_reset(BatchRecord& record) {
   record.phases.recovery_ns += config_.recovery.channel_reset_ns;
   ++record.counters.channel_resets;
   ++channel_resets_;
-  if (detailed_trace()) {
+  if (detailed_trace(config_, obs_)) {
     obs_.tracer->span(tracks::kRecovery, "channel_reset", t0,
                       record.start_ns + record.phases.sum());
   }
@@ -153,7 +153,7 @@ void RecoveryManager::full_gpu_reset(BatchRecord& record) {
 
   const SimTime charged = record.phases.sum() - before;
   record.end_ns += charged;
-  if (detailed_trace()) {
+  if (detailed_trace(config_, obs_)) {
     obs_.tracer->span(tracks::kRecovery, "gpu_reset", t0, t0 + charged,
                       {{"blocks_torn_down", blocks_torn_down}});
   }

@@ -116,13 +116,6 @@ class RecoveryManager {
   /// request when it overflows.
   void note_pool_use(std::uint32_t pages);
 
-  /// Whether recovery spans carry a valid serial timeline (same contract
-  /// as FaultServicer::detailed_trace).
-  bool detailed_trace() const noexcept {
-    return obs_.tracer != nullptr && !config_.parallelism.active() &&
-           !config_.async_host_ops;
-  }
-
   /// Copy `block`'s resident pages home from its owner GPU, evict it to
   /// host and drop it from the owner's eviction order. Returns the owner's
   /// context, whose pool the caller returns the block's chunk to.

@@ -160,6 +160,9 @@ class UvmDriver final : public ResidencyOracle {
   std::uint64_t total_evictions() const noexcept {
     return servicer_.total_evictions();
   }
+  std::uint64_t total_counter_evictions() const noexcept {
+    return servicer_.total_counter_evictions();
+  }
 
   /// Current fetch limit: the configured batch size, or the adaptive
   /// controller's value when DriverConfig::adaptive_batch_size is on.

@@ -3,13 +3,19 @@
 // driver on the paper's Listing-1 microbenchmark (vecadd-paged, one warp,
 // one page per thread) on the scaled_titan_v(256) testbed. Two more logs
 // pin the shared-driver multi-GPU path (peer-share on four NVLink-ring
-// GPUs, and on two PCIe-only GPUs with evict-to-host placement).
+// GPUs, and on two PCIe-only GPUs with evict-to-host placement). Two logs
+// with transfer errors and fault storms injected on a 2 MB GPU pin the
+// fault generator where the µTLBs fill, accesses reissue after replays
+// and blocks retire mid-window: a Gauss-Seidel stencil, and eight DRR
+// tenants on one driver worker.
 //
 // Any change to fault generation, dedup, prefetching, cost constants, or
 // batch timing shows up here as a field-level diff. If the change is
-// INTENDED, regenerate the fixture and commit it alongside the change:
+// INTENDED, regenerate the fixture and commit it alongside the change;
+// each fixture's regeneration command is the k*Regenerate string next to
+// its path below, e.g.
 //
-//   build/tools/uvmsim_cli run --workload vecadd-paged --gpu-mb 256 \
+//   build/tools/uvmsim_cli run --workload vecadd-paged --gpu-mb 256
 //       --log tests/golden/vecadd_paged_titanv256.batchlog
 #include <fstream>
 #include <sstream>
@@ -19,9 +25,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/log_io.hpp"
+#include "core/multi_client.hpp"
 #include "core/multi_gpu.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
+#include "workloads/tenant_mix.hpp"
 
 namespace uvmsim {
 namespace {
@@ -47,6 +55,23 @@ constexpr const char* kPcie2HostRegenerate =
     "build/tools/uvmsim_cli run --gpus 2 --topology pcie --placement host "
     "--gpu-mb 4 --private-kb 4096 --shared-kb 2048 --passes 2 "
     "--log tests/golden/peer_share_pcie2_evict_host.batchlog";
+
+constexpr const char* kGaussSeidelFixture =
+    UVMSIM_GOLDEN_DIR "/gauss_seidel_inject_gpu2.batchlog";
+constexpr const char* kGaussSeidelRegenerate =
+    "build/tools/uvmsim_cli run --workload gauss-seidel --nx 1024 --ny 512 "
+    "--gpu-mb 2 --inject --inject-seed 42 --inject-transfer-err 0.2 "
+    "--inject-storm-prob 0.1 "
+    "--log tests/golden/gauss_seidel_inject_gpu2.batchlog";
+
+constexpr const char* kTenantsFixture =
+    UVMSIM_GOLDEN_DIR "/tenants8_drr_inject_gpu2.batchlog";
+constexpr const char* kTenantsRegenerate =
+    "build/tools/uvmsim_cli run --tenants 8 --tenant-sched drr "
+    "--tenant-weights 1,2,4 --tenant-max-batches 2 --tenant-kb 256 "
+    "--no-prefetch --batch-size 64 --gpu-mb 2 --inject --inject-seed 42 "
+    "--inject-transfer-err 0.2 --inject-storm-prob 0.1 "
+    "--log tests/golden/tenants8_drr_inject_gpu2.batchlog";
 
 constexpr const char* kTraceFixture =
     UVMSIM_GOLDEN_DIR "/vecadd_paged_titanv256.trace.json";
@@ -104,6 +129,48 @@ std::string peer_share_log(std::uint32_t gpus, TopologyKind topology,
   MultiGpuSystem system(cfg);
   std::ostringstream out;
   write_batch_log(out, system.run(make_peer_share(params)).aggregate.log);
+  return out.str();
+}
+
+/// The injection flags both storm fixtures share: transfer errors and
+/// fault-buffer storms from injection seed 42.
+SystemConfig injected_config(std::uint64_t gpu_mb) {
+  SystemConfig cfg = small_config(gpu_mb);
+  cfg.driver.inject.enabled = true;
+  cfg.driver.inject.seed = 42;
+  cfg.driver.inject.transfer_error_prob = 0.2;
+  cfg.driver.inject.storm_prob = 0.1;
+  return cfg;
+}
+
+/// `uvmsim_cli run --workload gauss-seidel --nx 1024 --ny 512` on a 2 MB
+/// GPU with injection: 4 MB of grid thrash a single 2 MB chunk.
+std::string gauss_seidel_injected_log() {
+  GaussSeidelParams params;
+  params.nx = 1024;
+  params.ny = 512;
+  System system(injected_config(2));
+  std::ostringstream out;
+  write_batch_log(out, system.run(make_gauss_seidel(params)).log);
+  return out.str();
+}
+
+/// `uvmsim_cli run --tenants 8 --tenant-sched drr ...` with injection:
+/// the per-client batch logs concatenated in client order.
+std::string tenants_injected_log() {
+  SystemConfig cfg = injected_config(2);
+  cfg.driver.batch_size = 64;
+  cfg.driver.prefetch_enabled = false;
+  TenantSchedConfig sched;
+  sched.policy = TenantSchedPolicy::kDeficitRoundRobin;
+  MultiClientSystem system(cfg, make_tenant_matrix(8, {1, 2, 4}, 0, 2),
+                           sched);
+  const MultiClientResult result =
+      system.run(make_tenant_roster(8, TenantMix::kMixed, cfg.seed, 256));
+  std::ostringstream out;
+  for (const RunResult& client : result.per_client) {
+    write_batch_log(out, client.log);
+  }
   return out.str();
 }
 
@@ -334,6 +401,21 @@ TEST(GoldenTrace, PeerSharePcie2EvictHostMatchesFixture) {
       kPcie2HostFixture,
       peer_share_log(2, TopologyKind::kPcieOnly, PlacementPolicy::kEvictHost),
       kPcie2HostRegenerate);
+}
+
+TEST(GoldenTrace, GaussSeidelInjectedMatchesFixture) {
+  // Full µTLBs, reissues after every replay and injected storms, with
+  // blocks retiring mid-window: every fault the generator emits reaches
+  // the log through dedup, eviction and retried transfers.
+  expect_log_matches_fixture(kGaussSeidelFixture, gauss_seidel_injected_log(),
+                             kGaussSeidelRegenerate);
+}
+
+TEST(GoldenTrace, TenantsDrrInjectedMatchesFixture) {
+  // Eight mixed tenants, each with its own engine, driver and injector,
+  // sharing one worker under DRR with a two-batch grant cap.
+  expect_log_matches_fixture(kTenantsFixture, tenants_injected_log(),
+                             kTenantsRegenerate);
 }
 
 TEST(GoldenTrace, FixtureRoundTripsThroughLogIo) {

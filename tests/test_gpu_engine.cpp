@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "workloads/workload.hpp"
@@ -52,6 +54,278 @@ std::vector<FaultRecord> run_to_completion(GpuEngine& gpu, SetOracle& oracle,
     gpu.generate(0, oracle);
   }
   return all;
+}
+
+/// A hand-written kernel: blocks of warps of (compute_ns, pages) groups,
+/// every access a read.
+struct GroupSpec {
+  SimTime compute_ns = 0;
+  std::vector<PageId> pages;
+};
+using WarpSpec = std::vector<GroupSpec>;
+using BlockSpec = std::vector<WarpSpec>;
+
+KernelDesc build_kernel(const std::vector<BlockSpec>& blocks) {
+  KernelBuilder builder("scenario", 64);
+  for (const BlockSpec& block : blocks) {
+    for (const WarpSpec& warp : block) {
+      for (const GroupSpec& group : warp) {
+        for (const PageId page : group.pages) {
+          builder.add_page(page, AccessType::kRead);
+        }
+        builder.end_group(group.compute_ns);
+      }
+      builder.end_warp();
+    }
+    builder.end_block();
+  }
+  return builder.finish();
+}
+
+/// One token per record: page:sm:block@timestamp, with a trailing 'd' on
+/// duplicate emissions (every access in these scenarios is a read, and
+/// the µTLB follows from the SM).
+std::string describe(const std::vector<FaultRecord>& faults) {
+  std::ostringstream out;
+  for (const FaultRecord& f : faults) {
+    out << f.page << ':' << f.sm << ':' << f.block << '@' << f.timestamp
+        << (f.is_duplicate_emission ? "d " : " ");
+  }
+  return out.str();
+}
+
+/// Drain every buffered record into `all`, making each page resident.
+void service_all(GpuEngine& gpu, SetOracle& oracle,
+                 std::vector<FaultRecord>& all) {
+  for (const FaultRecord& f : gpu.fault_buffer().drain(4096)) {
+    oracle.resident.insert(f.page);
+    all.push_back(f);
+  }
+}
+
+// The four scenarios below pin fault generation at the points where a
+// window revisits warps: rescans after mid-window block retirement, and
+// the reissue of waiting accesses after replays. Their expected record
+// sequences were recorded from the engine that re-probed every live warp
+// on each rescan and swept every warp's state at each replay; skipping
+// warps that cannot move must reproduce them exactly, RNG draws included.
+
+TEST(GpuEngineScenario, TokenBlockedWarpJoinsEntryOfBlockScheduledMidWindow) {
+  // One µTLB per SM pair, one block per SM, one throttle token per SM.
+  // Block 0 (SM0) spends its token on page 0 and leaves page 1 blocked by
+  // the throttle. Blocks 1 and 2 finish on resident pages, so blocks 4
+  // (SM1, sharing SM0's µTLB) and 5 (SM2) are scheduled mid-window. Block
+  // 4 faults page 1; block 5 finishes, and the next rescan lets block 0's
+  // warp join page 1's entry with a duplicate record.
+  GpuConfig cfg;
+  cfg.num_sms = 4;
+  cfg.max_blocks_per_sm = 1;
+  cfg.utlb_outstanding_cap = 8;
+  cfg.sm_token_capacity = 1;
+  cfg.sm_tokens_per_replay = 1;
+  cfg.dup_same_utlb_prob = 1.0;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {0, 1}}}},  // block 0, SM0
+      {{{100, {2}}}},     // block 1, SM1: resident
+      {{{100, {3}}}},     // block 2, SM2: resident
+      {{{100, {4}}}},     // block 3, SM3
+      {{{100, {1}}}},     // block 4, SM1 after block 1 retires
+      {{{100, {5}}}},     // block 5, SM2 after block 2 retires: resident
+      {{{100, {6}}}},     // block 6, SM2 after block 5 retires
+  });
+  GpuEngine gpu(cfg, 7);
+  gpu.launch(kernel);
+  SetOracle oracle;
+  oracle.resident = {2, 3, 5};
+  EXPECT_EQ(describe(run_to_completion(gpu, oracle)),
+            "4:3:3@16665 1:1:4@37732 6:2:6@145319 0:0:0@156008 "
+            "1:0:0@156043d ");
+}
+
+TEST(GpuEngineScenario, WarpSettlingOnComputeGroupDrawsPhaseInRescan) {
+  // Block 0's warp starts the window on a zero-compute group (no phase
+  // draw), moves on to a compute group and fills its 2-entry µTLB: it is
+  // settled. Block 2 retires, block 4 is scheduled, and the rescan makes
+  // block 0's first phase draw of the window before block 4 draws its
+  // own phase and jitter.
+  GpuConfig cfg;
+  cfg.num_sms = 4;
+  cfg.max_blocks_per_sm = 1;
+  cfg.utlb_outstanding_cap = 2;
+  const KernelDesc kernel = build_kernel({
+      {{{0, {0}}, {100, {1, 2, 3}}}},  // block 0, SM0
+      {{{100, {4}}}},                  // block 1, SM1: µTLB 0 is full
+      {{{100, {5}}}},                  // block 2, SM2: resident
+      {{{100, {6}}}},                  // block 3, SM3
+      {{{100, {7}}}},                  // block 4, SM2 after block 2
+  });
+  GpuEngine gpu(cfg, 11);
+  gpu.launch(kernel);
+  SetOracle oracle;
+  oracle.resident = {0, 5};
+  EXPECT_EQ(describe(run_to_completion(gpu, oracle)),
+            "1:0:0@15 2:0:0@31 7:2:4@48670 6:3:3@88165 4:1:1@83013 "
+            "3:0:0@101530 ");
+}
+
+TEST(GpuEngineScenario, TwoReplaysBetweenVisitsReissueWaitingAccesses) {
+  // Four faults spend all four throttle tokens, and replays refill none:
+  // after two replays with no window between them, pages 2 and 3 can only
+  // fault again as reissues, which take no token.
+  GpuConfig cfg;
+  cfg.sm_token_capacity = 4;
+  cfg.sm_tokens_per_replay = 0;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {0, 1, 2, 3}}, {100, {4, 5}}}, {{100, {6}}}},
+  });
+  GpuEngine gpu(cfg, 3);
+  gpu.launch(kernel);
+  SetOracle oracle;
+  std::vector<FaultRecord> all;
+  gpu.generate(0, oracle);
+  for (const FaultRecord& f : gpu.fault_buffer().drain(4096)) {
+    if (f.page < 2) oracle.resident.insert(f.page);
+    all.push_back(f);
+  }
+  gpu.on_replay();
+  gpu.on_replay();
+  gpu.generate(1000, oracle);
+  service_all(gpu, oracle, all);
+  gpu.on_replay();
+  gpu.generate(2000, oracle);
+  service_all(gpu, oracle, all);
+  EXPECT_EQ(gpu.replays_seen(), 3u);
+  EXPECT_EQ(describe(all),
+            "0:0:0@124618 1:0:0@124643 2:0:0@124670 3:0:0@124704 "
+            "2:0:0@146045 3:0:0@146075 ");
+}
+
+TEST(GpuEngineScenario, FullResetMidKernelRefaultsTheWorkingSet) {
+  // Half of the first window is serviced, then a full GPU reset drops the
+  // rest from the buffer and the µTLBs: the warps fault those pages again.
+  GpuConfig cfg;
+  cfg.num_sms = 2;
+  cfg.max_blocks_per_sm = 1;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {0, 1, 2}}, {50, {3, 4}}}, {{100, {5, 6}}}},
+      {{{0, {7, 8}}, {100, {9}}}},
+      {{{100, {10, 11}}}},
+  });
+  GpuEngine gpu(cfg, 5);
+  gpu.launch(kernel);
+  SetOracle oracle;
+  std::vector<FaultRecord> all;
+  gpu.generate(0, oracle);
+  for (const FaultRecord& f : gpu.fault_buffer().drain(3)) {
+    oracle.resident.insert(f.page);
+    all.push_back(f);
+  }
+  gpu.full_reset();
+  EXPECT_TRUE(gpu.fault_buffer().empty());
+  gpu.generate(500, oracle);
+  for (const FaultRecord& f : run_to_completion(gpu, oracle)) {
+    all.push_back(f);
+  }
+  EXPECT_TRUE(gpu.all_done());
+  EXPECT_EQ(describe(all),
+            "7:1:1@15 8:1:1@46 0:0:0@110201 9:1:1@516 1:0:0@154107 "
+            "2:0:0@154134 5:0:0@154156 6:0:0@154185 10:1:2@6769 "
+            "11:1:2@6794 3:0:0@139509 4:0:0@139527 ");
+}
+
+/// SetOracle that counts the engine's residency probes.
+struct CountingSetOracle : SetOracle {
+  mutable std::uint64_t classify_calls = 0;
+  PageLocation classify(PageId page) const override {
+    ++classify_calls;
+    return SetOracle::classify(page);
+  }
+};
+
+TEST(GpuEngineCounters, ResidencyProbesEqualOracleClassifyCalls) {
+  GpuEngine gpu(GpuConfig{}, 9);
+  const auto spec = make_stream_triad(1 << 15);
+  gpu.launch(spec.kernel);
+  CountingSetOracle oracle;
+  run_to_completion(gpu, oracle);
+  ASSERT_TRUE(gpu.all_done());
+  EXPECT_GT(oracle.classify_calls, 0u);
+  EXPECT_EQ(gpu.residency_probes(), oracle.classify_calls);
+  EXPECT_GE(gpu.warp_visits(), gpu.idle_warp_visits());
+}
+
+TEST(GpuEngineCounters, RescanAfterRetirementVisitsNoSettledWarp) {
+  // Block 0 (SM0) has five one-page warps: four fault and fill the
+  // 4-entry µTLB, and the fifth is blocked by the full µTLB, so all five
+  // settle. Block 1 (SM1) finishes on a resident page, block 2 is
+  // scheduled on SM1 mid-window and the window rescans. The rescan visits
+  // only block 2's warp, which the full µTLB blocks too.
+  GpuConfig cfg;
+  cfg.num_sms = 2;
+  cfg.max_blocks_per_sm = 1;
+  cfg.utlb_outstanding_cap = 4;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {0}}}, {{100, {1}}}, {{100, {2}}}, {{100, {3}}}, {{100, {6}}}},
+      {{{100, {4}}}},
+      {{{100, {5}}}},
+  });
+  GpuEngine gpu(cfg, 1);
+  gpu.launch(kernel);
+  CountingSetOracle oracle;
+  oracle.resident = {4};
+  const auto result = gpu.generate(0, oracle);
+  EXPECT_EQ(result.faults_pushed, 4u);
+  EXPECT_EQ(gpu.blocks_retired(), 1u);
+  EXPECT_EQ(gpu.warp_visits(), 5u + 1u + 1u);
+  EXPECT_EQ(gpu.idle_warp_visits(), 2u);  // the two µTLB-blocked warps
+  EXPECT_EQ(gpu.residency_probes(), 7u);
+  EXPECT_EQ(oracle.classify_calls, 7u);
+}
+
+TEST(GpuEngineCounters, RescanAfterReplayReprobesOnlyBlockedAccesses) {
+  // One throttle token per SM and one more per replay. Block 0's warp
+  // faults page 0 and leaves pages 1 and 4 throttle-blocked. After a
+  // replay, its first visit reissues page 0, issues page 1 and leaves
+  // page 4 blocked; block 1 finishes, block 2 is scheduled, and the
+  // rescan re-probes only page 4: pages 0 and 1 wait on entries made
+  // since the replay.
+  GpuConfig cfg;
+  cfg.num_sms = 2;
+  cfg.max_blocks_per_sm = 1;
+  cfg.sm_token_capacity = 1;
+  cfg.sm_tokens_per_replay = 1;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {0, 1, 4}}}},  // block 0, SM0
+      {{{100, {3}}}},        // block 1, SM1
+      {{{100, {5}}}},        // block 2, SM1 after block 1 retires
+  });
+  GpuEngine gpu(cfg, 1);
+  gpu.launch(kernel);
+  CountingSetOracle oracle;
+  gpu.generate(0, oracle);
+  EXPECT_EQ(gpu.residency_probes(), 4u);
+  gpu.fault_buffer().drain(4096);
+  oracle.resident.insert(3);
+  gpu.on_replay();
+  const auto second = gpu.generate(0, oracle);
+  EXPECT_EQ(gpu.blocks_retired(), 1u);
+  EXPECT_EQ(second.faults_pushed, 3u);  // pages 0 (reissue), 1 and 5
+  EXPECT_EQ(gpu.residency_probes(), 4u + 3u + 1u + 1u + 1u);
+  EXPECT_EQ(oracle.classify_calls, gpu.residency_probes());
+}
+
+TEST(GpuEngineCounters, WindowCountsReachTheMetricsRegistry) {
+  MetricsRegistry metrics;
+  GpuEngine gpu(quiet_config(), 1);
+  gpu.set_obs(Obs{nullptr, &metrics});
+  const auto spec = make_vecadd_paged();
+  gpu.launch(spec.kernel);
+  SetOracle oracle;
+  run_to_completion(gpu, oracle);
+  EXPECT_EQ(metrics.counter("gpu.warp_visits"), gpu.warp_visits());
+  EXPECT_EQ(metrics.counter("gpu.idle_warp_visits"), gpu.idle_warp_visits());
+  EXPECT_EQ(metrics.counter("gpu.residency_probes"), gpu.residency_probes());
+  EXPECT_GT(gpu.warp_visits(), 0u);
 }
 
 TEST(GpuEngine, FirstWindowCappedByUtlbLimit) {

@@ -116,6 +116,53 @@ TEST(Tracer, SpansNestUnderInjectedFaults) {
   }
 }
 
+TEST(Tracer, PromoteSpansLieInsideTheirCounterPass) {
+  // A thrash-pinned oversubscribed run whose hot regions the counter
+  // servicer promotes, evicting for room. A promote span is stamped on
+  // the batch's serial phase timeline, which is the wall clock only when
+  // servicing is serial; under per-VABlock workers the pass keeps its
+  // envelope and the promotes inside it are not drawn.
+  SystemConfig cfg = small_config(8);
+  cfg.driver.prefetch_enabled = false;
+  cfg.driver.thrash.enabled = true;
+  cfg.driver.thrash.mitigation = ThrashMitigation::kPin;
+  cfg.driver.access_counters.enabled = true;
+  cfg.driver.access_counters.granularity_pages = 16;
+  cfg.driver.access_counters.threshold = 4;
+  cfg.driver.access_counters.evict_for_promotion = true;
+  const WorkloadSpec spec = make_random(16ULL << 20, 0x5eed);
+  for (const auto policy :
+       {ServicingPolicy::kSerial, ServicingPolicy::kPerVaBlock}) {
+    SystemConfig run_cfg = cfg;
+    run_cfg.driver.parallelism.policy = policy;
+    run_cfg.driver.parallelism.workers = 4;
+    const TracedRun run = traced_run(run_cfg, spec);
+    ASSERT_GT(run.result.counter_pages_promoted, 0u);
+    std::vector<const TraceEvent*> passes;
+    std::vector<const TraceEvent*> promotes;
+    for (const TraceEvent& ev : run.events) {
+      if (ev.name == "counter_service") passes.push_back(&ev);
+      if (ev.name == "promote" || ev.name == "peer_promote") {
+        promotes.push_back(&ev);
+      }
+    }
+    ASSERT_FALSE(passes.empty());
+    if (policy == ServicingPolicy::kSerial) {
+      EXPECT_FALSE(promotes.empty());
+    }
+    for (const TraceEvent* promote : promotes) {
+      EXPECT_TRUE(std::any_of(passes.begin(), passes.end(),
+                              [&](const TraceEvent* pass) {
+                                return pass->begin_ns <= promote->begin_ns &&
+                                       promote->end_ns <= pass->end_ns;
+                              }))
+          << "policy " << static_cast<int>(policy) << ": '" << promote->name
+          << "' [" << promote->begin_ns << ", " << promote->end_ns
+          << "] lies outside every counter_service pass";
+    }
+  }
+}
+
 TEST(Tracer, TracingDoesNotPerturbTheSimulation) {
   // Determinism contract: the tracer only observes. A traced run's batch
   // log must serialize byte-identically to the untraced run's.

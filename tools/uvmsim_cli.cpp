@@ -306,8 +306,10 @@ int cmd_list() {
               "--no-promotion --no-flush --fifo-evict --adaptive-batch "
               "--async-host-ops --pin-host --log FILE\n");
   std::printf("observability: --trace [FILE] (Chrome trace JSON, "
-              "Perfetto-loadable) --metrics [FILE] (registry snapshot "
-              "JSON); `trace` subcommand = run + --trace, --out FILE\n");
+              "Perfetto-loadable; under --gpus the shared driver's trace; "
+              "under --tenants only bare, as each client has its own) "
+              "--metrics [FILE] (registry snapshot JSON, every node "
+              "shape); `trace` subcommand = run + --trace, --out FILE\n");
   std::printf("driver parallelism (paper §6): --service-policy "
               "serial|vablock|sm --service-workers K\n");
   std::printf("event engine: --engine-stats (prints event counters)\n");
@@ -347,6 +349,42 @@ int cmd_list() {
   return 0;
 }
 
+/// A --trace/--metrics value names the output file; a bare flag enables
+/// the sink without writing one (overhead checks).
+std::string output_path(const Args& args, const char* flag) {
+  const std::string value = args.get(flag, "");
+  return value == "1" ? "" : value;
+}
+
+/// Write a recorded trace as Chrome trace JSON; 3 when `path` cannot be
+/// opened.
+int write_trace_file(const std::string& path, const Tracer& tracer) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return 3;
+  }
+  write_trace_json(out, tracer);
+  std::printf("trace written to %s (%zu events)\n", path.c_str(),
+              tracer.size());
+  return 0;
+}
+
+/// Write a metrics registry snapshot as JSON; 3 when `path` cannot be
+/// opened.
+int write_metrics_file(const std::string& path,
+                       const MetricsRegistry& metrics) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return 3;
+  }
+  write_metrics_json(out, metrics);
+  std::printf("metrics written to %s (%zu counters)\n", path.c_str(),
+              metrics.counters().size());
+  return 0;
+}
+
 /// `run --tenants N ...`: the multi-tenant server path. Consumes the same
 /// config flags as a single run, builds an N-workload roster, and services
 /// it through MultiClientSystem under the requested arbitration policy.
@@ -354,6 +392,14 @@ int run_tenants(const Args& args, SystemConfig cfg) {
   const auto n = static_cast<std::uint32_t>(args.get_u64("tenants", 2));
   if (n == 0) {
     std::fprintf(stderr, "--tenants wants at least 1 client\n");
+    return 2;
+  }
+  if (!output_path(args, "trace").empty()) {
+    std::fprintf(stderr,
+                 "--trace FILE under --tenants: each client records its own "
+                 "trace (one timeline per client), so there is no single "
+                 "file to write; a bare --trace records the per-client "
+                 "traces\n");
     return 2;
   }
 
@@ -459,6 +505,9 @@ int run_tenants(const Args& args, SystemConfig cfg) {
     }
     std::printf("batch log written to %s (%zu records)\n", path.c_str(),
                 records);
+  }
+  if (const std::string path = output_path(args, "metrics"); !path.empty()) {
+    if (const int rc = write_metrics_file(path, system.metrics())) return rc;
   }
   // --check-fairness MAXERR%,MINJAIN: gate for CI — exit 5 when the
   // in-window shares drift past MAXERR percent of the weight targets or
@@ -568,6 +617,12 @@ int run_multi_gpu(const Args& args, SystemConfig cfg) {
     std::printf("batch log written to %s (%zu records)\n", path.c_str(),
                 agg.log.size());
   }
+  if (const std::string path = output_path(args, "trace"); !path.empty()) {
+    if (const int rc = write_trace_file(path, system.tracer())) return rc;
+  }
+  if (const std::string path = output_path(args, "metrics"); !path.empty()) {
+    if (const int rc = write_metrics_file(path, system.metrics())) return rc;
+  }
   return 0;
 }
 
@@ -602,12 +657,8 @@ int cmd_run(const Args& args) {
 
   // A bare --trace/--metrics enables the sink without writing a file
   // (overhead checks); a value is the output path.
-  const std::string trace_arg = args.get("trace", "");
-  const std::string metrics_arg = args.get("metrics", "");
-  const std::string trace_path = trace_arg == "1" ? "" : trace_arg;
-  const std::string metrics_path = metrics_arg == "1" ? "" : metrics_arg;
-  cfg.obs.trace = !trace_arg.empty();
-  cfg.obs.metrics = !metrics_arg.empty();
+  cfg.obs.trace = !args.get("trace", "").empty();
+  cfg.obs.metrics = !args.get("metrics", "").empty();
 
   if (args.flag("inject")) {
     auto& inj = cfg.driver.inject;
@@ -810,27 +861,11 @@ int cmd_run(const Args& args) {
     std::printf("batch log written to %s (%zu records)\n", path.c_str(),
                 result.log.size());
   }
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   trace_path.c_str());
-      return 3;
-    }
-    write_trace_json(out, system.tracer());
-    std::printf("trace written to %s (%zu events)\n", trace_path.c_str(),
-                system.tracer().size());
+  if (const std::string path = output_path(args, "trace"); !path.empty()) {
+    if (const int rc = write_trace_file(path, system.tracer())) return rc;
   }
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   metrics_path.c_str());
-      return 3;
-    }
-    write_metrics_json(out, system.metrics());
-    std::printf("metrics written to %s (%zu counters)\n",
-                metrics_path.c_str(), system.metrics().counters().size());
+  if (const std::string path = output_path(args, "metrics"); !path.empty()) {
+    if (const int rc = write_metrics_file(path, system.metrics())) return rc;
   }
   // --fail-on-abort turns abandoned block services (retry budgets
   // exhausted with no recovery path taken) into a nonzero exit so CI
