@@ -114,8 +114,22 @@ void GpuEngine::emit_fault(PageId page, AccessType type, std::uint32_t sm,
   }
 }
 
+ResidencyOracle::PageLocation GpuEngine::locate(
+    PageId page, const ResidencyOracle& residency,
+    ResidencyOracle::Table table) {
+  ++probes_;
+  const VaBlockId b = va_block_of(page);
+  if (b < table.count && table.blocks[b].test(page_index_in_block(page))) {
+    return ResidencyOracle::PageLocation::kGpuResident;
+  }
+  if (table.misses_fault) return ResidencyOracle::PageLocation::kFaultRequired;
+  ++oracle_probes_;
+  return residency.classify(page);
+}
+
 bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
-                             const ResidencyOracle& residency, bool replayed,
+                             const ResidencyOracle& residency,
+                             ResidencyOracle::Table table, bool replayed,
                              GenerateResult& result) {
   ++visits_;
   bool progressed = false;
@@ -138,8 +152,7 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
       const bool is_reissue = st == kReissue;
       const PageAccess access = kernel_->access(accesses.first + i);
       const PageId page = access.page + page_offset_;
-      ++probes_;
-      const auto location = residency.classify(page);
+      const auto location = locate(page, residency, table);
 
       if (access.type == AccessType::kPrefetch) {
         // Fire-and-forget: no scoreboard, no µTLB entry, no throttle token,
@@ -236,6 +249,10 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
   const std::uint64_t visits_before = visits_;
   const std::uint64_t idle_before = idle_visits_;
   const std::uint64_t probes_before = probes_;
+  const std::uint64_t oracle_before = oracle_probes_;
+  // Residency is fixed within a window; an allocation between windows
+  // may move the table, so read it here and nowhere later.
+  const ResidencyOracle::Table table = residency.residency_table();
   // The first pass visits every live warp; after a replay it turns the
   // waiting accesses it meets into reissues. Rescans revisit warps this
   // window already converted, and blocks scheduled mid-window start fresh.
@@ -252,7 +269,8 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
           if (kernel_->compute_ns(warp.group) != 0) block_phase(block);
           continue;
         }
-        if (advance_warp(block, warp, now, residency, replayed, result)) {
+        if (advance_warp(block, warp, now, residency, table, replayed,
+                         result)) {
           result.made_progress = true;
         }
         if (warp.finished()) {
@@ -302,6 +320,7 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
     obs_.metrics->add("gpu.warp_visits", visits_ - visits_before);
     obs_.metrics->add("gpu.idle_warp_visits", idle_visits_ - idle_before);
     obs_.metrics->add("gpu.residency_probes", probes_ - probes_before);
+    obs_.metrics->add("gpu.oracle_probes", oracle_probes_ - oracle_before);
     obs_.metrics->set_gauge("gpu.active_warps", active_warps_);
     obs_.metrics->set_gauge("gpu.blocks_retired", blocks_retired_);
   }

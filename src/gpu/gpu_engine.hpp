@@ -30,13 +30,30 @@
 // warp state. Every live warp is visited in the first pass of every
 // window, so after a replay that pass reads the waiting accesses it meets
 // as reissues.
+//
+// An access probe asks three questions in order, and stops at the first
+// that settles it:
+//   1. Is the page's bit set in the oracle's residency table? Then the
+//      access is kGpuResident. The table is read once per window, since
+//      residency is fixed within one and an allocation between windows may
+//      move it.
+//   2. Does the table promise `misses_fault`? Then the access is
+//      kFaultRequired. An oracle makes that promise only while every page
+//      whose bit is clear classifies as a fault; the driver does while no
+//      allocation prefers the host, no page is retired and thrashing
+//      detection (whose pins remote-map) is off.
+//   3. Otherwise the engine calls ResidencyOracle::classify(page).
+// The default table is empty and promises nothing, so an oracle that does
+// not override residency_table() sees every probe through classify().
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/fault_inject.hpp"
+#include "common/page_mask.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "gpu/access_counters.hpp"
@@ -60,8 +77,25 @@ class ResidencyOracle {
     kFaultRequired,
   };
 
+  /// GPU residency the engine can test in place: page p is resident when
+  /// p / kPagesPerVaBlock < count and bit p % kPagesPerVaBlock of that
+  /// block's mask is set. With `misses_fault`, every other page
+  /// classifies kFaultRequired; without it, they go to classify().
+  struct Table {
+    const PageMask* blocks = nullptr;
+    std::size_t count = 0;
+    bool misses_fault = false;
+  };
+
   virtual ~ResidencyOracle() = default;
   virtual bool is_resident_on_gpu(PageId page) const = 0;
+
+  /// Default: no table, so every probe calls classify(). An override must
+  /// agree with classify(): a set bit classifies kGpuResident, and
+  /// `misses_fault` holds only while every clear bit classifies
+  /// kFaultRequired. The table must stay valid and unchanged until the
+  /// memory system next changes residency.
+  virtual Table residency_table() const { return {}; }
 
   /// Default: resident or fault; memory managers supporting remote
   /// mappings override this.
@@ -72,9 +106,8 @@ class ResidencyOracle {
 
   /// Bulk probe: true when page `base + b` classifies kGpuResident for
   /// every set bit `b` of the mask `bits` (an array of `words` 64-bit
-  /// words; bit `b` lives in word `b / 64` at position `b % 64`). The
-  /// default loops over classify(); memory managers that keep per-block
-  /// residency bitmasks override it with direct mask tests.
+  /// words; bit `b` lives in word `b / 64` at position `b % 64`). It
+  /// loops over classify(); the engine never calls it.
   virtual bool all_gpu_resident(PageId base, const std::uint64_t* bits,
                                 std::size_t words) const {
     for (std::size_t w = 0; w < words; ++w) {
@@ -160,11 +193,14 @@ class GpuEngine {
   std::uint64_t replays_seen() const noexcept { return replays_; }
 
   /// Host-cost counters: warp visits (advance_warp calls), visits that
-  /// changed no warp state, and residency probes (ResidencyOracle::classify
-  /// calls). Settled warps skipped by a rescan count as no visit.
+  /// changed no warp state, residency probes (every access the engine
+  /// classified), and the probes the table could not settle, which called
+  /// ResidencyOracle::classify. Settled warps skipped by a rescan count as
+  /// no visit.
   std::uint64_t warp_visits() const noexcept { return visits_; }
   std::uint64_t idle_warp_visits() const noexcept { return idle_visits_; }
   std::uint64_t residency_probes() const noexcept { return probes_; }
+  std::uint64_t oracle_probes() const noexcept { return oracle_probes_; }
 
  private:
   // Per-access progress within the current group. kReissue marks an
@@ -195,8 +231,12 @@ class GpuEngine {
   };
 
   void schedule_pending_blocks();
+  ResidencyOracle::PageLocation locate(PageId page,
+                                       const ResidencyOracle& residency,
+                                       ResidencyOracle::Table table);
   bool advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
-                    const ResidencyOracle& residency, bool replayed,
+                    const ResidencyOracle& residency,
+                    ResidencyOracle::Table table, bool replayed,
                     GenerateResult& result);
   void emit_fault(PageId page, AccessType type, std::uint32_t sm,
                   std::uint32_t block, SimTime now, SimTime phase,
@@ -228,6 +268,7 @@ class GpuEngine {
   std::uint64_t visits_ = 0;
   std::uint64_t idle_visits_ = 0;
   std::uint64_t probes_ = 0;
+  std::uint64_t oracle_probes_ = 0;
   std::vector<std::uint64_t> sm_arrival_cursor_;  // per-SM arrival pacing
   std::uint64_t window_seq_ = 0;      // one per generate() call
   PageId page_offset_ = 0;

@@ -9,6 +9,10 @@
 // default) through a single code path: it owns one memory context per
 // GPU and the interconnect topology between them, and a single-GPU node
 // is simply the one-context, one-link case.
+//
+// GPU residency lives in the VA space's word store (VaSpace::
+// gpu_residency()); the servicers change it through VaBlockState, and the
+// driver lends it to the GPU engine as its ResidencyOracle table.
 #pragma once
 
 #include <cstdint>
@@ -98,13 +102,15 @@ class UvmDriver final : public ResidencyOracle {
     return classify_non_resident(page);
   }
 
-  /// Bulk probe against the residency bitmasks directly. Exact for the
-  /// kGpuResident question: classify() short-circuits on residency
-  /// before any retire/advise/pin lookup, so a resident page classifies
-  /// kGpuResident unconditionally.
-  bool all_gpu_resident(PageId base, const std::uint64_t* bits,
-                        std::size_t words) const override {
-    return space_.all_gpu_resident(base, bits, words);
+  /// The VA space's residency store, read by the engine in place. A set
+  /// bit is exactly classify()'s kGpuResident (classify() tests residency
+  /// before any retire/advise/pin lookup). `misses_fault` holds while no
+  /// non-resident page can resolve remotely: no allocation prefers the
+  /// host, no page is retired, and thrashing detection (whose pins
+  /// remote-map) is off.
+  Table residency_table() const override {
+    const std::vector<PageMask>& store = space_.gpu_residency();
+    return {store.data(), store.size(), !any_remote_miss()};
   }
 
   /// Per-GPU page-table view: a resident page is local only to the owner
@@ -177,7 +183,10 @@ class UvmDriver final : public ResidencyOracle {
  private:
   /// The shared tail of classify() and classify_for() for a page that is
   /// not GPU-resident: retired, advised-host and thrash-pinned pages
-  /// resolve remotely; everything else faults.
+  /// resolve remotely; everything else faults. Every branch that returns
+  /// anything but kFaultRequired must also make any_remote_miss() true:
+  /// residency_table() promises the engine that misses fault while it is
+  /// false.
   PageLocation classify_non_resident(PageId page) const {
     // Retired pages (recovery tier 2) are permanently host-pinned; the
     // any_retired flag keeps this a dead branch until a retirement fires.
@@ -192,6 +201,14 @@ class UvmDriver final : public ResidencyOracle {
       return PageLocation::kRemoteMapped;
     }
     return PageLocation::kFaultRequired;
+  }
+
+  /// Whether some non-resident page may resolve remotely, i.e. whether
+  /// classify_non_resident() can return anything but kFaultRequired: one
+  /// term per remote branch there.
+  bool any_remote_miss() const {
+    return space_.any_retired() || space_.any_host_preferred() ||
+           thrash_.enabled();
   }
 
   /// Mirror one completed batch into the metrics registry: every

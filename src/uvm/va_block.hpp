@@ -3,7 +3,10 @@
 // Every memory-management decision in UVM is scoped to one VABlock: fault
 // grouping, migration, DMA-map creation, CPU unmapping, and eviction. The
 // state distinguishes
-//   * `gpu_resident`  — page lives in the block's GPU chunk;
+//   * `gpu_resident`  — page lives in the block's GPU chunk. This mask is
+//     not stored here: the owning VaSpace keeps every block's residency in
+//     one word store (VaSpace::gpu_residency()) that the GPU engine reads
+//     in place, and the block reads and writes its entry there;
 //   * `cpu_mapped`    — host PTE exists (unmap_mapping_range clears it);
 //   * `host_data`     — a host frame holds valid data for the page (stays
 //     true after unmapping until migration, and becomes true again after
@@ -15,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/types.hpp"
 #include "gpu/gpu_memory.hpp"
@@ -27,14 +31,26 @@ class VaBlockState {
  public:
   using PageMask = uvmsim::PageMask;
 
+  /// Block `id` of the VA space whose residency store is `residency`.
+  /// Only VaSpace builds blocks; the store must outlive the block.
+  VaBlockState(std::vector<PageMask>& residency, VaBlockId id) noexcept
+      : residency_(&residency), id_(id) {}
+  // A copy would share the original's residency but not its other masks.
+  VaBlockState(const VaBlockState&) = delete;
+  VaBlockState& operator=(const VaBlockState&) = delete;
+  VaBlockState(VaBlockState&&) noexcept = default;
+  VaBlockState& operator=(VaBlockState&&) noexcept = default;
+
   // -- Residency masks ----------------------------------------------------
-  const PageMask& gpu_resident() const noexcept { return gpu_resident_; }
+  const PageMask& gpu_resident() const noexcept { return (*residency_)[id_]; }
   const PageMask& cpu_mapped() const noexcept { return cpu_mapped_; }
   const PageMask& host_data() const noexcept { return host_data_; }
   const PageMask& populated() const noexcept { return populated_; }
   const PageMask& retired() const noexcept { return retired_; }
 
-  bool is_gpu_resident(std::uint32_t page) const { return gpu_resident_[page]; }
+  bool is_gpu_resident(std::uint32_t page) const {
+    return gpu_resident()[page];
+  }
   bool is_retired(std::uint32_t page) const { return retired_[page]; }
 
   void set_cpu_initialized(std::uint32_t page, CpuThreadMask toucher) {
@@ -45,14 +61,14 @@ class VaBlockState {
   }
 
   void set_gpu_resident(std::uint32_t page) {
-    gpu_resident_.set(page);
+    resident().set(page);
     populated_.set(page);
     host_data_.reset(page);  // GPU copy is now the authoritative one
   }
 
   /// Mask form of set_gpu_resident(page), for every page in `pages`.
   void set_gpu_resident(const PageMask& pages) {
-    gpu_resident_ |= pages;
+    resident() |= pages;
     populated_ |= pages;
     host_data_ &= ~pages;
   }
@@ -69,7 +85,7 @@ class VaBlockState {
   /// Populated pages keep/regain host_data so no defined contents are
   /// orphaned; unpopulated pages just carry the ban.
   void retire_page(std::uint32_t page) {
-    gpu_resident_.reset(page);
+    resident().reset(page);
     if (populated_[page]) host_data_.set(page);
     retired_.set(page);
   }
@@ -78,7 +94,7 @@ class VaBlockState {
   /// Returns how many pages were newly retired.
   std::uint32_t retire_all_pages() {
     const auto before = static_cast<std::uint32_t>(retired_.count());
-    gpu_resident_.reset();
+    resident().reset();
     host_data_ |= populated_;
     retired_.set();
     return kPagesPerVaBlock - before;
@@ -91,9 +107,10 @@ class VaBlockState {
   /// Eviction effect: all GPU-resident pages move to host frames but are
   /// NOT remapped into the CPU page table (lazy remap on CPU access).
   std::uint32_t evict_to_host() {
-    const auto moved = static_cast<std::uint32_t>(gpu_resident_.count());
-    host_data_ |= gpu_resident_;
-    gpu_resident_.reset();
+    PageMask& resident = this->resident();
+    const auto moved = static_cast<std::uint32_t>(resident.count());
+    host_data_ |= resident;
+    resident.reset();
     chunk_.reset();
     owner_gpu_ = 0;
     peer_map_mask_ = 0;
@@ -150,14 +167,17 @@ class VaBlockState {
   CpuThreadMask cpu_sharers() const noexcept { return cpu_sharers_; }
 
   std::uint32_t gpu_resident_count() const noexcept {
-    return static_cast<std::uint32_t>(gpu_resident_.count());
+    return static_cast<std::uint32_t>(gpu_resident().count());
   }
   std::uint32_t cpu_mapped_count() const noexcept {
     return static_cast<std::uint32_t>(cpu_mapped_.count());
   }
 
  private:
-  PageMask gpu_resident_;
+  PageMask& resident() noexcept { return (*residency_)[id_]; }
+
+  std::vector<PageMask>* residency_;  // the owning VaSpace's store
+  VaBlockId id_;
   PageMask cpu_mapped_;
   PageMask host_data_;
   PageMask populated_;

@@ -22,8 +22,12 @@ const AllocationInfo& VaSpace::allocate(std::uint64_t bytes, std::string name,
   info.init = init;
   info.advise = advise;
 
-  blocks_.resize(layout_.total_blocks());
+  residency_.resize(layout_.total_blocks());
+  while (blocks_.size() < layout_.total_blocks()) {
+    blocks_.emplace_back(residency_, blocks_.size());
+  }
   block_alloc_.resize(layout_.total_blocks(), info.id);
+  any_host_preferred_ |= advise == MemAdvise::kPreferredLocationHost;
   vmas_.insert(info.first_page, info.first_page + info.pages, info.id,
                info.name);
   allocations_.push_back(info);
@@ -77,7 +81,7 @@ std::uint32_t VaSpace::unmap_block_cpu(VaBlockId id) {
 
 std::uint64_t VaSpace::gpu_resident_pages() const {
   std::uint64_t n = 0;
-  for (const auto& b : blocks_) n += b.gpu_resident_count();
+  for (const PageMask& resident : residency_) n += resident.count();
   return n;
 }
 

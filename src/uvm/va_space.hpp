@@ -4,9 +4,14 @@
 // into 2 MB logical VABlocks, §2.2) and registered as host VMAs. Host
 // initialization patterns record which CPU threads touched which pages —
 // the input to the unmap/TLB-shootdown cost model (Fig 11).
+//
+// The VA space owns GPU residency. It keeps one contiguous PageMask per
+// VABlock, indexed by VaBlockId, so page p is bit p % 64 of word p / 64
+// across the store. That store is the only copy: VaBlockState reads and
+// writes its own entry in place, and the GPU engine tests the words
+// directly (UvmDriver::residency_table()).
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -72,6 +77,11 @@ class AllocLayout {
 
 class VaSpace {
  public:
+  VaSpace() = default;
+  // Every block points at residency_, so the space stays where it is built.
+  VaSpace(const VaSpace&) = delete;
+  VaSpace& operator=(const VaSpace&) = delete;
+
   /// Allocate `bytes` of managed memory and apply the host-init pattern.
   /// Returns the allocation record (placement matches AllocLayout).
   const AllocationInfo& allocate(std::uint64_t bytes, std::string name,
@@ -88,27 +98,16 @@ class VaSpace {
   bool has_block(VaBlockId id) const noexcept { return id < blocks_.size(); }
   std::uint64_t block_count() const noexcept { return blocks_.size(); }
 
-  bool is_gpu_resident(PageId page) const {
-    const VaBlockId b = va_block_of(page);
-    return b < blocks_.size() &&
-           blocks_[b].is_gpu_resident(page_index_in_block(page));
+  /// The residency store: one mask per VABlock, indexed by VaBlockId.
+  /// `managed_alloc` may reallocate it, so callers re-read it after one.
+  const std::vector<PageMask>& gpu_residency() const noexcept {
+    return residency_;
   }
 
-  /// Bulk form: every page `base + b` for each set bit `b` of `bits`
-  /// (`words` 64-bit words) is GPU-resident. Walks only the set bits, so
-  /// a caller holding a page-footprint bitmask pays per touched page,
-  /// not per mask word.
-  bool all_gpu_resident(PageId base, const std::uint64_t* bits,
-                        std::size_t words) const {
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t word = bits[w];
-      while (word != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(word));
-        word &= word - 1;
-        if (!is_gpu_resident(base + w * 64 + b)) return false;
-      }
-    }
-    return true;
+  bool is_gpu_resident(PageId page) const {
+    const VaBlockId b = va_block_of(page);
+    return b < residency_.size() &&
+           residency_[b].test(page_index_in_block(page));
   }
 
   /// Multi-GPU form of is_gpu_resident: the page is resident AND its
@@ -116,9 +115,12 @@ class VaSpace {
   /// is remote-mapped or a fault for `gpu`, never local).
   bool is_gpu_resident_on(std::uint32_t gpu, PageId page) const {
     const VaBlockId b = va_block_of(page);
-    return b < blocks_.size() && blocks_[b].owner_gpu() == gpu &&
-           blocks_[b].is_gpu_resident(page_index_in_block(page));
+    return is_gpu_resident(page) && blocks_[b].owner_gpu() == gpu;
   }
+
+  /// Some allocation is advised kPreferredLocationHost, so some
+  /// non-resident page may resolve remotely rather than fault.
+  bool any_host_preferred() const noexcept { return any_host_preferred_; }
 
   /// Retired pages resolve remotely forever (recovery tier 2). The flag
   /// keeps the classify fast path a single branch until the first
@@ -151,12 +153,14 @@ class VaSpace {
 
   AllocLayout layout_;
   std::vector<AllocationInfo> allocations_;
+  std::vector<PageMask> residency_;  // GPU residency, one mask per block
   std::vector<VaBlockState> blocks_;
   std::vector<AllocId> block_alloc_;  // owning allocation of each block
   VmaMap vmas_;
   PageTable host_pt_;
   std::uint64_t next_host_frame_ = 0;
   bool any_retired_ = false;
+  bool any_host_preferred_ = false;
 };
 
 }  // namespace uvmsim

@@ -63,10 +63,10 @@ WorkloadSpec make_hpgmg(const HpgmgParams& params) {
   std::uint64_t elems = 1ULL << params.fine_elements_log2;
   for (std::uint32_t l = 0; l < params.levels; ++l) {
     level_pages[l] = std::max<std::uint64_t>(1, ceil_div(elems * 8, kPageSize));
-    spec.allocs.push_back(
-        {level_pages[l] * kPageSize, "u" + std::to_string(l), init});
-    spec.allocs.push_back(
-        {level_pages[l] * kPageSize, "r" + std::to_string(l), init});
+    spec.allocs.push_back({level_pages[l] * kPageSize,
+                           std::string("u").append(std::to_string(l)), init});
+    spec.allocs.push_back({level_pages[l] * kPageSize,
+                           std::string("r").append(std::to_string(l)), init});
     elems = std::max<std::uint64_t>(1, elems / 8);
   }
   const auto base = detail::layout_bases(spec.allocs);

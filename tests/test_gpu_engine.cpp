@@ -251,7 +251,40 @@ TEST(GpuEngineCounters, ResidencyProbesEqualOracleClassifyCalls) {
   ASSERT_TRUE(gpu.all_done());
   EXPECT_GT(oracle.classify_calls, 0u);
   EXPECT_EQ(gpu.residency_probes(), oracle.classify_calls);
+  // A table-less oracle sees every probe.
+  EXPECT_EQ(gpu.oracle_probes(), oracle.classify_calls);
   EXPECT_GE(gpu.warp_visits(), gpu.idle_warp_visits());
+}
+
+/// CountingSetOracle that lends VABlock 0 of its residency as a one-block
+/// table, with `misses_fault` as given.
+struct TableSetOracle : CountingSetOracle {
+  PageMask block0;
+  bool misses_fault = false;
+  Table residency_table() const override {
+    return {&block0, 1, misses_fault};
+  }
+};
+
+TEST(GpuEngineCounters, TableSettlesResidentHitsAndPromisedMisses) {
+  // Launched at page 509: pages 509 and 510 are resident in the
+  // one-block table. Without the miss promise, page 511 (not resident)
+  // and page 512 (beyond the table) go to classify(); with it, nothing
+  // does.
+  const KernelDesc kernel = build_kernel({{{{100, {0, 1, 2, 3}}}}});
+  for (const bool promise : {false, true}) {
+    GpuEngine gpu(quiet_config(), 1);
+    gpu.launch(kernel, 509);
+    TableSetOracle oracle;
+    oracle.resident = {509, 510};
+    oracle.block0.set(509).set(510);
+    oracle.misses_fault = promise;
+    const auto result = gpu.generate(0, oracle);
+    EXPECT_EQ(result.faults_pushed, 2u) << "promise " << promise;
+    EXPECT_EQ(gpu.residency_probes(), 4u);
+    EXPECT_EQ(gpu.oracle_probes(), promise ? 0u : 2u);
+    EXPECT_EQ(oracle.classify_calls, gpu.oracle_probes());
+  }
 }
 
 TEST(GpuEngineCounters, RescanAfterRetirementVisitsNoSettledWarp) {
@@ -325,6 +358,8 @@ TEST(GpuEngineCounters, WindowCountsReachTheMetricsRegistry) {
   EXPECT_EQ(metrics.counter("gpu.warp_visits"), gpu.warp_visits());
   EXPECT_EQ(metrics.counter("gpu.idle_warp_visits"), gpu.idle_warp_visits());
   EXPECT_EQ(metrics.counter("gpu.residency_probes"), gpu.residency_probes());
+  EXPECT_EQ(metrics.counter("gpu.oracle_probes"), gpu.oracle_probes());
+  EXPECT_EQ(gpu.oracle_probes(), gpu.residency_probes());
   EXPECT_GT(gpu.warp_visits(), 0u);
 }
 

@@ -145,7 +145,9 @@ TEST(LptSchedule, EstimatorEqualsLiveModelOnRealBatchLog) {
       EXPECT_NEAR(est.speedup, live, 1e-12)
           << "policy " << static_cast<int>(policy) << " workers "
           << workers;
-      if (workers > 1) EXPECT_GT(est.speedup, 1.0);
+      if (workers > 1) {
+        EXPECT_GT(est.speedup, 1.0);
+      }
     }
   }
 }

@@ -122,7 +122,9 @@ TEST_P(RadixTreeRandomOps, BehavesLikeOrderedMap) {
       const auto got = tree.lookup(key);
       const auto it = reference.find(key);
       EXPECT_EQ(got.has_value(), it != reference.end());
-      if (got && it != reference.end()) EXPECT_EQ(*got, it->second);
+      if (got && it != reference.end()) {
+        EXPECT_EQ(*got, it->second);
+      }
     } else {
       EXPECT_EQ(tree.erase(key), reference.erase(key) > 0);
     }

@@ -59,7 +59,9 @@ TEST(ChunkRetirement, RetiredChunksLeaveTheUsablePoolForever) {
 // ---- VaBlockState page retirement -----------------------------------------
 
 TEST(PageRetirement, RetiredPagesKeepTheirOnlyCopyOnHost) {
-  VaBlockState block;
+  VaSpace space;
+  space.allocate(kVaBlockSize, "block", HostInit::none());
+  VaBlockState& block = space.block(0);
   block.set_cpu_initialized(3, 1);  // populated with host data
   block.set_gpu_resident(5);        // populated, GPU copy authoritative
   ASSERT_FALSE(block.host_data()[5]);

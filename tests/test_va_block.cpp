@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include "uvm/va_space.hpp"
+
 namespace uvmsim {
 namespace {
 
+/// Block 0 of `space` after one untouched one-block allocation. A block
+/// keeps its residency in its VA space's word store, so it is always
+/// built by one.
+VaBlockState& fresh_block(VaSpace& space) {
+  space.allocate(kVaBlockSize, "block", HostInit::none());
+  return space.block(0);
+}
+
 TEST(VaBlockState, StartsEmpty) {
-  VaBlockState block;
+  VaSpace space;
+  VaBlockState& block = fresh_block(space);
   EXPECT_EQ(block.gpu_resident_count(), 0u);
   EXPECT_EQ(block.cpu_mapped_count(), 0u);
   EXPECT_FALSE(block.has_chunk());
@@ -16,7 +27,8 @@ TEST(VaBlockState, StartsEmpty) {
 }
 
 TEST(VaBlockState, CpuInitSetsMappedDataAndSharers) {
-  VaBlockState block;
+  VaSpace space;
+  VaBlockState& block = fresh_block(space);
   block.set_cpu_initialized(3, 0b1);
   block.set_cpu_initialized(4, 0b100);
   EXPECT_EQ(block.cpu_mapped_count(), 2u);
@@ -28,7 +40,8 @@ TEST(VaBlockState, CpuInitSetsMappedDataAndSharers) {
 TEST(VaBlockState, UnmapClearsPtesButKeepsData) {
   // The §4.4 distinction: unmap_mapping_range removes host mappings, but
   // the frames still hold the data until migration.
-  VaBlockState block;
+  VaSpace space;
+  VaBlockState& block = fresh_block(space);
   block.set_cpu_initialized(0, 0b1);
   block.set_cpu_initialized(1, 0b1);
   EXPECT_EQ(block.unmap_cpu_pages(), 2u);
@@ -38,7 +51,8 @@ TEST(VaBlockState, UnmapClearsPtesButKeepsData) {
 }
 
 TEST(VaBlockState, GpuResidencyInvalidatesHostCopy) {
-  VaBlockState block;
+  VaSpace space;
+  VaBlockState& block = fresh_block(space);
   block.set_cpu_initialized(5, 0b1);
   block.unmap_cpu_pages();
   block.set_gpu_resident(5);
@@ -50,7 +64,8 @@ TEST(VaBlockState, GpuResidencyInvalidatesHostCopy) {
 TEST(VaBlockState, EvictMovesAllResidentPagesToHostWithoutRemap) {
   // Fig 13's lower cost level: evicted data returns to host frames but is
   // NOT remapped into the CPU page table.
-  VaBlockState block;
+  VaSpace space;
+  VaBlockState& block = fresh_block(space);
   block.set_gpu_resident(1);
   block.set_gpu_resident(2);
   block.set_chunk(9);
@@ -63,12 +78,14 @@ TEST(VaBlockState, EvictMovesAllResidentPagesToHostWithoutRemap) {
 }
 
 TEST(VaBlockState, EvictOnEmptyBlockMovesNothing) {
-  VaBlockState block;
+  VaSpace space;
+  VaBlockState& block = fresh_block(space);
   EXPECT_EQ(block.evict_to_host(), 0u);
 }
 
 TEST(VaBlockState, ChunkLifecycle) {
-  VaBlockState block;
+  VaSpace space;
+  VaBlockState& block = fresh_block(space);
   block.set_chunk(5);
   ASSERT_TRUE(block.has_chunk());
   EXPECT_EQ(*block.chunk(), 5u);
@@ -77,7 +94,8 @@ TEST(VaBlockState, ChunkLifecycle) {
 }
 
 TEST(VaBlockState, FirstTouchFlagsAreSticky) {
-  VaBlockState block;
+  VaSpace space;
+  VaBlockState& block = fresh_block(space);
   block.set_dma_mapped();
   block.set_ever_on_gpu();
   block.evict_to_host();

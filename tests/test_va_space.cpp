@@ -94,6 +94,40 @@ TEST(VaSpace, ResidencyQueries) {
   EXPECT_EQ(space.gpu_resident_pages(), 1u);
 }
 
+TEST(VaSpace, ResidencyLivesInOneWordStore) {
+  // Every block's residency is one entry of the space's store: a write
+  // through a block is the store's bit, and stays so after a later
+  // allocation grows (and may move) the store.
+  VaSpace space;
+  space.allocate(2 * kVaBlockSize, "a", HostInit::none());
+  space.block(1).set_gpu_resident(3);
+  ASSERT_EQ(space.gpu_residency().size(), 2u);
+  EXPECT_TRUE(space.gpu_residency()[1].test(3));
+  EXPECT_EQ(&space.block(1).gpu_resident(), &space.gpu_residency()[1]);
+
+  space.allocate(64 * kVaBlockSize, "b", HostInit::none());
+  ASSERT_EQ(space.gpu_residency().size(), 66u);
+  EXPECT_EQ(&space.block(1).gpu_resident(), &space.gpu_residency()[1]);
+  EXPECT_TRUE(space.block(1).is_gpu_resident(3));
+  EXPECT_TRUE(space.is_gpu_resident(kPagesPerVaBlock + 3));
+  space.block(65).set_gpu_resident(kPagesPerVaBlock - 1);
+  EXPECT_TRUE(space.is_gpu_resident(66 * kPagesPerVaBlock - 1));
+  EXPECT_EQ(space.block(1).evict_to_host(), 1u);
+  EXPECT_TRUE(space.gpu_residency()[1].none());
+  EXPECT_EQ(space.gpu_resident_pages(), 1u);
+}
+
+TEST(VaSpace, HostPreferredAdviceIsRemembered) {
+  VaSpace space;
+  space.allocate(kVaBlockSize, "a", HostInit::none());
+  EXPECT_FALSE(space.any_host_preferred());
+  space.allocate(kVaBlockSize, "b", HostInit::none(),
+                 MemAdvise::kPreferredLocationHost);
+  EXPECT_TRUE(space.any_host_preferred());
+  space.allocate(kVaBlockSize, "c", HostInit::none());
+  EXPECT_TRUE(space.any_host_preferred());
+}
+
 class HostInitPatternTest
     : public ::testing::TestWithParam<std::uint32_t> {};
 

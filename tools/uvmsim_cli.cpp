@@ -225,7 +225,7 @@ Args parse_args(int argc, char** argv, int first, Command command) {
       if (spec->value != Value::kNone && spec->value != Value::kOptional) {
         throw UsageError(token + " wants a value");
       }
-      args.named[name] = "1";
+      args.named.insert_or_assign(name, std::string("1"));
       continue;
     }
     const std::string value = argv[++i];
