@@ -78,7 +78,9 @@ std::string serialize_run(const IterativeRun& run) {
 }
 
 std::uint64_t counter_activity(const RunResult& r) {
-  return r.counter_notifications + r.counter_pages_promoted + r.counter_unpins;
+  const BatchTotals logged = totals(r.log);
+  return r.counter_notifications + logged.ctr_pages_promoted +
+         logged.ctr_unpins;
 }
 
 }  // namespace
@@ -121,16 +123,18 @@ int main() {
                 {"counter-assisted", "2", &assisted.second}};
     for (const auto& row : rows) {
       const auto& r = *row.r;
+      const BatchTotals logged = totals(r.log);
       table.add_row({w.label, row.mode, row.launch,
                      fmt(r.kernel_time_ns / 1e6, 1),
                      std::to_string(r.remote_accesses),
-                     std::to_string(r.counter_pages_promoted),
-                     std::to_string(r.counter_unpins),
+                     std::to_string(logged.ctr_pages_promoted),
+                     std::to_string(logged.ctr_unpins),
                      std::to_string(r.evictions),
                      fmt(static_cast<double>(r.bytes_h2d) / (1 << 20), 1)});
     }
-    counters_active |= assisted.first.counter_pages_promoted > 0 &&
-                       assisted.first.counter_unpins > 0;
+    const BatchTotals assisted_log = totals(assisted.first.log);
+    counters_active |=
+        assisted_log.ctr_pages_promoted > 0 && assisted_log.ctr_unpins > 0;
     won_relaunch |=
         assisted.second.kernel_time_ns < fault_only.second.kernel_time_ns;
     // The channel is a simulation: repeating the exact run pair must

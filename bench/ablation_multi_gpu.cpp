@@ -73,13 +73,14 @@ int main() {
   for (int k = 0; k < 3; ++k) {
     for (int p = 0; p < 2; ++p) {
       const auto result = run_combo(kinds[k], placements[p]);
+      const BatchTotals logged = totals(result.aggregate.log);
       makespan_ms[k][p] = static_cast<double>(result.makespan_ns) / 1e6;
       table.add_row({kind_name(kinds[k]), placement_name(placements[p]),
                      fmt(makespan_ms[k][p], 2),
                      std::to_string(result.aggregate.evictions),
-                     std::to_string(result.peer_maps),
-                     std::to_string(result.peer_pages_migrated),
-                     fmt(static_cast<double>(result.bytes_peer) / 1e6, 2)});
+                     std::to_string(logged.peer_maps),
+                     std::to_string(logged.peer_pages_migrated),
+                     fmt(static_cast<double>(logged.bytes_peer) / 1e6, 2)});
       if (p == 0) peer_runs.push_back(result);
     }
   }

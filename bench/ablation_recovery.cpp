@@ -67,9 +67,9 @@ int main() {
                       "recovery(ms)"});
   for (const Row* row : {&clean, &transient, &ladder}) {
     const auto& r = row->result;
-    const auto rec = recovery_totals(r.log);
+    const BatchTotals rec = totals(r.log);
     table.add_row({row->label, fmt(r.kernel_time_ns / 1e6, 1),
-                   std::to_string(r.service_aborts),
+                   std::to_string(rec.service_aborts),
                    std::to_string(rec.faults_cancelled),
                    std::to_string(rec.pages_retired),
                    std::to_string(rec.channel_resets),
@@ -78,28 +78,31 @@ int main() {
   }
   std::printf("%s\n", table.render().c_str());
 
+  const BatchTotals clean_log = totals(clean.result.log);
+  const BatchTotals transient_log = totals(transient.result.log);
+  const BatchTotals ladder_log = totals(ladder.result.log);
   std::printf(
       "ladder run: %llu ECC + %llu poison injections -> %llu pages "
       "(%llu chunks) retired; %llu wedges cleared via watchdog "
       "(%llu stuck wakeups)\n",
       static_cast<unsigned long long>(ladder.result.injected_ecc_faults),
       static_cast<unsigned long long>(ladder.result.injected_poison_faults),
-      static_cast<unsigned long long>(ladder.result.pages_retired),
-      static_cast<unsigned long long>(ladder.result.chunks_retired),
+      static_cast<unsigned long long>(ladder_log.pages_retired),
+      static_cast<unsigned long long>(ladder_log.chunks_retired),
       static_cast<unsigned long long>(ladder.result.injected_wedges),
       static_cast<unsigned long long>(ladder.result.watchdog_stuck_wakeups));
 
   std::printf("\n");
-  shape_check(clean.result.service_aborts == 0 &&
-                  !recovery_totals(clean.result.log).any(),
+  shape_check(clean_log.service_aborts == 0 &&
+                  !clean_log.any(BatchGroup::kRecovery),
               "the clean run aborts nothing and never recovers");
-  shape_check(transient.result.service_aborts > 0,
+  shape_check(transient_log.service_aborts > 0,
               "transient-only injection abandons blocks on retry "
               "exhaustion");
-  shape_check(ladder.result.service_aborts == 0,
+  shape_check(ladder_log.service_aborts == 0,
               "the ladder turns every exhausted copy into a channel reset: "
               "no aborts");
-  shape_check(ladder.result.pages_retired >=
+  shape_check(ladder_log.pages_retired >=
                   ladder.result.injected_poison_faults,
               "the ladder retires at least one page per poison injection");
   return 0;

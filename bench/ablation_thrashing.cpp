@@ -46,17 +46,18 @@ int main() {
                       "h2d(MB)", "remote", "pins", "throttles"});
   for (const Row* row : {&off, &detect, &pin, &throttle}) {
     const auto& r = row->result;
+    const BatchTotals logged = totals(r.log);
     table.add_row({row->label, fmt(r.kernel_time_ns / 1e6, 1),
                    std::to_string(r.log.size()),
                    std::to_string(r.evictions),
                    fmt(static_cast<double>(r.bytes_h2d) / (1 << 20), 1),
                    std::to_string(r.remote_accesses),
-                   std::to_string(r.thrash_pins),
-                   std::to_string(r.thrash_throttles)});
+                   std::to_string(logged.thrash_pins),
+                   std::to_string(logged.thrash_throttles)});
   }
   std::printf("%s\n", table.render().c_str());
 
-  const auto robust = robustness_totals(pin.result.log);
+  const BatchTotals robust = totals(pin.result.log);
   std::printf("pin run: %llu thrash pins, %.3f ms backoff, %.3f ms "
               "throttle delay\n\n",
               static_cast<unsigned long long>(robust.thrash_pins),
@@ -70,7 +71,7 @@ int main() {
   shape_check(detect.result.kernel_time_ns == off.result.kernel_time_ns &&
                   detect.result.evictions == off.result.evictions,
               "detection alone (mitigation none) changes nothing");
-  shape_check(pin.result.thrash_pins > 0,
+  shape_check(robust.thrash_pins > 0,
               "the detector classified blocks as thrashing and pinned them");
   shape_check(pin.result.evictions * 5 < off.result.evictions,
               "pin mitigation cuts evictions by >5x");
@@ -78,7 +79,7 @@ int main() {
               "pin mitigation cuts migrated data by >5x");
   shape_check(pin.result.kernel_time_ns < off.result.kernel_time_ns,
               "pin mitigation reduces end-to-end time");
-  shape_check(throttle.result.thrash_throttles > 0,
+  shape_check(totals(throttle.result.log).thrash_throttles > 0,
               "throttle mitigation widens the service window for "
               "thrashing blocks");
   return 0;

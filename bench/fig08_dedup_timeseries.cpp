@@ -21,20 +21,21 @@ void profile(const std::string& label, const WorkloadSpec& spec,
   std::printf("%s ('.' = raw, '*' = deduplicated):\n%s\n", label.c_str(),
               plot.render().c_str());
 
-  const auto totals = fault_totals(result.log);
-  *dup_share = 1.0 - static_cast<double>(totals.unique) /
-                         static_cast<double>(totals.raw);
-  const std::uint64_t dups = totals.dup_same_utlb + totals.dup_cross_utlb;
-  *type2_share = dups ? static_cast<double>(totals.dup_cross_utlb) /
+  const BatchTotals logged = totals(result.log);
+  *dup_share = 1.0 - static_cast<double>(logged.unique_faults) /
+                         static_cast<double>(logged.raw_faults);
+  const std::uint64_t dups = logged.dup_same_utlb + logged.dup_cross_utlb;
+  *type2_share = dups ? static_cast<double>(logged.dup_cross_utlb) /
                             static_cast<double>(dups)
                       : 0.0;
   std::printf("  %s: %llu raw, %llu unique -> %.1f%% duplicates "
               "(type1 %llu, type2 %llu) over %zu batches\n\n",
-              label.c_str(), static_cast<unsigned long long>(totals.raw),
-              static_cast<unsigned long long>(totals.unique),
+              label.c_str(),
+              static_cast<unsigned long long>(logged.raw_faults),
+              static_cast<unsigned long long>(logged.unique_faults),
               *dup_share * 100.0,
-              static_cast<unsigned long long>(totals.dup_same_utlb),
-              static_cast<unsigned long long>(totals.dup_cross_utlb),
+              static_cast<unsigned long long>(logged.dup_same_utlb),
+              static_cast<unsigned long long>(logged.dup_cross_utlb),
               result.log.size());
 
   // "Phases" metric: lag-1 autocorrelation of the steady-state batch-size

@@ -33,14 +33,14 @@ int main() {
     SystemConfig cfg = no_prefetch(presets::scaled_titan_v(512));
     cfg.driver.batch_size = size;
     const auto result = run_once(spec, cfg);
-    const auto totals = fault_totals(result.log);
-    const double raw_mean = static_cast<double>(totals.raw) /
+    const BatchTotals logged = totals(result.log);
+    const double raw_mean = static_cast<double>(logged.raw_faults) /
                             static_cast<double>(result.log.size());
-    const double unique_mean = static_cast<double>(totals.unique) /
+    const double unique_mean = static_cast<double>(logged.unique_faults) /
                                static_cast<double>(result.log.size());
     const double dup_rate =
-        1.0 - static_cast<double>(totals.unique) /
-                  static_cast<double>(totals.raw);
+        1.0 - static_cast<double>(logged.unique_faults) /
+                  static_cast<double>(logged.raw_faults);
     table.add_row({std::to_string(size),
                    fmt(result.kernel_time_ns / 1e6, 2),
                    std::to_string(result.log.size()), fmt(raw_mean, 1),
@@ -59,11 +59,12 @@ int main() {
     SystemConfig cfg = no_prefetch(presets::scaled_titan_v(512));
     cfg.driver.batch_size = size;
     const auto result = run_once(make_gemm(p), cfg);
-    const auto totals = fault_totals(result.log);
-    dup_table.add_row({std::to_string(size),
-                       fmt_pct(1.0 - static_cast<double>(totals.unique) /
-                                         static_cast<double>(totals.raw)),
-                       std::to_string(result.log.size())});
+    const BatchTotals logged = totals(result.log);
+    dup_table.add_row(
+        {std::to_string(size),
+         fmt_pct(1.0 - static_cast<double>(logged.unique_faults) /
+                           static_cast<double>(logged.raw_faults)),
+         std::to_string(result.log.size())});
   }
   std::printf("sgemm (duplicate-rate tradeoff):\n%s\n",
               dup_table.render().c_str());

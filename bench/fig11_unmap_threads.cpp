@@ -39,8 +39,8 @@ int main() {
   const auto single = run_hpgmg(1);
   const auto omp = run_hpgmg(32);
 
-  const auto single_phases = phase_totals(single.log);
-  const auto omp_phases = phase_totals(omp.log);
+  const BatchTotals single_phases = totals(single.log);
+  const BatchTotals omp_phases = totals(omp.log);
 
   TablePrinter table({"config", "kernel(ms)", "batches", "unmap total(ms)",
                       "mean unmap frac (unmap batches)"});

@@ -26,7 +26,7 @@ int main() {
     SystemConfig cfg = presets::scaled_titan_v(mb);
     System system(cfg);
     const auto result = system.run(make_stream_triad(elements, 2));
-    const auto phases = phase_totals(result.log);
+    const BatchTotals phases = totals(result.log);
     const double evict_share =
         result.batch_time_ns
             ? static_cast<double>(phases.eviction_ns) /

@@ -19,7 +19,6 @@ void expect_equal(std::vector<std::string>& out, const char* what,
 std::vector<std::string> run_violations(const UvmDriver& driver,
                                         const RunResult& result) {
   std::vector<std::string> out;
-  std::uint64_t transfer_errors = 0, dma_errors = 0, dropped = 0;
   for (const BatchRecord& rec : result.log) {
     const BatchCounters& c = rec.counters;
     const std::string batch = "batch " + std::to_string(rec.id);
@@ -29,15 +28,14 @@ std::vector<std::string> run_violations(const UvmDriver& driver,
     if (rec.duration_ns() > rec.phases.sum()) {
       out.push_back(batch + ": duration exceeds its phase sum");
     }
-    transfer_errors += c.transfer_errors;
-    dma_errors += c.dma_map_errors;
-    dropped += c.buffer_dropped;
   }
-  expect_equal(out, "injected transfer errors", transfer_errors,
+  const BatchTotals run = totals(result.log);
+  expect_equal(out, "injected transfer errors", run.transfer_errors,
                result.injected_transfer_errors);
-  expect_equal(out, "injected DMA-map errors", dma_errors,
+  expect_equal(out, "injected DMA-map errors", run.dma_map_errors,
                result.injected_dma_errors);
-  expect_equal(out, "buffer drops", dropped, result.faults_dropped_full);
+  expect_equal(out, "buffer drops", run.buffer_dropped,
+               result.faults_dropped_full);
 
   const VaSpace& space = driver.va_space();
   const std::uint32_t gpus = driver.config().multi_gpu.num_gpus;
@@ -67,21 +65,19 @@ std::vector<std::string> run_violations(const UvmDriver& driver,
     }
   }
 
-  std::uint64_t cancelled = 0, pages = 0, chunks = 0, channel = 0, gpu = 0;
-  for (const BatchRecord& rec : driver.log()) {
-    cancelled += rec.counters.faults_cancelled;
-    pages += rec.counters.pages_retired;
-    chunks += rec.counters.chunks_retired;
-    channel += rec.counters.channel_resets;
-    gpu += rec.counters.gpu_resets;
-  }
+  const BatchTotals lifetime = totals(driver.log());
   const RecoveryManager& recovery = driver.recovery();
-  expect_equal(out, "cancelled faults", cancelled, recovery.faults_cancelled());
-  expect_equal(out, "retired pages", pages, recovery.pages_retired());
-  expect_equal(out, "retired chunks", chunks, recovery.chunks_retired());
-  expect_equal(out, "blacklisted chunks", chunks, retired_chunks);
-  expect_equal(out, "channel resets", channel, recovery.channel_resets());
-  expect_equal(out, "GPU resets", gpu, recovery.gpu_resets());
+  expect_equal(out, "cancelled faults", lifetime.faults_cancelled,
+               recovery.faults_cancelled());
+  expect_equal(out, "retired pages", lifetime.pages_retired,
+               recovery.pages_retired());
+  expect_equal(out, "retired chunks", lifetime.chunks_retired,
+               recovery.chunks_retired());
+  expect_equal(out, "blacklisted chunks", lifetime.chunks_retired,
+               retired_chunks);
+  expect_equal(out, "channel resets", lifetime.channel_resets,
+               recovery.channel_resets());
+  expect_equal(out, "GPU resets", lifetime.gpu_resets, recovery.gpu_resets());
   return out;
 }
 

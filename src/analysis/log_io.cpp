@@ -6,24 +6,28 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 namespace uvmsim {
 namespace {
+
+// Keys of the BatchRecord members outside the field list: the header, then
+// the optional per-batch detail lists.
+constexpr std::string_view kId = "id";
+constexpr std::string_view kStart = "start";
+constexpr std::string_view kEnd = "end";
+constexpr std::string_view kFaultsPerSm = "sm";
+constexpr std::string_view kVaBlockFaults = "vabf";
+constexpr std::string_view kVaBlockServiceNs = "vabt";
+constexpr std::string_view kFirstTouch = "ft";
+constexpr std::string_view kEvicted = "ev";
 
 void append_u64(std::string& out, std::string_view key, std::uint64_t value) {
   out += ' ';
   out += key;
   out += '=';
   out += std::to_string(value);
-}
-
-// Robustness fields postdate the golden fixtures and are only nonzero when
-// injection/mitigation is on; omitting the zero case keeps old logs
-// byte-identical through a round trip.
-void append_u64_nonzero(std::string& out, std::string_view key,
-                        std::uint64_t value) {
-  if (value != 0) append_u64(out, key, value);
 }
 
 template <typename T>
@@ -63,82 +67,28 @@ bool parse_list(std::string_view text, const auto& sink) {
 
 std::string serialize_batch(const BatchRecord& record) {
   std::string out = "batch";
-  append_u64(out, "id", record.id);
-  append_u64(out, "start", record.start_ns);
-  append_u64(out, "end", record.end_ns);
+  append_u64(out, kId, record.id);
+  append_u64(out, kStart, record.start_ns);
+  append_u64(out, kEnd, record.end_ns);
 
-  const auto& p = record.phases;
-  append_u64(out, "fetch", p.fetch_ns);
-  append_u64(out, "dedup", p.dedup_ns);
-  append_u64(out, "vablock", p.vablock_ns);
-  append_u64(out, "eviction", p.eviction_ns);
-  append_u64(out, "unmap", p.unmap_ns);
-  append_u64(out, "populate", p.populate_ns);
-  append_u64(out, "dma", p.dma_map_ns);
-  append_u64(out, "prefetch", p.prefetch_ns);
-  append_u64(out, "transfer", p.transfer_ns);
-  append_u64(out, "pagetable", p.pagetable_ns);
-  append_u64(out, "replay", p.replay_ns);
-  append_u64_nonzero(out, "backoff", p.backoff_ns);
-  append_u64_nonzero(out, "throttle", p.throttle_ns);
-  append_u64_nonzero(out, "counter", p.counter_ns);
-  append_u64_nonzero(out, "recovery", p.recovery_ns);
+  // A field outside BatchGroup::kCore is written only when nonzero.
+  for_each_batch_field([&](const BatchField& field, auto get) {
+    const std::uint64_t value = get(record);
+    if (field.group == BatchGroup::kCore || value != 0) {
+      append_u64(out, field.key, value);
+    }
+  });
 
-  const auto& c = record.counters;
-  append_u64(out, "raw", c.raw_faults);
-  append_u64(out, "uniq", c.unique_faults);
-  append_u64(out, "dup1", c.dup_same_utlb);
-  append_u64(out, "dup2", c.dup_cross_utlb);
-  append_u64(out, "reads", c.read_faults);
-  append_u64(out, "writes", c.write_faults);
-  append_u64(out, "prefaults", c.prefetch_faults);
-  append_u64(out, "vablocks", c.vablocks_touched);
-  append_u64(out, "firsttouch", c.first_touch_vablocks);
-  append_u64(out, "migrated", c.pages_migrated);
-  append_u64(out, "populated", c.pages_populated);
-  append_u64(out, "prefetched", c.pages_prefetched);
-  append_u64(out, "h2d", c.bytes_h2d);
-  append_u64(out, "d2h", c.bytes_d2h);
-  append_u64(out, "evictions", c.evictions);
-  append_u64(out, "unmaps", c.unmap_calls);
-  append_u64(out, "unmapped", c.pages_unmapped);
-  append_u64(out, "dmapages", c.dma_pages_mapped);
-  append_u64(out, "radixnodes", c.radix_nodes_allocated);
-  append_u64(out, "radixgrew", c.radix_grew ? 1 : 0);
-  append_u64_nonzero(out, "xfererr", c.transfer_errors);
-  append_u64_nonzero(out, "xferretry", c.transfer_retries);
-  append_u64_nonzero(out, "dmaerr", c.dma_map_errors);
-  append_u64_nonzero(out, "dmaretry", c.dma_map_retries);
-  append_u64_nonzero(out, "aborts", c.service_aborts);
-  append_u64_nonzero(out, "pins", c.thrash_pins);
-  append_u64_nonzero(out, "throttles", c.thrash_throttles);
-  append_u64_nonzero(out, "bufdrop", c.buffer_dropped);
-  append_u64_nonzero(out, "cancelled", c.faults_cancelled);
-  append_u64_nonzero(out, "pgretired", c.pages_retired);
-  append_u64_nonzero(out, "chkretired", c.chunks_retired);
-  append_u64_nonzero(out, "ceresets", c.channel_resets);
-  append_u64_nonzero(out, "gpuresets", c.gpu_resets);
-  append_u64_nonzero(out, "ctrnotif", c.ctr_notifications);
-  append_u64_nonzero(out, "ctrdrop", c.ctr_dropped);
-  append_u64_nonzero(out, "ctrpromoted", c.ctr_pages_promoted);
-  append_u64_nonzero(out, "ctrunpin", c.ctr_unpins);
-  append_u64_nonzero(out, "ctrevict", c.ctr_evictions);
-  append_u64_nonzero(out, "peermigrated", c.peer_pages_migrated);
-  append_u64_nonzero(out, "peerbytes", c.bytes_peer);
-  append_u64_nonzero(out, "peermaps", c.peer_maps);
-  append_u64_nonzero(out, "peerplace", c.peer_placements);
-
-  append_list(out, "sm", record.faults_per_sm,
+  append_list(out, kFaultsPerSm, record.faults_per_sm,
               [](std::uint16_t v) { return std::to_string(v); });
-  append_list(out, "vabf", record.vablock_faults, [](const auto& pr) {
+  const auto pair = [](const auto& pr) {
     return std::to_string(pr.first) + ':' + std::to_string(pr.second);
-  });
-  append_list(out, "vabt", record.vablock_service_ns, [](const auto& pr) {
-    return std::to_string(pr.first) + ':' + std::to_string(pr.second);
-  });
-  append_list(out, "ft", record.first_touch_blocks,
+  };
+  append_list(out, kVaBlockFaults, record.vablock_faults, pair);
+  append_list(out, kVaBlockServiceNs, record.vablock_service_ns, pair);
+  append_list(out, kFirstTouch, record.first_touch_blocks,
               [](VaBlockId v) { return std::to_string(v); });
-  append_list(out, "ev", record.evicted_blocks,
+  append_list(out, kEvicted, record.evicted_blocks,
               [](VaBlockId v) { return std::to_string(v); });
   return out;
 }
@@ -180,20 +130,20 @@ bool parse_batch(const std::string& line, BatchRecord& record) {
 
     std::uint64_t u = 0;
     bool ok = true;
-    if (key == "sm") {
+    if (key == kFaultsPerSm) {
       ok = parse_list(value, [&](std::string_view item) {
         std::uint64_t v = 0;
         if (!parse_u64(item, v)) return false;
         parsed.faults_per_sm.push_back(static_cast<std::uint16_t>(v));
         return true;
       });
-    } else if (key == "vabf") {
+    } else if (key == kVaBlockFaults) {
       ok = pair_sink(parsed.vablock_faults);
-    } else if (key == "vabt") {
+    } else if (key == kVaBlockServiceNs) {
       ok = pair_sink(parsed.vablock_service_ns);
-    } else if (key == "ft" || key == "ev") {
-      auto& vec = key == "ft" ? parsed.first_touch_blocks
-                              : parsed.evicted_blocks;
+    } else if (key == kFirstTouch || key == kEvicted) {
+      auto& vec = key == kFirstTouch ? parsed.first_touch_blocks
+                                     : parsed.evicted_blocks;
       ok = parse_list(value, [&](std::string_view item) {
         std::uint64_t v = 0;
         if (!parse_u64(item, v)) return false;
@@ -201,68 +151,14 @@ bool parse_batch(const std::string& line, BatchRecord& record) {
         return true;
       });
     } else if (parse_u64(value, u)) {
-      auto& p = parsed.phases;
-      auto& c = parsed.counters;
-      if (key == "id") parsed.id = static_cast<std::uint32_t>(u);
-      else if (key == "start") parsed.start_ns = u;
-      else if (key == "end") parsed.end_ns = u;
-      else if (key == "fetch") p.fetch_ns = u;
-      else if (key == "dedup") p.dedup_ns = u;
-      else if (key == "vablock") p.vablock_ns = u;
-      else if (key == "eviction") p.eviction_ns = u;
-      else if (key == "unmap") p.unmap_ns = u;
-      else if (key == "populate") p.populate_ns = u;
-      else if (key == "dma") p.dma_map_ns = u;
-      else if (key == "prefetch") p.prefetch_ns = u;
-      else if (key == "transfer") p.transfer_ns = u;
-      else if (key == "pagetable") p.pagetable_ns = u;
-      else if (key == "replay") p.replay_ns = u;
-      else if (key == "backoff") p.backoff_ns = u;
-      else if (key == "throttle") p.throttle_ns = u;
-      else if (key == "counter") p.counter_ns = u;
-      else if (key == "recovery") p.recovery_ns = u;
-      else if (key == "raw") c.raw_faults = static_cast<std::uint32_t>(u);
-      else if (key == "uniq") c.unique_faults = static_cast<std::uint32_t>(u);
-      else if (key == "dup1") c.dup_same_utlb = static_cast<std::uint32_t>(u);
-      else if (key == "dup2") c.dup_cross_utlb = static_cast<std::uint32_t>(u);
-      else if (key == "reads") c.read_faults = static_cast<std::uint32_t>(u);
-      else if (key == "writes") c.write_faults = static_cast<std::uint32_t>(u);
-      else if (key == "prefaults") c.prefetch_faults = static_cast<std::uint32_t>(u);
-      else if (key == "vablocks") c.vablocks_touched = static_cast<std::uint32_t>(u);
-      else if (key == "firsttouch") c.first_touch_vablocks = static_cast<std::uint32_t>(u);
-      else if (key == "migrated") c.pages_migrated = static_cast<std::uint32_t>(u);
-      else if (key == "populated") c.pages_populated = static_cast<std::uint32_t>(u);
-      else if (key == "prefetched") c.pages_prefetched = static_cast<std::uint32_t>(u);
-      else if (key == "h2d") c.bytes_h2d = u;
-      else if (key == "d2h") c.bytes_d2h = u;
-      else if (key == "evictions") c.evictions = static_cast<std::uint32_t>(u);
-      else if (key == "unmaps") c.unmap_calls = static_cast<std::uint32_t>(u);
-      else if (key == "unmapped") c.pages_unmapped = static_cast<std::uint32_t>(u);
-      else if (key == "dmapages") c.dma_pages_mapped = static_cast<std::uint32_t>(u);
-      else if (key == "radixnodes") c.radix_nodes_allocated = static_cast<std::uint32_t>(u);
-      else if (key == "radixgrew") c.radix_grew = u != 0;
-      else if (key == "xfererr") c.transfer_errors = static_cast<std::uint32_t>(u);
-      else if (key == "xferretry") c.transfer_retries = static_cast<std::uint32_t>(u);
-      else if (key == "dmaerr") c.dma_map_errors = static_cast<std::uint32_t>(u);
-      else if (key == "dmaretry") c.dma_map_retries = static_cast<std::uint32_t>(u);
-      else if (key == "aborts") c.service_aborts = static_cast<std::uint32_t>(u);
-      else if (key == "pins") c.thrash_pins = static_cast<std::uint32_t>(u);
-      else if (key == "throttles") c.thrash_throttles = static_cast<std::uint32_t>(u);
-      else if (key == "bufdrop") c.buffer_dropped = static_cast<std::uint32_t>(u);
-      else if (key == "cancelled") c.faults_cancelled = static_cast<std::uint32_t>(u);
-      else if (key == "pgretired") c.pages_retired = static_cast<std::uint32_t>(u);
-      else if (key == "chkretired") c.chunks_retired = static_cast<std::uint32_t>(u);
-      else if (key == "ceresets") c.channel_resets = static_cast<std::uint32_t>(u);
-      else if (key == "gpuresets") c.gpu_resets = static_cast<std::uint32_t>(u);
-      else if (key == "ctrnotif") c.ctr_notifications = static_cast<std::uint32_t>(u);
-      else if (key == "ctrdrop") c.ctr_dropped = static_cast<std::uint32_t>(u);
-      else if (key == "ctrpromoted") c.ctr_pages_promoted = static_cast<std::uint32_t>(u);
-      else if (key == "ctrunpin") c.ctr_unpins = static_cast<std::uint32_t>(u);
-      else if (key == "ctrevict") c.ctr_evictions = static_cast<std::uint32_t>(u);
-      else if (key == "peermigrated") c.peer_pages_migrated = static_cast<std::uint32_t>(u);
-      else if (key == "peerbytes") c.bytes_peer = u;
-      else if (key == "peermaps") c.peer_maps = static_cast<std::uint32_t>(u);
-      else if (key == "peerplace") c.peer_placements = static_cast<std::uint32_t>(u);
+      if (key == kId) parsed.id = static_cast<std::uint32_t>(u);
+      else if (key == kStart) parsed.start_ns = u;
+      else if (key == kEnd) parsed.end_ns = u;
+      else for_each_batch_field([&](const BatchField& field, auto get) {
+        if (key != field.key) return;
+        auto& member = get(parsed);
+        member = static_cast<std::remove_reference_t<decltype(member)>>(u);
+      });
       // Unknown numeric keys are tolerated for forward compatibility.
     } else {
       return false;

@@ -1,6 +1,6 @@
 #include "analysis/summary.hpp"
 
-#include <utility>
+#include <string_view>
 
 namespace uvmsim {
 
@@ -62,59 +62,18 @@ std::vector<double> extract(
   return out;
 }
 
-BatchPhaseTimes phase_totals(const BatchLog& log) {
-  BatchPhaseTimes total;
-  for (const auto& rec : log) {
-    total.fetch_ns += rec.phases.fetch_ns;
-    total.dedup_ns += rec.phases.dedup_ns;
-    total.vablock_ns += rec.phases.vablock_ns;
-    total.eviction_ns += rec.phases.eviction_ns;
-    total.unmap_ns += rec.phases.unmap_ns;
-    total.populate_ns += rec.phases.populate_ns;
-    total.dma_map_ns += rec.phases.dma_map_ns;
-    total.prefetch_ns += rec.phases.prefetch_ns;
-    total.transfer_ns += rec.phases.transfer_ns;
-    total.pagetable_ns += rec.phases.pagetable_ns;
-    total.replay_ns += rec.phases.replay_ns;
-    total.backoff_ns += rec.phases.backoff_ns;
-    total.throttle_ns += rec.phases.throttle_ns;
-    total.counter_ns += rec.phases.counter_ns;
-    total.recovery_ns += rec.phases.recovery_ns;
-  }
-  return total;
-}
-
 std::vector<PhaseDistribution> phase_distributions(const BatchLog& log) {
-  // (name, accessor) in BatchPhaseTimes declaration order.
-  static constexpr std::pair<const char*, SimTime BatchPhaseTimes::*>
-      kPhases[] = {
-          {"fetch", &BatchPhaseTimes::fetch_ns},
-          {"dedup", &BatchPhaseTimes::dedup_ns},
-          {"vablock", &BatchPhaseTimes::vablock_ns},
-          {"eviction", &BatchPhaseTimes::eviction_ns},
-          {"unmap", &BatchPhaseTimes::unmap_ns},
-          {"populate", &BatchPhaseTimes::populate_ns},
-          {"dma_map", &BatchPhaseTimes::dma_map_ns},
-          {"prefetch", &BatchPhaseTimes::prefetch_ns},
-          {"transfer", &BatchPhaseTimes::transfer_ns},
-          {"pagetable", &BatchPhaseTimes::pagetable_ns},
-          {"replay", &BatchPhaseTimes::replay_ns},
-          {"backoff", &BatchPhaseTimes::backoff_ns},
-          {"throttle", &BatchPhaseTimes::throttle_ns},
-          {"counter", &BatchPhaseTimes::counter_ns},
-          {"recovery", &BatchPhaseTimes::recovery_ns},
-      };
-
   std::vector<PhaseDistribution> rows;
-  rows.reserve(std::size(kPhases));
   std::vector<double> samples;
   samples.reserve(log.size());
-  for (const auto& [name, member] : kPhases) {
+  for_each_batch_phase([&](const BatchField& field, auto get) {
     PhaseDistribution row;
-    row.name = name;
+    row.name = field.metric;
+    row.name.remove_prefix(std::string_view("phase.").size());
+    row.name.remove_suffix(std::string_view("_ns").size());
     samples.clear();
     for (const auto& rec : log) {
-      const SimTime v = rec.phases.*member;
+      const SimTime v = get(rec);
       row.total_ns += v;
       if (v > row.max_ns) row.max_ns = v;
       samples.push_back(static_cast<double>(v));
@@ -127,62 +86,8 @@ std::vector<PhaseDistribution> phase_distributions(const BatchLog& log) {
       row.p99_ns = percentile(samples, 0.99);
     }
     rows.push_back(row);
-  }
+  });
   return rows;
-}
-
-FaultTotals fault_totals(const BatchLog& log) {
-  FaultTotals totals;
-  for (const auto& rec : log) {
-    totals.raw += rec.counters.raw_faults;
-    totals.unique += rec.counters.unique_faults;
-    totals.dup_same_utlb += rec.counters.dup_same_utlb;
-    totals.dup_cross_utlb += rec.counters.dup_cross_utlb;
-  }
-  return totals;
-}
-
-RobustnessTotals robustness_totals(const BatchLog& log) {
-  RobustnessTotals totals;
-  for (const auto& rec : log) {
-    totals.transfer_errors += rec.counters.transfer_errors;
-    totals.transfer_retries += rec.counters.transfer_retries;
-    totals.dma_map_errors += rec.counters.dma_map_errors;
-    totals.dma_map_retries += rec.counters.dma_map_retries;
-    totals.service_aborts += rec.counters.service_aborts;
-    totals.thrash_pins += rec.counters.thrash_pins;
-    totals.thrash_throttles += rec.counters.thrash_throttles;
-    totals.buffer_dropped += rec.counters.buffer_dropped;
-    totals.backoff_ns += rec.phases.backoff_ns;
-    totals.throttle_ns += rec.phases.throttle_ns;
-  }
-  return totals;
-}
-
-CounterTotals counter_totals(const BatchLog& log) {
-  CounterTotals totals;
-  for (const auto& rec : log) {
-    totals.notifications += rec.counters.ctr_notifications;
-    totals.dropped += rec.counters.ctr_dropped;
-    totals.pages_promoted += rec.counters.ctr_pages_promoted;
-    totals.unpins += rec.counters.ctr_unpins;
-    totals.evictions += rec.counters.ctr_evictions;
-    totals.counter_ns += rec.phases.counter_ns;
-  }
-  return totals;
-}
-
-RecoveryTotals recovery_totals(const BatchLog& log) {
-  RecoveryTotals totals;
-  for (const auto& rec : log) {
-    totals.faults_cancelled += rec.counters.faults_cancelled;
-    totals.pages_retired += rec.counters.pages_retired;
-    totals.chunks_retired += rec.counters.chunks_retired;
-    totals.channel_resets += rec.counters.channel_resets;
-    totals.gpu_resets += rec.counters.gpu_resets;
-    totals.recovery_ns += rec.phases.recovery_ns;
-  }
-  return totals;
 }
 
 }  // namespace uvmsim

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -35,15 +36,13 @@ LinearFit cost_vs_migration_fit(const BatchLog& log);
 std::vector<double> extract(const BatchLog& log,
                             const std::function<double(const BatchRecord&)>& f);
 
-/// Aggregate phase times over the whole log.
-BatchPhaseTimes phase_totals(const BatchLog& log);
-
 /// Per-phase distribution across batches (the `analyze --phases` view):
 /// one row per BatchPhaseTimes field, in declaration order, with the
 /// phase's total, mean, and exact sorted-sample percentiles of the
-/// per-batch values. Empty log yields 15 all-zero rows.
+/// per-batch values. Empty log yields one all-zero row per phase.
 struct PhaseDistribution {
-  const char* name = "";  // stable phase key ("fetch", "dedup", ...)
+  std::string_view name;  // the phase's metric name without "phase." and
+                          // "_ns": fetch, dma_map, ...
   SimTime total_ns = 0;
   double mean_ns = 0;
   double p50_ns = 0;
@@ -52,73 +51,5 @@ struct PhaseDistribution {
   SimTime max_ns = 0;
 };
 std::vector<PhaseDistribution> phase_distributions(const BatchLog& log);
-
-/// Total unique / raw faults over the log.
-struct FaultTotals {
-  std::uint64_t raw = 0;
-  std::uint64_t unique = 0;
-  std::uint64_t dup_same_utlb = 0;
-  std::uint64_t dup_cross_utlb = 0;
-};
-FaultTotals fault_totals(const BatchLog& log);
-
-/// Robustness-path totals: retry/abort/mitigation activity plus fault-
-/// buffer loss. All-zero for a run with injection and thrashing
-/// mitigation off.
-struct RobustnessTotals {
-  std::uint64_t transfer_errors = 0;
-  std::uint64_t transfer_retries = 0;
-  std::uint64_t dma_map_errors = 0;
-  std::uint64_t dma_map_retries = 0;
-  std::uint64_t service_aborts = 0;
-  std::uint64_t thrash_pins = 0;
-  std::uint64_t thrash_throttles = 0;
-  std::uint64_t buffer_dropped = 0;
-  SimTime backoff_ns = 0;
-  SimTime throttle_ns = 0;
-
-  bool any() const noexcept {
-    return transfer_errors || transfer_retries || dma_map_errors ||
-           dma_map_retries || service_aborts || thrash_pins ||
-           thrash_throttles || buffer_dropped || backoff_ns || throttle_ns;
-  }
-};
-RobustnessTotals robustness_totals(const BatchLog& log);
-
-/// Access-counter channel totals: notification servicing and counter-
-/// driven migration activity. All-zero for a fault-only run (counters
-/// disabled — the default).
-struct CounterTotals {
-  std::uint64_t notifications = 0;   // serviced by the driver
-  std::uint64_t dropped = 0;         // notification-buffer overflow drops
-  std::uint64_t pages_promoted = 0;  // host -> device via counter path
-  std::uint64_t unpins = 0;          // thrash pins lifted by promotion
-  std::uint64_t evictions = 0;       // victims evicted for promotions
-  SimTime counter_ns = 0;            // total servicing-pass time
-
-  bool any() const noexcept {
-    return notifications || dropped || pages_promoted || unpins ||
-           evictions || counter_ns;
-  }
-};
-CounterTotals counter_totals(const BatchLog& log);
-
-/// Fatal-fault recovery totals: the recovery-ladder actions logged by the
-/// RecoveryManager. All-zero for a run with recovery disabled (the
-/// default) or with no fatal fault injected.
-struct RecoveryTotals {
-  std::uint64_t faults_cancelled = 0;  // tier 1: targeted cancellation
-  std::uint64_t pages_retired = 0;     // tier 2: page retirement
-  std::uint64_t chunks_retired = 0;    // tier 2: chunk blacklisting
-  std::uint64_t channel_resets = 0;    // tier 3
-  std::uint64_t gpu_resets = 0;        // tier 4
-  SimTime recovery_ns = 0;             // total recovery-phase time
-
-  bool any() const noexcept {
-    return faults_cancelled || pages_retired || chunks_retired ||
-           channel_resets || gpu_resets || recovery_ns;
-  }
-};
-RecoveryTotals recovery_totals(const BatchLog& log);
 
 }  // namespace uvmsim

@@ -41,7 +41,6 @@ ExplicitResult run_explicit(const WorkloadSpec& spec,
     compute += kernel.compute_ns(g) + config.gpu.resident_access_ns *
                                           kernel.accesses_of(g).size();
   }
-  result.total_accesses = kernel.total_accesses();
   const std::uint64_t concurrent =
       std::min<std::uint64_t>(std::max<std::uint64_t>(warps, 1),
                               static_cast<std::uint64_t>(config.gpu.num_sms) *

@@ -17,15 +17,6 @@ struct ExplicitResult {
   SimTime transfer_ns = 0;
   SimTime kernel_ns = 0;
   std::uint64_t bytes_staged = 0;
-  std::uint64_t total_accesses = 0;
-
-  /// Mean effective latency per kernel memory access.
-  double access_latency_ns() const noexcept {
-    return total_accesses
-               ? static_cast<double>(total_ns) /
-                     static_cast<double>(total_accesses)
-               : 0.0;
-  }
 };
 
 /// Simulate the spec under explicit management with the given hardware.

@@ -54,12 +54,6 @@ MultiGpuResult MultiGpuSystem::run(const MultiGpuWorkload& workload) {
   result.per_gpu_kernel_ns = std::move(run.kernel_ns);
   result.makespan_ns = run.makespan_ns;
   result.batches_serviced = run.batches;
-  for (const auto& rec : result.aggregate.log) {
-    result.peer_pages_migrated += rec.counters.peer_pages_migrated;
-    result.peer_maps += rec.counters.peer_maps;
-    result.peer_placements += rec.counters.peer_placements;
-    result.bytes_peer += rec.counters.bytes_peer;
-  }
 
   result.links.reserve(topo.num_links());
   for (std::size_t i = 0; i < topo.num_links(); ++i) {

@@ -43,19 +43,13 @@ struct LinkReport {
 };
 
 struct MultiGpuResult {
-  /// Fleet-wide aggregate over this run: the shared driver's batch log plus
-  /// totals summed over every GPU engine. kernel_time_ns is the makespan.
+  /// Fleet-wide aggregate over this run: the shared driver's batch log
+  /// (whose peer_* counters are the peer-placement ledger) plus totals
+  /// summed over every GPU engine. kernel_time_ns is the makespan.
   RunResult aggregate;
   std::vector<SimTime> per_gpu_kernel_ns;  // launch-to-done per GPU
   SimTime makespan_ns = 0;
   std::uint64_t batches_serviced = 0;
-
-  // Peer-placement ledger (sums over the batch log).
-  std::uint64_t peer_pages_migrated = 0;
-  std::uint64_t peer_maps = 0;
-  std::uint64_t peer_placements = 0;
-  std::uint64_t bytes_peer = 0;
-
   std::vector<LinkReport> links;  // this run's traffic per link
 };
 

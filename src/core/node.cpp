@@ -579,23 +579,7 @@ NodeResult Node::Chain::finish() {
     for (const std::size_t s : slot.sources) {
       r.kernel_time_ns = std::max(r.kernel_time_ns, result.kernel_ns[s]);
     }
-    for (const BatchRecord& rec : r.log) {
-      r.batch_time_ns += rec.duration_ns();
-      r.transfer_retries += rec.counters.transfer_retries;
-      r.dma_map_retries += rec.counters.dma_map_retries;
-      r.service_aborts += rec.counters.service_aborts;
-      r.thrash_pins += rec.counters.thrash_pins;
-      r.thrash_throttles += rec.counters.thrash_throttles;
-      r.faults_cancelled += rec.counters.faults_cancelled;
-      r.pages_retired += rec.counters.pages_retired;
-      r.chunks_retired += rec.counters.chunks_retired;
-      r.channel_resets += rec.counters.channel_resets;
-      r.gpu_resets += rec.counters.gpu_resets;
-      r.counter_notifications_serviced += rec.counters.ctr_notifications;
-      r.counter_pages_promoted += rec.counters.ctr_pages_promoted;
-      r.counter_unpins += rec.counters.ctr_unpins;
-      r.counter_evictions += rec.counters.ctr_evictions;
-    }
+    for (const BatchRecord& rec : r.log) r.batch_time_ns += rec.duration_ns();
     compute_ns += r.gpu_compute_ns;
   }
   if (metrics) {

@@ -47,7 +47,9 @@ struct SystemConfig {
 };
 
 /// Everything a run produces; the paper's per-application numbers are all
-/// derivable from `log` (the per-batch metadata) plus these aggregates.
+/// derivable from `log` (the per-batch metadata, summed by totals()) plus
+/// these aggregates of the GPU engines, the copy engine, the fault injector
+/// and the access-counter unit, which the log does not hold.
 struct RunResult {
   BatchLog log;
   SimTime kernel_time_ns = 0;    // launch-to-completion wall time (Table 4)
@@ -71,39 +73,23 @@ struct RunResult {
   std::uint64_t injected_transfer_errors = 0;
   std::uint64_t injected_dma_errors = 0;
   std::uint64_t injected_storm_faults = 0;
-  std::uint64_t transfer_retries = 0;      // driver backoff retries (copy)
-  std::uint64_t dma_map_retries = 0;       // driver backoff retries (DMA)
-  std::uint64_t service_aborts = 0;        // retry budgets exhausted
-  std::uint64_t thrash_pins = 0;           // pin+remote-map mitigations
-  std::uint64_t thrash_throttles = 0;      // throttle-window mitigations
 
-  // Fatal-fault containment and the recovery ladder (all zero unless
-  // driver.recovery is enabled AND fatal injection fires). Injected_*
-  // come from the injector; the recovery actions from the batch log;
-  // watchdog_stuck_wakeups from the node's wedge watchdog.
+  // Fatal-fault injection (all zero unless driver.recovery is enabled AND
+  // fatal injection fires) and the node's wedge watchdog. The recovery
+  // actions themselves are in the batch log.
   std::uint64_t injected_ecc_faults = 0;   // double-bit ECC on resident chunk
   std::uint64_t injected_poison_faults = 0;
   std::uint64_t injected_ce_failures = 0;  // permanent channel failures
   std::uint64_t injected_wedges = 0;       // fault-buffer wedges
-  std::uint64_t faults_cancelled = 0;      // recovery tier 1
-  std::uint64_t pages_retired = 0;         // recovery tier 2
-  std::uint64_t chunks_retired = 0;
-  std::uint64_t channel_resets = 0;        // recovery tier 3
-  std::uint64_t gpu_resets = 0;            // recovery tier 4
   std::uint64_t watchdog_stuck_wakeups = 0;
 
   // Access-counter channel (all zero unless driver.access_counters is
-  // enabled). Queued/dropped/lost come from the hardware unit and the
-  // injector; serviced/promoted/unpinned from the batch log. The
-  // post-kernel drain services every queued notification before run()
-  // returns.
+  // enabled), from the hardware unit and the injector; what the driver
+  // serviced and migrated is in the batch log. The post-kernel drain
+  // services every queued notification before run() returns.
   std::uint64_t counter_notifications = 0;         // queued by the GMMU
-  std::uint64_t counter_notifications_serviced = 0;
   std::uint64_t counter_notifications_dropped = 0; // buffer-full drops
   std::uint64_t counter_notifications_lost = 0;    // injected transit losses
-  std::uint64_t counter_pages_promoted = 0;
-  std::uint64_t counter_unpins = 0;
-  std::uint64_t counter_evictions = 0;
 };
 
 /// One GPU fault source: GPU `gpu` of driver `driver`.

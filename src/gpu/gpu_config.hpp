@@ -66,9 +66,6 @@ struct GpuConfig {
   std::uint32_t utlb_of_sm(std::uint32_t sm) const noexcept {
     return sm / sms_per_utlb;
   }
-  std::uint64_t memory_vablocks() const noexcept {
-    return memory_bytes / kVaBlockSize;
-  }
 };
 
 }  // namespace uvmsim

@@ -3,8 +3,8 @@
 //
 // Every component that used to keep a private running total (faults
 // emitted, bytes copied, radix nodes allocated, ...) also publishes it
-// here under a stable dotted name ("driver.pages_migrated",
-// "copy.bytes_h2d"), so a run's full accounting is snapshotable mid-run
+// here under a stable dotted name (driver.pages_migrated,
+// copy.bytes_h2d), so a run's full accounting is snapshotable mid-run
 // and serializable to JSON (analysis/log_io.hpp) without touching any
 // component API. The legacy BatchRecord counters remain the unit of
 // analysis for per-batch work; the registry is their cross-layer

@@ -4,9 +4,24 @@
 // driver: every batch logs targeted high-resolution (simulated) timers for
 // each servicing phase plus event counters, exactly the metadata the paper
 // analyzes in Sections 4 and 5.
+//
+// Each timer and counter is declared once, as one row of
+// UVMSIM_BATCH_PHASES or UVMSIM_BATCH_COUNTERS:
+//
+//   X(type, member, log key, metric name, group)
+//
+// The rows generate the members of BatchPhaseTimes and BatchCounters (at
+// the row's type, in row order) and of BatchTotals (at 64 bits), and,
+// through for_each_batch_field and for_each_batch_phase, the batch-log
+// format (analysis/log_io), the metrics-registry mirror (UvmDriver) and the
+// rows of `analyze --phases`.
+// A new per-batch counter is one row here, plus one row in the hand-written
+// oracle table of tests/test_metrics.cpp.
 #pragma once
 
 #include <cstdint>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -14,94 +29,168 @@
 
 namespace uvmsim {
 
-struct BatchPhaseTimes {
-  SimTime fetch_ns = 0;        // drain records from the GPU fault buffer
-  SimTime dedup_ns = 0;        // duplicate filtering/classification
-  SimTime vablock_ns = 0;      // per-VABlock management step
-  SimTime eviction_ns = 0;     // fail-alloc + victim writeback + restart
-  SimTime unmap_ns = 0;        // unmap_mapping_range() on the fault path
-  SimTime populate_ns = 0;     // zero-fill population
-  SimTime dma_map_ns = 0;      // DMA mappings incl. radix-tree inserts
-  SimTime prefetch_ns = 0;     // prefetch-tree bookkeeping
-  SimTime transfer_ns = 0;     // copy-engine data movement
-  SimTime pagetable_ns = 0;    // GPU page-table updates
-  SimTime replay_ns = 0;       // fault replay issue
-  SimTime backoff_ns = 0;      // retry backoff waits after transient errors
-  SimTime throttle_ns = 0;     // thrashing-mitigation service delays
-  SimTime counter_ns = 0;      // access-counter servicing after the batch
-  SimTime recovery_ns = 0;     // fatal-fault recovery ladder: cancellation,
-                               // retirement, channel/GPU resets
+/// The feature a field reports on. A field outside kCore stays zero while
+/// its feature is off, and the batch log writes it only when nonzero, so a
+/// log of a run without the feature reads as one written before it existed.
+enum class BatchGroup : std::uint8_t {
+  kCore,
+  kRobustness,  // fault injection, retries, thrashing mitigation
+  kRecovery,    // fatal-fault recovery ladder
+  kCounters,    // access-counter servicing
+  kPeer,        // multi-GPU placement
+};
 
+// Phase timers, in simulated ns.
+#define UVMSIM_BATCH_PHASES(X)                                                \
+  /* drain records from the GPU fault buffer */                               \
+  X(SimTime, fetch_ns, "fetch", "phase.fetch_ns", kCore)                      \
+  /* duplicate filtering/classification */                                    \
+  X(SimTime, dedup_ns, "dedup", "phase.dedup_ns", kCore)                      \
+  /* per-VABlock management step */                                           \
+  X(SimTime, vablock_ns, "vablock", "phase.vablock_ns", kCore)                \
+  /* fail-alloc + victim writeback + restart */                               \
+  X(SimTime, eviction_ns, "eviction", "phase.eviction_ns", kCore)             \
+  /* unmap_mapping_range() on the fault path */                               \
+  X(SimTime, unmap_ns, "unmap", "phase.unmap_ns", kCore)                      \
+  /* zero-fill population */                                                  \
+  X(SimTime, populate_ns, "populate", "phase.populate_ns", kCore)             \
+  /* DMA mappings incl. radix-tree inserts */                                 \
+  X(SimTime, dma_map_ns, "dma", "phase.dma_map_ns", kCore)                    \
+  /* prefetch-tree bookkeeping */                                             \
+  X(SimTime, prefetch_ns, "prefetch", "phase.prefetch_ns", kCore)             \
+  /* copy-engine data movement */                                             \
+  X(SimTime, transfer_ns, "transfer", "phase.transfer_ns", kCore)             \
+  /* GPU page-table updates */                                                \
+  X(SimTime, pagetable_ns, "pagetable", "phase.pagetable_ns", kCore)          \
+  /* fault replay issue */                                                    \
+  X(SimTime, replay_ns, "replay", "phase.replay_ns", kCore)                   \
+  /* retry backoff waits after transient errors */                            \
+  X(SimTime, backoff_ns, "backoff", "phase.backoff_ns", kRobustness)          \
+  /* thrashing-mitigation service delays */                                   \
+  X(SimTime, throttle_ns, "throttle", "phase.throttle_ns", kRobustness)       \
+  /* access-counter servicing after the batch */                              \
+  X(SimTime, counter_ns, "counter", "phase.counter_ns", kCounters)            \
+  /* fatal-fault recovery ladder: cancellations, retirements, resets */       \
+  X(SimTime, recovery_ns, "recovery", "phase.recovery_ns", kRecovery)
+
+// Event counters.
+#define UVMSIM_BATCH_COUNTERS(X)                                              \
+  X(std::uint32_t, raw_faults, "raw", "driver.raw_faults", kCore)             \
+  X(std::uint32_t, unique_faults, "uniq", "driver.unique_faults", kCore)      \
+  /* type (1) duplicates */                                                   \
+  X(std::uint32_t, dup_same_utlb, "dup1", "driver.dup_same_utlb", kCore)      \
+  /* type (2) duplicates */                                                   \
+  X(std::uint32_t, dup_cross_utlb, "dup2", "driver.dup_cross_utlb", kCore)    \
+  X(std::uint32_t, read_faults, "reads", "driver.read_faults", kCore)         \
+  X(std::uint32_t, write_faults, "writes", "driver.write_faults", kCore)      \
+  X(std::uint32_t, prefetch_faults, "prefaults",                              \
+    "driver.prefetch_faults", kCore)                                          \
+  X(std::uint32_t, vablocks_touched, "vablocks",                              \
+    "driver.vablocks_touched", kCore)                                         \
+  X(std::uint32_t, first_touch_vablocks, "firsttouch",                        \
+    "driver.first_touch_vablocks", kCore)                                     \
+  /* host -> device data pages */                                             \
+  X(std::uint32_t, pages_migrated, "migrated",                                \
+    "driver.pages_migrated", kCore)                                           \
+  /* zero-filled, no transfer */                                              \
+  X(std::uint32_t, pages_populated, "populated",                              \
+    "driver.pages_populated", kCore)                                          \
+  /* beyond the faulted set */                                                \
+  X(std::uint32_t, pages_prefetched, "prefetched",                            \
+    "driver.pages_prefetched", kCore)                                         \
+  X(std::uint64_t, bytes_h2d, "h2d", "driver.bytes_h2d", kCore)               \
+  /* eviction writeback */                                                    \
+  X(std::uint64_t, bytes_d2h, "d2h", "driver.bytes_d2h", kCore)               \
+  /* VABlocks evicted in this batch */                                        \
+  X(std::uint32_t, evictions, "evictions", "driver.evictions", kCore)         \
+  X(std::uint32_t, unmap_calls, "unmaps", "driver.unmap_calls", kCore)        \
+  X(std::uint32_t, pages_unmapped, "unmapped",                                \
+    "driver.pages_unmapped", kCore)                                           \
+  X(std::uint32_t, dma_pages_mapped, "dmapages",                              \
+    "driver.dma_pages_mapped", kCore)                                         \
+  X(std::uint32_t, radix_nodes_allocated, "radixnodes",                       \
+    "driver.radix_nodes_allocated", kCore)                                    \
+  X(bool, radix_grew, "radixgrew", "driver.radix_growth_batches", kCore)      \
+  /* injected transient copy failures */                                      \
+  X(std::uint32_t, transfer_errors, "xfererr",                                \
+    "driver.transfer_errors", kRobustness)                                    \
+  /* re-attempts after those failures */                                      \
+  X(std::uint32_t, transfer_retries, "xferretry",                             \
+    "driver.transfer_retries", kRobustness)                                   \
+  /* injected transient DMA-map failures */                                   \
+  X(std::uint32_t, dma_map_errors, "dmaerr",                                  \
+    "driver.dma_map_errors", kRobustness)                                     \
+  X(std::uint32_t, dma_map_retries, "dmaretry",                               \
+    "driver.dma_map_retries", kRobustness)                                    \
+  /* VABlocks abandoned after retry exhaustion (re-serviced via replay) */    \
+  X(std::uint32_t, service_aborts, "aborts",                                  \
+    "driver.service_aborts", kRobustness)                                     \
+  /* blocks pinned + remote-mapped */                                         \
+  X(std::uint32_t, thrash_pins, "pins", "driver.thrash_pins", kRobustness)    \
+  /* blocks throttled/shielded */                                             \
+  X(std::uint32_t, thrash_throttles, "throttles",                             \
+    "driver.thrash_throttles", kRobustness)                                   \
+  /* HW fault-buffer overflow drops observed since the previous batch */      \
+  X(std::uint32_t, buffer_dropped, "bufdrop",                                 \
+    "driver.buffer_dropped", kRobustness)                                     \
+  /* tier 1: offending uTLB entries cancelled instead of serviced */          \
+  X(std::uint32_t, faults_cancelled, "cancelled",                             \
+    "driver.faults_cancelled", kRecovery)                                     \
+  /* tier 2: pages blacklisted and remapped to host frames */                 \
+  X(std::uint32_t, pages_retired, "pgretired",                                \
+    "driver.pages_retired", kRecovery)                                        \
+  /* tier 2: GPU chunks blacklisted */                                        \
+  X(std::uint32_t, chunks_retired, "chkretired",                              \
+    "driver.chunks_retired", kRecovery)                                       \
+  /* tier 3: CE channel resets */                                             \
+  X(std::uint32_t, channel_resets, "ceresets",                                \
+    "driver.channel_resets", kRecovery)                                       \
+  /* tier 4: full GPU resets */                                               \
+  X(std::uint32_t, gpu_resets, "gpuresets", "driver.gpu_resets", kRecovery)   \
+  /* notifications serviced this pass */                                      \
+  X(std::uint32_t, ctr_notifications, "ctrnotif",                             \
+    "driver.ctr_notifications", kCounters)                                    \
+  /* notification-buffer overflow drops observed since the previous pass */   \
+  X(std::uint32_t, ctr_dropped, "ctrdrop", "driver.ctr_dropped", kCounters)   \
+  /* host -> device via counter path */                                       \
+  X(std::uint32_t, ctr_pages_promoted, "ctrpromoted",                         \
+    "driver.ctr_pages_promoted", kCounters)                                   \
+  /* thrash pins lifted by promotion */                                       \
+  X(std::uint32_t, ctr_unpins, "ctrunpin", "driver.ctr_unpins", kCounters)    \
+  /* victims evicted to make room for counter-driven promotions */            \
+  X(std::uint32_t, ctr_evictions, "ctrevict",                                 \
+    "driver.ctr_evictions", kCounters)                                        \
+  /* GPU -> GPU page copies */                                                \
+  X(std::uint32_t, peer_pages_migrated, "peermigrated",                       \
+    "driver.peer_pages_migrated", kPeer)                                      \
+  /* bytes moved GPU <-> GPU */                                               \
+  X(std::uint64_t, bytes_peer, "peerbytes", "driver.bytes_peer", kPeer)       \
+  /* remote NVLink mappings created */                                        \
+  X(std::uint32_t, peer_maps, "peermaps", "driver.peer_maps", kPeer)          \
+  /* blocks placed in peer HBM under local oversubscription */                \
+  X(std::uint32_t, peer_placements, "peerplace",                              \
+    "driver.peer_placements", kPeer)
+
+#define UVMSIM_BATCH_MEMBER(type, member, key, metric, group) type member{};
+#define UVMSIM_BATCH_PLUS(type, member, key, metric, group) +member
+
+struct BatchPhaseTimes {
+  UVMSIM_BATCH_PHASES(UVMSIM_BATCH_MEMBER)
+
+  /// Straight-line: the servicer calls it several times per VABlock.
   SimTime sum() const noexcept {
-    return fetch_ns + dedup_ns + vablock_ns + eviction_ns + unmap_ns +
-           populate_ns + dma_map_ns + prefetch_ns + transfer_ns +
-           pagetable_ns + replay_ns + backoff_ns + throttle_ns + counter_ns +
-           recovery_ns;
+    return SimTime{0} UVMSIM_BATCH_PHASES(UVMSIM_BATCH_PLUS);
   }
+  bool operator==(const BatchPhaseTimes&) const = default;
 };
 
 struct BatchCounters {
-  std::uint32_t raw_faults = 0;
-  std::uint32_t unique_faults = 0;
-  std::uint32_t dup_same_utlb = 0;   // type (1) duplicates
-  std::uint32_t dup_cross_utlb = 0;  // type (2) duplicates
-  std::uint32_t read_faults = 0;
-  std::uint32_t write_faults = 0;
-  std::uint32_t prefetch_faults = 0;
+  UVMSIM_BATCH_COUNTERS(UVMSIM_BATCH_MEMBER)
 
-  std::uint32_t vablocks_touched = 0;
-  std::uint32_t first_touch_vablocks = 0;
-
-  std::uint32_t pages_migrated = 0;    // host -> device data pages
-  std::uint32_t pages_populated = 0;   // zero-filled, no transfer
-  std::uint32_t pages_prefetched = 0;  // beyond the faulted set
-  std::uint64_t bytes_h2d = 0;
-  std::uint64_t bytes_d2h = 0;         // eviction writeback
-
-  std::uint32_t evictions = 0;         // VABlocks evicted in this batch
-  std::uint32_t unmap_calls = 0;
-  std::uint32_t pages_unmapped = 0;
-  std::uint32_t dma_pages_mapped = 0;
-  std::uint32_t radix_nodes_allocated = 0;
-  bool radix_grew = false;
-
-  // ---- Robustness layer (all zero with injection/detection off) --------
-  std::uint32_t transfer_errors = 0;   // injected transient copy failures
-  std::uint32_t transfer_retries = 0;  // re-attempts after those failures
-  std::uint32_t dma_map_errors = 0;    // injected transient DMA-map failures
-  std::uint32_t dma_map_retries = 0;
-  std::uint32_t service_aborts = 0;    // VABlocks abandoned after retry
-                                       // exhaustion (re-serviced via replay)
-  std::uint32_t thrash_pins = 0;       // blocks pinned + remote-mapped
-  std::uint32_t thrash_throttles = 0;  // blocks throttled/shielded
-  std::uint32_t buffer_dropped = 0;    // HW fault-buffer overflow drops
-                                       // observed since the previous batch
-
-  // ---- Recovery ladder (all zero with recovery off) ----------------------
-  std::uint32_t faults_cancelled = 0;  // tier 1: offending µTLB entries
-                                       // cancelled instead of serviced
-  std::uint32_t pages_retired = 0;     // tier 2: pages blacklisted and
-                                       // remapped to host frames
-  std::uint32_t chunks_retired = 0;    // tier 2: GPU chunks blacklisted
-  std::uint32_t channel_resets = 0;    // tier 3: CE channel resets
-  std::uint32_t gpu_resets = 0;        // tier 4: full GPU resets
-
-  // ---- Access-counter servicing (all zero with counters off) ------------
-  std::uint32_t ctr_notifications = 0;  // notifications serviced this pass
-  std::uint32_t ctr_dropped = 0;        // notification-buffer overflow drops
-                                        // observed since the previous pass
-  std::uint32_t ctr_pages_promoted = 0; // host -> device via counter path
-  std::uint32_t ctr_unpins = 0;         // thrash pins lifted by promotion
-  std::uint32_t ctr_evictions = 0;      // victims evicted to make room for
-                                        // counter-driven promotions
-
-  // ---- Multi-GPU placement (all zero with num_gpus = 1) ------------------
-  std::uint32_t peer_pages_migrated = 0;  // GPU -> GPU page copies
-  std::uint64_t bytes_peer = 0;           // bytes moved GPU <-> GPU
-  std::uint32_t peer_maps = 0;            // remote NVLink mappings created
-  std::uint32_t peer_placements = 0;      // blocks placed in peer HBM under
-                                          // local oversubscription
+  bool operator==(const BatchCounters&) const = default;
 };
+
+#undef UVMSIM_BATCH_MEMBER
 
 struct BatchRecord {
   std::uint32_t id = 0;
@@ -140,5 +229,82 @@ struct BatchRecord {
 
 /// Append-only per-run batch log (the "system log" of the modified driver).
 using BatchLog = std::vector<BatchRecord>;
+
+/// A field's names and group, as its row declares them.
+struct BatchField {
+  std::string_view key;     // batch-log key
+  std::string_view metric;  // metrics-registry counter
+  BatchGroup group;
+};
+
+#define UVMSIM_BATCH_VISIT_PHASE(type, member, key, metric, group) \
+  f(BatchField{key, metric, BatchGroup::group},                     \
+    [](auto& rec) -> auto& { return rec.phases.member; });
+#define UVMSIM_BATCH_VISIT_COUNTER(type, member, key, metric, group) \
+  f(BatchField{key, metric, BatchGroup::group},                       \
+    [](auto& rec) -> auto& { return rec.counters.member; });
+
+/// Calls f(field, get) for every phase timer in row order. get(rec) is the
+/// field's member of BatchRecord `rec`, as const as `rec` is.
+template <typename F>
+constexpr void for_each_batch_phase(F&& f) {
+  UVMSIM_BATCH_PHASES(UVMSIM_BATCH_VISIT_PHASE)
+}
+
+/// for_each_batch_phase, then the same for every counter: the order of the
+/// fields in a batch-log line.
+template <typename F>
+constexpr void for_each_batch_field(F&& f) {
+  for_each_batch_phase(f);
+  UVMSIM_BATCH_COUNTERS(UVMSIM_BATCH_VISIT_COUNTER)
+}
+
+#undef UVMSIM_BATCH_VISIT_PHASE
+#undef UVMSIM_BATCH_VISIT_COUNTER
+
+/// Every timer and counter summed over batches, each widened to 64 bits
+/// under its BatchPhaseTimes or BatchCounters member name (radix_grew
+/// counts the batches whose radix tree grew).
+struct BatchTotals {
+#define UVMSIM_BATCH_TOTAL(type, member, key, metric, group) \
+  std::uint64_t member = 0;
+  UVMSIM_BATCH_PHASES(UVMSIM_BATCH_TOTAL)
+  UVMSIM_BATCH_COUNTERS(UVMSIM_BATCH_TOTAL)
+#undef UVMSIM_BATCH_TOTAL
+
+  void add(const BatchRecord& rec) noexcept {
+#define UVMSIM_BATCH_ADD_PHASE(type, member, key, metric, group) \
+  member += rec.phases.member;
+#define UVMSIM_BATCH_ADD_COUNTER(type, member, key, metric, group) \
+  member += rec.counters.member;
+    UVMSIM_BATCH_PHASES(UVMSIM_BATCH_ADD_PHASE)
+    UVMSIM_BATCH_COUNTERS(UVMSIM_BATCH_ADD_COUNTER)
+#undef UVMSIM_BATCH_ADD_PHASE
+#undef UVMSIM_BATCH_ADD_COUNTER
+  }
+
+  /// The phase totals summed: `analyze`'s total batch time.
+  SimTime phase_sum() const noexcept {
+    return SimTime{0} UVMSIM_BATCH_PHASES(UVMSIM_BATCH_PLUS);
+  }
+
+  /// Whether any field of `group` is nonzero.
+  bool any(BatchGroup group) const noexcept {
+#define UVMSIM_BATCH_ANY(type, member, key, metric, g) \
+  || (BatchGroup::g == group && member != 0)
+    return false UVMSIM_BATCH_PHASES(UVMSIM_BATCH_ANY)
+        UVMSIM_BATCH_COUNTERS(UVMSIM_BATCH_ANY);
+#undef UVMSIM_BATCH_ANY
+  }
+};
+
+#undef UVMSIM_BATCH_PLUS
+
+/// Every timer and counter of `log`, summed.
+inline BatchTotals totals(const BatchLog& log) {
+  BatchTotals sum;
+  for (const BatchRecord& rec : log) sum.add(rec);
+  return sum;
+}
 
 }  // namespace uvmsim

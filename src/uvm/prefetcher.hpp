@@ -32,7 +32,6 @@ class TreePrefetcher {
   PageMask compute(const PageMask& resident, const PageMask& faulted) const;
 
   double threshold() const noexcept { return threshold_; }
-  bool promotes_big_pages() const noexcept { return promote_; }
 
  private:
   double threshold_;

@@ -107,9 +107,6 @@ class RecoveryManager {
   std::uint64_t chunks_retired() const noexcept { return chunks_retired_; }
   std::uint64_t channel_resets() const noexcept { return channel_resets_; }
   std::uint64_t gpu_resets() const noexcept { return gpu_resets_; }
-  std::uint32_t retired_pool_used() const noexcept {
-    return retired_pool_used_;
-  }
 
  private:
   /// Account `pages` against the retired-page pool and latch a GPU-reset

@@ -161,8 +161,6 @@ class UvmDriver final : public ResidencyOracle {
 
   const BatchLog& log() const noexcept { return log_; }
 
-  /// Sum of end-start over all batches (Table 4's "Batch" column).
-  SimTime total_batch_time() const noexcept { return total_batch_ns_; }
   std::uint64_t total_evictions() const noexcept {
     return servicer_.total_evictions();
   }
@@ -211,10 +209,9 @@ class UvmDriver final : public ResidencyOracle {
            thrash_.enabled();
   }
 
-  /// Mirror one completed batch into the metrics registry: every
-  /// BatchCounters field as a "driver.*" counter (differential-testable
-  /// against the batch log), every phase timer as a "phase.*_ns" counter,
-  /// and per-batch shape distributions as histograms.
+  /// Mirror one completed batch into the metrics registry: every timer and
+  /// counter under its metric name (differential-testable against the
+  /// batch log), and per-batch shape distributions as histograms.
   void record_batch_metrics(const BatchRecord& record);
 
   DriverConfig config_;
@@ -231,7 +228,6 @@ class UvmDriver final : public ResidencyOracle {
   CounterServicer counter_servicer_;
   AccessCounterUnit* counters_ = nullptr;  // not owned; null = disabled
   BatchLog log_;
-  SimTime total_batch_ns_ = 0;
   SimTime async_ns_ = 0;
   SimTime clock_ns_ = 0;  // end of the last serviced batch (pin expiry)
   std::uint32_t effective_batch_size_ = 256;

@@ -179,14 +179,15 @@ TEST(AccessCounterSystem, DisabledLeavesEveryResultFieldZero) {
   System system(small_config());
   const auto result = system.run(make_stream_triad(1 << 15));
   EXPECT_EQ(system.access_counters(), nullptr);
+  const BatchTotals logged = totals(result.log);
   EXPECT_EQ(result.counter_notifications, 0u);
-  EXPECT_EQ(result.counter_notifications_serviced, 0u);
+  EXPECT_EQ(logged.ctr_notifications, 0u);
   EXPECT_EQ(result.counter_notifications_dropped, 0u);
   EXPECT_EQ(result.counter_notifications_lost, 0u);
-  EXPECT_EQ(result.counter_pages_promoted, 0u);
-  EXPECT_EQ(result.counter_unpins, 0u);
-  EXPECT_EQ(result.counter_evictions, 0u);
-  EXPECT_FALSE(counter_totals(result.log).any());
+  EXPECT_EQ(logged.ctr_pages_promoted, 0u);
+  EXPECT_EQ(logged.ctr_unpins, 0u);
+  EXPECT_EQ(logged.ctr_evictions, 0u);
+  EXPECT_FALSE(logged.any(BatchGroup::kCounters));
 }
 
 TEST(AccessCounterSystem, NoRemoteTrafficMeansBitIdenticalToDisabled) {
@@ -230,24 +231,25 @@ TEST(AccessCounterSystem, PromotesPinnedPagesEndToEnd) {
   System system(pinned_oversub_config());
   const auto result = system.run(make_random(16ULL << 20, 0x5eed));
 
-  EXPECT_GT(result.thrash_pins, 0u);
+  const BatchTotals logged = totals(result.log);
+  EXPECT_GT(logged.thrash_pins, 0u);
   EXPECT_GT(result.counter_notifications, 0u);
-  EXPECT_GT(result.counter_notifications_serviced, 0u);
-  EXPECT_GT(result.counter_pages_promoted, 0u);
-  EXPECT_GT(result.counter_unpins, 0u);
+  EXPECT_GT(logged.ctr_notifications, 0u);
+  EXPECT_GT(logged.ctr_pages_promoted, 0u);
+  EXPECT_GT(logged.ctr_unpins, 0u);
   // Serviced notifications were all queued first (the tail may still be
   // pending at kernel end, so queued >= serviced).
-  EXPECT_GE(result.counter_notifications,
-            result.counter_notifications_serviced);
+  EXPECT_GE(result.counter_notifications, logged.ctr_notifications);
   EXPECT_EQ(result.counter_notifications_lost, 0u);  // injection off
 
-  // Log totals agree with the run aggregates and the pass time is real.
-  const auto totals = counter_totals(result.log);
-  EXPECT_EQ(totals.notifications, result.counter_notifications_serviced);
-  EXPECT_EQ(totals.pages_promoted, result.counter_pages_promoted);
-  EXPECT_EQ(totals.unpins, result.counter_unpins);
-  EXPECT_EQ(totals.evictions, result.counter_evictions);
-  EXPECT_GT(totals.counter_ns, 0u);
+  // Log totals agree with the servicers' own books and the pass time is
+  // real.
+  const UvmDriver& driver = system.driver();
+  EXPECT_EQ(logged.ctr_pages_promoted,
+            driver.counter_servicer().total_pages_promoted());
+  EXPECT_EQ(logged.ctr_unpins, driver.counter_servicer().total_unpins());
+  EXPECT_EQ(logged.ctr_evictions, driver.total_counter_evictions());
+  EXPECT_GT(logged.counter_ns, 0u);
 
   // Batch invariant: the serviced window never exceeds the phase sum.
   for (const auto& rec : result.log) {
@@ -287,7 +289,8 @@ TEST(AccessCounterProperty, FuzzedRunsReplayByteIdentically) {
     EXPECT_EQ(a.kernel_time_ns, b.kernel_time_ns) << "seed " << seed;
     EXPECT_EQ(a.counter_notifications, b.counter_notifications)
         << "seed " << seed;
-    EXPECT_EQ(a.counter_pages_promoted, b.counter_pages_promoted)
+    const BatchTotals logged = totals(a.log);
+    EXPECT_EQ(logged.ctr_pages_promoted, totals(b.log).ctr_pages_promoted)
         << "seed " << seed;
     EXPECT_EQ(a.counter_notifications_dropped,
               b.counter_notifications_dropped)
@@ -295,10 +298,7 @@ TEST(AccessCounterProperty, FuzzedRunsReplayByteIdentically) {
     ASSERT_EQ(serialize_log(a.log), serialize_log(b.log)) << "seed " << seed;
 
     // Cross-layer accounting holds under fuzzed registers too.
-    const auto totals = counter_totals(a.log);
-    EXPECT_EQ(totals.notifications, a.counter_notifications_serviced)
-        << "seed " << seed;
-    EXPECT_GE(a.counter_notifications, a.counter_notifications_serviced)
+    EXPECT_GE(a.counter_notifications, logged.ctr_notifications)
         << "seed " << seed;
   }
 }

@@ -75,22 +75,22 @@ TEST(Summary, PhaseTotalsSum) {
   BatchLog log;
   log.push_back(make_record(1, 1, 0, 400));
   log.push_back(make_record(1, 1, 0, 800));
-  const auto totals = phase_totals(log);
-  EXPECT_EQ(totals.transfer_ns, 100u + 200u);
+  const BatchTotals sum = totals(log);
+  EXPECT_EQ(sum.transfer_ns, 100u + 200u);
 }
 
-TEST(Summary, FaultTotals) {
+TEST(Summary, TotalsSumFaultCounters) {
   BatchLog log;
   BatchRecord rec = make_record(10, 6, 0, 1);
   rec.counters.dup_same_utlb = 3;
   rec.counters.dup_cross_utlb = 1;
   log.push_back(rec);
   log.push_back(rec);
-  const auto totals = fault_totals(log);
-  EXPECT_EQ(totals.raw, 20u);
-  EXPECT_EQ(totals.unique, 12u);
-  EXPECT_EQ(totals.dup_same_utlb, 6u);
-  EXPECT_EQ(totals.dup_cross_utlb, 2u);
+  const BatchTotals sum = totals(log);
+  EXPECT_EQ(sum.raw_faults, 20u);
+  EXPECT_EQ(sum.unique_faults, 12u);
+  EXPECT_EQ(sum.dup_same_utlb, 6u);
+  EXPECT_EQ(sum.dup_cross_utlb, 2u);
 }
 
 TEST(BatchRecord, FractionHelpers) {

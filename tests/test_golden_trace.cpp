@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -188,7 +189,7 @@ void expect_log_matches_fixture(const char* path, const std::string& got,
 std::vector<std::string> diff_records(const BatchRecord& golden,
                                       const BatchRecord& got) {
   std::vector<std::string> diffs;
-  const auto cmp = [&](const char* field, auto want, auto have) {
+  const auto cmp = [&](std::string_view field, auto want, auto have) {
     if (want != have) {
       std::ostringstream msg;
       msg << field << ": golden " << want << " vs run " << have;
@@ -199,48 +200,9 @@ std::vector<std::string> diff_records(const BatchRecord& golden,
   cmp("start_ns", golden.start_ns, got.start_ns);
   cmp("end_ns", golden.end_ns, got.end_ns);
 
-  const auto& gp = golden.phases;
-  const auto& hp = got.phases;
-  cmp("phases.fetch_ns", gp.fetch_ns, hp.fetch_ns);
-  cmp("phases.dedup_ns", gp.dedup_ns, hp.dedup_ns);
-  cmp("phases.vablock_ns", gp.vablock_ns, hp.vablock_ns);
-  cmp("phases.eviction_ns", gp.eviction_ns, hp.eviction_ns);
-  cmp("phases.unmap_ns", gp.unmap_ns, hp.unmap_ns);
-  cmp("phases.populate_ns", gp.populate_ns, hp.populate_ns);
-  cmp("phases.dma_map_ns", gp.dma_map_ns, hp.dma_map_ns);
-  cmp("phases.prefetch_ns", gp.prefetch_ns, hp.prefetch_ns);
-  cmp("phases.transfer_ns", gp.transfer_ns, hp.transfer_ns);
-  cmp("phases.pagetable_ns", gp.pagetable_ns, hp.pagetable_ns);
-  cmp("phases.replay_ns", gp.replay_ns, hp.replay_ns);
-
-  const auto& gc = golden.counters;
-  const auto& hc = got.counters;
-  cmp("counters.raw_faults", gc.raw_faults, hc.raw_faults);
-  cmp("counters.unique_faults", gc.unique_faults, hc.unique_faults);
-  cmp("counters.dup_same_utlb", gc.dup_same_utlb, hc.dup_same_utlb);
-  cmp("counters.dup_cross_utlb", gc.dup_cross_utlb, hc.dup_cross_utlb);
-  cmp("counters.read_faults", gc.read_faults, hc.read_faults);
-  cmp("counters.write_faults", gc.write_faults, hc.write_faults);
-  cmp("counters.prefetch_faults", gc.prefetch_faults, hc.prefetch_faults);
-  cmp("counters.vablocks_touched", gc.vablocks_touched,
-      hc.vablocks_touched);
-  cmp("counters.first_touch_vablocks", gc.first_touch_vablocks,
-      hc.first_touch_vablocks);
-  cmp("counters.pages_migrated", gc.pages_migrated, hc.pages_migrated);
-  cmp("counters.pages_populated", gc.pages_populated, hc.pages_populated);
-  cmp("counters.pages_prefetched", gc.pages_prefetched,
-      hc.pages_prefetched);
-  cmp("counters.bytes_h2d", gc.bytes_h2d, hc.bytes_h2d);
-  cmp("counters.bytes_d2h", gc.bytes_d2h, hc.bytes_d2h);
-  cmp("counters.evictions", gc.evictions, hc.evictions);
-  cmp("counters.unmap_calls", gc.unmap_calls, hc.unmap_calls);
-  cmp("counters.pages_unmapped", gc.pages_unmapped, hc.pages_unmapped);
-  cmp("counters.dma_pages_mapped", gc.dma_pages_mapped,
-      hc.dma_pages_mapped);
-  cmp("counters.radix_nodes_allocated", gc.radix_nodes_allocated,
-      hc.radix_nodes_allocated);
-  cmp("counters.radix_grew", gc.radix_grew ? 1 : 0,
-      hc.radix_grew ? 1 : 0);
+  for_each_batch_field([&](const BatchField& field, auto get) {
+    cmp(field.metric, get(golden), get(got));
+  });
 
   const auto cmp_list = [&](const char* field, const auto& want,
                             const auto& have, const auto& format) {
@@ -378,7 +340,7 @@ TEST(GoldenTrace, CounterTracedRunsAreByteIdentical) {
   System second(cfg);
   second.run(spec);
 
-  EXPECT_GT(a.counter_pages_promoted, 0u);
+  EXPECT_GT(totals(a.log).ctr_pages_promoted, 0u);
   const std::string json = trace_to_json(first.tracer());
   EXPECT_NE(json.find("access counters"), std::string::npos);
   EXPECT_NE(json.find("counter_service"), std::string::npos);

@@ -131,15 +131,15 @@ TEST(Invariants, CounterAssistedRunsConserveAndBalanceAcrossSeeds) {
         << "seed " << seed;
 
     const UvmDriver& driver = system.driver();
-    EXPECT_EQ(result.counter_pages_promoted,
+    const BatchTotals logged = totals(result.log);
+    EXPECT_EQ(logged.ctr_pages_promoted,
               driver.counter_servicer().total_pages_promoted())
         << "seed " << seed;
-    EXPECT_EQ(result.counter_unpins, driver.counter_servicer().total_unpins())
+    EXPECT_EQ(logged.ctr_unpins, driver.counter_servicer().total_unpins())
         << "seed " << seed;
-    EXPECT_EQ(result.counter_evictions, driver.total_counter_evictions())
+    EXPECT_EQ(logged.ctr_evictions, driver.total_counter_evictions())
         << "seed " << seed;
-    EXPECT_EQ(result.counter_notifications,
-              result.counter_notifications_serviced)
+    EXPECT_EQ(result.counter_notifications, logged.ctr_notifications)
         << "seed " << seed;
   }
 }
@@ -159,8 +159,9 @@ TEST(Invariants, CounterPromotionNeverRemapsRetiredPages) {
     cfg.driver.access_counters.threshold = 4;
     System system(cfg);
     const auto result = system.run(make_random(16ULL << 20, seed));
-    ASSERT_GT(result.pages_retired, 0u) << "seed " << seed;
-    ASSERT_GT(result.counter_pages_promoted, 0u) << "seed " << seed;
+    const BatchTotals logged = totals(result.log);
+    ASSERT_GT(logged.pages_retired, 0u) << "seed " << seed;
+    ASSERT_GT(logged.ctr_pages_promoted, 0u) << "seed " << seed;
     EXPECT_EQ(run_violations(system.driver(), result), kClean)
         << "seed " << seed;
   }

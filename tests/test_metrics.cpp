@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/multi_gpu.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
 
@@ -29,10 +31,9 @@ const std::vector<ServicingPolicy> kPolicies{
     ServicingPolicy::kSerial, ServicingPolicy::kPerVaBlock,
     ServicingPolicy::kPerSm};
 
-/// (metric name, per-batch value) for every field the driver mirrors.
-/// Adding a field to BatchCounters/BatchPhaseTimes without extending
-/// UvmDriver::record_batch_metrics AND this table is the drift this test
-/// exists to catch.
+/// (metric name, per-batch value) for every field the driver mirrors,
+/// written out by hand: the independent oracle for the mirror that
+/// uvm/batch.hpp's field list generates.
 std::vector<std::pair<const char*, std::uint64_t>> mirrored_fields(
     const BatchRecord& rec) {
   const auto& c = rec.counters;
@@ -78,6 +79,10 @@ std::vector<std::pair<const char*, std::uint64_t>> mirrored_fields(
       {"driver.ctr_pages_promoted", c.ctr_pages_promoted},
       {"driver.ctr_unpins", c.ctr_unpins},
       {"driver.ctr_evictions", c.ctr_evictions},
+      {"driver.peer_pages_migrated", c.peer_pages_migrated},
+      {"driver.bytes_peer", c.bytes_peer},
+      {"driver.peer_maps", c.peer_maps},
+      {"driver.peer_placements", c.peer_placements},
       {"phase.fetch_ns", p.fetch_ns},
       {"phase.dedup_ns", p.dedup_ns},
       {"phase.vablock_ns", p.vablock_ns},
@@ -96,35 +101,55 @@ std::vector<std::pair<const char*, std::uint64_t>> mirrored_fields(
   };
 }
 
+/// Assert registry == batch-log sums exactly, and that the registry's
+/// `driver.*` and `phase.*` counter names are exactly the table's. Returns
+/// the sums.
+std::map<std::string, std::uint64_t> expect_registry_matches_log(
+    const MetricsRegistry& metrics, const BatchLog& log,
+    const std::string& label) {
+  std::map<std::string, std::uint64_t> expected;
+  EXPECT_FALSE(log.empty()) << label;
+  if (log.empty()) return expected;
+  for (const auto& rec : log) {
+    for (const auto& [name, value] : mirrored_fields(rec)) {
+      expected[name] += value;
+    }
+  }
+  for (const auto& [name, want] : expected) {
+    EXPECT_EQ(metrics.counter(name), want) << label << ": " << name;
+  }
+  std::set<std::string> mirrored;
+  for (const auto& [name, value] : metrics.counters()) {
+    if (name.starts_with("driver.") || name.starts_with("phase.")) {
+      mirrored.insert(name);
+    }
+  }
+  std::set<std::string> table;
+  for (const auto& [name, value] : expected) table.insert(name);
+  EXPECT_EQ(mirrored, table) << label;
+
+  // The per-batch histograms must have seen every batch.
+  const Log2Histogram* durations = metrics.histogram("batch.duration_ns");
+  EXPECT_NE(durations, nullptr) << label;
+  if (durations) {
+    EXPECT_EQ(durations->total(), log.size()) << label;
+    std::uint64_t duration_sum = 0;
+    for (const auto& rec : log) duration_sum += rec.duration_ns();
+    EXPECT_EQ(durations->sum(), duration_sum) << label;
+  }
+
+  // The adaptive batch-size gauge is published and stays positive.
+  EXPECT_GT(metrics.gauge("driver.effective_batch_size"), 0) << label;
+  return expected;
+}
+
 /// Run with metrics on and assert registry == batch-log sums exactly.
 void check_registry_matches_log(SystemConfig cfg, const WorkloadSpec& spec,
                                 const std::string& label) {
   cfg.obs.metrics = true;
   System system(cfg);
   const auto result = system.run(spec);
-  ASSERT_FALSE(result.log.empty()) << label;
-
-  std::map<std::string, std::uint64_t> expected;
-  for (const auto& rec : result.log) {
-    for (const auto& [name, value] : mirrored_fields(rec)) {
-      expected[name] += value;
-    }
-  }
-  const auto& metrics = system.metrics();
-  for (const auto& [name, want] : expected) {
-    EXPECT_EQ(metrics.counter(name), want) << label << ": " << name;
-  }
-
-  // The per-batch histograms must have seen every batch.
-  const Log2Histogram* durations = metrics.histogram("batch.duration_ns");
-  ASSERT_NE(durations, nullptr) << label;
-  EXPECT_EQ(durations->total(), result.log.size()) << label;
-  std::uint64_t duration_sum = 0;
-  for (const auto& rec : result.log) duration_sum += rec.duration_ns();
-  EXPECT_EQ(durations->sum(), duration_sum) << label;
-
-  // The adaptive batch-size gauge is published and stays positive.
-  EXPECT_GT(metrics.gauge("driver.effective_batch_size"), 0) << label;
+  expect_registry_matches_log(system.metrics(), result.log, label);
 }
 
 TEST(Metrics, RegistryMatchesBatchLogOnGoldenWorkload) {
@@ -161,6 +186,30 @@ TEST(Metrics, RegistryMatchesBatchLogWithAccessCounters) {
     const FuzzCase c = testutil::make_counter_fuzz_case(seed);
     check_registry_matches_log(c.config, c.spec,
                                "counter seed " + std::to_string(seed));
+  }
+}
+
+TEST(Metrics, RegistryMatchesBatchLogOnNvlinkRing) {
+  // Four GPUs on an NVLink ring, each with more private data than its
+  // HBM: the shared driver migrates pages peer to peer, remote-maps peer
+  // blocks and places blocks in peer HBM, so every peer counter moves.
+  SystemConfig cfg = small_config(4);
+  cfg.obs.metrics = true;
+  cfg.driver.prefetch_enabled = false;
+  cfg.driver.multi_gpu.num_gpus = 4;
+  cfg.driver.multi_gpu.topology = TopologyKind::kNvlinkRing;
+  PeerShareParams params;
+  params.num_gpus = 4;
+  params.private_kb_per_gpu = 6144;
+  params.shared_kb = 2048;
+  MultiGpuSystem system(cfg);
+  const MultiGpuResult result = system.run(make_peer_share(params));
+  const auto sums = expect_registry_matches_log(
+      system.metrics(), result.aggregate.log, "nvlink-ring x4");
+  for (const char* name :
+       {"driver.peer_pages_migrated", "driver.bytes_peer", "driver.peer_maps",
+        "driver.peer_placements"}) {
+    EXPECT_GT(sums.at(name), 0u) << name;
   }
 }
 

@@ -55,10 +55,11 @@ TEST(MultiGpu, SingleGpuMatchesSingleClientByteExact) {
   EXPECT_EQ(serialized_log(got.aggregate.log),
             serialized_log(want.per_client[0].log));
   EXPECT_EQ(got.makespan_ns, want.makespan_ns);
-  EXPECT_EQ(got.peer_pages_migrated, 0u);
-  EXPECT_EQ(got.peer_maps, 0u);
-  EXPECT_EQ(got.peer_placements, 0u);
-  EXPECT_EQ(got.bytes_peer, 0u);
+  const BatchTotals logged = totals(got.aggregate.log);
+  EXPECT_EQ(logged.peer_pages_migrated, 0u);
+  EXPECT_EQ(logged.peer_maps, 0u);
+  EXPECT_EQ(logged.peer_placements, 0u);
+  EXPECT_EQ(logged.bytes_peer, 0u);
 }
 
 // The shared region is faulted by every GPU: whoever wins owns it and the
@@ -69,10 +70,11 @@ TEST(MultiGpu, SingleGpuMatchesSingleClientByteExact) {
 TEST(MultiGpu, SharedRegionDrivesPeerTrafficOverNvlink) {
   MultiGpuSystem system(small_config(2, TopologyKind::kNvlinkAll));
   const auto result = system.run(make_peer_share(small_workload(2)));
-  EXPECT_GT(result.peer_maps + result.peer_pages_migrated, 0u);
+  const BatchTotals logged = totals(result.aggregate.log);
+  EXPECT_GT(logged.peer_maps + logged.peer_pages_migrated, 0u);
   // Any peer migration moved bytes over the NVLink link, never the host.
-  if (result.peer_pages_migrated > 0) {
-    EXPECT_GT(result.bytes_peer, 0u);
+  if (logged.peer_pages_migrated > 0) {
+    EXPECT_GT(logged.bytes_peer, 0u);
     bool nvlink_bytes = false;
     for (const auto& link : result.links) {
       if (link.kind == LinkKind::kNvlink && link.bytes > 0) {
@@ -86,8 +88,9 @@ TEST(MultiGpu, SharedRegionDrivesPeerTrafficOverNvlink) {
 TEST(MultiGpu, PcieOnlyNeverRemoteMapsPeers) {
   MultiGpuSystem system(small_config(2, TopologyKind::kPcieOnly));
   const auto result = system.run(make_peer_share(small_workload(2)));
-  EXPECT_EQ(result.peer_maps, 0u);
-  EXPECT_EQ(result.peer_placements, 0u);
+  const BatchTotals logged = totals(result.aggregate.log);
+  EXPECT_EQ(logged.peer_maps, 0u);
+  EXPECT_EQ(logged.peer_placements, 0u);
   for (const auto& link : result.links) {
     EXPECT_EQ(link.kind, LinkKind::kPcie);
   }
@@ -129,15 +132,17 @@ TEST(MultiGpu, RotatingHandoffMigratesPeerToPeer) {
 
   MultiGpuSystem peer(small_config(2, TopologyKind::kNvlinkAll));
   const auto with_peer = peer.run(make_peer_share(params));
-  EXPECT_GT(with_peer.peer_pages_migrated, 0u);
-  EXPECT_GT(with_peer.bytes_peer, 0u);
+  const BatchTotals peer_log = totals(with_peer.aggregate.log);
+  EXPECT_GT(peer_log.peer_pages_migrated, 0u);
+  EXPECT_GT(peer_log.bytes_peer, 0u);
 
   SystemConfig host_config = small_config(2, TopologyKind::kNvlinkAll);
   host_config.driver.multi_gpu.placement = PlacementPolicy::kEvictHost;
   MultiGpuSystem host(host_config);
   const auto with_host = host.run(make_peer_share(params));
-  EXPECT_EQ(with_host.peer_pages_migrated, 0u);
-  EXPECT_EQ(with_host.bytes_peer, 0u);
+  const BatchTotals host_log = totals(with_host.aggregate.log);
+  EXPECT_EQ(host_log.peer_pages_migrated, 0u);
+  EXPECT_EQ(host_log.bytes_peer, 0u);
   EXPECT_GT(with_host.aggregate.evictions, 0u);
 }
 

@@ -222,13 +222,14 @@ TEST(RecoveryLadder, EccRetiresChunksAndRunStillCompletes) {
   cfg.driver.inject.ecc_double_bit_prob = 0.05;
   System system(cfg);
   const auto result = system.run(make_stream_triad(1 << 17));
+  const BatchTotals logged = totals(result.log);
   EXPECT_GT(result.injected_ecc_faults, 0u);
-  EXPECT_GT(result.faults_cancelled, 0u);
-  EXPECT_GT(result.pages_retired, 0u);
-  EXPECT_GT(result.chunks_retired, 0u);
+  EXPECT_GT(logged.faults_cancelled, 0u);
+  EXPECT_GT(logged.pages_retired, 0u);
+  EXPECT_GT(logged.chunks_retired, 0u);
   // Blacklisted chunks shrank the physical pool by exactly the log's count.
   EXPECT_EQ(system.driver().gpu_memory().retired_chunks(),
-            result.chunks_retired);
+            logged.chunks_retired);
   // Retired pages resolve remotely from then on; no page's only copy lost.
   const auto& space = system.driver().va_space();
   EXPECT_TRUE(space.any_retired());
@@ -247,10 +248,11 @@ TEST(RecoveryLadder, PoisonRetiresSinglePagesNotWholeBlocks) {
   SystemConfig cfg = fatal_config();
   cfg.driver.inject.poison_prob = 0.05;
   const auto result = run_fatal(cfg, 1 << 17);
+  const BatchTotals logged = totals(result.log);
   EXPECT_GT(result.injected_poison_faults, 0u);
-  EXPECT_EQ(result.pages_retired, result.injected_poison_faults);
-  EXPECT_EQ(result.chunks_retired, 0u);
-  EXPECT_EQ(result.gpu_resets, 0u);
+  EXPECT_EQ(logged.pages_retired, result.injected_poison_faults);
+  EXPECT_EQ(logged.chunks_retired, 0u);
+  EXPECT_EQ(logged.gpu_resets, 0u);
 }
 
 TEST(RecoveryLadder, PermanentChannelFailureResetsInsteadOfAborting) {
@@ -263,12 +265,13 @@ TEST(RecoveryLadder, PermanentChannelFailureResetsInsteadOfAborting) {
   cfg.driver.inject.transfer_error_prob = 1.0;
   cfg.driver.inject.ce_permanent_prob = 1.0;
   const auto result = run_fatal(cfg);
+  const BatchTotals logged = totals(result.log);
   EXPECT_GT(result.injected_ce_failures, 0u);
-  EXPECT_GT(result.channel_resets, 0u);
-  EXPECT_EQ(result.service_aborts, 0u);
+  EXPECT_GT(logged.channel_resets, 0u);
+  EXPECT_EQ(logged.service_aborts, 0u);
   const auto baseline = run_fatal(base_config());
   EXPECT_EQ(result.bytes_h2d, baseline.bytes_h2d);
-  EXPECT_GT(recovery_totals(result.log).recovery_ns, 0u);
+  EXPECT_GT(logged.recovery_ns, 0u);
 }
 
 TEST(RecoveryLadder, WedgeClearsViaWatchdogChannelReset) {
@@ -277,10 +280,11 @@ TEST(RecoveryLadder, WedgeClearsViaWatchdogChannelReset) {
   cfg.driver.inject.wedge_gpu_reset_frac = 0.0;  // channel severity only
   cfg.driver.recovery.watchdog_stuck_wakeups = 2;
   const auto result = run_fatal(cfg);
+  const BatchTotals logged = totals(result.log);
   EXPECT_GT(result.injected_wedges, 0u);
   EXPECT_GT(result.watchdog_stuck_wakeups, 0u);
-  EXPECT_GT(result.channel_resets, 0u);
-  EXPECT_EQ(result.gpu_resets, 0u);
+  EXPECT_GT(logged.channel_resets, 0u);
+  EXPECT_EQ(logged.gpu_resets, 0u);
 }
 
 TEST(RecoveryLadder, WedgeEscalatesToGpuResetWhenChannelResetFails) {
@@ -289,12 +293,13 @@ TEST(RecoveryLadder, WedgeEscalatesToGpuResetWhenChannelResetFails) {
   cfg.driver.inject.wedge_gpu_reset_frac = 1.0;  // channel reset never enough
   cfg.driver.recovery.watchdog_stuck_wakeups = 2;
   const auto result = run_fatal(cfg);
+  const BatchTotals logged = totals(result.log);
   EXPECT_GT(result.injected_wedges, 0u);
   // The ladder is strict: a channel reset is always tried first, then the
   // GPU reset that actually clears this severity.
-  EXPECT_GT(result.channel_resets, 0u);
-  EXPECT_GT(result.gpu_resets, 0u);
-  EXPECT_GE(result.channel_resets, result.gpu_resets);
+  EXPECT_GT(logged.channel_resets, 0u);
+  EXPECT_GT(logged.gpu_resets, 0u);
+  EXPECT_GE(logged.channel_resets, logged.gpu_resets);
   // Kernels re-fault after the reset: at least a clean run's traffic.
   const auto baseline = run_fatal(base_config());
   EXPECT_GE(result.bytes_h2d, baseline.bytes_h2d);
@@ -309,8 +314,9 @@ TEST(RecoveryLadder, RetiredPoolOverflowEscalatesToGpuReset) {
   cfg.driver.inject.ecc_double_bit_prob = 0.2;
   cfg.driver.recovery.retired_page_pool = 2 * kPagesPerVaBlock;
   const auto result = run_fatal(cfg, 1 << 20);  // ~12 blocks of traffic
-  EXPECT_GT(result.pages_retired, 2u * kPagesPerVaBlock);
-  EXPECT_GT(result.gpu_resets, 0u);
+  const BatchTotals logged = totals(result.log);
+  EXPECT_GT(logged.pages_retired, 2u * kPagesPerVaBlock);
+  EXPECT_GT(logged.gpu_resets, 0u);
 }
 
 TEST(RecoveryLadder, FatalRunsReplayBitIdentically) {
@@ -325,9 +331,11 @@ TEST(RecoveryLadder, FatalRunsReplayBitIdentically) {
   const auto a = run_fatal(cfg);
   const auto b = run_fatal(cfg);
   EXPECT_EQ(a.kernel_time_ns, b.kernel_time_ns);
-  EXPECT_EQ(a.pages_retired, b.pages_retired);
-  EXPECT_EQ(a.channel_resets, b.channel_resets);
-  EXPECT_EQ(a.gpu_resets, b.gpu_resets);
+  const BatchTotals a_log = totals(a.log);
+  const BatchTotals b_log = totals(b.log);
+  EXPECT_EQ(a_log.pages_retired, b_log.pages_retired);
+  EXPECT_EQ(a_log.channel_resets, b_log.channel_resets);
+  EXPECT_EQ(a_log.gpu_resets, b_log.gpu_resets);
   ASSERT_EQ(a.log.size(), b.log.size());
   for (std::size_t i = 0; i < a.log.size(); ++i) {
     ASSERT_EQ(serialize_batch(a.log[i]), serialize_batch(b.log[i]))

@@ -326,7 +326,7 @@ TEST(RobustnessSystem, DisabledInjectionIsBitIdentical) {
   EXPECT_EQ(b.injected_transfer_errors, 0u);
   EXPECT_EQ(b.injected_dma_errors, 0u);
   EXPECT_EQ(b.interrupts_lost, 0u);
-  EXPECT_FALSE(robustness_totals(b.log).any());
+  EXPECT_FALSE(totals(b.log).any(BatchGroup::kRobustness));
 }
 
 SystemConfig stormy_config() {
@@ -379,7 +379,7 @@ TEST(RobustnessSystem, TransferErrorAccountingBalances) {
   const auto result = run_stream(cfg, 1 << 17);
   EXPECT_GT(result.injected_transfer_errors, 0u);
   // Every injected error landed in exactly one batch record.
-  const auto robust = robustness_totals(result.log);
+  const BatchTotals robust = totals(result.log);
   EXPECT_EQ(robust.transfer_errors, result.injected_transfer_errors);
   EXPECT_GE(robust.transfer_errors, robust.transfer_retries);
   EXPECT_GT(robust.backoff_ns, 0u);
@@ -396,12 +396,12 @@ TEST(RobustnessSystem, DmaAbortAccountingBalancesExactly) {
   cfg.driver.inject.dma_map_error_prob = 0.75;
   System system(cfg);
   const auto result = system.run(make_random(48ULL << 20, 0xD3AD));
-  const auto robust = robustness_totals(result.log);
+  const BatchTotals robust = totals(result.log);
   EXPECT_GT(robust.dma_map_errors, 0u);
   EXPECT_EQ(robust.dma_map_errors, result.injected_dma_errors);
   EXPECT_EQ(robust.dma_map_errors,
             robust.dma_map_retries + robust.service_aborts);
-  EXPECT_GT(result.service_aborts, 0u);
+  EXPECT_GT(robust.service_aborts, 0u);
 }
 
 TEST(RobustnessSystem, AbortedServiceRecoversWithoutLosingPages) {
@@ -415,7 +415,7 @@ TEST(RobustnessSystem, AbortedServiceRecoversWithoutLosingPages) {
   cfg.driver.inject.dma_map_error_prob = 0.4;
   System system(cfg);
   const auto result = system.run(make_stream_triad(1 << 16));
-  EXPECT_GT(result.service_aborts, 0u);
+  EXPECT_GT(totals(result.log).service_aborts, 0u);
 
   const auto& space = system.driver().va_space();
   for (VaBlockId b = 0; b < space.block_count(); ++b) {
@@ -439,8 +439,7 @@ TEST(RobustnessSystem, StormOverflowDropsThenRecoversViaReissue) {
   EXPECT_GT(result.injected_storm_faults, 0u);
   EXPECT_GT(result.faults_dropped_full, 0u);
   // The System annotated the per-batch drop deltas; they sum to the total.
-  EXPECT_EQ(robustness_totals(result.log).buffer_dropped,
-            result.faults_dropped_full);
+  EXPECT_EQ(totals(result.log).buffer_dropped, result.faults_dropped_full);
 }
 
 TEST(RobustnessSystem, LostInterruptsDelayButDoNotWedge) {
@@ -475,8 +474,7 @@ TEST(RobustnessSystem, LostInterruptDuringOverflowStormStillRecovers) {
   EXPECT_GT(result.interrupts_lost, 0u);
   // Both loss channels in play, yet the books still balance and the same
   // data ends up on the GPU as in a clean run.
-  EXPECT_EQ(robustness_totals(result.log).buffer_dropped,
-            result.faults_dropped_full);
+  EXPECT_EQ(totals(result.log).buffer_dropped, result.faults_dropped_full);
   const auto baseline = run_stream(small_config());
   EXPECT_EQ(result.bytes_h2d, baseline.bytes_h2d);
 }
@@ -495,7 +493,7 @@ TEST(RobustnessSystem, DmaFailureDuringEvictionWritebackConserves) {
   const auto result = system.run(make_stream_triad(2 << 20));
   EXPECT_GT(result.evictions, 0u);
   EXPECT_GT(result.injected_dma_errors, 0u);
-  EXPECT_GT(result.service_aborts, 0u);
+  EXPECT_GT(totals(result.log).service_aborts, 0u);
   const auto& space = system.driver().va_space();
   for (VaBlockId b = 0; b < space.block_count(); ++b) {
     const auto& block = space.block(b);
@@ -522,9 +520,10 @@ TEST(RobustnessSystem, RecoveryArmedWithZeroProbsIsBitIdentical) {
         << "batch " << i;
   }
   EXPECT_EQ(a.kernel_time_ns, b.kernel_time_ns);
-  EXPECT_FALSE(recovery_totals(b.log).any());
-  EXPECT_EQ(b.pages_retired, 0u);
-  EXPECT_EQ(b.gpu_resets, 0u);
+  const BatchTotals logged = totals(b.log);
+  EXPECT_FALSE(logged.any(BatchGroup::kRecovery));
+  EXPECT_EQ(logged.pages_retired, 0u);
+  EXPECT_EQ(logged.gpu_resets, 0u);
 }
 
 // ---- End-to-end: thrashing mitigation -------------------------------------
@@ -545,12 +544,12 @@ TEST(RobustnessSystem, PinMitigationBreaksEvictionPingPong) {
   System pin_system(pin);
   const auto pin_result = pin_system.run(spec);
 
-  EXPECT_GT(pin_result.thrash_pins, 0u);
+  const BatchTotals pin_log = totals(pin_result.log);
+  EXPECT_GT(pin_log.thrash_pins, 0u);
   EXPECT_GT(pin_result.remote_accesses, 0u);
   EXPECT_LT(pin_result.evictions * 5, off_result.evictions);
   EXPECT_LT(pin_result.kernel_time_ns, off_result.kernel_time_ns);
-  EXPECT_EQ(robustness_totals(pin_result.log).thrash_pins,
-            pin_result.thrash_pins);
+  EXPECT_EQ(pin_log.thrash_pins, pin_system.driver().thrashing().pins());
 }
 
 TEST(RobustnessSystem, ThrottleMitigationShieldsAndCharges) {
@@ -561,9 +560,9 @@ TEST(RobustnessSystem, ThrottleMitigationShieldsAndCharges) {
   cfg.driver.thrash.mitigation = ThrashMitigation::kThrottle;
   System system(cfg);
   const auto result = system.run(make_random(16ULL << 20, 0x5eed));
-  EXPECT_GT(result.thrash_throttles, 0u);
-  const auto robust = robustness_totals(result.log);
-  EXPECT_EQ(robust.thrash_throttles, result.thrash_throttles);
+  const BatchTotals robust = totals(result.log);
+  EXPECT_GT(robust.thrash_throttles, 0u);
+  EXPECT_EQ(robust.thrash_throttles, system.driver().thrashing().shields());
   EXPECT_GT(robust.throttle_ns, 0u);
 }
 

@@ -137,7 +137,7 @@ TEST(Tracer, PromoteSpansLieInsideTheirCounterPass) {
     run_cfg.driver.parallelism.policy = policy;
     run_cfg.driver.parallelism.workers = 4;
     const TracedRun run = traced_run(run_cfg, spec);
-    ASSERT_GT(run.result.counter_pages_promoted, 0u);
+    ASSERT_GT(totals(run.result.log).ctr_pages_promoted, 0u);
     std::vector<const TraceEvent*> passes;
     std::vector<const TraceEvent*> promotes;
     for (const TraceEvent& ev : run.events) {

@@ -18,6 +18,7 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -385,6 +386,94 @@ int write_metrics_file(const std::string& path,
   return 0;
 }
 
+/// The rows every node shape prints after its headline: robustness,
+/// thrashing and recovery activity (each only when there is some), the
+/// event-engine counters under --engine-stats, and the access-counter row
+/// when counters are on. Each row sums over the run's drivers: their batch
+/// logs plus the RunResult fields the log does not hold. Returns the run's
+/// service aborts, for fail_on_abort.
+std::uint64_t print_run_rows(const Args& args, const SystemConfig& cfg,
+                             std::span<const RunResult> runs,
+                             const EventEngine::Stats& engine) {
+  BatchTotals logged;
+  for (const RunResult& run : runs) {
+    for (const BatchRecord& rec : run.log) logged.add(rec);
+  }
+  const auto sum = [&](std::uint64_t RunResult::*field) {
+    unsigned long long total = 0;
+    for (const RunResult& run : runs) total += run.*field;
+    return total;
+  };
+  const auto llu = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+
+  if (sum(&RunResult::injected_transfer_errors) ||
+      sum(&RunResult::injected_dma_errors) ||
+      sum(&RunResult::interrupts_delayed) ||
+      sum(&RunResult::interrupts_lost) ||
+      sum(&RunResult::injected_storm_faults) ||
+      sum(&RunResult::faults_dropped_full) || logged.service_aborts) {
+    std::printf("robustness: xfer_err=%llu (retries=%llu) dma_err=%llu "
+                "(retries=%llu) aborts=%llu irq_delayed=%llu irq_lost=%llu "
+                "storm_faults=%llu buf_dropped=%llu flushed=%llu\n",
+                sum(&RunResult::injected_transfer_errors),
+                llu(logged.transfer_retries),
+                sum(&RunResult::injected_dma_errors),
+                llu(logged.dma_map_retries), llu(logged.service_aborts),
+                sum(&RunResult::interrupts_delayed),
+                sum(&RunResult::interrupts_lost),
+                sum(&RunResult::injected_storm_faults),
+                sum(&RunResult::faults_dropped_full),
+                sum(&RunResult::faults_flushed));
+  }
+  if (logged.thrash_pins || logged.thrash_throttles) {
+    std::printf("thrashing: pins=%llu throttles=%llu\n",
+                llu(logged.thrash_pins), llu(logged.thrash_throttles));
+  }
+  if (sum(&RunResult::injected_ecc_faults) ||
+      sum(&RunResult::injected_poison_faults) ||
+      sum(&RunResult::injected_ce_failures) ||
+      sum(&RunResult::injected_wedges) || logged.gpu_resets ||
+      logged.channel_resets) {
+    std::printf("recovery: ecc=%llu poison=%llu ce_fail=%llu wedges=%llu "
+                "cancelled=%llu pages_retired=%llu chunks_retired=%llu "
+                "channel_resets=%llu gpu_resets=%llu stuck_wakeups=%llu\n",
+                sum(&RunResult::injected_ecc_faults),
+                sum(&RunResult::injected_poison_faults),
+                sum(&RunResult::injected_ce_failures),
+                sum(&RunResult::injected_wedges),
+                llu(logged.faults_cancelled), llu(logged.pages_retired),
+                llu(logged.chunks_retired), llu(logged.channel_resets),
+                llu(logged.gpu_resets),
+                sum(&RunResult::watchdog_stuck_wakeups));
+  }
+  if (args.flag("engine-stats")) print_engine_stats(engine);
+  if (cfg.driver.access_counters.enabled) {
+    std::printf("counters: notif=%llu serviced=%llu dropped=%llu lost=%llu "
+                "promoted=%llu unpins=%llu evictions=%llu\n",
+                sum(&RunResult::counter_notifications),
+                llu(logged.ctr_notifications),
+                sum(&RunResult::counter_notifications_dropped),
+                sum(&RunResult::counter_notifications_lost),
+                llu(logged.ctr_pages_promoted), llu(logged.ctr_unpins),
+                llu(logged.ctr_evictions));
+  }
+  return logged.service_aborts;
+}
+
+/// --fail-on-abort turns abandoned block services (retry budgets exhausted
+/// with no recovery path taken) into exit 4, so CI harnesses can gate on
+/// them; otherwise 0.
+int fail_on_abort(const Args& args, std::uint64_t aborts) {
+  if (!args.flag("fail-on-abort") || aborts == 0) return 0;
+  std::fprintf(stderr,
+               "fail-on-abort: %llu block services abandoned after retry "
+               "exhaustion\n",
+               static_cast<unsigned long long>(aborts));
+  return 4;
+}
+
 /// `run --tenants N ...`: the multi-tenant server path. Consumes the same
 /// config flags as a single run, builds an N-workload roster, and services
 /// it through MultiClientSystem under the requested arbitration policy.
@@ -476,9 +565,8 @@ int run_tenants(const Args& args, SystemConfig cfg) {
   if (args.flag("tenant-table")) {
     std::printf("%s", tenant_report_table(report).c_str());
   }
-  if (args.flag("engine-stats")) {
-    print_engine_stats(system.engine_stats());
-  }
+  const std::uint64_t aborts =
+      print_run_rows(args, cfg, result.per_client, system.engine_stats());
 
   if (const std::string path = args.get("tenant-log", ""); !path.empty()) {
     std::ofstream out(path);
@@ -528,7 +616,7 @@ int run_tenants(const Args& args, SystemConfig cfg) {
                 report.max_abs_share_error * 100.0, max_err_pct,
                 report.jain_index, min_jain);
   }
-  return 0;
+  return fail_on_abort(args, aborts);
 }
 
 /// `run --gpus N ...`: the multi-GPU topology path. One driver, N GPU
@@ -576,6 +664,7 @@ int run_multi_gpu(const Args& args, SystemConfig cfg) {
   MultiGpuSystem system(cfg);
   const MultiGpuResult result = system.run(make_peer_share(params));
   const RunResult& agg = result.aggregate;
+  const BatchTotals logged = totals(agg.log);
 
   std::printf("gpus=%u topology=%s placement=%s makespan_ms=%.3f "
               "batches=%zu faults=%llu evictions=%llu h2d_mb=%.1f "
@@ -587,10 +676,10 @@ int run_multi_gpu(const Args& args, SystemConfig cfg) {
               static_cast<unsigned long long>(agg.evictions),
               static_cast<double>(agg.bytes_h2d) / (1 << 20),
               static_cast<double>(agg.bytes_d2h) / (1 << 20),
-              static_cast<double>(result.bytes_peer) / (1 << 20),
-              static_cast<unsigned long long>(result.peer_pages_migrated),
-              static_cast<unsigned long long>(result.peer_maps),
-              static_cast<unsigned long long>(result.peer_placements));
+              static_cast<double>(logged.bytes_peer) / (1 << 20),
+              static_cast<unsigned long long>(logged.peer_pages_migrated),
+              static_cast<unsigned long long>(logged.peer_maps),
+              static_cast<unsigned long long>(logged.peer_placements));
   for (std::uint32_t g = 0; g < n; ++g) {
     std::printf("  gpu%u kernel_ms=%.3f\n", g,
                 result.per_gpu_kernel_ns[g] / 1e6);
@@ -604,9 +693,8 @@ int run_multi_gpu(const Args& args, SystemConfig cfg) {
                 static_cast<unsigned long long>(link.ops),
                 link.busy_ns / 1e6, link.utilization * 100.0);
   }
-  if (args.flag("engine-stats")) {
-    print_engine_stats(system.engine_stats());
-  }
+  const std::uint64_t aborts =
+      print_run_rows(args, cfg, std::span(&agg, 1), system.engine_stats());
   if (const std::string path = args.get("log", ""); !path.empty()) {
     std::ofstream out(path);
     if (!out) {
@@ -623,7 +711,7 @@ int run_multi_gpu(const Args& args, SystemConfig cfg) {
   if (const std::string path = output_path(args, "metrics"); !path.empty()) {
     if (const int rc = write_metrics_file(path, system.metrics())) return rc;
   }
-  return 0;
+  return fail_on_abort(args, aborts);
 }
 
 int cmd_run(const Args& args) {
@@ -792,64 +880,8 @@ int cmd_run(const Args& args) {
               static_cast<unsigned long long>(result.evictions),
               static_cast<double>(result.bytes_h2d) / (1 << 20),
               static_cast<double>(result.bytes_d2h) / (1 << 20));
-  if (result.injected_transfer_errors || result.injected_dma_errors ||
-      result.interrupts_delayed || result.interrupts_lost ||
-      result.injected_storm_faults || result.faults_dropped_full ||
-      result.service_aborts) {
-    std::printf("robustness: xfer_err=%llu (retries=%llu) dma_err=%llu "
-                "(retries=%llu) aborts=%llu irq_delayed=%llu irq_lost=%llu "
-                "storm_faults=%llu buf_dropped=%llu flushed=%llu\n",
-                static_cast<unsigned long long>(result.injected_transfer_errors),
-                static_cast<unsigned long long>(result.transfer_retries),
-                static_cast<unsigned long long>(result.injected_dma_errors),
-                static_cast<unsigned long long>(result.dma_map_retries),
-                static_cast<unsigned long long>(result.service_aborts),
-                static_cast<unsigned long long>(result.interrupts_delayed),
-                static_cast<unsigned long long>(result.interrupts_lost),
-                static_cast<unsigned long long>(result.injected_storm_faults),
-                static_cast<unsigned long long>(result.faults_dropped_full),
-                static_cast<unsigned long long>(result.faults_flushed));
-  }
-  if (result.thrash_pins || result.thrash_throttles) {
-    std::printf("thrashing: pins=%llu throttles=%llu\n",
-                static_cast<unsigned long long>(result.thrash_pins),
-                static_cast<unsigned long long>(result.thrash_throttles));
-  }
-  if (result.injected_ecc_faults || result.injected_poison_faults ||
-      result.injected_ce_failures || result.injected_wedges ||
-      result.gpu_resets || result.channel_resets) {
-    std::printf("recovery: ecc=%llu poison=%llu ce_fail=%llu wedges=%llu "
-                "cancelled=%llu pages_retired=%llu chunks_retired=%llu "
-                "channel_resets=%llu gpu_resets=%llu stuck_wakeups=%llu\n",
-                static_cast<unsigned long long>(result.injected_ecc_faults),
-                static_cast<unsigned long long>(result.injected_poison_faults),
-                static_cast<unsigned long long>(result.injected_ce_failures),
-                static_cast<unsigned long long>(result.injected_wedges),
-                static_cast<unsigned long long>(result.faults_cancelled),
-                static_cast<unsigned long long>(result.pages_retired),
-                static_cast<unsigned long long>(result.chunks_retired),
-                static_cast<unsigned long long>(result.channel_resets),
-                static_cast<unsigned long long>(result.gpu_resets),
-                static_cast<unsigned long long>(
-                    result.watchdog_stuck_wakeups));
-  }
-  if (args.flag("engine-stats")) {
-    print_engine_stats(system.engine_stats());
-  }
-  if (cfg.driver.access_counters.enabled) {
-    std::printf("counters: notif=%llu serviced=%llu dropped=%llu lost=%llu "
-                "promoted=%llu unpins=%llu evictions=%llu\n",
-                static_cast<unsigned long long>(result.counter_notifications),
-                static_cast<unsigned long long>(
-                    result.counter_notifications_serviced),
-                static_cast<unsigned long long>(
-                    result.counter_notifications_dropped),
-                static_cast<unsigned long long>(
-                    result.counter_notifications_lost),
-                static_cast<unsigned long long>(result.counter_pages_promoted),
-                static_cast<unsigned long long>(result.counter_unpins),
-                static_cast<unsigned long long>(result.counter_evictions));
-  }
+  const std::uint64_t aborts = print_run_rows(
+      args, cfg, std::span(&result, 1), system.engine_stats());
 
   if (const std::string path = args.get("log", ""); !path.empty()) {
     std::ofstream out(path);
@@ -867,17 +899,7 @@ int cmd_run(const Args& args) {
   if (const std::string path = output_path(args, "metrics"); !path.empty()) {
     if (const int rc = write_metrics_file(path, system.metrics())) return rc;
   }
-  // --fail-on-abort turns abandoned block services (retry budgets
-  // exhausted with no recovery path taken) into a nonzero exit so CI
-  // harnesses can gate on them.
-  if (args.flag("fail-on-abort") && result.service_aborts > 0) {
-    std::fprintf(stderr,
-                 "fail-on-abort: %llu block services abandoned after retry "
-                 "exhaustion\n",
-                 static_cast<unsigned long long>(result.service_aborts));
-    return 4;
-  }
-  return 0;
+  return fail_on_abort(args, aborts);
 }
 
 /// `trace WORKLOAD-FLAGS --out FILE`: a run with tracing on, defaulting
@@ -944,77 +966,80 @@ int cmd_analyze(const std::string& path, const Args& args) {
   }
 
   const auto& log = parsed.log;
-  const auto totals = fault_totals(log);
-  const auto phases = phase_totals(log);
+  const BatchTotals t = totals(log);
+  const SimTime batch_ns = t.phase_sum();
   const auto sm = sm_stats(log, 80);
   const auto vab = vablock_stats(log);
   const auto fit = cost_vs_migration_fit(log);
-  const auto robust = robustness_totals(log);
-  const auto ctr = counter_totals(log);
-  const auto rec = recovery_totals(log);
 
   if (args.flag("json")) {
     // Machine-readable summary; counter_stats mirrors the table block.
     std::printf("{\n");
     std::printf("  \"batches\": %zu,\n", log.size());
     std::printf("  \"raw_faults\": %llu,\n",
-                static_cast<unsigned long long>(totals.raw));
+                static_cast<unsigned long long>(t.raw_faults));
     std::printf("  \"unique_faults\": %llu,\n",
-                static_cast<unsigned long long>(totals.unique));
+                static_cast<unsigned long long>(t.unique_faults));
     std::printf("  \"batch_time_ns\": %llu,\n",
-                static_cast<unsigned long long>(phases.sum()));
+                static_cast<unsigned long long>(batch_ns));
     std::printf("  \"robustness\": {\"transfer_errors\": %llu, "
                 "\"transfer_retries\": %llu, \"dma_map_retries\": %llu, "
                 "\"service_aborts\": %llu, \"abandoned_blocks\": %llu, "
                 "\"thrash_pins\": %llu, \"buffer_dropped\": %llu},\n",
-                static_cast<unsigned long long>(robust.transfer_errors),
-                static_cast<unsigned long long>(robust.transfer_retries),
-                static_cast<unsigned long long>(robust.dma_map_retries),
-                static_cast<unsigned long long>(robust.service_aborts),
-                static_cast<unsigned long long>(robust.service_aborts),
-                static_cast<unsigned long long>(robust.thrash_pins),
-                static_cast<unsigned long long>(robust.buffer_dropped));
+                static_cast<unsigned long long>(t.transfer_errors),
+                static_cast<unsigned long long>(t.transfer_retries),
+                static_cast<unsigned long long>(t.dma_map_retries),
+                static_cast<unsigned long long>(t.service_aborts),
+                static_cast<unsigned long long>(t.service_aborts),
+                static_cast<unsigned long long>(t.thrash_pins),
+                static_cast<unsigned long long>(t.buffer_dropped));
     std::printf("  \"recovery_stats\": {\"faults_cancelled\": %llu, "
                 "\"pages_retired\": %llu, \"chunks_retired\": %llu, "
                 "\"channel_resets\": %llu, \"gpu_resets\": %llu, "
                 "\"recovery_ns\": %llu},\n",
-                static_cast<unsigned long long>(rec.faults_cancelled),
-                static_cast<unsigned long long>(rec.pages_retired),
-                static_cast<unsigned long long>(rec.chunks_retired),
-                static_cast<unsigned long long>(rec.channel_resets),
-                static_cast<unsigned long long>(rec.gpu_resets),
-                static_cast<unsigned long long>(rec.recovery_ns));
+                static_cast<unsigned long long>(t.faults_cancelled),
+                static_cast<unsigned long long>(t.pages_retired),
+                static_cast<unsigned long long>(t.chunks_retired),
+                static_cast<unsigned long long>(t.channel_resets),
+                static_cast<unsigned long long>(t.gpu_resets),
+                static_cast<unsigned long long>(t.recovery_ns));
     std::printf("  \"counter_stats\": {\"notifications\": %llu, "
                 "\"dropped\": %llu, \"pages_promoted\": %llu, "
                 "\"unpins\": %llu, \"evictions\": %llu, "
                 "\"counter_ns\": %llu}\n",
-                static_cast<unsigned long long>(ctr.notifications),
-                static_cast<unsigned long long>(ctr.dropped),
-                static_cast<unsigned long long>(ctr.pages_promoted),
-                static_cast<unsigned long long>(ctr.unpins),
-                static_cast<unsigned long long>(ctr.evictions),
-                static_cast<unsigned long long>(ctr.counter_ns));
+                static_cast<unsigned long long>(t.ctr_notifications),
+                static_cast<unsigned long long>(t.ctr_dropped),
+                static_cast<unsigned long long>(t.ctr_pages_promoted),
+                static_cast<unsigned long long>(t.ctr_unpins),
+                static_cast<unsigned long long>(t.ctr_evictions),
+                static_cast<unsigned long long>(t.counter_ns));
     std::printf("}\n");
     return 0;
   }
 
   TablePrinter table({"metric", "value"});
   table.add_row({"batches", std::to_string(log.size())});
-  table.add_row({"raw faults", std::to_string(totals.raw)});
-  table.add_row({"unique faults", std::to_string(totals.unique)});
+  table.add_row({"raw faults", std::to_string(t.raw_faults)});
+  table.add_row({"unique faults", std::to_string(t.unique_faults)});
   table.add_row({"dup rate",
-                 totals.raw ? fmt_pct(1.0 - static_cast<double>(totals.unique) /
-                                                static_cast<double>(totals.raw))
-                            : "0%"});
+                 t.raw_faults
+                     ? fmt_pct(1.0 - static_cast<double>(t.unique_faults) /
+                                         static_cast<double>(t.raw_faults))
+                     : "0%"});
   table.add_row({"faults/SM per batch (avg)", fmt(sm.avg, 2)});
   table.add_row({"VABlocks per batch (avg)", fmt(vab.vablocks_per_batch, 2)});
   table.add_row({"cost fit (us per KB)", fmt(fit.slope, 3)});
+  const auto share = [&](SimTime ns) {
+    return fmt_pct(batch_ns ? static_cast<double>(ns) /
+                                  static_cast<double>(batch_ns)
+                            : 0);
+  };
   table.add_row({"total batch time (ms)",
-                 fmt(static_cast<double>(phases.sum()) / 1e6, 3)});
-  table.add_row({"  transfer share", fmt_pct(phases.sum() ? static_cast<double>(phases.transfer_ns) / static_cast<double>(phases.sum()) : 0)});
-  table.add_row({"  unmap share", fmt_pct(phases.sum() ? static_cast<double>(phases.unmap_ns) / static_cast<double>(phases.sum()) : 0)});
-  table.add_row({"  dma/radix share", fmt_pct(phases.sum() ? static_cast<double>(phases.dma_map_ns) / static_cast<double>(phases.sum()) : 0)});
-  table.add_row({"  eviction share", fmt_pct(phases.sum() ? static_cast<double>(phases.eviction_ns) / static_cast<double>(phases.sum()) : 0)});
+                 fmt(static_cast<double>(batch_ns) / 1e6, 3)});
+  table.add_row({"  transfer share", share(t.transfer_ns)});
+  table.add_row({"  unmap share", share(t.unmap_ns)});
+  table.add_row({"  dma/radix share", share(t.dma_map_ns)});
+  table.add_row({"  eviction share", share(t.eviction_ns)});
   for (const unsigned workers : {4u, 8u}) {
     const auto est = estimate_vablock_parallel(log, workers);
     table.add_row({"VABlock-parallel speedup (" + std::to_string(workers) +
@@ -1025,47 +1050,44 @@ int cmd_analyze(const std::string& path, const Args& args) {
                        " workers)",
                    fmt(sm.speedup, 2) + "x"});
   }
-  if (robust.any()) {
+  if (t.any(BatchGroup::kRobustness)) {
     table.add_row({"transfer errors (injected)",
-                   std::to_string(robust.transfer_errors)});
-    table.add_row({"transfer retries", std::to_string(robust.transfer_retries)});
+                   std::to_string(t.transfer_errors)});
+    table.add_row({"transfer retries", std::to_string(t.transfer_retries)});
     table.add_row({"dma map errors (injected)",
-                   std::to_string(robust.dma_map_errors)});
-    table.add_row({"dma map retries", std::to_string(robust.dma_map_retries)});
+                   std::to_string(t.dma_map_errors)});
+    table.add_row({"dma map retries", std::to_string(t.dma_map_retries)});
     table.add_row({"service aborts (abandoned blocks)",
-                   std::to_string(robust.service_aborts)});
-    table.add_row({"thrash pins", std::to_string(robust.thrash_pins)});
-    table.add_row({"thrash throttles",
-                   std::to_string(robust.thrash_throttles)});
-    table.add_row({"buffer overflow drops",
-                   std::to_string(robust.buffer_dropped)});
+                   std::to_string(t.service_aborts)});
+    table.add_row({"thrash pins", std::to_string(t.thrash_pins)});
+    table.add_row({"thrash throttles", std::to_string(t.thrash_throttles)});
+    table.add_row({"buffer overflow drops", std::to_string(t.buffer_dropped)});
     table.add_row({"retry backoff (ms)",
-                   fmt(static_cast<double>(robust.backoff_ns) / 1e6, 3)});
+                   fmt(static_cast<double>(t.backoff_ns) / 1e6, 3)});
     table.add_row({"throttle delay (ms)",
-                   fmt(static_cast<double>(robust.throttle_ns) / 1e6, 3)});
+                   fmt(static_cast<double>(t.throttle_ns) / 1e6, 3)});
   }
-  if (rec.any()) {
+  if (t.any(BatchGroup::kRecovery)) {
     table.add_row({"faults cancelled (tier 1)",
-                   std::to_string(rec.faults_cancelled)});
-    table.add_row({"pages retired (tier 2)",
-                   std::to_string(rec.pages_retired)});
-    table.add_row({"chunks retired", std::to_string(rec.chunks_retired)});
+                   std::to_string(t.faults_cancelled)});
+    table.add_row({"pages retired (tier 2)", std::to_string(t.pages_retired)});
+    table.add_row({"chunks retired", std::to_string(t.chunks_retired)});
     table.add_row({"channel resets (tier 3)",
-                   std::to_string(rec.channel_resets)});
-    table.add_row({"gpu resets (tier 4)", std::to_string(rec.gpu_resets)});
+                   std::to_string(t.channel_resets)});
+    table.add_row({"gpu resets (tier 4)", std::to_string(t.gpu_resets)});
     table.add_row({"recovery time (ms)",
-                   fmt(static_cast<double>(rec.recovery_ns) / 1e6, 3)});
+                   fmt(static_cast<double>(t.recovery_ns) / 1e6, 3)});
   }
-  if (ctr.any()) {
+  if (t.any(BatchGroup::kCounters)) {
     table.add_row({"counter notifications",
-                   std::to_string(ctr.notifications)});
-    table.add_row({"counter drops", std::to_string(ctr.dropped)});
+                   std::to_string(t.ctr_notifications)});
+    table.add_row({"counter drops", std::to_string(t.ctr_dropped)});
     table.add_row({"counter pages promoted",
-                   std::to_string(ctr.pages_promoted)});
-    table.add_row({"counter unpins", std::to_string(ctr.unpins)});
-    table.add_row({"counter evictions", std::to_string(ctr.evictions)});
+                   std::to_string(t.ctr_pages_promoted)});
+    table.add_row({"counter unpins", std::to_string(t.ctr_unpins)});
+    table.add_row({"counter evictions", std::to_string(t.ctr_evictions)});
     table.add_row({"counter service (ms)",
-                   fmt(static_cast<double>(ctr.counter_ns) / 1e6, 3)});
+                   fmt(static_cast<double>(t.counter_ns) / 1e6, 3)});
   }
   std::printf("%s", table.render().c_str());
 
@@ -1073,9 +1095,9 @@ int cmd_analyze(const std::string& path, const Args& args) {
     const auto rows = phase_distributions(log);
     TablePrinter pt({"phase", "total ms", "share", "mean us", "p50 us",
                      "p95 us", "p99 us", "max us"});
-    const double grand = static_cast<double>(phases.sum());
+    const double grand = static_cast<double>(batch_ns);
     for (const auto& row : rows) {
-      pt.add_row({row.name,
+      pt.add_row({std::string(row.name),
                   fmt(static_cast<double>(row.total_ns) / 1e6, 3),
                   fmt_pct(grand > 0
                               ? static_cast<double>(row.total_ns) / grand
