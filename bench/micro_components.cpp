@@ -6,7 +6,6 @@
 #include "common/rng.hpp"
 #include "gpu/fault_buffer.hpp"
 #include "hostos/dma.hpp"
-#include "hostos/page_table.hpp"
 #include "hostos/radix_tree.hpp"
 #include "hostos/unmap.hpp"
 #include "interconnect/copy_engine.hpp"
@@ -21,7 +20,7 @@ void BM_RadixInsertDense(benchmark::State& state) {
     RadixTree tree;
     for (std::uint64_t k = 0; k < static_cast<std::uint64_t>(state.range(0));
          ++k) {
-      benchmark::DoNotOptimize(tree.insert(k, k));
+      benchmark::DoNotOptimize(tree.insert(k));
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -34,7 +33,7 @@ void BM_RadixInsertSparse(benchmark::State& state) {
   for (auto& k : keys) k = rng.next() >> 20;
   for (auto _ : state) {
     RadixTree tree;
-    for (const auto k : keys) benchmark::DoNotOptimize(tree.insert(k, k));
+    for (const auto k : keys) benchmark::DoNotOptimize(tree.insert(k));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -42,26 +41,14 @@ BENCHMARK(BM_RadixInsertSparse)->Arg(512)->Arg(4096);
 
 void BM_RadixLookup(benchmark::State& state) {
   RadixTree tree;
-  for (std::uint64_t k = 0; k < 32768; ++k) tree.insert(k * 7, k);
+  for (std::uint64_t k = 0; k < 32768; ++k) tree.insert(k * 7);
   std::uint64_t key = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.lookup((key++ % 32768) * 7));
+    benchmark::DoNotOptimize(tree.contains((key++ % 32768) * 7));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RadixLookup);
-
-void BM_PageTableMapUnmap(benchmark::State& state) {
-  PageTable pt;
-  PageId vpn = 0;
-  for (auto _ : state) {
-    pt.map(vpn, vpn);
-    benchmark::DoNotOptimize(pt.unmap(vpn));
-    ++vpn;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PageTableMapUnmap);
 
 void BM_FaultBufferPushDrain(benchmark::State& state) {
   FaultBuffer buffer(4096);

@@ -93,36 +93,9 @@ double jains_index(const std::vector<double>& x) {
   return (sum * sum) / (static_cast<double>(x.size()) * sum_sq);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo),
-      width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
-      counts_(bins == 0 ? 1 : bins, 0) {}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[idx];
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
 namespace {
 
-/// Shared binned-percentile walk. `rank` indexes the sorted sample
+/// Binned-percentile walk. `rank` indexes the sorted sample
 /// sequence (0-based, may be fractional); buckets are visited in order via
 /// `count(i)` with value span [lo(i), hi(i)). Within a bucket of c samples
 /// the k-th one is placed at the (k + 0.5)/c fraction of the span, so a
@@ -154,31 +127,6 @@ double binned_percentile(double rank, std::size_t buckets, Count count, Lo lo,
 }
 
 }  // namespace
-
-double Histogram::percentile(double q) const noexcept {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(total_ - 1);
-  // Model underflow as a virtual bucket pinned at lo_ and overflow as one
-  // pinned at the top edge, so clipped samples still weigh on the rank.
-  const std::size_t virtual_buckets = counts_.size() + 2;
-  const auto count = [&](std::size_t b) -> std::size_t {
-    if (b == 0) return underflow_;
-    if (b == virtual_buckets - 1) return overflow_;
-    return counts_[b - 1];
-  };
-  const auto lo = [&](std::size_t b) -> double {
-    if (b == 0) return lo_;
-    if (b == virtual_buckets - 1) return bin_hi(counts_.size() - 1);
-    return bin_lo(b - 1);
-  };
-  const auto hi = [&](std::size_t b) -> double {
-    if (b == 0) return lo_;
-    if (b == virtual_buckets - 1) return bin_hi(counts_.size() - 1);
-    return bin_hi(b - 1);
-  };
-  return binned_percentile(rank, virtual_buckets, count, lo, hi);
-}
 
 void Log2Histogram::add(std::uint64_t value) noexcept {
   const auto bucket = static_cast<std::size_t>(std::bit_width(value));

@@ -61,40 +61,6 @@ double percentile(std::vector<double> values, double q);
 /// allocated, so nothing was unfair).
 double jains_index(const std::vector<double>& x);
 
-/// Fixed-width histogram over [lo, hi) with `bins` buckets plus overflow
-/// accounting. Used by batch-profile benches for distribution summaries.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t underflow() const noexcept { return underflow_; }
-  std::size_t overflow() const noexcept { return overflow_; }
-  std::size_t total() const noexcept { return total_; }
-  double bin_lo(std::size_t i) const noexcept;
-  double bin_hi(std::size_t i) const noexcept;
-
-  /// q-th percentile (q in [0,1]) estimated from the binned counts with
-  /// within-bucket interpolation: the c samples of a bucket are treated as
-  /// sitting at the (k + 0.5)/c fractions of the bucket span, so a
-  /// single-element bucket reports its midpoint — NOT its lower bound,
-  /// which would systematically underestimate tail percentiles (p99 of a
-  /// distribution whose tail bucket holds one sample). Underflow samples
-  /// pin to `lo`, overflow samples to `hi`. Empty histogram yields 0.
-  double percentile(double q) const noexcept;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
-
 /// Power-of-two-bucket histogram for nonnegative integer samples
 /// (latencies in ns, byte counts, fault counts). Bucket 0 holds the value
 /// 0; bucket b >= 1 holds [2^(b-1), 2^b). Compact (65 fixed buckets),
@@ -120,9 +86,9 @@ class Log2Histogram {
   static std::uint64_t bucket_lo(std::size_t b) noexcept;
   static std::uint64_t bucket_hi(std::size_t b) noexcept;
 
-  /// q-th percentile (q in [0,1]) with the same within-bucket
-  /// interpolation rule as Histogram::percentile (single-element buckets
-  /// report their midpoint, never the bucket lower bound).
+  /// q-th percentile (q in [0,1]) interpolated within buckets: a
+  /// single-element bucket reports its midpoint, never its lower bound.
+  /// Empty yields 0.
   double percentile(double q) const noexcept;
 
   void merge(const Log2Histogram& other) noexcept;

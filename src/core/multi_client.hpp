@@ -77,15 +77,11 @@ class MultiClientSystem {
   /// every kernel completes.
   MultiClientResult run(const std::vector<WorkloadSpec>& specs);
 
-  std::uint32_t num_clients() const noexcept {
-    return static_cast<std::uint32_t>(tenants_.size());
-  }
   UvmDriver& driver(std::uint32_t client) { return node_.driver(client); }
 
   const TenantConfig& tenant(std::uint32_t client) const {
     return tenants_.at(client);
   }
-  const TenantSchedConfig& sched_config() const noexcept { return sched_; }
 
   /// Client i's private trace; null unless config.obs.trace was set.
   const Tracer* client_tracer(std::uint32_t client) const {

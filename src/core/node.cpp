@@ -579,7 +579,7 @@ NodeResult Node::Chain::finish() {
     for (const std::size_t s : slot.sources) {
       r.kernel_time_ns = std::max(r.kernel_time_ns, result.kernel_ns[s]);
     }
-    for (const BatchRecord& rec : r.log) r.batch_time_ns += rec.duration_ns();
+    r.batch_time_ns = uvmsim::totals(r.log).batch_time_ns;
     compute_ns += r.gpu_compute_ns;
   }
   if (metrics) {

@@ -188,7 +188,6 @@ class GpuEngine {
   std::uint64_t total_faults_emitted() const noexcept { return emitted_; }
   std::uint64_t total_duplicate_emissions() const noexcept { return dups_; }
   std::uint64_t remote_accesses() const noexcept { return remote_accesses_; }
-  std::uint32_t active_warps() const noexcept { return active_warps_; }
   std::uint64_t blocks_retired() const noexcept { return blocks_retired_; }
   std::uint64_t replays_seen() const noexcept { return replays_; }
 

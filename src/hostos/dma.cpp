@@ -5,10 +5,8 @@ namespace uvmsim {
 DmaMapper::MapResult DmaMapper::map_range(PageId first, std::uint32_t count) {
   MapResult out;
   for (std::uint32_t i = 0; i < count; ++i) {
-    const PageId page = first + i;
-    if (reverse_.contains(page)) continue;
-    const auto ins = reverse_.insert(page, next_dma_addr_);
-    next_dma_addr_ += kPageSize;
+    const auto ins = reverse_.insert(first + i);
+    if (!ins.inserted) continue;
     ++out.pages_mapped;
     out.radix_nodes_allocated += ins.nodes_allocated;
     out.radix_grew = out.radix_grew || ins.grew_height;
@@ -24,7 +22,5 @@ DmaMapper::MapResult DmaMapper::map_range(PageId first, std::uint32_t count) {
   }
   return out;
 }
-
-bool DmaMapper::unmap_page(PageId page) { return reverse_.erase(page); }
 
 }  // namespace uvmsim

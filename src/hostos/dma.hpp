@@ -1,5 +1,5 @@
-// DMA mapping service: forward per-page IOMMU mappings plus the reverse
-// (DMA address -> page) radix tree the UVM driver maintains.
+// DMA mapping service: forward per-page IOMMU mappings plus the reverse-map
+// radix tree the UVM driver maintains, keyed by page.
 //
 // Section 5.2: the first time a VABlock is touched, the driver (1) creates
 // DMA mappings for every page so the GPU copy engines can reach host
@@ -40,13 +40,8 @@ class DmaMapper {
   /// block's mapping state before calling in).
   MapResult map_range(PageId first, std::uint32_t count);
 
-  /// Tear down the mapping for one page (used on free, not on eviction —
-  /// UVM keeps DMA mappings alive across migrations).
-  bool unmap_page(PageId page);
-
   bool is_mapped(PageId page) const { return reverse_.contains(page); }
   std::uint64_t mapped_pages() const noexcept { return reverse_.size(); }
-  const RadixTree& reverse_tree() const noexcept { return reverse_; }
 
   /// Attach observability sinks (map-call counters, radix-growth metrics).
   /// Null members = no recording.
@@ -56,7 +51,6 @@ class DmaMapper {
   DmaCostModel model_;
   Obs obs_;
   RadixTree reverse_;
-  std::uint64_t next_dma_addr_ = 0x1000;  // synthetic bus addresses
 };
 
 }  // namespace uvmsim

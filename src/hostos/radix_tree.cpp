@@ -14,8 +14,7 @@ std::unique_ptr<RadixTree::Node> RadixTree::make_node(InsertResult& result) {
   return std::make_unique<Node>();
 }
 
-RadixTree::InsertResult RadixTree::insert(std::uint64_t key,
-                                          std::uint64_t value) {
+RadixTree::InsertResult RadixTree::insert(std::uint64_t key) {
   InsertResult result;
 
   if (!root_) {
@@ -32,7 +31,6 @@ RadixTree::InsertResult RadixTree::insert(std::uint64_t key,
   while (key > max_key_for_height(height_)) {
     auto new_root = make_node(result);
     new_root->child[0] = std::move(root_);
-    new_root->count = 1;
     root_ = std::move(new_root);
     ++height_;
     result.grew_height = true;
@@ -42,81 +40,28 @@ RadixTree::InsertResult RadixTree::insert(std::uint64_t key,
   for (unsigned level = height_; level > 1; --level) {
     const unsigned shift = (level - 1) * kMapShift;
     const auto slot = static_cast<unsigned>((key >> shift) & (kMapSize - 1));
-    if (!node->child[slot]) {
-      node->child[slot] = make_node(result);
-      ++node->count;
-    }
+    if (!node->child[slot]) node->child[slot] = make_node(result);
     node = node->child[slot].get();
   }
 
-  const auto slot = static_cast<unsigned>(key & (kMapSize - 1));
-  if (node->present[slot]) {
-    node->value[slot] = value;  // overwrite, but report "not inserted"
-    return result;
-  }
-  node->present[slot] = true;
-  node->value[slot] = value;
-  ++node->count;
+  const std::uint64_t bit = std::uint64_t{1} << (key & (kMapSize - 1));
+  if (node->present & bit) return result;
+  node->present |= bit;
   ++size_;
   result.inserted = true;
   return result;
 }
 
-std::optional<std::uint64_t> RadixTree::lookup(std::uint64_t key) const {
-  if (!root_ || key > max_key_for_height(height_)) return std::nullopt;
+bool RadixTree::contains(std::uint64_t key) const {
+  if (!root_ || key > max_key_for_height(height_)) return false;
   const Node* node = root_.get();
   for (unsigned level = height_; level > 1; --level) {
     const unsigned shift = (level - 1) * kMapShift;
     const auto slot = static_cast<unsigned>((key >> shift) & (kMapSize - 1));
-    if (!node->child[slot]) return std::nullopt;
-    node = node->child[slot].get();
-  }
-  const auto slot = static_cast<unsigned>(key & (kMapSize - 1));
-  if (!node->present[slot]) return std::nullopt;
-  return node->value[slot];
-}
-
-bool RadixTree::erase(std::uint64_t key) {
-  if (!root_ || key > max_key_for_height(height_)) return false;
-
-  // Remember the path so empty nodes can be pruned bottom-up.
-  std::array<Node*, 11> path{};  // 64-bit keys need at most ceil(64/6) = 11
-  std::array<unsigned, 11> slots{};
-  unsigned depth = 0;
-
-  Node* node = root_.get();
-  for (unsigned level = height_; level > 1; --level) {
-    const unsigned shift = (level - 1) * kMapShift;
-    const auto slot = static_cast<unsigned>((key >> shift) & (kMapSize - 1));
     if (!node->child[slot]) return false;
-    path[depth] = node;
-    slots[depth] = slot;
-    ++depth;
     node = node->child[slot].get();
   }
-
-  const auto slot = static_cast<unsigned>(key & (kMapSize - 1));
-  if (!node->present[slot]) return false;
-  node->present[slot] = false;
-  --node->count;
-  --size_;
-
-  // Prune now-empty nodes (the kernel defers this; eager pruning keeps the
-  // node count an honest measure of memory in use).
-  while (depth > 0 && node->count == 0) {
-    --depth;
-    Node* parent = path[depth];
-    parent->child[slots[depth]].reset();
-    --parent->count;
-    --node_count_;
-    node = parent;
-  }
-  if (root_ && root_->count == 0) {
-    root_.reset();
-    --node_count_;
-    height_ = 0;
-  }
-  return true;
+  return (node->present >> (key & (kMapSize - 1))) & 1;
 }
 
 }  // namespace uvmsim

@@ -5,13 +5,14 @@
 // to time spent inserting into it, with spikes attributed to tree growth.
 // We implement the real data structure — 6-bit fanout, height grows from
 // the root as the key space widens — and count node allocations per insert
-// so the driver can charge growth where it actually happens.
+// so the driver can charge growth where it actually happens. The tree
+// records which keys are present and nothing else: the cost model reads
+// only its shape.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 namespace uvmsim {
 
@@ -31,10 +32,10 @@ class RadixTree {
     bool grew_height = false;    // at least one root-growth step occurred
   };
 
-  InsertResult insert(std::uint64_t key, std::uint64_t value);
-  std::optional<std::uint64_t> lookup(std::uint64_t key) const;
-  bool erase(std::uint64_t key);
-  bool contains(std::uint64_t key) const { return lookup(key).has_value(); }
+  /// Record `key`. Inserting a present key allocates nothing and grows
+  /// nothing.
+  InsertResult insert(std::uint64_t key);
+  bool contains(std::uint64_t key) const;
 
   std::uint64_t size() const noexcept { return size_; }
   std::uint64_t node_count() const noexcept { return node_count_; }
@@ -43,9 +44,7 @@ class RadixTree {
  private:
   struct Node {
     std::array<std::unique_ptr<Node>, kMapSize> child{};
-    std::array<std::uint64_t, kMapSize> value{};
-    std::array<bool, kMapSize> present{};
-    unsigned count = 0;  // occupied slots (children or values)
+    std::uint64_t present = 0;  // leaf: bit s set = slot s holds a key
   };
 
   /// Largest key representable by a tree of the given height.

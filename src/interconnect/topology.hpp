@@ -67,7 +67,6 @@ class Topology {
 
   std::uint32_t num_gpus() const noexcept { return config_.num_gpus; }
   std::uint32_t num_nodes() const noexcept { return config_.num_gpus + 1; }
-  TopologyKind kind() const noexcept { return config_.kind; }
 
   std::size_t num_links() const noexcept { return links_.size(); }
   const LinkDesc& link(std::size_t i) const { return links_.at(i); }

@@ -264,13 +264,15 @@ constexpr void for_each_batch_field(F&& f) {
 
 /// Every timer and counter summed over batches, each widened to 64 bits
 /// under its BatchPhaseTimes or BatchCounters member name (radix_grew
-/// counts the batches whose radix tree grew).
+/// counts the batches whose radix tree grew), plus the batches' durations.
 struct BatchTotals {
 #define UVMSIM_BATCH_TOTAL(type, member, key, metric, group) \
   std::uint64_t member = 0;
   UVMSIM_BATCH_PHASES(UVMSIM_BATCH_TOTAL)
   UVMSIM_BATCH_COUNTERS(UVMSIM_BATCH_TOTAL)
 #undef UVMSIM_BATCH_TOTAL
+  /// Sum of duration_ns(): the time the batches took (Table 4).
+  SimTime batch_time_ns = 0;
 
   void add(const BatchRecord& rec) noexcept {
 #define UVMSIM_BATCH_ADD_PHASE(type, member, key, metric, group) \
@@ -281,9 +283,12 @@ struct BatchTotals {
     UVMSIM_BATCH_COUNTERS(UVMSIM_BATCH_ADD_COUNTER)
 #undef UVMSIM_BATCH_ADD_PHASE
 #undef UVMSIM_BATCH_ADD_COUNTER
+    batch_time_ns += rec.duration_ns();
   }
 
-  /// The phase totals summed: `analyze`'s total batch time.
+  /// The phase totals summed: the servicing work. It equals batch_time_ns
+  /// when servicing is serial and synchronous, and exceeds it once
+  /// parallel workers or async host ops overlap phases.
   SimTime phase_sum() const noexcept {
     return SimTime{0} UVMSIM_BATCH_PHASES(UVMSIM_BATCH_PLUS);
   }

@@ -49,8 +49,6 @@ class TenantScheduler {
   /// `faults` raw fault records serviced for `tenant`.
   void charge(std::size_t tenant, SimTime service_ns, std::uint64_t faults);
 
-  /// Current virtual time of a tenant (stride bookkeeping; test hook).
-  double vtime(std::size_t tenant) const { return vtime_.at(tenant); }
   /// Current DRR deficit of a tenant (test hook).
   double deficit(std::size_t tenant) const { return deficit_.at(tenant); }
 

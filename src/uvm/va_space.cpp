@@ -1,5 +1,6 @@
 #include "uvm/va_space.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace uvmsim {
@@ -28,8 +29,6 @@ const AllocationInfo& VaSpace::allocate(std::uint64_t bytes, std::string name,
   }
   block_alloc_.resize(layout_.total_blocks(), info.id);
   any_host_preferred_ |= advise == MemAdvise::kPreferredLocationHost;
-  vmas_.insert(info.first_page, info.first_page + info.pages, info.id,
-               info.name);
   allocations_.push_back(info);
   apply_host_init(allocations_.back());
   return allocations_.back();
@@ -58,7 +57,6 @@ void VaSpace::apply_host_init(const AllocationInfo& alloc) {
     block(va_block_of(page))
         .set_cpu_initialized(page_index_in_block(page),
                              CpuThreadMask{1} << (toucher % 64));
-    host_pt_.map(page, next_host_frame_++);
   }
 }
 
@@ -66,17 +64,9 @@ MemAdvise VaSpace::advise_of(PageId page) const {
   const VaBlockId b = va_block_of(page);
   if (b >= block_alloc_.size()) return MemAdvise::kNone;
   const AllocationInfo& alloc = allocations_[block_alloc_[b]];
-  // The last block's tail past the allocation belongs to no VMA.
+  // The last block's tail past the allocation belongs to no allocation.
   if (page >= alloc.first_page + alloc.pages) return MemAdvise::kNone;
   return alloc.advise;
-}
-
-std::uint32_t VaSpace::unmap_block_cpu(VaBlockId id) {
-  VaBlockState& b = block(id);
-  const PageId base = first_page_of(id);
-  b.cpu_mapped().for_each_set(
-      [&](std::uint32_t i) { host_pt_.unmap(base + i); });
-  return b.unmap_cpu_pages();
 }
 
 std::uint64_t VaSpace::gpu_resident_pages() const {

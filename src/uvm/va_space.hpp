@@ -1,9 +1,10 @@
 // Managed virtual address space: cudaMallocManaged-style allocations.
 //
 // Allocations are VABlock-aligned (real UVM splits every managed range
-// into 2 MB logical VABlocks, §2.2) and registered as host VMAs. Host
-// initialization patterns record which CPU threads touched which pages —
-// the input to the unmap/TLB-shootdown cost model (Fig 11).
+// into 2 MB logical VABlocks, §2.2). Host initialization patterns record
+// which CPU threads touched which pages in each block's CPU masks, the
+// host's only mapping state and the input to the unmap/TLB-shootdown cost
+// model (Fig 11).
 //
 // The VA space owns GPU residency. It keeps one contiguous PageMask per
 // VABlock, indexed by VaBlockId, so page p is bit p % 64 of word p / 64
@@ -17,8 +18,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "hostos/page_table.hpp"
-#include "hostos/vma.hpp"
 #include "uvm/va_block.hpp"
 
 namespace uvmsim {
@@ -136,17 +135,16 @@ class VaSpace {
   const std::vector<AllocationInfo>& allocations() const noexcept {
     return allocations_;
   }
-  const VmaMap& vmas() const noexcept { return vmas_; }
-  const PageTable& host_page_table() const noexcept { return host_pt_; }
   std::uint64_t total_pages() const noexcept { return layout_.next_free_page(); }
 
   /// Aggregate GPU-resident pages across all blocks (invariant checks).
   std::uint64_t gpu_resident_pages() const;
 
   /// unmap_mapping_range() effect on one VABlock: clear the block's
-  /// CPU-mapped mask and remove the corresponding host PTEs. Returns the
-  /// number of pages unmapped.
-  std::uint32_t unmap_block_cpu(VaBlockId id);
+  /// CPU-mapped mask. Returns the number of pages unmapped.
+  std::uint32_t unmap_block_cpu(VaBlockId id) {
+    return block(id).unmap_cpu_pages();
+  }
 
  private:
   void apply_host_init(const AllocationInfo& alloc);
@@ -156,9 +154,6 @@ class VaSpace {
   std::vector<PageMask> residency_;  // GPU residency, one mask per block
   std::vector<VaBlockState> blocks_;
   std::vector<AllocId> block_alloc_;  // owning allocation of each block
-  VmaMap vmas_;
-  PageTable host_pt_;
-  std::uint64_t next_host_frame_ = 0;
   bool any_retired_ = false;
   bool any_host_preferred_ = false;
 };

@@ -3,6 +3,7 @@
 #include "analysis/ascii_plot.hpp"
 #include "analysis/summary.hpp"
 #include "analysis/table.hpp"
+#include "core/system.hpp"
 
 namespace uvmsim {
 namespace {
@@ -91,6 +92,27 @@ TEST(Summary, TotalsSumFaultCounters) {
   EXPECT_EQ(sum.unique_faults, 12u);
   EXPECT_EQ(sum.dup_same_utlb, 6u);
   EXPECT_EQ(sum.dup_cross_utlb, 2u);
+}
+
+TEST(Summary, BatchTimeSumsDurationsWhilePhaseSumIsTheWork) {
+  // Parallel workers service a batch's VABlocks side by side, so the
+  // phase timers add up to more than the batch took; serial servicing
+  // runs one phase after another, and the two sums agree.
+  const auto run_with = [](DriverParallelismConfig parallelism) {
+    SystemConfig cfg = presets::scaled_titan_v(256);
+    cfg.driver.parallelism = parallelism;
+    System system(cfg);
+    return system.run(make_random(16ULL << 20, 7));
+  };
+  const RunResult parallel = run_with({ServicingPolicy::kPerVaBlock, 4});
+  const BatchTotals par = totals(parallel.log);
+  EXPECT_EQ(parallel.batch_time_ns, par.batch_time_ns);
+  EXPECT_LT(par.batch_time_ns, par.phase_sum());
+
+  const RunResult serial = run_with({ServicingPolicy::kSerial, 1});
+  const BatchTotals ser = totals(serial.log);
+  EXPECT_EQ(serial.batch_time_ns, ser.batch_time_ns);
+  EXPECT_EQ(ser.batch_time_ns, ser.phase_sum());
 }
 
 TEST(BatchRecord, FractionHelpers) {

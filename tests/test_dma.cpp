@@ -62,20 +62,5 @@ TEST(DmaMapper, FirstBlockAllocatesMoreRadixNodesThanSecond) {
   EXPECT_LE(second.radix_nodes_allocated, first.radix_nodes_allocated);
 }
 
-TEST(DmaMapper, UnmapPage) {
-  DmaMapper dma;
-  dma.map_range(10, 4);
-  EXPECT_TRUE(dma.unmap_page(10));
-  EXPECT_FALSE(dma.unmap_page(10));
-  EXPECT_FALSE(dma.is_mapped(10));
-  EXPECT_EQ(dma.mapped_pages(), 3u);
-}
-
-TEST(DmaMapper, ReverseTreeSizeMatchesMappedPages) {
-  DmaMapper dma;
-  dma.map_range(0, 100);
-  EXPECT_EQ(dma.reverse_tree().size(), dma.mapped_pages());
-}
-
 }  // namespace
 }  // namespace uvmsim

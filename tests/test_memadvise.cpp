@@ -30,7 +30,7 @@ TEST(MemAdvise, VaSpaceResolvesAdvicePerAllocation) {
 
 TEST(MemAdvise, AdviceMatchesTheVmaOfEveryPageIncludingBlockTails) {
   // Allocations end mid-block; the rest of their last block belongs to no
-  // VMA and so carries no advice.
+  // allocation and so carries no advice.
   VaSpace space;
   space.allocate(kVaBlockSize + 3 * kPageSize, "a", HostInit::none(),
                  MemAdvise::kPreferredLocationHost);
@@ -44,9 +44,12 @@ TEST(MemAdvise, AdviceMatchesTheVmaOfEveryPageIncludingBlockTails) {
   EXPECT_EQ(space.advise_of(kPagesPerVaBlock + 3), MemAdvise::kNone);
   for (PageId page = 0; page < space.total_pages() + kPagesPerVaBlock;
        ++page) {
-    const auto vma = space.vmas().find(page);
-    const MemAdvise want =
-        vma ? space.allocations()[vma->alloc].advise : MemAdvise::kNone;
+    MemAdvise want = MemAdvise::kNone;
+    for (const AllocationInfo& alloc : space.allocations()) {
+      if (alloc.first_page <= page && page < alloc.first_page + alloc.pages) {
+        want = alloc.advise;
+      }
+    }
     ASSERT_EQ(space.advise_of(page), want) << "page " << page;
   }
 }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <set>
 
 #include "common/rng.hpp"
 
@@ -14,49 +14,52 @@ TEST(RadixTree, EmptyTree) {
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.node_count(), 0u);
   EXPECT_EQ(tree.height(), 0u);
-  EXPECT_FALSE(tree.lookup(0).has_value());
-  EXPECT_FALSE(tree.erase(0));
+  EXPECT_FALSE(tree.contains(0));
 }
 
 TEST(RadixTree, SingleInsertLookup) {
   RadixTree tree;
-  const auto r = tree.insert(5, 500);
+  const auto r = tree.insert(5);
   EXPECT_TRUE(r.inserted);
   EXPECT_EQ(r.nodes_allocated, 1u);  // just the root
   EXPECT_EQ(tree.height(), 1u);
-  ASSERT_TRUE(tree.lookup(5).has_value());
-  EXPECT_EQ(*tree.lookup(5), 500u);
-  EXPECT_FALSE(tree.lookup(6).has_value());
+  EXPECT_TRUE(tree.contains(5));
+  EXPECT_FALSE(tree.contains(6));
 }
 
 TEST(RadixTree, OverwriteReportsNotInserted) {
   RadixTree tree;
-  EXPECT_TRUE(tree.insert(7, 1).inserted);
-  const auto r = tree.insert(7, 2);
+  tree.insert(1ULL << 20);
+  const auto nodes = tree.node_count();
+  EXPECT_TRUE(tree.insert(7).inserted);
+  const auto r = tree.insert(7);
   EXPECT_FALSE(r.inserted);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(*tree.lookup(7), 2u);
+  EXPECT_EQ(r.nodes_allocated, 0u);
+  EXPECT_FALSE(r.grew_height);
+  EXPECT_EQ(tree.size(), 2u);
+  EXPECT_GT(tree.node_count(), nodes);  // 7's path was new the first time
+  EXPECT_TRUE(tree.contains(7));
 }
 
 TEST(RadixTree, HeightGrowsWithKeyMagnitude) {
   RadixTree tree;
-  tree.insert(0, 0);
+  tree.insert(0);
   EXPECT_EQ(tree.height(), 1u);
-  const auto r = tree.insert(1ULL << 30, 1);  // needs ceil(31/6) = 6 levels
+  const auto r = tree.insert(1ULL << 30);  // needs ceil(31/6) = 6 levels
   EXPECT_TRUE(r.grew_height);
   EXPECT_EQ(tree.height(), 6u);
   // Old key still reachable after growth.
-  EXPECT_EQ(*tree.lookup(0), 0u);
-  EXPECT_EQ(*tree.lookup(1ULL << 30), 1u);
+  EXPECT_TRUE(tree.contains(0));
+  EXPECT_TRUE(tree.contains(1ULL << 30));
 }
 
 TEST(RadixTree, GrowthAllocatesMoreNodesThanPlainInsert) {
   RadixTree small;
-  small.insert(0, 0);
+  small.insert(0);
   RadixTree big;
-  big.insert(0, 0);
-  const auto grown = big.insert(1ULL << 40, 1);
-  const auto flat = small.insert(1, 1);
+  big.insert(0);
+  const auto grown = big.insert(1ULL << 40);
+  const auto flat = small.insert(1);
   EXPECT_GT(grown.nodes_allocated, flat.nodes_allocated);
 }
 
@@ -66,74 +69,78 @@ TEST(RadixTree, DenseKeysShareNodes) {
   RadixTree tree;
   unsigned extra_nodes = 0;
   for (std::uint64_t k = 0; k < 64; ++k) {
-    const auto r = tree.insert(k, k);
+    const auto r = tree.insert(k);
     if (k > 0) extra_nodes += r.nodes_allocated;
   }
   EXPECT_EQ(extra_nodes, 0u);
   EXPECT_EQ(tree.size(), 64u);
 }
 
-TEST(RadixTree, EraseRemovesAndPrunes) {
-  RadixTree tree;
-  tree.insert(1ULL << 20, 42);
-  const auto nodes = tree.node_count();
-  EXPECT_GT(nodes, 1u);
-  EXPECT_TRUE(tree.erase(1ULL << 20));
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.node_count(), 0u);  // eager pruning collapses everything
-  EXPECT_FALSE(tree.erase(1ULL << 20));
-}
-
-TEST(RadixTree, EraseKeepsSiblings) {
-  RadixTree tree;
-  tree.insert(100, 1);
-  tree.insert(101, 2);
-  EXPECT_TRUE(tree.erase(100));
-  EXPECT_FALSE(tree.lookup(100).has_value());
-  EXPECT_EQ(*tree.lookup(101), 2u);
-}
-
 TEST(RadixTree, LookupBeyondHeightIsMiss) {
   RadixTree tree;
-  tree.insert(10, 1);
-  EXPECT_FALSE(tree.lookup(1ULL << 50).has_value());
+  tree.insert(10);
+  EXPECT_FALSE(tree.contains(1ULL << 50));
+}
+
+/// The nodes a tree of height `height` over `keys` must hold: one per
+/// distinct key prefix at each level, plus the root-growth chain, which
+/// keeps prefix 0 alive on every level from the first key's height up.
+std::uint64_t expected_nodes(const std::set<std::uint64_t>& keys,
+                             unsigned height, unsigned first_height) {
+  std::uint64_t nodes = 0;
+  for (unsigned level = 1; level <= height; ++level) {
+    const unsigned shift = level * RadixTree::kMapShift;
+    std::set<std::uint64_t> prefixes;
+    for (const std::uint64_t k : keys) {
+      prefixes.insert(shift >= 64 ? 0 : k >> shift);
+    }
+    if (level >= first_height) prefixes.insert(0);
+    nodes += prefixes.size();
+  }
+  return nodes;
 }
 
 class RadixTreeRandomOps : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RadixTreeRandomOps, BehavesLikeOrderedMap) {
-  // Property: against a reference std::map, a random mix of insert,
-  // lookup, and erase over a skewed key distribution always agrees.
+  // Property: against a reference std::set, a random mix of insert and
+  // contains over a skewed key distribution always agrees, and the node
+  // count is what the reference keys force.
   Xoshiro256 rng(GetParam());
   RadixTree tree;
-  std::map<std::uint64_t, std::uint64_t> reference;
+  std::set<std::uint64_t> reference;
+  unsigned first_height = 0;
 
   for (int op = 0; op < 4000; ++op) {
     // Mix dense small keys with sparse huge ones.
     const std::uint64_t key = rng.bernoulli(0.7)
                                   ? rng.uniform(512)
                                   : rng.next() >> (rng.uniform(30));
-    const int what = static_cast<int>(rng.uniform(3));
-    if (what == 0) {
-      const auto r = tree.insert(key, op);
-      EXPECT_EQ(r.inserted, !reference.contains(key));
-      reference[key] = op;
-    } else if (what == 1) {
-      const auto got = tree.lookup(key);
-      const auto it = reference.find(key);
-      EXPECT_EQ(got.has_value(), it != reference.end());
-      if (got && it != reference.end()) {
-        EXPECT_EQ(*got, it->second);
+    if (rng.bernoulli(0.5)) {
+      const unsigned height_before = tree.height();
+      const std::uint64_t nodes_before = tree.node_count();
+      const auto r = tree.insert(key);
+      EXPECT_EQ(r.inserted, reference.insert(key).second);
+      EXPECT_EQ(tree.node_count(), nodes_before + r.nodes_allocated);
+      if (!r.inserted) {
+        EXPECT_EQ(r.nodes_allocated, 0u);
       }
+      EXPECT_EQ(r.grew_height,
+                height_before != 0 && tree.height() > height_before);
+      if (first_height == 0) first_height = tree.height();
     } else {
-      EXPECT_EQ(tree.erase(key), reference.erase(key) > 0);
+      EXPECT_EQ(tree.contains(key), reference.contains(key));
     }
     EXPECT_EQ(tree.size(), reference.size());
+    if (op % 1000 == 999) {
+      EXPECT_EQ(tree.node_count(),
+                expected_nodes(reference, tree.height(), first_height))
+          << "op " << op;
+    }
   }
   // Final sweep: every reference key resolves.
-  for (const auto& [k, v] : reference) {
-    ASSERT_TRUE(tree.lookup(k).has_value()) << k;
-    EXPECT_EQ(*tree.lookup(k), v);
+  for (const std::uint64_t k : reference) {
+    ASSERT_TRUE(tree.contains(k)) << k;
   }
 }
 
@@ -142,12 +149,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RadixTreeRandomOps,
 
 TEST(RadixTree, NodeCountTracksLiveNodes) {
   RadixTree tree;
-  for (std::uint64_t k = 0; k < 1000; ++k) tree.insert(k * 4096, k);
-  const auto peak = tree.node_count();
-  EXPECT_GT(peak, 0u);
-  for (std::uint64_t k = 0; k < 1000; ++k) tree.erase(k * 4096);
-  EXPECT_EQ(tree.node_count(), 0u);
-  EXPECT_EQ(tree.size(), 0u);
+  std::uint64_t allocated = 0;
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    allocated += tree.insert(k * 4096).nodes_allocated;
+  }
+  EXPECT_GT(tree.node_count(), 0u);
+  EXPECT_EQ(tree.node_count(), allocated);
+  // Re-inserting every key allocates nothing.
+  for (std::uint64_t k = 0; k < 1000; ++k) tree.insert(k * 4096);
+  EXPECT_EQ(tree.node_count(), allocated);
+  EXPECT_EQ(tree.size(), 1000u);
 }
 
 }  // namespace

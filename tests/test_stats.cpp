@@ -126,63 +126,6 @@ TEST(Percentile, ClampsQuantile) {
   EXPECT_DOUBLE_EQ(percentile(v, 2.0), 3.0);
 }
 
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1);          // underflow
-  h.add(0.0);         // bin 0
-  h.add(1.99);        // bin 0
-  h.add(2.0);         // bin 1
-  h.add(9.99);        // bin 4
-  h.add(10.0);        // overflow
-  h.add(100.0);       // overflow
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(Histogram, ZeroBinsIsSafe) {
-  Histogram h(0.0, 1.0, 0);
-  h.add(0.5);
-  EXPECT_EQ(h.bins(), 1u);
-  EXPECT_EQ(h.total(), 1u);
-}
-
-// Regression: a tail percentile landing in a bucket that holds a single
-// sample must interpolate to the bucket midpoint, not collapse to the
-// bucket lower bound (which systematically underestimates p99).
-TEST(Histogram, PercentileSingleElementBucketIsNotLowerBound) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 98; ++i) h.add(5.0);  // ranks 0..97 in bucket [0, 10)
-  h.add(85.0);                              // rank 98, alone in [80, 90)
-  h.add(95.0);                              // rank 99, alone in [90, 100)
-  // rank(p99) = 0.99 * 99 = 98.01 -> inside the single-element [80, 90)
-  // bucket; interpolation places it just past that sample's midpoint.
-  const double p99 = h.percentile(0.99);
-  EXPECT_GT(p99, 80.0) << "p99 collapsed to the tail bucket's lower bound";
-  EXPECT_NEAR(p99, 85.1, 1e-9);
-  // The max lands mid-bucket too, never on the 90.0 edge.
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 95.0);
-  // The bulk interpolates within its own bucket: rank 49.5 of the 98
-  // samples filling [0, 10) sits at the (49.5 + 0.5)/98 fraction.
-  EXPECT_NEAR(h.percentile(0.5), 10.0 * 50.0 / 98.0, 1e-9);
-}
-
-TEST(Histogram, PercentileEdgesAndClippedSamples) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);  // empty
-  h.add(-5.0);   // underflow pins to lo
-  h.add(3.0);    // bucket [2, 4)
-  h.add(50.0);   // overflow pins to hi
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 3.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
-}
-
 TEST(Log2Histogram, BucketBoundsAndCounts) {
   Log2Histogram h;
   h.add(0);   // bucket 0: [0, 1)
@@ -205,9 +148,9 @@ TEST(Log2Histogram, BucketBoundsAndCounts) {
   EXPECT_EQ(Log2Histogram::bucket_hi(2), 4u);
 }
 
-// The same regression as Histogram::percentile, on the log2 buckets the
-// MetricsRegistry records: the lone sample in the top bucket must report
-// mid-bucket, not the power-of-two lower edge.
+// Regression: a tail percentile landing in a bucket that holds a single
+// sample must interpolate to the bucket midpoint, not collapse to the
+// power-of-two lower edge (which systematically underestimates p99).
 TEST(Log2Histogram, PercentileSingleElementBucketInterpolates) {
   Log2Histogram h;
   for (int i = 0; i < 98; ++i) h.add(3);  // ranks 0..97 in bucket [2, 4)

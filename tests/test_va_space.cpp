@@ -24,24 +24,12 @@ TEST(VaSpace, AllocationMatchesLayout) {
   EXPECT_EQ(space.allocations().size(), 2u);
 }
 
-TEST(VaSpace, VmaResolvesPagesToAllocations) {
-  VaSpace space;
-  space.allocate(kPageSize * 10, "a", HostInit::none());
-  space.allocate(kPageSize * 10, "b", HostInit::none());
-  const auto hit = space.vmas().find(kPagesPerVaBlock + 5);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->name, "b");
-  // Pages in the alignment gap belong to no VMA.
-  EXPECT_FALSE(space.vmas().find(10).has_value());
-}
-
 TEST(VaSpace, SingleThreadInitMapsEverythingToOneSharer) {
   VaSpace space;
   space.allocate(kPageSize * 100, "a", HostInit::single());
   const auto& block = space.block(0);
   EXPECT_EQ(block.cpu_mapped_count(), 100u);
   EXPECT_EQ(block.cpu_sharers(), 0b1u);
-  EXPECT_EQ(space.host_page_table().mapped_count(), 100u);
 }
 
 TEST(VaSpace, NoneInitLeavesPagesUnpopulated) {
@@ -50,7 +38,6 @@ TEST(VaSpace, NoneInitLeavesPagesUnpopulated) {
   const auto& block = space.block(0);
   EXPECT_EQ(block.cpu_mapped_count(), 0u);
   EXPECT_TRUE(block.populated().none());
-  EXPECT_EQ(space.host_page_table().mapped_count(), 0u);
 }
 
 TEST(VaSpace, InterleavedInitSpreadsSharersAcrossEveryBlock) {
@@ -74,9 +61,8 @@ TEST(VaSpace, ChunkedInitLocalizesSharers) {
 TEST(VaSpace, UnmapBlockCpuClearsPtesAndMask) {
   VaSpace space;
   space.allocate(kVaBlockSize, "a", HostInit::single());
-  EXPECT_EQ(space.host_page_table().mapped_count(), kPagesPerVaBlock);
+  EXPECT_EQ(space.block(0).cpu_mapped_count(), kPagesPerVaBlock);
   EXPECT_EQ(space.unmap_block_cpu(0), kPagesPerVaBlock);
-  EXPECT_EQ(space.host_page_table().mapped_count(), 0u);
   EXPECT_EQ(space.block(0).cpu_mapped_count(), 0u);
   // Idempotent.
   EXPECT_EQ(space.unmap_block_cpu(0), 0u);
