@@ -12,7 +12,6 @@
 #include <cstring>
 
 #include "analysis/table.hpp"
-#include "common/log.hpp"
 #include "core/system.hpp"
 #include "workloads/workload.hpp"
 
@@ -52,7 +51,6 @@ uvmsim::WorkloadSpec pick_workload(const char* name) {
 
 int main(int argc, char** argv) {
   using namespace uvmsim;
-  set_log_level(LogLevel::kInfo);
 
   const auto spec = pick_workload(argc > 1 ? argv[1] : nullptr);
   SystemConfig cfg = presets::scaled_titan_v(256);

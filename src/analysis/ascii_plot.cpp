@@ -10,11 +10,6 @@ namespace {
 
 constexpr char kGlyphs[] = {'.', 'o', '+', 'x', '*', '#', '@', '%', '&', '$'};
 
-double transform(double v, bool log_scale) {
-  if (!log_scale) return v;
-  return std::log10(std::max(v, 1e-12));
-}
-
 std::string format_value(double v) {
   char buf[32];
   if (std::abs(v) >= 1e6 || (std::abs(v) < 1e-2 && v != 0.0)) {
@@ -46,24 +41,20 @@ std::string ScatterPlot::render() const {
   double xmin = std::numeric_limits<double>::infinity(), xmax = -xmin;
   double ymin = xmin, ymax = -xmin;
   for (const auto& p : points_) {
-    const double x = transform(p.x, log_x_);
-    const double y = transform(p.y, log_y_);
-    xmin = std::min(xmin, x);
-    xmax = std::max(xmax, x);
-    ymin = std::min(ymin, y);
-    ymax = std::max(ymax, y);
+    xmin = std::min(xmin, p.x);
+    xmax = std::max(xmax, p.x);
+    ymin = std::min(ymin, p.y);
+    ymax = std::max(ymax, p.y);
   }
   if (xmax == xmin) xmax = xmin + 1;
   if (ymax == ymin) ymax = ymin + 1;
 
   std::vector<std::string> grid(height_, std::string(width_, ' '));
   for (const auto& p : points_) {
-    const double x = transform(p.x, log_x_);
-    const double y = transform(p.y, log_y_);
     const auto col = static_cast<std::size_t>(
-        (x - xmin) / (xmax - xmin) * static_cast<double>(width_ - 1));
+        (p.x - xmin) / (xmax - xmin) * static_cast<double>(width_ - 1));
     const auto row = static_cast<std::size_t>(
-        (y - ymin) / (ymax - ymin) * static_cast<double>(height_ - 1));
+        (p.y - ymin) / (ymax - ymin) * static_cast<double>(height_ - 1));
     char& cell = grid[height_ - 1 - row][col];
     const char glyph = kGlyphs[p.series];
     // Higher-numbered series win collisions so overlays stay visible.
@@ -71,17 +62,13 @@ std::string ScatterPlot::render() const {
   }
 
   std::string out;
-  out += "  " + y_label_ + (log_y_ ? " (log)" : "") + "\n";
+  out += "  " + y_label_ + "\n";
   for (std::size_t r = 0; r < height_; ++r) {
     out += "  |" + grid[r] + "\n";
   }
   out += "  +" + std::string(width_, '-') + "\n";
-  const std::string lo = format_value(points_.empty() ? 0 : (log_x_ ? std::pow(10, xmin) : xmin));
-  const std::string hi = format_value(log_x_ ? std::pow(10, xmax) : xmax);
-  std::string axis = "   " + lo;
-  const std::string label =
-      x_label_ + (log_x_ ? " (log)" : "") + "  [" + lo + " .. " + hi + "]";
-  out += "   x: " + label + "\n";
+  out += "   x: " + x_label_ + "  [" + format_value(xmin) + " .. " +
+         format_value(xmax) + "]\n";
   return out;
 }
 

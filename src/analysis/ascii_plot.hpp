@@ -18,9 +18,6 @@ class ScatterPlot {
   /// overlay categories (e.g. eviction count or VABlock bucket).
   void add(double x, double y, unsigned series = 0);
 
-  void set_log_x(bool on) noexcept { log_x_ = on; }
-  void set_log_y(bool on) noexcept { log_y_ = on; }
-
   /// Render the grid with axis ranges in the margins. Empty plot renders
   /// a placeholder line.
   std::string render() const;
@@ -36,8 +33,6 @@ class ScatterPlot {
   std::string y_label_;
   std::size_t width_;
   std::size_t height_;
-  bool log_x_ = false;
-  bool log_y_ = false;
   std::vector<Point> points_;
 };
 

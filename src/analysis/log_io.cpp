@@ -384,7 +384,6 @@ std::string trace_to_json(const Tracer& tracer) {
     switch (e.kind) {
       case TraceEvent::Kind::kSpan: out += 'X'; break;
       case TraceEvent::Kind::kInstant: out += "i\", \"s\": \"t"; break;
-      case TraceEvent::Kind::kCounter: out += 'C'; break;
     }
     out += "\", \"ts\": ";
     append_us(out, e.begin_ns);
@@ -394,13 +393,7 @@ std::string trace_to_json(const Tracer& tracer) {
     }
     out += ", \"pid\": 0, \"tid\": ";
     out += std::to_string(e.track);
-    if (e.kind == TraceEvent::Kind::kCounter) {
-      out += ", \"args\": {\"value\": ";
-      out += std::to_string(e.value);
-      out += '}';
-    } else if (!e.args.empty()) {
-      append_trace_args(out, e.args);
-    }
+    if (!e.args.empty()) append_trace_args(out, e.args);
     out += '}';
   }
   out += "\n]\n}\n";
@@ -429,8 +422,6 @@ bool read_trace_json(std::istream& in, TraceParseResult& out) {
 
     std::string name, ph, ts_raw, dur_raw, tid_raw, arg_name;
     TraceArgs args;
-    std::uint64_t counter_value = 0;
-    bool has_counter_value = false;
     const bool ok = scan_event_object(
         object,
         [&](const std::string& key, const std::string& value, bool) {
@@ -447,13 +438,7 @@ bool read_trace_json(std::istream& in, TraceParseResult& out) {
             return;
           }
           std::uint64_t v = 0;
-          if (!parse_u64(value, v)) return;
-          if (key == "value") {
-            counter_value = v;
-            has_counter_value = true;
-          } else {
-            args.emplace_back(key, v);
-          }
+          if (parse_u64(value, v)) args.emplace_back(key, v);
         });
     if (!ok) return false;
 
@@ -481,11 +466,6 @@ bool read_trace_json(std::istream& in, TraceParseResult& out) {
       event.kind = TraceEvent::Kind::kInstant;
       event.end_ns = event.begin_ns;
       event.args = std::move(args);
-    } else if (ph == "C") {
-      event.kind = TraceEvent::Kind::kCounter;
-      event.end_ns = event.begin_ns;
-      if (!has_counter_value) return false;
-      event.value = counter_value;
     } else {
       return false;  // not a kind trace_to_json emits
     }

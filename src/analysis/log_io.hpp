@@ -37,7 +37,7 @@ ParseResult read_batch_log(std::istream& in);
 //
 // One event object per line inside "traceEvents": thread-name metadata
 // ("M") first, then every recorded event in emission order — spans as
-// complete events ("X"), instants ("i"), counter samples ("C").
+// complete events ("X") and instants ("i").
 // Timestamps are simulated nanoseconds rendered as microseconds with
 // exactly three fractional digits via integer math, so identical-seed
 // runs serialize byte-identically (no floating-point formatting on the

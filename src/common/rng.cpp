@@ -46,8 +46,4 @@ bool Xoshiro256::bernoulli(double p) noexcept {
   return uniform_real() < p;
 }
 
-Xoshiro256 Xoshiro256::fork() noexcept {
-  return Xoshiro256(next() ^ 0xA5A5A5A5DEADF00DULL);
-}
-
 }  // namespace uvmsim

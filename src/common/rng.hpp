@@ -48,9 +48,6 @@ class Xoshiro256 {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 
-  /// Fork a statistically independent child stream (for per-SM jitter etc.).
-  Xoshiro256 fork() noexcept;
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };

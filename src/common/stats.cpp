@@ -23,24 +23,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double total = n1 + n2;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  mean_ = (n1 * mean_ + n2 * other.mean_) / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 LinearFit linear_fit(const std::vector<double>& x, const std::vector<double>& y) {
   LinearFit fit;
   const std::size_t n = std::min(x.size(), y.size());
@@ -93,41 +75,6 @@ double jains_index(const std::vector<double>& x) {
   return (sum * sum) / (static_cast<double>(x.size()) * sum_sq);
 }
 
-namespace {
-
-/// Binned-percentile walk. `rank` indexes the sorted sample
-/// sequence (0-based, may be fractional); buckets are visited in order via
-/// `count(i)` with value span [lo(i), hi(i)). Within a bucket of c samples
-/// the k-th one is placed at the (k + 0.5)/c fraction of the span, so a
-/// bucket holding a single sample answers with its midpoint. Returning the
-/// raw bucket lower bound here would be wrong: every percentile landing in
-/// a one-element bucket (the common case for p99 in a long tail) would
-/// collapse to the bucket edge and underestimate the tail.
-template <typename Count, typename Lo, typename Hi>
-double binned_percentile(double rank, std::size_t buckets, Count count, Lo lo,
-                         Hi hi) noexcept {
-  double cumulative = 0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    const double c = static_cast<double>(count(b));
-    if (c == 0) continue;
-    if (rank < cumulative + c) {
-      const double within = (rank - cumulative + 0.5) / c;  // (0, 1)
-      return lo(b) + (hi(b) - lo(b)) * within;
-    }
-    cumulative += c;
-  }
-  // rank beyond the last sample (q = 1 with fractional placement): the
-  // top of the highest non-empty bucket's occupied range.
-  for (std::size_t b = buckets; b-- > 0;) {
-    const double c = static_cast<double>(count(b));
-    if (c == 0) continue;
-    return lo(b) + (hi(b) - lo(b)) * (c - 0.5) / c;
-  }
-  return 0.0;
-}
-
-}  // namespace
-
 void Log2Histogram::add(std::uint64_t value) noexcept {
   const auto bucket = static_cast<std::size_t>(std::bit_width(value));
   ++counts_[bucket];
@@ -161,20 +108,33 @@ std::uint64_t Log2Histogram::bucket_hi(std::size_t b) noexcept {
 double Log2Histogram::percentile(double q) const noexcept {
   if (total_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
+  // `rank` indexes the sorted samples (0-based, may be fractional). Within
+  // a bucket of c samples the k-th one is placed at the (k + 0.5)/c
+  // fraction of the bucket's span, so a bucket holding a single sample
+  // answers with its midpoint. Returning the raw bucket lower bound would
+  // be wrong: every percentile landing in a one-element bucket (the common
+  // case for p99 in a long tail) would collapse to the bucket edge and
+  // underestimate the tail.
   const double rank = q * static_cast<double>(total_ - 1);
-  return binned_percentile(
-      rank, kBuckets, [&](std::size_t b) { return counts_[b]; },
-      [](std::size_t b) { return static_cast<double>(bucket_lo(b)); },
-      [](std::size_t b) { return static_cast<double>(bucket_hi(b)); });
-}
-
-void Log2Histogram::merge(const Log2Histogram& other) noexcept {
-  if (other.total_ == 0) return;
-  for (std::size_t b = 0; b < kBuckets; ++b) counts_[b] += other.counts_[b];
-  total_ += other.total_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  double cumulative = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const double c = static_cast<double>(counts_[b]);
+    if (c == 0) continue;
+    if (rank < cumulative + c) {
+      const double within = (rank - cumulative + 0.5) / c;  // (0, 1)
+      const auto lo = static_cast<double>(bucket_lo(b));
+      const auto hi = static_cast<double>(bucket_hi(b));
+      return lo + (hi - lo) * within;
+    }
+    cumulative += c;
+  }
+  // rank beyond the last sample (q = 1 with fractional placement): the
+  // top of the highest non-empty bucket's occupied range.
+  const std::size_t b = used_buckets() - 1;
+  const double c = static_cast<double>(counts_[b]);
+  const auto lo = static_cast<double>(bucket_lo(b));
+  const auto hi = static_cast<double>(bucket_hi(b));
+  return lo + (hi - lo) * (c - 0.5) / c;
 }
 
 }  // namespace uvmsim

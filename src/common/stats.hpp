@@ -26,9 +26,6 @@ class RunningStats {
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
 
-  /// Merge another accumulator into this one (parallel-reduction friendly).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -63,9 +60,9 @@ double jains_index(const std::vector<double>& x);
 
 /// Power-of-two-bucket histogram for nonnegative integer samples
 /// (latencies in ns, byte counts, fault counts). Bucket 0 holds the value
-/// 0; bucket b >= 1 holds [2^(b-1), 2^b). Compact (65 fixed buckets),
-/// mergeable, and cheap enough to sit on the fault path — this is the
-/// MetricsRegistry's distribution primitive.
+/// 0; bucket b >= 1 holds [2^(b-1), 2^b). Compact (65 fixed buckets) and
+/// cheap enough to sit on the fault path — this is the MetricsRegistry's
+/// distribution primitive.
 class Log2Histogram {
  public:
   static constexpr std::size_t kBuckets = 65;
@@ -90,8 +87,6 @@ class Log2Histogram {
   /// single-element bucket reports its midpoint, never its lower bound.
   /// Empty yields 0.
   double percentile(double q) const noexcept;
-
-  void merge(const Log2Histogram& other) noexcept;
 
   friend bool operator==(const Log2Histogram&, const Log2Histogram&) = default;
 

@@ -18,17 +18,13 @@ void EventEngine::run() {
     std::pop_heap(queue_.begin(), queue_.end(), later);
     Event event = std::move(queue_.back());
     queue_.pop_back();
+    if (event.time > now_) stats_.idle_ns_skipped += event.time - now_;
     advance_to(event.time);
     ++stats_.executed;
     event.handler(now_);
   }
 }
 
-void EventEngine::advance_to(SimTime t) {
-  if (t <= now_) return;
-  ++stats_.clock_advances;
-  stats_.idle_ns_skipped += t - now_;
-  now_ = t;
-}
+void EventEngine::advance_to(SimTime t) { now_ = std::max(now_, t); }
 
 }  // namespace uvmsim

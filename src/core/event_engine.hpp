@@ -38,8 +38,9 @@ class EventEngine {
   struct Stats {
     std::uint64_t posted = 0;
     std::uint64_t executed = 0;
-    std::uint64_t idle_ns_skipped = 0; // clock jumped over this much idle
-    std::uint64_t clock_advances = 0;  // advance_to calls that moved time
+    // Clock moves run() made to reach the next event. Time handlers
+    // charge through advance_to/advance_by is busy time, not idle.
+    std::uint64_t idle_ns_skipped = 0;
     std::size_t max_queue_depth = 0;
   };
 

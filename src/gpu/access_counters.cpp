@@ -24,19 +24,9 @@ AccessCounterUnit::AccessCounterUnit(std::uint32_t granularity_pages,
 
 void AccessCounterUnit::record_remote_access(PageId page, std::uint32_t sm,
                                              SimTime now) {
-  record_access(page, sm, now, CounterType::kMimc);
-}
-
-void AccessCounterUnit::record_foreign_access(PageId page, std::uint32_t sm,
-                                              SimTime now) {
-  record_access(page, sm, now, CounterType::kMomc);
-}
-
-void AccessCounterUnit::record_access(PageId page, std::uint32_t sm,
-                                      SimTime now, CounterType type) {
   ++accesses_;
   const std::uint64_t region_key = page / granularity_;
-  Region& region = bank(type)[region_key];
+  Region& region = regions_[region_key];
   ++region.count;
   if (!region.armed || region.count < threshold_) return;
 
@@ -58,7 +48,6 @@ void AccessCounterUnit::record_access(PageId page, std::uint32_t sm,
   n.region_pages = granularity_;
   n.count = region.count;
   n.sm = sm;
-  n.type = type;
   n.arrival_ns = now;
   buffer_.push_back(n);
   ++notified_;
@@ -76,9 +65,9 @@ std::vector<AccessCounterNotification> AccessCounterUnit::drain_arrived(
   return out;
 }
 
-void AccessCounterUnit::clear_region(PageId base_page, CounterType type) {
-  const auto it = bank(type).find(base_page / granularity_);
-  if (it == bank(type).end()) return;
+void AccessCounterUnit::clear_region(PageId base_page) {
+  const auto it = regions_.find(base_page / granularity_);
+  if (it == regions_.end()) return;
   it->second.count = 0;
   it->second.armed = true;
   ++cleared_;

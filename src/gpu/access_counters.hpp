@@ -2,15 +2,13 @@
 // channel next to the replayable-fault path (Volta+; the paper's Titan V
 // testbed exposes both, but only the fault channel is exercised there).
 //
-// Real nvidia-uvm programs two banks of per-region counters:
-//   * MIMC — migratable-memory counters: this GPU's accesses that resolve
-//     over the interconnect to remote (sysmem) pages. Crossing the
-//     threshold tells the driver the region is hot enough that migrating
-//     it to local HBM may beat continued remote access;
-//   * MOMC — non-migratable/other counters: accesses by other processors
-//     to this GPU's local memory. The lock-step single-GPU model never
-//     generates these, but the bank exists so the notification format and
-//     servicing path match the hardware's.
+// Real nvidia-uvm programs two banks of per-region counters. The model
+// has the one the GPU engine feeds, MIMC (migratable-memory counters):
+// this GPU's accesses that resolve over the interconnect to remote
+// (sysmem) pages. Crossing the threshold tells the driver the region is
+// hot enough that migrating it to local HBM may beat continued remote
+// access. The other bank, MOMC (other processors' accesses to this GPU's
+// memory), is not modeled.
 //
 // Mechanics modeled after the hardware registers:
 //   * granularity — pages per counted region (clamped to a power of two
@@ -41,14 +39,11 @@
 
 namespace uvmsim {
 
-enum class CounterType : std::uint8_t { kMimc, kMomc };
-
 struct AccessCounterNotification {
   PageId base_page = 0;          // first page of the notifying region
   std::uint32_t region_pages = 0;
   std::uint32_t count = 0;       // counter value when it crossed
   std::uint32_t sm = 0;          // SM whose access crossed the threshold
-  CounterType type = CounterType::kMimc;
   SimTime arrival_ns = 0;        // GMMU write time into the buffer
 };
 
@@ -71,10 +66,6 @@ class AccessCounterUnit {
   /// notification if it crossed the threshold while armed.
   void record_remote_access(PageId page, std::uint32_t sm, SimTime now);
 
-  /// MOMC hook for remote processors touching local memory. Present for
-  /// interface fidelity; the single-GPU engine never calls it.
-  void record_foreign_access(PageId page, std::uint32_t sm, SimTime now);
-
   /// Driver-side batch fetch: pop up to `max_count` notifications that
   /// have arrived by `now`, oldest first.
   std::vector<AccessCounterNotification> drain_arrived(std::size_t max_count,
@@ -82,7 +73,7 @@ class AccessCounterUnit {
 
   /// Clear-on-service: reset the region's counter and re-arm it so future
   /// traffic can notify again. Idempotent on unknown regions.
-  void clear_region(PageId base_page, CounterType type);
+  void clear_region(PageId base_page);
 
   // ---- Register reads ---------------------------------------------------
   std::uint32_t granularity_pages() const noexcept { return granularity_; }
@@ -110,19 +101,12 @@ class AccessCounterUnit {
     bool armed = true;  // false after a queued notification, until cleared
   };
 
-  void record_access(PageId page, std::uint32_t sm, SimTime now,
-                     CounterType type);
-  std::unordered_map<std::uint64_t, Region>& bank(CounterType type) noexcept {
-    return type == CounterType::kMimc ? mimc_ : momc_;
-  }
-
   std::uint32_t granularity_;
   std::uint32_t threshold_;
   std::size_t capacity_;
   FaultInjector* injector_ = nullptr;  // not owned; null = no injection
 
-  std::unordered_map<std::uint64_t, Region> mimc_;
-  std::unordered_map<std::uint64_t, Region> momc_;
+  std::unordered_map<std::uint64_t, Region> regions_;
   std::deque<AccessCounterNotification> buffer_;
 
   std::uint64_t accesses_ = 0;

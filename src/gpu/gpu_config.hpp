@@ -54,10 +54,9 @@ struct GpuConfig {
   SimTime resident_access_ns = 8;
   // Remote (DMA-mapped) accesses — cudaMemAdvise preferred-location-host
   // pages — fault nothing and migrate nothing, but every warp-level
-  // request crosses the interconnect. The round trip is ~1.2 us; with a
-  // handful of requests in flight the pipelined throughput cost per
-  // request is what bounds a kernel.
-  SimTime remote_access_ns = 1200;
+  // request crosses the interconnect. The round trip is ~1.2 us, but with
+  // a handful of requests in flight the pipelined throughput cost per
+  // request is what bounds a kernel, so that is what the engine charges.
   SimTime remote_request_pipelined_ns = 300;
 
   std::uint32_t num_utlbs() const noexcept {

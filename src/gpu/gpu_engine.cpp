@@ -127,7 +127,7 @@ ResidencyOracle::PageLocation GpuEngine::locate(
   return residency.classify(page);
 }
 
-bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
+void GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
                              const ResidencyOracle& residency,
                              ResidencyOracle::Table table, bool replayed,
                              GenerateResult& result) {
@@ -235,7 +235,6 @@ bool GpuEngine::advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
     progressed = true;
   }
   if (!progressed) ++idle_visits_;
-  return progressed;
 }
 
 GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
@@ -269,10 +268,7 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
           if (kernel_->compute_ns(warp.group) != 0) block_phase(block);
           continue;
         }
-        if (advance_warp(block, warp, now, residency, table, replayed,
-                         result)) {
-          result.made_progress = true;
-        }
+        advance_warp(block, warp, now, residency, table, replayed, result);
         if (warp.finished()) {
           --block.live_warps;
           --active_warps_;

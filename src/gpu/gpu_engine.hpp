@@ -139,7 +139,6 @@ class GpuEngine {
     std::uint32_t duplicate_pushes = 0;
     std::uint64_t remote_requests = 0;  // warp requests served over DMA
     SimTime compute_ns = 0;  // wall-clock contribution of completed groups
-    bool made_progress = false;
   };
 
   /// Let every runnable warp issue accesses until all are stalled on
@@ -233,7 +232,7 @@ class GpuEngine {
   ResidencyOracle::PageLocation locate(PageId page,
                                        const ResidencyOracle& residency,
                                        ResidencyOracle::Table table);
-  bool advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
+  void advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
                     const ResidencyOracle& residency,
                     ResidencyOracle::Table table, bool replayed,
                     GenerateResult& result);

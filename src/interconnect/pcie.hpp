@@ -25,11 +25,6 @@ class PcieLink {
   /// Time for one DMA operation moving `bytes` in either direction.
   SimTime transfer_time(std::uint64_t bytes) const noexcept;
 
-  /// Latency from GMMU raising an interrupt to the host ISR running.
-  SimTime interrupt_latency() const noexcept {
-    return config_.interrupt_latency_ns;
-  }
-
   const PcieConfig& config() const noexcept { return config_; }
 
  private:

@@ -42,18 +42,4 @@ const Log2Histogram* MetricsRegistry::histogram(
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void MetricsRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) add(name, value);
-  for (const auto& [name, value] : other.gauges_) set_gauge(name, value);
-  for (const auto& [name, hist] : other.histograms_) {
-    slot(histograms_, name, [] { return Log2Histogram{}; }).merge(hist);
-  }
-}
-
 }  // namespace uvmsim

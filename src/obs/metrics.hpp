@@ -63,11 +63,6 @@ class MetricsRegistry {
   bool empty() const noexcept {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
-  void clear();
-
-  /// Fold another registry into this one (counters add, gauges take the
-  /// other's value, histograms merge) — multi-System aggregation.
-  void merge(const MetricsRegistry& other);
 
  private:
   std::map<std::string, std::uint64_t, std::less<>> counters_;

@@ -23,8 +23,6 @@ struct ObsConfig {
 struct Obs {
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
-
-  bool any() const noexcept { return tracer || metrics; }
 };
 
 }  // namespace uvmsim

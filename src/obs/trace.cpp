@@ -32,25 +32,8 @@ void Tracer::instant(TrackId track, std::string name, SimTime at_ns,
   events_.push_back(std::move(e));
 }
 
-void Tracer::counter(TrackId track, std::string name, SimTime at_ns,
-                     std::uint64_t value) {
-  TraceEvent e;
-  e.kind = TraceEvent::Kind::kCounter;
-  e.name = std::move(name);
-  e.track = track;
-  e.begin_ns = at_ns;
-  e.end_ns = at_ns;
-  e.value = value;
-  events_.push_back(std::move(e));
-}
-
 void Tracer::set_track_name(TrackId track, std::string name) {
   track_names_[track] = std::move(name);
-}
-
-void Tracer::clear() {
-  events_.clear();
-  track_names_.clear();
 }
 
 }  // namespace uvmsim

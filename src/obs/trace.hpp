@@ -50,15 +50,13 @@ struct TraceEvent {
   enum class Kind : std::uint8_t {
     kSpan,     // [begin_ns, end_ns] interval ("X" complete event)
     kInstant,  // point event at begin_ns ("i")
-    kCounter,  // sampled value at begin_ns ("C"), payload in `value`
   };
 
   Kind kind = Kind::kSpan;
   std::string name;
   TrackId track = 0;
   SimTime begin_ns = 0;
-  SimTime end_ns = 0;        // == begin_ns for instants and counters
-  std::uint64_t value = 0;   // kCounter sample
+  SimTime end_ns = 0;  // == begin_ns for instants
   TraceArgs args;
 
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
@@ -76,10 +74,6 @@ class Tracer {
   void instant(TrackId track, std::string name, SimTime at_ns,
                TraceArgs args = {});
 
-  /// Record a sampled counter value (rendered as a counter track).
-  void counter(TrackId track, std::string name, SimTime at_ns,
-               std::uint64_t value);
-
   /// Name a track for the viewer; idempotent (last writer wins).
   void set_track_name(TrackId track, std::string name);
 
@@ -89,7 +83,6 @@ class Tracer {
   }
   std::size_t size() const noexcept { return events_.size(); }
   bool empty() const noexcept { return events_.empty(); }
-  void clear();
 
  private:
   std::vector<TraceEvent> events_;

@@ -44,8 +44,7 @@ void CounterServicer::promote_peer_block(VaBlockId id, VaBlockState& block,
   }
   if (target == owner) return;
   if (gpus_[target].memory.full() &&
-      !(config_.access_counters.evict_for_promotion &&
-        config_.eviction_enabled)) {
+      !config_.access_counters.evict_for_promotion) {
     return;  // opportunistic promotion only, same as the host path
   }
 
@@ -111,9 +110,8 @@ void CounterServicer::service(AccessCounterUnit& unit, BatchRecord& record) {
 
   for (const auto& n : batch) {
     // Clear-on-service: re-arm the region whether or not it migrates.
-    unit.clear_region(n.base_page, n.type);
+    unit.clear_region(n.base_page);
     record.phases.counter_ns += cfg.clear_ns;
-    if (n.type != CounterType::kMimc) continue;  // MOMC: no local promotion
 
     const VaBlockId block_id = va_block_of(n.base_page);
     if (!space_.has_block(block_id)) continue;
@@ -140,7 +138,7 @@ void CounterServicer::service(AccessCounterUnit& unit, BatchRecord& record) {
     // re-armed by the clear above, pin intact — and retries on the next
     // threshold crossing.
     if (!block.has_chunk() && gpus_[target].memory.full() &&
-        !(cfg.evict_for_promotion && config_.eviction_enabled)) {
+        !cfg.evict_for_promotion) {
       continue;
     }
 

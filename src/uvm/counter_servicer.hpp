@@ -7,7 +7,7 @@
 // (UvmDriver::handle_batch). A pass:
 //
 //   batch-fetch notifications arrived by the batch's end
-//   -> per MIMC notification:
+//   -> per notification:
 //        clear-on-service (re-arm the region's counter)
 //        -> pick as migration candidate unless its allocation is
 //           advised-host (explicit placement advice wins by default)

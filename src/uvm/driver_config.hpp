@@ -16,11 +16,10 @@
 #include "hostos/unmap.hpp"
 #include "interconnect/topology.hpp"
 #include "obs/obs.hpp"
+#include "uvm/eviction.hpp"
 #include "uvm/thrashing.hpp"
 
 namespace uvmsim {
-
-enum class EvictPolicy : std::uint8_t { kLru, kFifo };
 
 /// How the driver worker schedules one batch's independent work units
 /// (paper §6: the driver is a serial bottleneck; the authors weigh
@@ -177,7 +176,6 @@ struct DriverConfig {
   bool prefetch_enabled = true;       // uvm_perf_prefetch_enable
   double prefetch_threshold = 0.51;   // density needed to pull a tree node
   bool big_page_promotion = true;     // 4 KB -> 64 KB upgrade (x86 runtime)
-  bool eviction_enabled = true;
   EvictPolicy evict_policy = EvictPolicy::kLru;
   bool flush_on_replay = true;        // drop un-fetched faults at replay
 
@@ -238,10 +236,6 @@ struct DriverConfig {
   // ---- Host OS components ---------------------------------------------
   UnmapCostModel unmap{};
   DmaCostModel dma{};
-
-  // ---- Instrumentation --------------------------------------------------
-  bool record_per_sm_counts = true;     // Table 2 statistics
-  bool record_vablock_detail = true;    // Table 3 / case-study figures
 };
 
 /// Whether the driver's per-phase spans are valid on a timeline: each

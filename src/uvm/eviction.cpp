@@ -5,7 +5,7 @@ namespace uvmsim {
 void Evictor::touch(VaBlockId block) {
   auto it = index_.find(block);
   if (it != index_.end()) {
-    if (policy_ == Policy::kFifo) return;  // FIFO ignores re-touches
+    if (policy_ == EvictPolicy::kFifo) return;  // FIFO ignores re-touches
     order_.erase(it->second);
     index_.erase(it);
   }

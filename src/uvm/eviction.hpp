@@ -17,11 +17,11 @@
 
 namespace uvmsim {
 
+enum class EvictPolicy : std::uint8_t { kLru, kFifo };
+
 class Evictor {
  public:
-  enum class Policy : std::uint8_t { kLru, kFifo };
-
-  explicit Evictor(Policy policy = Policy::kLru) : policy_(policy) {}
+  explicit Evictor(EvictPolicy policy = EvictPolicy::kLru) : policy_(policy) {}
 
   /// Record that `block` is resident and was just serviced. Under LRU an
   /// existing entry moves to most-recent; under FIFO insertion order is
@@ -42,10 +42,10 @@ class Evictor {
 
   bool tracks(VaBlockId block) const { return index_.contains(block); }
   std::size_t tracked() const noexcept { return order_.size(); }
-  Policy policy() const noexcept { return policy_; }
+  EvictPolicy policy() const noexcept { return policy_; }
 
  private:
-  Policy policy_;
+  EvictPolicy policy_;
   std::list<VaBlockId> order_;  // front = oldest / least recent
   std::unordered_map<VaBlockId, std::list<VaBlockId>::iterator> index_;
 };

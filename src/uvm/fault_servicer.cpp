@@ -116,9 +116,7 @@ void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
                       "evict", evict_t0, record.start_ns + record.phases.sum(),
                       {{"victim", *victim}, {"pages_written_back", resident}});
   }
-  if (config_.record_vablock_detail) {
-    record.evicted_blocks.push_back(*victim);
-  }
+  record.evicted_blocks.push_back(*victim);
 }
 
 void FaultServicer::release_to_host(std::uint32_t gpu, VaBlockId id,
@@ -140,10 +138,6 @@ GpuMemory::ChunkId FaultServicer::alloc_chunk(std::uint32_t gpu,
                                               EvictFor path) {
   for (;;) {
     if (const auto chunk = gpus_[gpu].memory.alloc_chunk()) return *chunk;
-    if (!config_.eviction_enabled) {
-      throw std::runtime_error(
-          "uvmsim: GPU memory oversubscribed with eviction disabled");
-    }
     evict_one(gpu, protect, record, path);
   }
 }
@@ -268,21 +262,10 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
   record.phases.fetch_ns =
       config_.batch_fixed_ns + config_.per_fault_fetch_ns * raw.size();
 
-  // The live per-SM servicing model needs the per-SM counts even when the
-  // Table-2 instrumentation is switched off.
   const bool parallel = config_.parallelism.active();
-  const bool need_sm_counts =
-      config_.record_per_sm_counts ||
-      (parallel && config_.parallelism.policy == ServicingPolicy::kPerSm);
-  std::vector<std::uint16_t> sm_counts;
-  if (need_sm_counts) {
-    sm_counts.assign(num_sms_, 0);
-    for (const auto& f : raw) {
-      if (f.sm < num_sms_) ++sm_counts[f.sm];
-    }
-  }
-  if (config_.record_per_sm_counts) record.faults_per_sm = sm_counts;
+  record.faults_per_sm.assign(num_sms_, 0);
   for (const auto& f : raw) {
+    if (f.sm < num_sms_) ++record.faults_per_sm[f.sm];
     switch (f.access) {
       case AccessType::kRead: ++record.counters.read_faults; break;
       case AccessType::kWrite: ++record.counters.write_faults; break;
@@ -338,10 +321,8 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
     VaBlockState& block = space_.block(block_id);
     const SimTime block_cost_start = record.phases.sum();
     record.phases.vablock_ns += config_.per_vablock_ns;
-    if (config_.record_vablock_detail) {
-      record.vablock_faults.emplace_back(
-          block_id, static_cast<std::uint16_t>(faults.size()));
-    }
+    record.vablock_faults.emplace_back(
+        block_id, static_cast<std::uint16_t>(faults.size()));
 
     // Close out this block's accounting (shared by the early-exit paths
     // below and the normal path at the bottom of the loop).
@@ -351,9 +332,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
         block_costs.push_back(block_cost);
         if (tracer) block_order.push_back(block_id);
       }
-      if (config_.record_vablock_detail) {
-        record.vablock_service_ns.emplace_back(block_id, block_cost);
-      }
+      record.vablock_service_ns.emplace_back(block_id, block_cost);
       if (detailed) {
         tracer->span(tracks::kDriver, "vablock", start + block_cost_start,
                      start + block_cost_start + block_cost,
@@ -494,9 +473,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
 
     if (!block.ever_on_gpu()) {
       ++record.counters.first_touch_vablocks;
-      if (config_.record_vablock_detail) {
-        record.first_touch_blocks.push_back(block_id);
-      }
+      record.first_touch_blocks.push_back(block_id);
       block.set_ever_on_gpu();
     }
 
@@ -631,7 +608,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
     } else {
       SimTime parallel_work = 0;
       for (const SimTime cost : block_costs) parallel_work += cost;
-      jobs = split_by_share(parallel_work, sm_counts);
+      jobs = split_by_share(parallel_work, record.faults_per_sm);
     }
     const BatchSchedule sched =
         schedule_batch(critical_path, jobs, config_.parallelism.workers);

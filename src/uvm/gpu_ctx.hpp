@@ -17,7 +17,7 @@
 namespace uvmsim {
 
 struct GpuMemCtx {
-  GpuMemCtx(std::uint64_t bytes, Evictor::Policy policy)
+  GpuMemCtx(std::uint64_t bytes, EvictPolicy policy)
       : memory(bytes), evictor(policy) {}
 
   GpuMemory memory;

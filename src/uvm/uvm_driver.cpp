@@ -34,13 +34,10 @@ DriverConfig validated(DriverConfig config, std::uint64_t gpu_memory_bytes) {
 
 GpuMemCtxs make_gpus(const DriverConfig& config,
                      std::uint64_t gpu_memory_bytes) {
-  const Evictor::Policy policy = config.evict_policy == EvictPolicy::kLru
-                                     ? Evictor::Policy::kLru
-                                     : Evictor::Policy::kFifo;
   GpuMemCtxs gpus;
   gpus.reserve(config.multi_gpu.num_gpus);
   for (std::uint32_t g = 0; g < config.multi_gpu.num_gpus; ++g) {
-    gpus.emplace_back(gpu_memory_bytes, policy);
+    gpus.emplace_back(gpu_memory_bytes, config.evict_policy);
   }
   return gpus;
 }
@@ -112,13 +109,11 @@ const BatchRecord& UvmDriver::handle_batch(const std::vector<FaultRecord>& raw,
     }
   }
 
-  if (obs_.any()) {
-    if (obs_.tracer && record.counters.buffer_dropped > 0) {
-      obs_.tracer->instant(tracks::kDriver, "buffer_overflow", record.start_ns,
-                           {{"dropped", record.counters.buffer_dropped}});
-    }
-    record_batch_metrics(record);
+  if (obs_.tracer && record.counters.buffer_dropped > 0) {
+    obs_.tracer->instant(tracks::kDriver, "buffer_overflow", record.start_ns,
+                         {{"dropped", record.counters.buffer_dropped}});
   }
+  record_batch_metrics(record);
 
   log_.push_back(std::move(record));
   return log_.back();
@@ -131,7 +126,7 @@ const BatchRecord& UvmDriver::service_counter_interrupt(SimTime start) {
   record.end_ns = start;
   counter_servicer_.service(*counters_, record);
   clock_ns_ = record.end_ns;
-  if (obs_.any()) record_batch_metrics(record);
+  record_batch_metrics(record);
   log_.push_back(std::move(record));
   return log_.back();
 }
@@ -143,7 +138,7 @@ const BatchRecord& UvmDriver::service_channel_reset(SimTime start) {
   recovery_.channel_reset(record);
   record.end_ns = start + record.phases.sum();
   clock_ns_ = record.end_ns;
-  if (obs_.any()) record_batch_metrics(record);
+  record_batch_metrics(record);
   log_.push_back(std::move(record));
   return log_.back();
 }
@@ -155,7 +150,7 @@ const BatchRecord& UvmDriver::service_gpu_reset(SimTime start) {
   record.end_ns = start;  // full_gpu_reset extends by what it charges
   recovery_.full_gpu_reset(record);
   clock_ns_ = record.end_ns;
-  if (obs_.any()) record_batch_metrics(record);
+  record_batch_metrics(record);
   log_.push_back(std::move(record));
   return log_.back();
 }

@@ -142,7 +142,6 @@ class UvmDriver final : public ResidencyOracle {
     return gpus_.at(gpu).memory;
   }
   const Topology& topology() const noexcept { return topo_; }
-  const DmaMapper& dma() const noexcept { return dma_; }
   PcieLink& pcie() noexcept { return pcie_; }
   const CopyEngine& copy_engine() const noexcept { return copy_; }
   const ThrashingDetector& thrashing() const noexcept { return thrash_; }
@@ -211,7 +210,8 @@ class UvmDriver final : public ResidencyOracle {
 
   /// Mirror one completed batch into the metrics registry: every timer and
   /// counter under its metric name (differential-testable against the
-  /// batch log), and per-batch shape distributions as histograms.
+  /// batch log), and per-batch shape distributions as histograms. A no-op
+  /// when metrics are off.
   void record_batch_metrics(const BatchRecord& record);
 
   DriverConfig config_;

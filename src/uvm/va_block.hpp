@@ -43,7 +43,6 @@ class VaBlockState {
 
   // -- Residency masks ----------------------------------------------------
   const PageMask& gpu_resident() const noexcept { return (*residency_)[id_]; }
-  const PageMask& cpu_mapped() const noexcept { return cpu_mapped_; }
   const PageMask& host_data() const noexcept { return host_data_; }
   const PageMask& populated() const noexcept { return populated_; }
   const PageMask& retired() const noexcept { return retired_; }

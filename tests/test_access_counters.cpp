@@ -44,7 +44,6 @@ TEST(AccessCounterUnit, NotifiesExactlyAtThreshold) {
   EXPECT_EQ(drained[0].region_pages, 4u);
   EXPECT_EQ(drained[0].count, 8u);
   EXPECT_EQ(drained[0].sm, 3u);
-  EXPECT_EQ(drained[0].type, CounterType::kMimc);
   EXPECT_EQ(drained[0].arrival_ns, 200u);
   EXPECT_EQ(unit.total_notifications(), 1u);
 }
@@ -57,7 +56,7 @@ TEST(AccessCounterUnit, DisarmedRegionStaysSilentUntilCleared) {
   EXPECT_EQ(unit.total_notifications(), 1u);
 
   unit.drain_arrived(16, 100);
-  unit.clear_region(0, CounterType::kMimc);
+  unit.clear_region(0);
   EXPECT_EQ(unit.total_cleared(), 1u);
   // Clear-on-service reset the count: 8 fresh accesses re-notify.
   for (int i = 0; i < 7; ++i) unit.record_remote_access(1, 0, 200 + i);
@@ -122,16 +121,6 @@ TEST(AccessCounterUnit, DrainRespectsArrivalTimeAndBatchSize) {
   EXPECT_EQ(first[1].base_page, 1u);
   EXPECT_EQ(unit.drain_arrived(16, 3000).size(), 1u);
   EXPECT_EQ(unit.pending(), 3u);
-}
-
-TEST(AccessCounterUnit, MomcBankIsIndependent) {
-  AccessCounterUnit unit(4, 2, 16);
-  unit.record_remote_access(0, 0, 0);   // MIMC region [0, 4): count 1
-  unit.record_foreign_access(0, 0, 1);  // MOMC region [0, 4): count 1
-  EXPECT_EQ(unit.pending(), 0u);        // neither bank crossed
-  unit.record_foreign_access(1, 0, 2);
-  ASSERT_EQ(unit.pending(), 1u);
-  EXPECT_EQ(unit.drain_arrived(1, 10)[0].type, CounterType::kMomc);
 }
 
 // ---- Batch-log serialization ----------------------------------------------

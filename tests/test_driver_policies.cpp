@@ -149,20 +149,6 @@ TEST(DuplicateModel, HigherDupProbabilityInflatesRawFaults) {
   EXPECT_GT(dup_ratio(0.9), dup_ratio(0.0));
 }
 
-TEST(RecordingToggles, DetailVectorsCanBeDisabled) {
-  SystemConfig cfg = base_config();
-  cfg.driver.record_per_sm_counts = false;
-  cfg.driver.record_vablock_detail = false;
-  System system(cfg);
-  const auto result = system.run(make_vecadd_coalesced(1 << 14));
-  for (const auto& rec : result.log) {
-    EXPECT_TRUE(rec.faults_per_sm.empty());
-    EXPECT_TRUE(rec.vablock_faults.empty());
-    EXPECT_TRUE(rec.first_touch_blocks.empty());
-    EXPECT_TRUE(rec.evicted_blocks.empty());
-  }
-}
-
 // Configs no run can complete are rejected when the driver is built, not
 // discovered as a livelock (a zero fetch limit services empty batches
 // forever) or an abort (no chunk to back the first fault).

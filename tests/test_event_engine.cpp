@@ -61,6 +61,16 @@ TEST(EventEngine, SkipsIdleGapsInEventMode) {
   EXPECT_EQ(eng.stats().idle_ns_skipped, 1'000'000u);
 }
 
+TEST(EventEngine, HandlerChargesAreNotIdle) {
+  // The clock jump to the event is idle; the service time its handler
+  // charges is not.
+  EventEngine eng;
+  eng.post(100, components::kDriver, [&](SimTime) { eng.advance_by(50); });
+  eng.run();
+  EXPECT_EQ(eng.now(), 150u);
+  EXPECT_EQ(eng.stats().idle_ns_skipped, 100u);
+}
+
 TEST(EventEngine, PastTimePostFiresAtCurrentNow) {
   EventEngine eng;
   eng.post(500, components::kGpu, [](SimTime) {});

@@ -12,7 +12,7 @@ TEST(Evictor, EmptyHasNoVictim) {
 }
 
 TEST(Evictor, LruPicksLeastRecentlyTouched) {
-  Evictor ev(Evictor::Policy::kLru);
+  Evictor ev(EvictPolicy::kLru);
   ev.touch(1);
   ev.touch(2);
   ev.touch(3);
@@ -43,7 +43,7 @@ TEST(Evictor, RemoveUntracksBlock) {
 TEST(Evictor, FifoIgnoresRetouches) {
   // The paper: with no page-hit information, "LRU" degrades toward
   // earliest-allocated; FIFO models that exactly and serves as ablation.
-  Evictor ev(Evictor::Policy::kFifo);
+  Evictor ev(EvictPolicy::kFifo);
   ev.touch(1);
   ev.touch(2);
   ev.touch(1);  // no effect under FIFO
@@ -51,7 +51,7 @@ TEST(Evictor, FifoIgnoresRetouches) {
 }
 
 TEST(Evictor, LruFullCycle) {
-  Evictor ev(Evictor::Policy::kLru);
+  Evictor ev(EvictPolicy::kLru);
   for (VaBlockId b = 0; b < 10; ++b) ev.touch(b);
   // Evict in order when never re-touched: 0, 1, 2, ...
   for (VaBlockId b = 0; b < 9; ++b) {
@@ -64,8 +64,8 @@ TEST(Evictor, LruFullCycle) {
 }
 
 TEST(Evictor, PolicyAccessor) {
-  EXPECT_EQ(Evictor(Evictor::Policy::kFifo).policy(), Evictor::Policy::kFifo);
-  EXPECT_EQ(Evictor().policy(), Evictor::Policy::kLru);
+  EXPECT_EQ(Evictor(EvictPolicy::kFifo).policy(), EvictPolicy::kFifo);
+  EXPECT_EQ(Evictor().policy(), EvictPolicy::kLru);
 }
 
 }  // namespace

@@ -128,15 +128,5 @@ TEST(VaBlockServiceDetail, RecordedTimesSumWithinBatchDuration) {
   }
 }
 
-TEST(VaBlockServiceDetail, DisabledWithDetailToggle) {
-  SystemConfig cfg = base_config();
-  cfg.driver.record_vablock_detail = false;
-  System system(cfg);
-  const auto result = system.run(make_stream_triad(1 << 14));
-  for (const auto& rec : result.log) {
-    EXPECT_TRUE(rec.vablock_service_ns.empty());
-  }
-}
-
 }  // namespace
 }  // namespace uvmsim

@@ -25,7 +25,7 @@ struct Rig {
                FaultInjector* injector = nullptr)
       : config(cfg),
         topo(TopologyConfig{}, PcieConfig{}),
-        gpus{GpuMemCtx(gpu_bytes, Evictor::Policy::kLru)},
+        gpus{GpuMemCtx(gpu_bytes, EvictPolicy::kLru)},
         memory(gpus[0].memory),
         copy(topo),
         dma(cfg.dma),
@@ -212,15 +212,6 @@ TEST(FaultServicer, EvictedDataMigratesBackFromHost) {
   // The page's authoritative copy was written back to host frames at
   // eviction, so the reload is a migration (bytes_h2d), not population.
   EXPECT_EQ(back.counters.bytes_h2d, kPageSize);
-}
-
-TEST(FaultServicer, EvictionDisabledThrowsOnExhaustion) {
-  DriverConfig cfg = Rig::plain_config();
-  cfg.eviction_enabled = false;
-  Rig rig(cfg, 1 * kVaBlockSize);
-  rig.space.allocate(2 * kVaBlockSize, "a", HostInit::single());
-  rig.service({fault(0)});
-  EXPECT_THROW(rig.service({fault(kPagesPerVaBlock)}), std::runtime_error);
 }
 
 TEST(FaultServicer, PrefetchExpandsMigration) {

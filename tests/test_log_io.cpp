@@ -202,5 +202,20 @@ TEST(LogIo, RealRunRoundTripsExactly) {
   }
 }
 
+TEST(LogIo, TraceArgNamedValueSurvivesRoundTrip) {
+  // "value" is an arg name like any other: a span and an instant that
+  // carry it parse back with every arg, in order.
+  Tracer tracer;
+  tracer.set_track_name(tracks::kDriver, "driver");
+  tracer.span(tracks::kDriver, "copy", 1000, 4000,
+              {{"value", 7}, {"pages", 3}});
+  tracer.instant(tracks::kSim, "mark", 2500, {{"pages", 1}, {"value", 9}});
+  std::istringstream in(trace_to_json(tracer));
+  TraceParseResult parsed;
+  ASSERT_TRUE(read_trace_json(in, parsed));
+  EXPECT_EQ(parsed.events, tracer.events());
+  EXPECT_EQ(parsed.track_names, tracer.track_names());
+}
+
 }  // namespace
 }  // namespace uvmsim

@@ -20,13 +20,6 @@ TEST(PcieLink, TransferTimeIsLatencyPlusWire) {
   EXPECT_EQ(link.transfer_time(1), 1000u);  // sub-ns wire time truncates
 }
 
-TEST(PcieLink, InterruptLatencyFromConfig) {
-  PcieConfig cfg;
-  cfg.interrupt_latency_ns = 777;
-  PcieLink link(cfg);
-  EXPECT_EQ(link.interrupt_latency(), 777u);
-}
-
 /// The copy engine of a one-GPU node: one PCIe link, host <-> GPU 0.
 struct SingleGpu {
   Topology topo{TopologyConfig{}, PcieConfig{}};

@@ -75,15 +75,6 @@ TEST(Xoshiro256, BernoulliRateRoughlyMatchesP) {
   EXPECT_NEAR(rate, 0.3, 0.02);
 }
 
-TEST(Xoshiro256, ForkProducesIndependentStream) {
-  Xoshiro256 parent(23);
-  Xoshiro256 child = parent.fork();
-  // The two streams should not be identical over a window.
-  bool differs = false;
-  for (int i = 0; i < 10 && !differs; ++i) differs = parent.next() != child.next();
-  EXPECT_TRUE(differs);
-}
-
 TEST(Xoshiro256, MeanOfUniformRealIsCentered) {
   Xoshiro256 rng(29);
   double sum = 0;

@@ -37,47 +37,6 @@ TEST(RunningStats, SingleSampleHasZeroVariance) {
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
 }
 
-class StatsMergeTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(StatsMergeTest, MergeMatchesSequential) {
-  // Property: splitting a sample at any point and merging the halves gives
-  // the same statistics as a single pass.
-  Xoshiro256 rng(GetParam());
-  std::vector<double> data;
-  const int n = 500 + GetParam() * 37;
-  for (int i = 0; i < n; ++i) data.push_back(rng.uniform_real() * 100 - 50);
-
-  RunningStats whole;
-  for (double x : data) whole.add(x);
-
-  const std::size_t split = data.size() / (2 + GetParam() % 3);
-  RunningStats a, b;
-  for (std::size_t i = 0; i < split; ++i) a.add(data[i]);
-  for (std::size_t i = split; i < data.size(); ++i) b.add(data[i]);
-  a.merge(b);
-
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-7);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StatsMergeTest, ::testing::Range(0, 8));
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
 TEST(LinearFit, ExactLine) {
   std::vector<double> x, y;
   for (int i = 0; i < 20; ++i) {
@@ -163,19 +122,6 @@ TEST(Log2Histogram, PercentileSingleElementBucketInterpolates) {
   EXPECT_DOUBLE_EQ(h.percentile(1.0), 96.0);  // midpoint of [64, 128)
   EXPECT_NEAR(h.percentile(0.5), 2.0 + 2.0 * 50.0 / 98.0, 1e-9);
   EXPECT_DOUBLE_EQ(Log2Histogram{}.percentile(0.99), 0.0);
-}
-
-TEST(Log2Histogram, MergeMatchesSequential) {
-  Xoshiro256 rng(7);
-  Log2Histogram whole, a, b;
-  for (int i = 0; i < 400; ++i) {
-    const auto v = rng.next() % 100000;
-    whole.add(v);
-    (i % 2 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a, whole);
-  EXPECT_DOUBLE_EQ(a.percentile(0.95), whole.percentile(0.95));
 }
 
 }  // namespace

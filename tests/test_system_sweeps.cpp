@@ -3,6 +3,9 @@
 // These are the regression net for the whole stack.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/multi_client.hpp"
 #include "core/parallel_runner.hpp"
 #include "core/system.hpp"
@@ -121,15 +124,21 @@ TEST(ParallelRunner, MatchesSerialRunsWithDeterministicOrdering) {
 }
 
 TEST(ParallelRunner, PropagatesFirstExceptionByJobOrder) {
-  // Job 1 oversubscribes with eviction disabled -> throws inside a worker
-  // thread; the runner rethrows after draining all jobs.
+  // Jobs 1 and 2 are rejected when their System is built inside a worker
+  // thread; the runner drains all jobs and rethrows job 1's error.
   std::vector<RunJob> jobs;
   jobs.push_back({small_config(), make_stream_triad(1 << 12)});
-  SystemConfig broken = small_config(16);
-  broken.driver.eviction_enabled = false;
-  jobs.push_back({broken, make_stream_triad(2 << 20)});
-  jobs.push_back({small_config(), make_stream_triad(1 << 12)});
-  EXPECT_THROW(run_parallel(jobs, 3), std::runtime_error);
+  SystemConfig no_batch = small_config();
+  no_batch.driver.batch_size = 0;
+  jobs.push_back({no_batch, make_stream_triad(1 << 12)});
+  jobs.push_back({small_config(1), make_stream_triad(1 << 12)});
+  try {
+    run_parallel(jobs, 3);
+    FAIL() << "run_parallel did not rethrow";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("batch_size"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ParallelRunner, RunTasksKeepsTaskOrderForAnyResultType) {
