@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "gpu/fault_buffer.hpp"
+#include "gpu/utlb.hpp"
 #include "hostos/dma.hpp"
 #include "hostos/radix_tree.hpp"
 #include "hostos/unmap.hpp"
@@ -71,12 +72,36 @@ void BM_DedupBatch(benchmark::State& state) {
     f.page = rng.uniform(64);  // heavy duplication, like real batches
     f.utlb = static_cast<std::uint32_t>(rng.uniform(40));
   }
+  FaultDeduper deduper;  // reused across batches, as the driver does
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dedup_faults(batch));
+    benchmark::DoNotOptimize(deduper.dedup(batch).unique.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DedupBatch)->Arg(256)->Arg(1024)->Arg(6144);
+
+void BM_UTlbProbe(benchmark::State& state) {
+  // A full 56-entry µTLB (the Volta cap), probed for one outstanding page
+  // and one absent page per iteration.
+  UTlb tlb(56);
+  Xoshiro256 rng(5);
+  while (!tlb.full()) {
+    const PageId page = rng.uniform(1 << 20);
+    if (!tlb.has_outstanding(page)) tlb.add_outstanding(page);
+  }
+  PageId hit = tlb.outstanding()[rng.uniform(56)];
+  PageId miss = rng.uniform(1 << 20);
+  while (tlb.has_outstanding(miss)) ++miss;
+  for (auto _ : state) {
+    // Opaque keys each iteration, so the probes cannot be hoisted.
+    benchmark::DoNotOptimize(hit);
+    benchmark::DoNotOptimize(tlb.has_outstanding(hit));
+    benchmark::DoNotOptimize(miss);
+    benchmark::DoNotOptimize(tlb.has_outstanding(miss));
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_UTlbProbe);
 
 void BM_PrefetcherCompute(benchmark::State& state) {
   TreePrefetcher prefetcher;

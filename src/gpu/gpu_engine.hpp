@@ -12,6 +12,9 @@
 //     fire-and-forget (dropped prefetch faults are never reissued);
 //   * a fault replay clears µTLB waiting state, returns waiting accesses
 //     to pending, and grants each SM a small token refill.
+// An injected fault storm re-reports outstanding entries after a window's
+// warp advance: it sweeps the µTLBs in index order, each in the order its
+// entries were added, until the storm's budget is spent.
 //
 // The engine is driven by the simulator in alternation with the UVM driver
 // (the paper finds the GPU effectively stalls during fault servicing, so a

@@ -7,6 +7,7 @@
 // write faults upgrade the surviving record's access.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,8 +21,36 @@ struct DedupResult {
   std::uint32_t dup_cross_utlb = 0;
 };
 
-/// Filter duplicates out of a drained batch, preserving first-arrival
-/// order of the surviving records.
-DedupResult dedup_faults(const std::vector<FaultRecord>& batch);
+/// Filters the duplicates out of one drained batch at a time. The page
+/// table is open-addressed and generation-stamped: a batch starts by
+/// bumping the stamp instead of wiping the table, and the table grows only
+/// when a batch needs more than half of it. The result is reused too, so
+/// a deduper allocates only while its batches grow.
+class FaultDeduper {
+ public:
+  /// Sized for batches of up to `batch_capacity` records; larger ones
+  /// grow it.
+  explicit FaultDeduper(std::size_t batch_capacity = 0);
+
+  /// Filter duplicates out of `batch`, preserving first-arrival order of
+  /// the surviving records. The result stays valid until the next call.
+  const DedupResult& dedup(const std::vector<FaultRecord>& batch);
+
+ private:
+  struct Slot {
+    PageId page = 0;
+    std::uint64_t utlb_mask = 0;  // µTLBs that have faulted this page so far
+    std::uint32_t unique_index = 0;
+    std::uint32_t stamp = 0;      // the slot is live when it equals stamp_
+  };
+
+  /// Size the table for batches of up to `records` and reset the stamp.
+  void resize(std::size_t records);
+
+  std::vector<Slot> slots_;  // power-of-two size
+  int shift_ = 64;           // 64 - log2(slots_.size())
+  std::uint32_t stamp_ = 0;
+  DedupResult result_;
+};
 
 }  // namespace uvmsim

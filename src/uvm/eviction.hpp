@@ -5,13 +5,17 @@
 // practice degrades to earliest-allocated for dense access (Fig 17c) —
 // which is exactly what a touch-on-service LRU produces. A FIFO policy is
 // included for the ablation called out in DESIGN.md.
+//
+// The order is an intrusive doubly-linked list over VABlock ids. Ids are
+// dense per VA space, so the links live in an array indexed by id that
+// grows on demand to the highest id touched; touch, remove and tracks are
+// O(1) and allocate only while that id grows.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -40,14 +44,28 @@ class Evictor {
   std::optional<VaBlockId> pick_victim(
       VaBlockId protect, const std::function<bool(VaBlockId)>& evictable);
 
-  bool tracks(VaBlockId block) const { return index_.contains(block); }
-  std::size_t tracked() const noexcept { return order_.size(); }
+  bool tracks(VaBlockId block) const {
+    return block < links_.size() && links_[block].linked;
+  }
+  std::size_t tracked() const noexcept { return tracked_; }
   EvictPolicy policy() const noexcept { return policy_; }
 
  private:
+  static constexpr VaBlockId kNil = ~VaBlockId{0};
+
+  struct Link {
+    VaBlockId prev = kNil;  // toward the oldest / least recent
+    VaBlockId next = kNil;
+    bool linked = false;
+  };
+
+  void unlink(VaBlockId block);
+
   EvictPolicy policy_;
-  std::list<VaBlockId> order_;  // front = oldest / least recent
-  std::unordered_map<VaBlockId, std::list<VaBlockId>::iterator> index_;
+  std::vector<Link> links_;  // indexed by VABlock id
+  VaBlockId head_ = kNil;    // oldest / least recent
+  VaBlockId tail_ = kNil;    // newest / most recent
+  std::size_t tracked_ = 0;
 };
 
 }  // namespace uvmsim

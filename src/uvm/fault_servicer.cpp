@@ -1,10 +1,10 @@
 #include "uvm/fault_servicer.hpp"
 
-#include <map>
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "uvm/dedup.hpp"
 #include "uvm/lpt_schedule.hpp"
 
 namespace uvmsim {
@@ -23,7 +23,10 @@ FaultServicer::FaultServicer(const DriverConfig& config, VaSpace& space,
       num_sms_(num_sms),
       injector_(injector),
       thrash_(thrash),
-      obs_(obs) {}
+      obs_(obs),
+      deduper_(config.batch_size) {
+  by_block_.reserve(config.batch_size);
+}
 
 bool FaultServicer::attempt_with_retries(RetrySite site, BatchRecord& record) {
   if (!injector_ || !injector_->active()) return true;
@@ -274,7 +277,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
   }
 
   // -- Dedup / classify ----------------------------------------------------
-  DedupResult dedup = dedup_faults(raw);
+  const DedupResult& dedup = deduper_.dedup(raw);
   record.phases.dedup_ns = config_.per_fault_dedup_ns * raw.size();
   record.counters.unique_faults =
       static_cast<std::uint32_t>(dedup.unique.size());
@@ -296,28 +299,38 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
   }
 
   // -- Group by VABlock (the driver processes blocks independently) -------
-  std::map<VaBlockId, std::vector<const FaultRecord*>> by_block;
-  for (const auto& f : dedup.unique) {
-    by_block[va_block_of(f.page)].push_back(&f);
-  }
-  record.counters.vablocks_touched =
-      static_cast<std::uint32_t>(by_block.size());
+  // Ascending block order, first arrival within a block: the records are
+  // contiguous in arrival order, so the address breaks block-id ties.
+  by_block_.clear();
+  for (const auto& f : dedup.unique) by_block_.push_back(&f);
+  std::ranges::sort(by_block_, [](const FaultRecord* a, const FaultRecord* b) {
+    const VaBlockId ba = va_block_of(a->page);
+    const VaBlockId bb = va_block_of(b->page);
+    return ba != bb ? ba < bb : a < b;
+  });
 
   const TreePrefetcher prefetcher(config_.prefetch_threshold,
                                   config_.big_page_promotion);
 
   // Per-VABlock service costs double as the parallel model's work units.
   std::vector<SimTime> block_costs;
-  if (parallel) block_costs.reserve(by_block.size());
+  if (parallel) block_costs.reserve(by_block_.size());
   // Block ids in work-unit order, for labeling per-VABlock worker spans.
   std::vector<VaBlockId> block_order;
-  if (parallel && tracer) block_order.reserve(by_block.size());
+  if (parallel && tracer) block_order.reserve(by_block_.size());
 
   const bool detailed = detailed_trace(config_, obs_);
 
-  for (const auto& entry : by_block) {
-    const VaBlockId block_id = entry.first;
-    const std::vector<const FaultRecord*>& faults = entry.second;
+  for (std::size_t first = 0, last = 0; first < by_block_.size();
+       first = last) {
+    const VaBlockId block_id = va_block_of(by_block_[first]->page);
+    while (last < by_block_.size() &&
+           va_block_of(by_block_[last]->page) == block_id) {
+      ++last;
+    }
+    const std::span<const FaultRecord* const> faults(by_block_.data() + first,
+                                                     last - first);
+    ++record.counters.vablocks_touched;
     VaBlockState& block = space_.block(block_id);
     const SimTime block_cost_start = record.phases.sum();
     record.phases.vablock_ns += config_.per_vablock_ns;

@@ -233,6 +233,30 @@ TEST(GpuEngineScenario, FullResetMidKernelRefaultsTheWorkingSet) {
             "11:1:2@6794 3:0:0@139509 4:0:0@139527 ");
 }
 
+TEST(GpuEngineScenario, StormReportsUtlbEntriesInInsertionOrder) {
+  // One zero-compute warp on SM 0 faults four pages whose insertion order
+  // differs from any hash order; a storm budget of three re-reports the
+  // first three entries its µTLB took, in that order.
+  GpuConfig cfg = quiet_config();
+  const KernelDesc kernel = build_kernel({{{{0, {40, 7, 23, 1}}}}});
+  FaultInjectConfig inject;
+  inject.enabled = true;
+  inject.storm_prob = 1.0;
+  inject.storm_faults = 3;
+  FaultInjector injector(inject);
+  GpuEngine gpu(cfg, 1);
+  gpu.set_fault_injector(&injector);
+  gpu.launch(kernel);
+  SetOracle oracle;
+  gpu.generate(0, oracle);
+  std::vector<PageId> storm;
+  for (const FaultRecord& f : gpu.fault_buffer().drain(4096)) {
+    if (f.is_duplicate_emission) storm.push_back(f.page);
+  }
+  EXPECT_EQ(storm, (std::vector<PageId>{40, 7, 23}));
+  EXPECT_EQ(injector.storm_faults_injected(), 3u);
+}
+
 /// SetOracle that counts the engine's residency probes.
 struct CountingSetOracle : SetOracle {
   mutable std::uint64_t classify_calls = 0;

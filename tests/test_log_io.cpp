@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/system.hpp"
+#include "test_util.hpp"
 
 namespace uvmsim {
 namespace {
@@ -215,6 +216,20 @@ TEST(LogIo, TraceArgNamedValueSurvivesRoundTrip) {
   ASSERT_TRUE(read_trace_json(in, parsed));
   EXPECT_EQ(parsed.events, tracer.events());
   EXPECT_EQ(parsed.track_names, tracer.track_names());
+}
+
+TEST(LogIo, TraceEventPrintsKindNameTrackTimesAndArgs) {
+  // A failed comparison of event vectors prints events this way.
+  Tracer tracer;
+  tracer.span(tracks::kDriver, "copy", 1000, 4000,
+              {{"pages", 3}, {"bytes", 8}});
+  tracer.instant(tracks::kSim, "mark", 2500);
+  EXPECT_EQ(testing::PrintToString(tracer.events()[0]),
+            "span \"copy\" track " + std::to_string(tracks::kDriver) +
+                " [1000, 4000] {pages=3, bytes=8}");
+  EXPECT_EQ(testing::PrintToString(tracer.events()[1]),
+            "instant \"mark\" track " + std::to_string(tracks::kSim) +
+                " [2500, 2500] {}");
 }
 
 }  // namespace

@@ -1,11 +1,30 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <cstddef>
+#include <ostream>
 #include <random>
 #include <vector>
 
 #include "core/system.hpp"
+#include "obs/trace.hpp"
 #include "uvm/tenant.hpp"
+
+namespace uvmsim {
+
+/// gtest printer for trace events, so a failed comparison shows each
+/// event's kind, name, track, times and args instead of a byte dump.
+inline void PrintTo(const TraceEvent& e, std::ostream* os) {
+  *os << (e.kind == TraceEvent::Kind::kSpan ? "span" : "instant") << " \""
+      << e.name << "\" track " << e.track << " [" << e.begin_ns << ", "
+      << e.end_ns << "] {";
+  for (std::size_t i = 0; i < e.args.size(); ++i) {
+    *os << (i == 0 ? "" : ", ") << e.args[i].first << '=' << e.args[i].second;
+  }
+  *os << '}';
+}
+
+}  // namespace uvmsim
 
 namespace uvmsim::testutil {
 
