@@ -22,17 +22,28 @@
 //
 // Host cost follows the warps that can still move. Within one generate()
 // window residency is fixed, throttle tokens never rise and µTLB entries
-// are never removed. A visit that leaves every unfinished access of a
-// warp's current group waiting, or blocked by a full µTLB, therefore
-// leaves the warp *settled*: nothing can unblock it before the next
-// replay, and the rescans that follow mid-window block retirement skip it
-// (keeping only the block-phase draw its visit would make, so the RNG
-// stream is unchanged). A warp with a throttle-blocked access stays
-// eligible: a sibling SM may add that page to their shared µTLB, and the
-// warp then joins the entry. A replay costs O(µTLBs + SMs): it touches no
-// warp state. Every live warp is visited in the first pass of every
-// window, so after a replay that pass reads the waiting accesses it meets
-// as reissues.
+// are never removed. Two kinds of warp are skipped, each keeping only the
+// block-phase draw its visit would make, so the RNG stream is unchanged:
+//   * Settled: a visit that leaves every unfinished access of the group
+//     waiting, or blocked by a full µTLB, leaves nothing to unblock before
+//     the next replay, and the rescans that follow mid-window block
+//     retirement skip the warp.
+//   * Parked: while the residency table promises `misses_fault` (below), a
+//     visit that changed nothing parks the warp and links its unfinished
+//     pages in a page -> parked-warp index (gpu/park_index.hpp). In later
+//     passes and windows a scan skips it in O(1) while its µTLB is full,
+//     or while its SM has no token and none of its accesses may reissue (a
+//     waiting access becomes a reissue in the first pass after a replay,
+//     and a skip makes that conversion too). A page event wakes it for a
+//     normal visit at its scan position: one of its pages enters its µTLB
+//     (a per-µTLB hashed screen makes most insertions one bit test), or
+//     turns resident, which generate() tests page by page against each
+//     window's table. A window whose table withdraws the promise unparks
+//     every warp.
+// A replay costs O(µTLBs + SMs): it touches no warp state. Warps and their
+// access states live in an arena sized at launch for the most blocks that
+// can be resident at once, so scheduling a block or loading a group
+// allocates nothing.
 //
 // An access probe asks three questions in order, and stops at the first
 // that settles it:
@@ -50,6 +61,7 @@
 // not override residency_table() sees every probe through classify().
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -63,6 +75,7 @@
 #include "gpu/fault_buffer.hpp"
 #include "gpu/gpu_config.hpp"
 #include "gpu/kernel_desc.hpp"
+#include "gpu/park_index.hpp"
 #include "gpu/utlb.hpp"
 #include "obs/obs.hpp"
 
@@ -194,10 +207,11 @@ class GpuEngine {
   std::uint64_t replays_seen() const noexcept { return replays_; }
 
   /// Host-cost counters: warp visits (advance_warp calls), visits that
-  /// changed no warp state, residency probes (every access the engine
-  /// classified), and the probes the table could not settle, which called
-  /// ResidencyOracle::classify. Settled warps skipped by a rescan count as
-  /// no visit.
+  /// changed nothing (each parks its warp under a promising table),
+  /// residency probes (every access the engine classified), and the probes
+  /// the table could not settle, which called ResidencyOracle::classify.
+  /// Settled and parked warps that a scan skips count as no visit and make
+  /// no probe.
   std::uint64_t warp_visits() const noexcept { return visits_; }
   std::uint64_t idle_warp_visits() const noexcept { return idle_visits_; }
   std::uint64_t residency_probes() const noexcept { return probes_; }
@@ -211,39 +225,89 @@ class GpuEngine {
   // pre-replay flush reappear promptly (§4.2).
   enum : std::uint8_t { kPending = 0, kWaiting = 1, kDone = 2, kReissue = 3 };
 
+  // WarpRt::park bits. kLinked: the unfinished accesses of the current
+  // group are linked in parked_. kParked: scans may skip the warp; a page
+  // event clears it, kLinked stays until the warp's next visit. The other
+  // two record the accesses the park left waiting or reissued.
+  enum : std::uint8_t {
+    kLinked = 1,
+    kParked = 2,
+    kParkedWaiting = 4,
+    kParkedReissue = 8,
+  };
+
   struct WarpRt {
     std::uint32_t group = 0;      // current group, kernel-wide index
     std::uint32_t group_end = 0;  // one past the warp's last group
-    std::vector<std::uint8_t> state;  // parallel to current group's accesses
-    std::uint32_t remaining = 0;
+    std::uint32_t remaining = 0;  // unfinished accesses of the group
     std::uint32_t settled_window = 0;  // window_seq_ (low bits) it settled in
+    std::uint32_t utlb = 0;       // its SM's µTLB
+    std::uint8_t park = 0;        // park bits, 0 when not linked
 
     bool finished() const noexcept { return group >= group_end; }
-    void load_group(const KernelDesc& kernel);
+    void wake() noexcept { park &= static_cast<std::uint8_t>(~kParked); }
   };
 
+  // A block's warps hold the consecutive arena slots from first_slot,
+  // whether they are live or finished.
   struct BlockRt {
     std::uint32_t block_id = 0;
     std::uint32_t sm = 0;
-    std::vector<WarpRt> warps;
+    std::uint32_t first_slot = 0;
+    std::uint32_t num_warps = 0;
     std::uint32_t live_warps = 0;
     SimTime phase = 0;               // per-window arrival phase offset
     std::uint64_t phase_window = ~0ULL;
   };
 
   void schedule_pending_blocks();
+  std::uint8_t* states_of(std::uint32_t slot) noexcept {
+    return states_.data() + (std::size_t{slot} << state_shift_);
+  }
+  void load_group(std::uint32_t slot);
   ResidencyOracle::PageLocation locate(PageId page,
                                        const ResidencyOracle& residency,
                                        ResidencyOracle::Table table);
-  void advance_warp(BlockRt& block, WarpRt& warp, SimTime now,
+  void advance_warp(BlockRt& block, std::uint32_t slot, SimTime now,
                     const ResidencyOracle& residency,
                     ResidencyOracle::Table table, bool replayed,
                     GenerateResult& result);
+  bool skip_parked(const BlockRt& block, std::uint32_t slot, bool replayed);
+  void park(std::uint32_t slot, std::uint8_t bits);
+  void unpark(std::uint32_t slot);
+  void wake_joiners(std::uint32_t utlb, PageId page);
+  void wake_resident(ResidencyOracle::Table table);
+  void unpark_all();
   void emit_fault(PageId page, AccessType type, std::uint32_t sm,
                   std::uint32_t block, SimTime now, SimTime phase,
                   bool duplicate, GenerateResult& result);
   SimTime block_phase(BlockRt& block);
   void emit_injected_storm(SimTime now, GenerateResult& result);
+
+  // Per-µTLB screen over the pages its parked warps linked: a clear bit
+  // means no parked warp on that µTLB waits for a page of that hash. It is
+  // cleared when the µTLB's last link goes.
+  struct Screen {
+    static constexpr unsigned kBits = 256;
+    std::uint64_t words[kBits / 64] = {};
+    std::uint32_t links = 0;
+
+    static unsigned bit_of(PageId page) noexcept {
+      return static_cast<unsigned>((page * 0x9E3779B97F4A7C15ULL) >> 56);
+    }
+    bool may_hold(PageId page) const noexcept {
+      const unsigned b = bit_of(page);
+      return (words[b / 64] >> (b % 64) & 1) != 0;
+    }
+    void add(PageId page) noexcept {
+      const unsigned b = bit_of(page);
+      words[b / 64] |= std::uint64_t{1} << (b % 64);
+      ++links;
+    }
+    void remove() noexcept {
+      if (--links == 0) std::ranges::fill(words, 0);
+    }
+  };
 
   GpuConfig config_;
   Xoshiro256 rng_;
@@ -252,12 +316,24 @@ class GpuEngine {
   Obs obs_;
   FaultBuffer buffer_;
   std::vector<UTlb> utlbs_;
+  std::vector<Screen> screens_;  // one per µTLB
   std::vector<std::uint32_t> sm_tokens_;
   std::vector<std::uint32_t> sm_active_blocks_;
 
   const KernelDesc* kernel_ = nullptr;
   std::uint32_t next_block_ = 0;  // blocks before it have been scheduled
   std::vector<BlockRt> active_blocks_;
+
+  // The warp arena, sized at launch for the most blocks that can be
+  // resident at once: warp_stride_ slots per block, each a WarpRt and
+  // 2^state_shift_ bytes of access states (parallel to its current
+  // group's accesses). parked_'s node ids are positions in states_.
+  std::vector<WarpRt> warps_;
+  std::vector<std::uint8_t> states_;
+  std::vector<std::uint32_t> free_blocks_;  // first slots of unused blocks
+  std::uint32_t warp_stride_ = 0;
+  unsigned state_shift_ = 0;
+  ParkIndex parked_;
 
   std::uint32_t active_warps_ = 0;
   std::uint64_t emitted_ = 0;

@@ -1,5 +1,6 @@
 #include "gpu/kernel_desc.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace uvmsim {
@@ -59,7 +60,10 @@ void KernelBuilder::end_group(SimTime compute_ns) {
         "KernelBuilder: group compute time of " + std::to_string(compute_ns) +
         " ns exceeds the packed range of 2^32 - 1 ns");
   }
-  group_first_ = to_offset(kernel_.access_.size(), "accesses");
+  const std::uint32_t end = to_offset(kernel_.access_.size(), "accesses");
+  kernel_.max_group_size_ =
+      std::max(kernel_.max_group_size_, end - group_first_);
+  group_first_ = end;
   kernel_.group_bound_.push_back(group_first_);
   kernel_.compute_ns_.push_back(static_cast<std::uint32_t>(compute_ns));
 }
@@ -79,6 +83,8 @@ void KernelBuilder::end_block() {
   const std::uint32_t warps =
       to_offset(kernel_.warp_bound_.size() - 1, "warps");
   if (warps != kernel_.block_bound_.back()) {
+    kernel_.max_block_size_ =
+        std::max(kernel_.max_block_size_, warps - kernel_.block_bound_.back());
     kernel_.block_bound_.push_back(warps);
   }
 }

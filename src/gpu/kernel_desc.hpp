@@ -82,6 +82,9 @@ class KernelDesc {
   std::uint32_t num_warps() const noexcept { return count(warp_bound_); }
   std::uint32_t num_groups() const noexcept { return count(group_bound_); }
   std::uint64_t total_accesses() const noexcept { return access_.size(); }
+  /// Warps in the largest block, and accesses in the largest group.
+  std::uint32_t max_block_size() const noexcept { return max_block_size_; }
+  std::uint32_t max_group_size() const noexcept { return max_group_size_; }
 
   IndexRange warps_of(std::uint32_t block) const noexcept {
     return {block_bound_[block], block_bound_[block + 1]};
@@ -126,6 +129,8 @@ class KernelDesc {
   std::vector<std::uint32_t> compute_ns_;
   std::vector<std::uint32_t> warp_bound_{0};
   std::vector<std::uint32_t> block_bound_{0};
+  std::uint32_t max_block_size_ = 0;
+  std::uint32_t max_group_size_ = 0;
 };
 
 /// Writes a KernelDesc in program order: accesses into the open group,

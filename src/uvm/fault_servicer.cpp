@@ -25,6 +25,7 @@ FaultServicer::FaultServicer(const DriverConfig& config, VaSpace& space,
       thrash_(thrash),
       obs_(obs),
       deduper_(config.batch_size) {
+  block_keys_.reserve(config.batch_size);
   by_block_.reserve(config.batch_size);
 }
 
@@ -299,15 +300,18 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
   }
 
   // -- Group by VABlock (the driver processes blocks independently) -------
-  // Ascending block order, first arrival within a block: the records are
-  // contiguous in arrival order, so the address breaks block-id ties.
+  // Ascending block order, first arrival within a block: one integer key
+  // per record, the block id above its arrival index, so the sort compares
+  // keys without loading the records.
+  block_keys_.clear();
+  for (std::size_t i = 0; i < dedup.unique.size(); ++i) {
+    block_keys_.push_back(va_block_of(dedup.unique[i].page) << 32 | i);
+  }
+  std::ranges::sort(block_keys_);
   by_block_.clear();
-  for (const auto& f : dedup.unique) by_block_.push_back(&f);
-  std::ranges::sort(by_block_, [](const FaultRecord* a, const FaultRecord* b) {
-    const VaBlockId ba = va_block_of(a->page);
-    const VaBlockId bb = va_block_of(b->page);
-    return ba != bb ? ba < bb : a < b;
-  });
+  for (const std::uint64_t key : block_keys_) {
+    by_block_.push_back(&dedup.unique[key & 0xffffffffu]);
+  }
 
   const TreePrefetcher prefetcher(config_.prefetch_threshold,
                                   config_.big_page_promotion);

@@ -1,9 +1,10 @@
 // Heap allocations per emitted fault record. The fault path's structures
-// (µTLBs, the dedup table, the VABlock grouping and the evictor's order)
-// own storage they reuse, so a simulation's run() allocates far less
-// than once per fault record: what remains is per-block warp state and
-// the per-batch log. This binary replaces the global operator new to
-// count allocations, so the budget is exact and holds on any host.
+// (µTLBs, the dedup table, the VABlock grouping, the evictor's order, and
+// the engine's warp arena and park index) own storage they reuse, so a
+// simulation's run() allocates far less than once per fault record: what
+// remains is mostly the per-batch log. This binary replaces the global
+// operator new to count allocations, so the budget is exact and holds on
+// any host.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 #include <new>
 #include <utility>
 
+#include "core/multi_client.hpp"
 #include "core/system.hpp"
+#include "workloads/tenant_mix.hpp"
 #include "workloads/workload.hpp"
 
 namespace {
@@ -61,6 +64,29 @@ double allocations_per_fault(SystemConfig config, const WorkloadSpec& spec) {
          static_cast<double>(std::max<std::uint64_t>(result.total_faults, 1));
 }
 
+/// The same for one run() of a mixed multi-tenant node: one driver and one
+/// GPU engine per tenant, arbitrated by stride scheduling.
+double allocations_per_fault(std::uint32_t tenants) {
+  SystemConfig config = presets::scaled_titan_v(8);
+  config.driver.batch_size = 64;
+  TenantSchedConfig sched;
+  sched.policy = TenantSchedPolicy::kStride;
+  MultiClientSystem node(config, make_tenant_matrix(tenants, {1.0, 2.0, 4.0}),
+                         sched);
+  const std::vector<WorkloadSpec> specs =
+      make_tenant_roster(tenants, TenantMix::kMixed, 1, 2048);
+  g_allocations = 0;
+  g_counting = true;
+  const MultiClientResult result = node.run(specs);
+  g_counting = false;
+  const std::uint64_t allocations = g_allocations;
+  std::uint64_t faults = 0;
+  for (const RunResult& run : result.per_client) faults += run.total_faults;
+  EXPECT_GT(faults, 0u);
+  return static_cast<double>(allocations) /
+         static_cast<double>(std::max<std::uint64_t>(faults, 1));
+}
+
 TEST(AllocBudget, RandomOversubscribed) {
   const double per_fault = allocations_per_fault(
       presets::scaled_titan_v(4), make_random(16ULL << 20, 1));
@@ -82,6 +108,10 @@ TEST(AllocBudget, GemmTiled) {
   const double per_fault =
       allocations_per_fault(presets::scaled_titan_v(2), make_gemm(params));
   EXPECT_LE(per_fault, kMaxAllocationsPerFault);
+}
+
+TEST(AllocBudget, MixedTenantsOnOneNode) {
+  EXPECT_LE(allocations_per_fault(4), kMaxAllocationsPerFault);
 }
 
 }  // namespace

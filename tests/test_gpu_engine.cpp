@@ -103,6 +103,16 @@ void service_all(GpuEngine& gpu, SetOracle& oracle,
   }
 }
 
+/// service_all, except that the pages in `kept` stay non-resident.
+void service_all_but(GpuEngine& gpu, SetOracle& oracle,
+                     std::vector<FaultRecord>& all,
+                     const std::unordered_set<PageId>& kept) {
+  for (const FaultRecord& f : gpu.fault_buffer().drain(4096)) {
+    if (!kept.contains(f.page)) oracle.resident.insert(f.page);
+    all.push_back(f);
+  }
+}
+
 // The four scenarios below pin fault generation at the points where a
 // window revisits warps: rescans after mid-window block retirement, and
 // the reissue of waiting accesses after replays. Their expected record
@@ -255,6 +265,215 @@ TEST(GpuEngineScenario, StormReportsUtlbEntriesInInsertionOrder) {
   }
   EXPECT_EQ(storm, (std::vector<PageId>{40, 7, 23}));
   EXPECT_EQ(injector.storm_faults_injected(), 3u);
+}
+
+/// SetOracle that lends its residency as a table promising `misses_fault`,
+/// as UvmDriver does while no page can resolve remotely: the engine parks
+/// warps only under that promise. A page in `pinned` resolves remotely, as
+/// a thrashing pin makes it, and withdraws the promise.
+struct PromiseOracle : SetOracle {
+  std::unordered_set<PageId> pinned;
+  mutable std::vector<PageMask> blocks;
+
+  PageLocation classify(PageId page) const override {
+    if (resident.contains(page)) return PageLocation::kGpuResident;
+    return pinned.contains(page) ? PageLocation::kRemoteMapped
+                                 : PageLocation::kFaultRequired;
+  }
+  Table residency_table() const override {
+    blocks.clear();
+    for (const PageId page : resident) {
+      const VaBlockId b = va_block_of(page);
+      if (b >= blocks.size()) blocks.resize(b + 1);
+      blocks[b].set(page_index_in_block(page));
+    }
+    return {blocks.data(), blocks.size(), pinned.empty()};
+  }
+};
+
+// The scenarios below pin the paths that park a warp (a visit that
+// changed nothing), skip it (a full µTLB, or no token and nothing to
+// reissue) and wake it (a page enters its µTLB, a page turns resident,
+// the table withdraws its promise). Their expected record
+// sequences were recorded from the engine that visited every live warp in
+// every pass; skipping parked warps must reproduce them exactly.
+
+TEST(GpuEngineScenario, ThrottleParkedWarpJoinsSiblingEntryLaterInWindow) {
+  // One µTLB per SM pair, one block per SM, one throttle token per SM.
+  // Block 0's warp X spends SM0's token on page 0, so warp W's first
+  // visit is blocked on page 1 and parks W. Blocks 1 and 2 finish on
+  // resident pages and the window rescans: W is skipped, then block 4
+  // (SM1, sharing SM0's µTLB) faults page 1. Block 5 finishes, and the
+  // next rescan visits W, which joins page 1's entry with a duplicate.
+  GpuConfig cfg;
+  cfg.num_sms = 4;
+  cfg.max_blocks_per_sm = 1;
+  cfg.utlb_outstanding_cap = 8;
+  cfg.sm_token_capacity = 1;
+  cfg.sm_tokens_per_replay = 1;
+  cfg.dup_same_utlb_prob = 1.0;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {0}}}, {{100, {1}}}},  // block 0, SM0: warps X and W
+      {{{100, {2}}}},                // block 1, SM1: resident
+      {{{100, {3}}}},                // block 2, SM2: resident
+      {{{100, {4}}}},                // block 3, SM3
+      {{{100, {1}}}},                // block 4, SM1 after block 1 retires
+      {{{100, {5}}}},                // block 5, SM2 after block 2: resident
+      {{{100, {6}}}},                // block 6, SM2 after block 5 retires
+  });
+  GpuEngine gpu(cfg, 7);
+  gpu.launch(kernel);
+  PromiseOracle oracle;
+  oracle.resident = {2, 3, 5};
+  EXPECT_EQ(describe(run_to_completion(gpu, oracle)),
+            "4:3:3@16665 1:1:4@37732 6:2:6@145319 0:0:0@156008 "
+            "1:0:0@156043d ");
+}
+
+TEST(GpuEngineScenario, UtlbFullParkedWarpWakesWhenABatchMakesItsPageResident) {
+  // One µTLB per SM with two entries. Warp F fills SM0's µTLB with pages
+  // 10 and 11, so warp W parks behind it on page 2, which block 1 faults
+  // on SM1. The batch services page 2 only. After the replay F's reissues
+  // fill the µTLB again before W's turn, but page 2 is resident now: W
+  // completes its group and joins F's entry for page 10 with a duplicate.
+  GpuConfig cfg;
+  cfg.num_sms = 2;
+  cfg.sms_per_utlb = 1;
+  cfg.max_blocks_per_sm = 1;
+  cfg.utlb_outstanding_cap = 2;
+  cfg.dup_same_utlb_prob = 1.0;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {10, 11}}}, {{100, {2}}, {100, {10}}}},  // block 0: F, W
+      {{{100, {2}}}},                                 // block 1, SM1
+  });
+  GpuEngine gpu(cfg, 13);
+  gpu.launch(kernel);
+  PromiseOracle oracle;
+  std::vector<FaultRecord> all;
+  gpu.generate(0, oracle);
+  for (const FaultRecord& f : gpu.fault_buffer().drain(4096)) {
+    if (f.page == 2) oracle.resident.insert(f.page);
+    all.push_back(f);
+  }
+  gpu.on_replay();
+  gpu.generate(1000, oracle);
+  for (const FaultRecord& f : run_to_completion(gpu, oracle)) {
+    all.push_back(f);
+  }
+  EXPECT_EQ(describe(all),
+            "2:1:1@44676 10:0:0@96613 11:0:0@96644 10:0:0@79380 "
+            "11:0:0@79408 10:0:0@79432d ");
+}
+
+TEST(GpuEngineScenario, ParkedWaitingWarpSkippedAfterReplayReissuesLater) {
+  // SM0 and SM1 share a two-entry µTLB; each SM has one throttle token
+  // and regains one per replay. In the first window F (SM0) faults page
+  // 10, V (SM1) joins that entry, and W (SM1) faults page 0, which fills
+  // the µTLB. A second window without a replay finds all three idle and
+  // parks them with waiting accesses. After a replay F reissues page 10
+  // and faults 11 before W's turn, so W is skipped with its µTLB full, and
+  // its waiting page 0 becomes a reissue. Pages 10 and 11 are serviced;
+  // after the next replay V spends SM1's token on page 21, and W, with no
+  // token left, still reissues page 0.
+  GpuConfig cfg;
+  cfg.num_sms = 2;
+  cfg.max_blocks_per_sm = 1;
+  cfg.utlb_outstanding_cap = 2;
+  cfg.sm_token_capacity = 1;
+  cfg.sm_tokens_per_replay = 1;
+  cfg.dup_same_utlb_prob = 1.0;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {10, 11}}}},                        // block 0, SM0: F
+      {{{100, {10}}, {100, {21}}}, {{100, {0, 1}}}},  // block 1, SM1: V, W
+  });
+  GpuEngine gpu(cfg, 17);
+  gpu.launch(kernel);
+  PromiseOracle oracle;
+  std::vector<FaultRecord> all;
+  gpu.generate(0, oracle);
+  service_all_but(gpu, oracle, all, {0, 10});
+  gpu.generate(1000, oracle);
+  service_all_but(gpu, oracle, all, {});
+  gpu.on_replay();
+  gpu.generate(2000, oracle);
+  service_all_but(gpu, oracle, all, {0});
+  gpu.on_replay();
+  gpu.generate(3000, oracle);
+  for (const FaultRecord& f : run_to_completion(gpu, oracle)) {
+    all.push_back(f);
+  }
+  EXPECT_EQ(describe(all),
+            "10:1:1@32956d 0:1:1@32991 10:0:0@45531 10:0:0@111493 "
+            "11:0:0@111530 21:1:1@24203 0:1:1@24237 1:1:1@34107 ");
+}
+
+TEST(GpuEngineScenario, SkippedWarpKeepsItsReissueThroughAWindowWithoutReplay) {
+  // As above, W is parked with page 0 waiting and skipped in the first
+  // pass after a replay, which turns page 0 into a reissue. Page 0 is
+  // then serviced, and a window without a replay wakes W: its reissue
+  // finds page 0 resident, the group completes, and W joins the µTLB's
+  // entry for page 10 with a duplicate.
+  GpuConfig cfg;
+  cfg.num_sms = 2;
+  cfg.max_blocks_per_sm = 1;
+  cfg.utlb_outstanding_cap = 2;
+  cfg.sm_token_capacity = 1;
+  cfg.sm_tokens_per_replay = 1;
+  cfg.dup_same_utlb_prob = 1.0;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {10, 11}}}},            // block 0, SM0: F
+      {{{100, {0}}, {100, {10}}}},    // block 1, SM1: W
+  });
+  GpuEngine gpu(cfg, 23);
+  gpu.launch(kernel);
+  PromiseOracle oracle;
+  std::vector<FaultRecord> all;
+  gpu.generate(0, oracle);
+  service_all_but(gpu, oracle, all, {0, 10});
+  gpu.generate(1000, oracle);
+  gpu.on_replay();
+  gpu.generate(2000, oracle);
+  service_all_but(gpu, oracle, all, {10, 11});
+  oracle.resident.insert(0);
+  gpu.generate(3000, oracle);
+  for (const FaultRecord& f : run_to_completion(gpu, oracle)) {
+    all.push_back(f);
+  }
+  EXPECT_EQ(describe(all),
+            "0:1:1@78023 10:0:0@131841 10:0:0@8984 11:0:0@8998 "
+            "10:1:1@110972d 11:0:0@71080 ");
+}
+
+TEST(GpuEngineScenario, PinWithdrawingTheMissPromiseVisitsEveryParkedWarp) {
+  // One SM, one token per replay. Warp A spends it on page 0, so warp W
+  // parks on page 1. Page 0 is serviced and page 1 is pinned: it now
+  // resolves remotely, and the table stops promising misses_fault. In the
+  // next window A spends the token on page 3; W, which the parked path
+  // would skip for want of a token, is visited, completes page 1 remotely
+  // and joins page 3's entry with a duplicate.
+  GpuConfig cfg;
+  cfg.num_sms = 1;
+  cfg.max_blocks_per_sm = 1;
+  cfg.sm_token_capacity = 1;
+  cfg.sm_tokens_per_replay = 1;
+  cfg.dup_same_utlb_prob = 1.0;
+  const KernelDesc kernel = build_kernel({
+      {{{100, {0}}, {100, {3}}}, {{100, {1}}, {100, {3}}}},  // warps A, W
+  });
+  GpuEngine gpu(cfg, 19);
+  gpu.launch(kernel);
+  PromiseOracle oracle;
+  std::vector<FaultRecord> all;
+  gpu.generate(0, oracle);
+  service_all(gpu, oracle, all);
+  oracle.pinned = {1};
+  gpu.on_replay();
+  const auto second = gpu.generate(1000, oracle);
+  EXPECT_EQ(second.remote_requests, 1u);
+  for (const FaultRecord& f : run_to_completion(gpu, oracle)) {
+    all.push_back(f);
+  }
+  EXPECT_EQ(describe(all), "0:0:0@133549 3:0:0@38585 3:0:0@38624d ");
 }
 
 /// SetOracle that counts the engine's residency probes.
