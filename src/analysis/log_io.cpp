@@ -494,7 +494,7 @@ void append_fixed3(std::string& out, double value) {
 std::string metrics_to_json(const MetricsRegistry& registry) {
   std::string out = "{\n\"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : registry.counters()) {
+  for (const auto& [name, value] : registry.counters) {
     if (!first) out += ',';
     first = false;
     out += "\n  \"";
@@ -506,7 +506,7 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
 
   out += "\"gauges\": {";
   first = true;
-  for (const auto& [name, value] : registry.gauges()) {
+  for (const auto& [name, value] : registry.gauges) {
     if (!first) out += ',';
     first = false;
     out += "\n  \"";
@@ -518,7 +518,7 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
 
   out += "\"histograms\": {";
   first = true;
-  for (const auto& [name, hist] : registry.histograms()) {
+  for (const auto& [name, hist] : registry.histograms) {
     if (!first) out += ',';
     first = false;
     out += "\n  \"";

@@ -137,4 +137,13 @@ double Log2Histogram::percentile(double q) const noexcept {
   return lo + (hi - lo) * (c - 0.5) / c;
 }
 
+void Log2Histogram::merge(const Log2Histogram& other) noexcept {
+  if (other.total_ == 0) return;
+  for (std::size_t b = 0; b < kBuckets; ++b) counts_[b] += other.counts_[b];
+  total_ += other.total_;
+  sum_ += other.sum_;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+}
+
 }  // namespace uvmsim

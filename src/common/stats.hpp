@@ -60,9 +60,10 @@ double jains_index(const std::vector<double>& x);
 
 /// Power-of-two-bucket histogram for nonnegative integer samples
 /// (latencies in ns, byte counts, fault counts). Bucket 0 holds the value
-/// 0; bucket b >= 1 holds [2^(b-1), 2^b). Compact (65 fixed buckets) and
-/// cheap enough to sit on the fault path — this is the MetricsRegistry's
-/// distribution primitive.
+/// 0; bucket b >= 1 holds [2^(b-1), 2^b). Compact (65 fixed buckets),
+/// mergeable, and one add cheap enough for the copy engine to book every
+/// DMA op's run length in one — the distribution primitive of the metrics
+/// snapshot (obs/metrics.hpp).
 class Log2Histogram {
  public:
   static constexpr std::size_t kBuckets = 65;
@@ -87,6 +88,9 @@ class Log2Histogram {
   /// single-element bucket reports its midpoint, never its lower bound.
   /// Empty yields 0.
   double percentile(double q) const noexcept;
+
+  /// Add every sample of `other`: the same histogram as adding them here.
+  void merge(const Log2Histogram& other) noexcept;
 
   friend bool operator==(const Log2Histogram&, const Log2Histogram&) = default;
 

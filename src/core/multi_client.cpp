@@ -33,6 +33,22 @@ std::vector<std::uint64_t> memory_of(const SystemConfig& config,
   return bytes;
 }
 
+/// The ledger fields metrics() publishes as tenant.NNNN.<name>.
+struct TenantField {
+  const char* name;
+  std::uint64_t TenantStats::*member;
+};
+constexpr TenantField kTenantFields[] = {
+    {"batches", &TenantStats::batches},
+    {"faults", &TenantStats::faults},
+    {"grants", &TenantStats::grants},
+    {"deferrals", &TenantStats::deferrals},
+    {"evictions", &TenantStats::evictions},
+    {"service_ns", &TenantStats::service_ns},
+    {"wait_ns", &TenantStats::wait_ns},
+    {"lock_wait_ns", &TenantStats::lock_wait_ns},
+};
+
 /// Tenant i is GPU 0 of driver i.
 std::vector<NodeSource> sources_of(const SystemConfig& config,
                                    const std::vector<TenantConfig>& tenants) {
@@ -97,27 +113,25 @@ MultiClientResult MultiClientSystem::run(
                                kPageSize;
     ts.evictions = result.per_client[i].evictions;
   }
-  if (config_.obs.metrics) mirror_tenant_metrics(result);
+  tenant_totals_.resize(tenants_.size());
+  for (std::size_t i = 0; i < tenants_.size(); ++i) {
+    for (const TenantField& f : kTenantFields) {
+      tenant_totals_[i].*f.member += result.per_tenant[i].*f.member;
+    }
+  }
   return result;
 }
 
-void MultiClientSystem::mirror_tenant_metrics(const MultiClientResult& result) {
+MetricsRegistry MultiClientSystem::metrics() const {
+  MetricsRegistry m = node_.metrics();
   char name[64];
-  for (std::size_t i = 0; i < result.per_tenant.size(); ++i) {
-    const TenantStats& ts = result.per_tenant[i];
-    const auto add = [&](const char* field, std::uint64_t value) {
-      std::snprintf(name, sizeof(name), "tenant.%04zu.%s", i, field);
-      node_.metrics().add(name, value);
-    };
-    add("batches", ts.batches);
-    add("faults", ts.faults);
-    add("grants", ts.grants);
-    add("deferrals", ts.deferrals);
-    add("evictions", ts.evictions);
-    add("service_ns", ts.service_ns);
-    add("wait_ns", ts.wait_ns);
-    add("lock_wait_ns", ts.lock_wait_ns);
+  for (std::size_t i = 0; i < tenant_totals_.size(); ++i) {
+    for (const TenantField& f : kTenantFields) {
+      std::snprintf(name, sizeof(name), "tenant.%04zu.%s", i, f.name);
+      m.counters[name] = tenant_totals_[i].*f.member;
+    }
   }
+  return m;
 }
 
 }  // namespace uvmsim

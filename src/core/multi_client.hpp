@@ -88,10 +88,10 @@ class MultiClientSystem {
     return config_.obs.trace ? &node_.tracer(client) : nullptr;
   }
 
-  /// Every client's driver and GPU metrics plus the per-tenant counters
-  /// ("tenant.NNNN.*") mirrored after run(); empty unless
-  /// config.obs.metrics was set.
-  const MetricsRegistry& metrics() const noexcept { return node_.metrics(); }
+  /// Every run so far, read from the books: the node's snapshot
+  /// (Node::metrics) plus each tenant's contention ledger summed over runs
+  /// ("tenant.NNNN.*").
+  MetricsRegistry metrics() const;
 
   /// Event-engine stats (launch, interrupt and per-batch service events,
   /// idle ns skipped between arrivals, …); they accumulate across runs.
@@ -100,12 +100,11 @@ class MultiClientSystem {
   }
 
  private:
-  void mirror_tenant_metrics(const MultiClientResult& result);
-
   SystemConfig config_;
   std::vector<TenantConfig> tenants_;
   TenantSchedConfig sched_;
   Node node_;
+  std::vector<TenantStats> tenant_totals_;  // empty before the first run
 };
 
 }  // namespace uvmsim

@@ -76,7 +76,8 @@ class MultiGpuSystem {
   /// The shared driver's trace, with every GPU's windows on it; empty
   /// unless config.obs.trace was set.
   const Tracer& tracer() const noexcept { return node_.tracer(0); }
-  const MetricsRegistry& metrics() const noexcept { return node_.metrics(); }
+  /// Every run so far, read from the books (Node::metrics).
+  MetricsRegistry metrics() const { return node_.metrics(); }
   /// Event-engine stats; they accumulate across runs.
   const EventEngine::Stats& engine_stats() const noexcept {
     return node_.engine().stats();

@@ -51,9 +51,8 @@ std::vector<double> weights_of(const std::vector<NodeSource>& sources) {
 }  // namespace
 
 Node::DriverSlot::DriverSlot(const SystemConfig& config,
-                             std::uint64_t memory_bytes, std::uint32_t index,
-                             MetricsRegistry* metrics)
-    : obs{config.obs.trace ? &tracer : nullptr, metrics},
+                             std::uint64_t memory_bytes, std::uint32_t index)
+    : sink(config.obs.trace ? &tracer : nullptr),
       injector(with_seed(config.driver.inject,
                          config.driver.inject.seed + 0x9E37 * index)),
       counters(config.driver.access_counters.enabled
@@ -63,7 +62,7 @@ Node::DriverSlot::DriverSlot(const SystemConfig& config,
                          config.driver.access_counters.buffer_entries)
                    : nullptr),
       driver(config.driver, memory_bytes, config.gpu.num_sms, config.pcie,
-             &injector, obs) {
+             &injector, sink) {
   if (counters) {
     // The driver programs the counter registers at init; the GPU engines
     // feed the unit at µTLB resolution and the driver services it after
@@ -71,7 +70,7 @@ Node::DriverSlot::DriverSlot(const SystemConfig& config,
     counters->set_fault_injector(&injector);
     driver.set_access_counters(counters.get());
   }
-  if (obs.tracer) {
+  if (sink) {
     tracer.set_track_name(tracks::kSim, "sim");
     tracer.set_track_name(tracks::kDriver, "uvm driver");
     tracer.set_track_name(tracks::kGpu, "gpu");
@@ -92,7 +91,7 @@ Node::SourceSlot::SourceSlot(const SystemConfig& config,
                              const NodeSource& spec, DriverSlot& slot)
     : spec(spec), slot(slot), gpu(config.gpu, spec.seed) {
   gpu.set_fault_injector(&slot.injector);
-  gpu.set_obs(slot.obs);
+  gpu.set_tracer(slot.sink);
   if (slot.counters) gpu.set_access_counters(slot.counters.get());
   view.driver = &slot.driver;
   view.gpu = spec.gpu;
@@ -105,10 +104,9 @@ Node::Node(const SystemConfig& config,
            const std::vector<std::uint64_t>& memory_bytes,
            std::vector<NodeSource> sources, TenantSchedConfig sched)
     : config_(config), scheduler_(sched, weights_of(sources)) {
-  MetricsRegistry* const metrics = config_.obs.metrics ? &metrics_ : nullptr;
   for (std::size_t d = 0; d < memory_bytes.size(); ++d) {
     drivers_.emplace_back(config_, memory_bytes[d],
-                          static_cast<std::uint32_t>(d), metrics);
+                          static_cast<std::uint32_t>(d));
   }
   for (const NodeSource& spec : sources) {
     DriverSlot& slot = drivers_.at(spec.driver);
@@ -147,10 +145,6 @@ struct Node::Chain {
 
   Chain(Node& node, const std::vector<NodeLaunch>& launches);
 
-  /// The cumulative counters behind a RunResult's per-run deltas: GPU-side
-  /// fields summed over the driver's sources.
-  RunResult totals(const DriverSlot& slot) const;
-
   SimTime window(std::size_t s);
   void windows(const std::vector<std::size_t>& list);
   void launch();
@@ -168,7 +162,6 @@ struct Node::Chain {
   Node& node;
   const std::vector<NodeLaunch>& launches;
   EventEngine& eng;
-  MetricsRegistry* const metrics;
   const bool fcfs;
   const bool recovery_armed;
   const std::uint32_t stuck_threshold;
@@ -192,7 +185,6 @@ Node::Chain::Chain(Node& node, const std::vector<NodeLaunch>& launches)
     : node(node),
       launches(launches),
       eng(node.engine_),
-      metrics(node.config_.obs.metrics ? &node.metrics_ : nullptr),
       fcfs(node.scheduler_.config().policy == TenantSchedPolicy::kFcfs),
       recovery_armed(node.config_.driver.recovery.enabled),
       stuck_threshold(
@@ -206,7 +198,7 @@ Node::Chain::Chain(Node& node, const std::vector<NodeLaunch>& launches)
   result.kernel_ns.assign(n, 0);
   result.per_source.resize(n);
   for (const DriverSlot& slot : node.drivers_) {
-    before.push_back(totals(slot));
+    before.push_back(node.totals(slot));
     log_before.push_back(slot.driver.log().size());
   }
   for (std::size_t s = 0; s < n; ++s) {
@@ -217,10 +209,10 @@ Node::Chain::Chain(Node& node, const std::vector<NodeLaunch>& launches)
   }
 }
 
-RunResult Node::Chain::totals(const DriverSlot& slot) const {
+RunResult Node::totals(const DriverSlot& slot) const {
   RunResult t;
   for (const std::size_t s : slot.sources) {
-    const GpuEngine& gpu = node.sources_[s].gpu;
+    const GpuEngine& gpu = sources_[s].gpu;
     t.total_faults += gpu.total_faults_emitted();
     t.duplicate_emissions += gpu.total_duplicate_emissions();
     t.remote_accesses += gpu.remote_accesses();
@@ -260,11 +252,11 @@ SimTime Node::Chain::window(std::size_t s) {
       g.compute_ns +
       g.remote_requests * node.config_.gpu.remote_request_pipelined_ns;
   result.per_driver[src.spec.driver].gpu_compute_ns += g.compute_ns;
-  if (src.slot.obs.tracer && (ns > 0 || g.faults_pushed > 0)) {
-    src.slot.obs.tracer->span(tracks::kGpu, "compute", g0, g0 + ns,
-                              {{"faults", g.faults_pushed},
-                               {"duplicates", g.duplicate_pushes},
-                               {"remote", g.remote_requests}});
+  if (src.slot.sink && (ns > 0 || g.faults_pushed > 0)) {
+    src.slot.sink->span(tracks::kGpu, "compute", g0, g0 + ns,
+                        {{"faults", g.faults_pushed},
+                         {"duplicates", g.duplicate_pushes},
+                         {"remote", g.remote_requests}});
   }
   return ns;
 }
@@ -351,11 +343,10 @@ void Node::Chain::schedule_next() {
     buffer.set_wedged();
     const bool gpu_reset = slot.injector.wedge_needs_gpu_reset();
     state[s].watchdog.needs_gpu_reset = gpu_reset;
-    if (slot.obs.tracer) {
-      slot.obs.tracer->instant(tracks::kRecovery, "buffer_wedged", eng.now(),
-                               {{"needs_gpu_reset", gpu_reset ? 1u : 0u}});
+    if (slot.sink) {
+      slot.sink->instant(tracks::kRecovery, "buffer_wedged", eng.now(),
+                         {{"needs_gpu_reset", gpu_reset ? 1u : 0u}});
     }
-    if (metrics) metrics->add("sim.buffer_wedges");
   }
   // The interrupt for the picked source's earliest fault wakes the worker;
   // it can only read records the GMMU has written by then. A lost
@@ -381,10 +372,9 @@ void Node::Chain::forced_refill(SimTime now) {
     if (state[s].finished || !src.gpu.fault_buffer().empty()) continue;
     scratch.push_back(s);
     ++result.per_driver[src.spec.driver].forced_throttle_refills;
-    if (src.slot.obs.tracer) {
-      src.slot.obs.tracer->instant(tracks::kSim, "forced_token_refill", now);
+    if (src.slot.sink) {
+      src.slot.sink->instant(tracks::kSim, "forced_token_refill", now);
     }
-    if (metrics) metrics->add("sim.forced_token_refills");
     src.gpu.force_token_refill();
     src.gpu.on_replay();
   }
@@ -399,12 +389,11 @@ void Node::Chain::forced_refill(SimTime now) {
 }
 
 void Node::Chain::interrupt(SimTime now) {
-  Tracer* const tracer = node.sources_[grant.source].slot.obs.tracer;
+  Tracer* const tracer = node.sources_[grant.source].slot.sink;
   if (tracer) {
     tracer->instant(tracks::kSim, "interrupt", now,
                     {{"first_arrival", grant.first_arrival}});
   }
-  if (metrics) metrics->add("sim.interrupts");
   ++result.per_source[grant.source].grants;
   eng.post(now, components::kDriver, [this](SimTime t) { service(t); });
 }
@@ -542,11 +531,11 @@ void Node::Chain::finish_kernel() {
                          slot.driver.config().wakeup_ns;
     eng.post(wake, components::kCounters, [this, d = &slot](SimTime now) {
       AccessCounterUnit& unit = *d->counters;
-      if (d->obs.tracer) {
-        d->obs.tracer->instant(tracks::kSim, "counter_interrupt", now,
-                               {{"pending", unit.pending()}});
+      if (d->sink) {
+        d->sink->instant(tracks::kSim, "counter_interrupt", now,
+                         {{"pending", unit.pending()}});
       }
-      if (metrics) metrics->add("sim.counter_interrupts");
+      ++node.chain_totals_.counter_interrupts;
       while (!unit.empty()) {
         eng.advance_to(d->driver.service_counter_interrupt(eng.now()).end_ns);
       }
@@ -561,16 +550,19 @@ void Node::Chain::guard() {
 }
 
 NodeResult Node::Chain::finish() {
+  ChainTotals& books = node.chain_totals_;
   result.makespan_ns = end - t0;
+  ++books.runs;
+  books.kernel_time_ns += result.makespan_ns;
   for (std::size_t s = 0; s < state.size(); ++s) {
     result.kernel_ns[s] = state[s].done_at - t0;
     result.batches += result.per_source[s].batches;
+    books.interrupts += result.per_source[s].grants;
   }
-  SimTime compute_ns = 0;
   for (std::size_t d = 0; d < node.drivers_.size(); ++d) {
     const DriverSlot& slot = node.drivers_[d];
     RunResult& r = result.per_driver[d];
-    const RunResult after = totals(slot);
+    const RunResult after = node.totals(slot);
     for (const auto field : kDeltaFields) {
       r.*field = after.*field - before[d].*field;
     }
@@ -580,14 +572,127 @@ NodeResult Node::Chain::finish() {
       r.kernel_time_ns = std::max(r.kernel_time_ns, result.kernel_ns[s]);
     }
     r.batch_time_ns = uvmsim::totals(r.log).batch_time_ns;
-    compute_ns += r.gpu_compute_ns;
-  }
-  if (metrics) {
-    metrics->add("sim.runs");
-    metrics->add("sim.kernel_time_ns", result.makespan_ns);
-    metrics->add("sim.gpu_compute_ns", compute_ns);
+    books.gpu_compute_ns += r.gpu_compute_ns;
+    books.forced_refills += r.forced_throttle_refills;
   }
   return std::move(result);
+}
+
+MetricsRegistry Node::metrics() const {
+  MetricsRegistry m;
+  auto& c = m.counters;
+  const auto event = [&c](const char* name, std::uint64_t n) {
+    if (n > 0) c[name] = n;
+  };
+
+  // The batch logs: every driver's records, one pass.
+  BatchTotals logged;
+  Log2Histogram durations, raw, unique, vablocks;
+  std::uint64_t counter_passes = 0;
+  std::int64_t batch_size = 0;
+  for (const DriverSlot& slot : drivers_) {
+    for (const BatchRecord& rec : slot.driver.log()) {
+      logged.add(rec);
+      durations.add(rec.duration_ns());
+      raw.add(rec.counters.raw_faults);
+      unique.add(rec.counters.unique_faults);
+      vablocks.add(rec.counters.vablocks_touched);
+      // A record holds at most one counter pass, and only a pass that
+      // drained something charges anything.
+      if (rec.counters.ctr_notifications > 0) ++counter_passes;
+    }
+    if (!slot.driver.log().empty()) {
+      batch_size = std::max<std::int64_t>(batch_size,
+                                          slot.driver.effective_batch_size());
+    }
+  }
+  if (durations.total() > 0) {
+    c["driver.batches"] = durations.total();
+    c["driver.batch_time_ns"] = logged.batch_time_ns;
+    logged.for_each_field([&c](const BatchField& field, std::uint64_t total) {
+      c.emplace(field.metric, total);
+    });
+    m.gauges["driver.effective_batch_size"] = batch_size;
+    m.histograms["batch.duration_ns"] = durations;
+    m.histograms["batch.raw_faults"] = raw;
+    m.histograms["batch.unique_faults"] = unique;
+    m.histograms["batch.vablocks_touched"] = vablocks;
+  }
+  if (counter_passes > 0) {
+    c["counter.passes"] = counter_passes;
+    c["counter.notifications"] = logged.ctr_notifications;
+    c["counter.pages_promoted"] = logged.ctr_pages_promoted;
+    c["counter.unpins"] = logged.ctr_unpins;
+    c["counter.evictions"] = logged.ctr_evictions;
+    c["counter.service_ns"] = logged.counter_ns;  // a pass charges only it
+  }
+  event("counter.dropped", logged.ctr_dropped);
+
+  // The cumulative counters of every driver and source.
+  RunResult all;
+  Log2Histogram run_pages;
+  std::uint64_t bytes_peer = 0, map_calls = 0, radix_nodes = 0,
+                growths = 0, mapped = 0;
+  for (const DriverSlot& slot : drivers_) {
+    const RunResult t = totals(slot);
+    for (const auto field : kDeltaFields) all.*field += t.*field;
+    const CopyEngine& copy = slot.driver.copy_engine();
+    run_pages.merge(copy.run_pages());
+    bytes_peer += copy.bytes_peer();
+    const DmaMapper& dma = slot.driver.dma();
+    map_calls += dma.map_calls();
+    radix_nodes += dma.radix_nodes();
+    growths += dma.radix_height_growths();
+    mapped += dma.mapped_pages();
+  }
+
+  // The engines, and the chain itself, once a run completed.
+  if (chain_totals_.runs > 0) {
+    std::uint64_t visits = 0, idle = 0, probes = 0, oracle = 0;
+    std::int64_t warps = 0, retired = 0;
+    for (const SourceSlot& src : sources_) {
+      visits += src.gpu.warp_visits();
+      idle += src.gpu.idle_warp_visits();
+      probes += src.gpu.residency_probes();
+      oracle += src.gpu.oracle_probes();
+      warps += src.gpu.active_warps();
+      retired += static_cast<std::int64_t>(src.gpu.blocks_retired());
+    }
+    c["gpu.faults_emitted"] = all.total_faults;
+    c["gpu.duplicate_emissions"] = all.duplicate_emissions;
+    c["gpu.remote_accesses"] = all.remote_accesses;
+    c["gpu.warp_visits"] = visits;
+    c["gpu.idle_warp_visits"] = idle;
+    c["gpu.residency_probes"] = probes;
+    c["gpu.oracle_probes"] = oracle;
+    m.gauges["gpu.active_warps"] = warps;
+    m.gauges["gpu.blocks_retired"] = retired;
+    c["sim.runs"] = chain_totals_.runs;
+    c["sim.kernel_time_ns"] = chain_totals_.kernel_time_ns;
+    c["sim.gpu_compute_ns"] = chain_totals_.gpu_compute_ns;
+  }
+  event("gpu.storm_faults_emitted", all.injected_storm_faults);
+  event("sim.interrupts", chain_totals_.interrupts);
+  event("sim.counter_interrupts", chain_totals_.counter_interrupts);
+  event("sim.forced_token_refills", chain_totals_.forced_refills);
+  event("sim.buffer_wedges", all.injected_wedges);
+
+  event("copy.bytes_h2d", all.bytes_h2d);
+  event("copy.bytes_d2h", all.bytes_d2h);
+  event("copy.bytes_peer", bytes_peer);
+  if (run_pages.total() > 0) {
+    c["copy.dma_ops"] = run_pages.total();
+    m.histograms["copy.run_pages"] = run_pages;
+  }
+
+  if (map_calls > 0) {
+    c["dma.map_calls"] = map_calls;
+    c["dma.pages_mapped"] = mapped;  // nothing is ever unmapped
+    c["dma.radix_nodes"] = radix_nodes;
+    m.gauges["dma.mapped_pages"] = static_cast<std::int64_t>(mapped);
+  }
+  event("dma.radix_height_growths", growths);
+  return m;
 }
 
 NodeResult Node::run(const std::vector<NodeLaunch>& launches) {

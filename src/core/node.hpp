@@ -16,7 +16,8 @@
 // N sources) and MultiGpuSystem (1 driver with N GPU contexts, N sources)
 // are presets that build a Node and map its result, so fault injection,
 // the wedge watchdog and GPU resets, the post-kernel counter drain,
-// tracing and per-run counter deltas behave the same on every shape.
+// tracing, per-run counter deltas and the metrics snapshot behave the same
+// on every shape.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +31,7 @@
 #include "gpu/gpu_config.hpp"
 #include "gpu/gpu_engine.hpp"
 #include "interconnect/pcie.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "uvm/driver_config.hpp"
 #include "uvm/tenant.hpp"
@@ -42,7 +44,7 @@ struct SystemConfig {
   GpuConfig gpu;
   DriverConfig driver;
   PcieConfig pcie;
-  ObsConfig obs;                // tracing/metrics; both off by default
+  ObsConfig obs;                // tracing; off by default
   std::uint64_t seed = 0x5C21;  // fault-jitter / duplicate-draw seed
 };
 
@@ -152,18 +154,33 @@ class Node {
   /// Driver d's trace; empty unless config.obs.trace was set.
   Tracer& tracer(std::size_t d) { return drivers_.at(d).tracer; }
   const Tracer& tracer(std::size_t d) const { return drivers_.at(d).tracer; }
-  MetricsRegistry& metrics() noexcept { return metrics_; }
-  const MetricsRegistry& metrics() const noexcept { return metrics_; }
+  /// The node's whole-life accounting, read from the components' books
+  /// (batch logs, engines, copy engines, DMA mappers, injectors and the
+  /// chain's run totals) into a fresh snapshot. A group appears once its
+  /// component ran and an event count once it is nonzero; a gauge sums
+  /// over the node's engines or drivers, except driver.effective_batch_size,
+  /// the largest over its drivers.
+  MetricsRegistry metrics() const;
   const EventEngine& engine() const noexcept { return engine_; }
   const SystemConfig& config() const noexcept { return config_; }
 
  private:
   struct Chain;  // one run's event handlers and the state they share
 
+  // The event chain's own whole-life books, over every completed run.
+  struct ChainTotals {
+    std::uint64_t runs = 0;
+    SimTime kernel_time_ns = 0;  // makespans, summed
+    SimTime gpu_compute_ns = 0;
+    std::uint64_t interrupts = 0;          // fault interrupts (grants)
+    std::uint64_t counter_interrupts = 0;  // post-kernel counter drains
+    std::uint64_t forced_refills = 0;
+  };
+
   struct DriverSlot {
     DriverSlot(const SystemConfig& config, std::uint64_t memory_bytes,
-               std::uint32_t index, MetricsRegistry* metrics);
-    Obs obs;
+               std::uint32_t index);
+    Tracer* sink;            // &tracer under config.obs.trace, else null
     FaultInjector injector;  // these three precede `driver`, which holds
     Tracer tracer;           // pointers into them
     std::unique_ptr<AccessCounterUnit> counters;  // null = disabled
@@ -194,9 +211,13 @@ class Node {
     const ResidencyOracle* residency = nullptr;
   };
 
+  /// The cumulative counters behind a RunResult's per-run deltas: GPU-side
+  /// fields summed over the driver's sources.
+  RunResult totals(const DriverSlot& slot) const;
+
   SystemConfig config_;
   TenantScheduler scheduler_;  // never charged: each run starts from a copy
-  MetricsRegistry metrics_;
+  ChainTotals chain_totals_;
   std::deque<DriverSlot> drivers_;  // deques: slots never move
   std::deque<SourceSlot> sources_;
   EventEngine engine_;  // clock advances monotonically across run() calls

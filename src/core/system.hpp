@@ -49,12 +49,12 @@ class System {
     return node_.access_counters(0);
   }
 
-  /// The run-stream's recorded trace/metrics. Empty unless the matching
-  /// SystemConfig::obs flag was set; events accumulate across run() calls.
+  /// The run-stream's recorded trace: empty unless SystemConfig::obs.trace
+  /// was set; events accumulate across run() calls.
   const Tracer& tracer() const noexcept { return node_.tracer(0); }
   Tracer& tracer() noexcept { return node_.tracer(0); }
-  const MetricsRegistry& metrics() const noexcept { return node_.metrics(); }
-  MetricsRegistry& metrics() noexcept { return node_.metrics(); }
+  /// Every run so far, read from the books (Node::metrics).
+  MetricsRegistry metrics() const { return node_.metrics(); }
 
   /// The discrete-event engine driving run(); stats accumulate across
   /// runs (events posted/executed, idle ns skipped).

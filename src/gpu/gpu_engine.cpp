@@ -368,10 +368,6 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
   std::fill(sm_arrival_cursor_.begin(), sm_arrival_cursor_.end(), 0ULL);
   const auto window = static_cast<std::uint32_t>(++window_seq_);
   const std::uint32_t warps_at_start = std::max(1u, active_warps_);
-  const std::uint64_t visits_before = visits_;
-  const std::uint64_t idle_before = idle_visits_;
-  const std::uint64_t probes_before = probes_;
-  const std::uint64_t oracle_before = oracle_probes_;
   // Residency is fixed within a window; an allocation between windows
   // may move the table, so read it here and nowhere later.
   const ResidencyOracle::Table table = residency.residency_table();
@@ -453,17 +449,6 @@ GpuEngine::GenerateResult GpuEngine::generate(SimTime now,
   // Completed warp compute runs in parallel across warps; charge the
   // average serial share as the window's wall-clock contribution.
   result.compute_ns /= warps_at_start;
-  if (obs_.metrics) {
-    obs_.metrics->add("gpu.faults_emitted", result.faults_pushed);
-    obs_.metrics->add("gpu.duplicate_emissions", result.duplicate_pushes);
-    obs_.metrics->add("gpu.remote_accesses", result.remote_requests);
-    obs_.metrics->add("gpu.warp_visits", visits_ - visits_before);
-    obs_.metrics->add("gpu.idle_warp_visits", idle_visits_ - idle_before);
-    obs_.metrics->add("gpu.residency_probes", probes_ - probes_before);
-    obs_.metrics->add("gpu.oracle_probes", oracle_probes_ - oracle_before);
-    obs_.metrics->set_gauge("gpu.active_warps", active_warps_);
-    obs_.metrics->set_gauge("gpu.blocks_retired", blocks_retired_);
-  }
   return result;
 }
 
@@ -490,12 +475,8 @@ void GpuEngine::emit_injected_storm(SimTime now, GenerateResult& result) {
     }
   }
   injector_->note_storm_emitted(emitted);
-  if (obs_.metrics && emitted > 0) {
-    obs_.metrics->add("gpu.storm_faults_emitted", emitted);
-  }
-  if (obs_.tracer && emitted > 0) {
-    obs_.tracer->instant(tracks::kGpu, "fault_storm", now,
-                         {{"faults", emitted}});
+  if (tracer_ && emitted > 0) {
+    tracer_->instant(tracks::kGpu, "fault_storm", now, {{"faults", emitted}});
   }
 }
 

@@ -77,7 +77,7 @@
 #include "gpu/kernel_desc.hpp"
 #include "gpu/park_index.hpp"
 #include "gpu/utlb.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 
 namespace uvmsim {
 
@@ -174,9 +174,9 @@ class GpuEngine {
     counters_ = counters;
   }
 
-  /// Attach observability sinks (fault-emission counters). May hold null
-  /// members; the engine does not own them.
-  void set_obs(Obs obs) noexcept { obs_ = obs; }
+  /// Attach the trace sink (fault-storm instants). May be null (tracing
+  /// off); the engine does not own it.
+  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Driver-issued fault replay: clear µTLB waiting state, refill SM
   /// throttle tokens. Waiting accesses return to pending (as reissues)
@@ -204,6 +204,7 @@ class GpuEngine {
   std::uint64_t total_duplicate_emissions() const noexcept { return dups_; }
   std::uint64_t remote_accesses() const noexcept { return remote_accesses_; }
   std::uint64_t blocks_retired() const noexcept { return blocks_retired_; }
+  std::uint32_t active_warps() const noexcept { return active_warps_; }
   std::uint64_t replays_seen() const noexcept { return replays_; }
 
   /// Host-cost counters: warp visits (advance_warp calls), visits that
@@ -313,7 +314,7 @@ class GpuEngine {
   Xoshiro256 rng_;
   FaultInjector* injector_ = nullptr;  // not owned; null = no injection
   AccessCounterUnit* counters_ = nullptr;  // not owned; null = disabled
-  Obs obs_;
+  Tracer* tracer_ = nullptr;  // not owned; null = tracing off
   FaultBuffer buffer_;
   std::vector<UTlb> utlbs_;
   std::vector<Screen> screens_;  // one per µTLB

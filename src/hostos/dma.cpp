@@ -13,13 +13,8 @@ DmaMapper::MapResult DmaMapper::map_range(PageId first, std::uint32_t count) {
     out.cost_ns += model_.per_page_map_ns + model_.per_radix_insert_ns +
                    model_.per_radix_node_ns * ins.nodes_allocated;
   }
-  if (obs_.metrics) {
-    obs_.metrics->add("dma.map_calls");
-    obs_.metrics->add("dma.pages_mapped", out.pages_mapped);
-    obs_.metrics->add("dma.radix_nodes", out.radix_nodes_allocated);
-    if (out.radix_grew) obs_.metrics->add("dma.radix_height_growths");
-    obs_.metrics->set_gauge("dma.mapped_pages", reverse_.size());
-  }
+  ++map_calls_;
+  if (out.radix_grew) ++growths_;
   return out;
 }
 

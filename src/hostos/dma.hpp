@@ -14,7 +14,6 @@
 
 #include "common/types.hpp"
 #include "hostos/radix_tree.hpp"
-#include "obs/obs.hpp"
 
 namespace uvmsim {
 
@@ -41,16 +40,20 @@ class DmaMapper {
   MapResult map_range(PageId first, std::uint32_t count);
 
   bool is_mapped(PageId page) const { return reverse_.contains(page); }
-  std::uint64_t mapped_pages() const noexcept { return reverse_.size(); }
 
-  /// Attach observability sinks (map-call counters, radix-growth metrics).
-  /// Null members = no recording.
-  void set_obs(Obs obs) noexcept { obs_ = obs; }
+  // Whole-life books. Nothing is ever unmapped, so the mapped pages and
+  // the tree's nodes are also the totals map_range() added.
+  std::uint64_t mapped_pages() const noexcept { return reverse_.size(); }
+  std::uint64_t radix_nodes() const noexcept { return reverse_.node_count(); }
+  std::uint64_t map_calls() const noexcept { return map_calls_; }
+  /// map_range() calls whose inserts grew the tree's height.
+  std::uint64_t radix_height_growths() const noexcept { return growths_; }
 
  private:
   DmaCostModel model_;
-  Obs obs_;
   RadixTree reverse_;
+  std::uint64_t map_calls_ = 0;
+  std::uint64_t growths_ = 0;
 };
 
 }  // namespace uvmsim

@@ -9,23 +9,16 @@ void CopyEngine::dma(std::uint64_t count, NodeId from, NodeId to,
   out.bytes += bytes;
   ++out.dma_ops;
   topo_.record(from, to, bytes);
-  if (obs_.metrics) obs_.metrics->observe("copy.run_pages", count);
+  run_pages_.add(count);
 }
 
 void CopyEngine::account(NodeId from, NodeId to, const CopyResult& copy) {
-  const char* metric = "copy.bytes_peer";
   if (from == kHostNode) {
     to_device_ += copy.bytes;
-    metric = "copy.bytes_h2d";
   } else if (to == kHostNode) {
     to_host_ += copy.bytes;
-    metric = "copy.bytes_d2h";
   } else {
     peer_ += copy.bytes;
-  }
-  if (obs_.metrics) {
-    obs_.metrics->add(metric, copy.bytes);
-    obs_.metrics->add("copy.dma_ops", copy.dma_ops);
   }
 }
 

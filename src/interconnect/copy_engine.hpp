@@ -14,9 +14,9 @@
 #include <cstdint>
 
 #include "common/page_mask.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "interconnect/topology.hpp"
-#include "obs/obs.hpp"
 
 namespace uvmsim {
 
@@ -41,21 +41,19 @@ class CopyEngine {
   std::uint64_t bytes_to_device() const noexcept { return to_device_; }
   std::uint64_t bytes_to_host() const noexcept { return to_host_; }
   std::uint64_t bytes_peer() const noexcept { return peer_; }
-
-  /// Attach observability sinks (copy ops/bytes counters, DMA-run-length
-  /// histogram). Null members = no recording.
-  void set_obs(Obs obs) noexcept { obs_ = obs; }
+  /// Pages per DMA op, one sample per op: its total() is the op count.
+  const Log2Histogram& run_pages() const noexcept { return run_pages_; }
 
  private:
   /// One DMA op of `count` contiguous pages, added to `out` and booked on
   /// every link of the route.
   void dma(std::uint64_t count, NodeId from, NodeId to, CopyResult& out);
 
-  /// Per-direction and metrics accounting of one finished copy.
+  /// Per-direction accounting of one finished copy.
   void account(NodeId from, NodeId to, const CopyResult& copy);
 
   Topology& topo_;
-  Obs obs_;
+  Log2Histogram run_pages_;
   std::uint64_t to_device_ = 0;
   std::uint64_t to_host_ = 0;
   std::uint64_t peer_ = 0;  // GPU<->GPU bytes

@@ -1,28 +1,21 @@
-// The nullable observability handle threaded through the stack.
+// The observability switch threaded through the stack.
 //
-// The System owns one Tracer and one MetricsRegistry per run-stream and
-// hands every layer an `Obs` whose pointers are null for whichever sink is
-// disabled. Components guard each emission site with a single pointer
-// test, which is the whole disabled-path cost — no flags to consult, no
-// virtual calls, no allocation.
+// The Node owns one Tracer per driver and hands every layer a `Tracer*`
+// that is null while tracing is off. Components guard each emission site
+// with a single pointer test, which is the whole disabled-path cost — no
+// flags to consult, no virtual calls, no allocation. Metrics need no
+// switch: Node::metrics() builds them from the components' own books after
+// the run (obs/metrics.hpp).
 #pragma once
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace uvmsim {
 
-/// What the System enables for a run-stream (SystemConfig::obs). Both
-/// default off: the stock simulator does zero observability work.
+/// What the System enables for a run-stream (SystemConfig::obs). Off by
+/// default: the stock simulator records no trace.
 struct ObsConfig {
-  bool trace = false;    // record spans/instants (Chrome trace JSON export)
-  bool metrics = false;  // record named counters/gauges/histograms
-};
-
-/// Borrowed sinks; either or both may be null. Copy freely.
-struct Obs {
-  Tracer* tracer = nullptr;
-  MetricsRegistry* metrics = nullptr;
+  bool trace = false;  // record spans/instants (Chrome trace JSON export)
 };
 
 }  // namespace uvmsim

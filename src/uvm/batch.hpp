@@ -13,8 +13,9 @@
 // The rows generate the members of BatchPhaseTimes and BatchCounters (at
 // the row's type, in row order) and of BatchTotals (at 64 bits), and,
 // through for_each_batch_field and for_each_batch_phase, the batch-log
-// format (analysis/log_io), the metrics-registry mirror (UvmDriver) and the
-// rows of `analyze --phases`.
+// format (analysis/log_io) and the rows of `analyze --phases`; through
+// BatchTotals::for_each_field, the `driver.*` and `phase.*` counters of the
+// metrics snapshot (Node::metrics).
 // A new per-batch counter is one row here, plus one row in the hand-written
 // oracle table of tests/test_metrics.cpp.
 #pragma once
@@ -233,7 +234,7 @@ using BatchLog = std::vector<BatchRecord>;
 /// A field's names and group, as its row declares them.
 struct BatchField {
   std::string_view key;     // batch-log key
-  std::string_view metric;  // metrics-registry counter
+  std::string_view metric;  // metrics-snapshot counter
   BatchGroup group;
 };
 
@@ -291,6 +292,16 @@ struct BatchTotals {
   /// parallel workers or async host ops overlap phases.
   SimTime phase_sum() const noexcept {
     return SimTime{0} UVMSIM_BATCH_PHASES(UVMSIM_BATCH_PLUS);
+  }
+
+  /// Calls f(field, total) for every timer and counter in row order.
+  template <typename F>
+  constexpr void for_each_field(F&& f) const {
+#define UVMSIM_BATCH_VISIT_TOTAL(type, member, key, metric, group) \
+  f(BatchField{key, metric, BatchGroup::group}, member);
+    UVMSIM_BATCH_PHASES(UVMSIM_BATCH_VISIT_TOTAL)
+    UVMSIM_BATCH_COUNTERS(UVMSIM_BATCH_VISIT_TOTAL)
+#undef UVMSIM_BATCH_VISIT_TOTAL
   }
 
   /// Whether any field of `group` is nonzero.

@@ -5,7 +5,7 @@ namespace uvmsim {
 CounterServicer::CounterServicer(const DriverConfig& config, VaSpace& space,
                                  const Topology& topo, GpuMemCtxs& gpus,
                                  CopyEngine& copy, FaultServicer& faults,
-                                 ThrashingDetector* thrash, Obs obs)
+                                 ThrashingDetector* thrash, Tracer* tracer)
     : config_(config),
       space_(space),
       topo_(topo),
@@ -13,7 +13,7 @@ CounterServicer::CounterServicer(const DriverConfig& config, VaSpace& space,
       copy_(copy),
       faults_(faults),
       thrash_(thrash),
-      obs_(obs) {}
+      tracer_(tracer) {}
 
 std::uint32_t CounterServicer::pick_target_gpu(const VaBlockState& block) {
   const std::uint32_t last = block.last_gpu();
@@ -68,13 +68,13 @@ void CounterServicer::promote_peer_block(VaBlockId id, VaBlockState& block,
   block.clear_peer_maps();
   record.phases.counter_ns += config_.per_page_pte_ns * pages;
   gpus_[target].evictor.touch(id);
-  if (detailed_trace(config_, obs_)) {
-    obs_.tracer->span(tracks::kCounters, "peer_promote", promote_t0,
-                      record.start_ns + record.phases.sum(),
-                      {{"block", id},
-                       {"from", owner},
-                       {"to", target},
-                       {"pages", pages}});
+  if (detailed_trace(config_, tracer_)) {
+    tracer_->span(tracks::kCounters, "peer_promote", promote_t0,
+                  record.start_ns + record.phases.sum(),
+                  {{"block", id},
+                   {"from", owner},
+                   {"to", target},
+                   {"pages", pages}});
   }
 }
 
@@ -89,18 +89,14 @@ void CounterServicer::service(AccessCounterUnit& unit, BatchRecord& record) {
       static_cast<std::uint32_t>(dropped_now - dropped_seen_);
   dropped_seen_ = dropped_now;
   record.counters.ctr_dropped = dropped_delta;
-  if (obs_.tracer && dropped_delta > 0) {
-    obs_.tracer->instant(tracks::kCounters, "counter_buffer_overflow",
-                         pass_start, {{"dropped", dropped_delta}});
+  if (tracer_ && dropped_delta > 0) {
+    tracer_->instant(tracks::kCounters, "counter_buffer_overflow",
+                     pass_start, {{"dropped", dropped_delta}});
   }
 
   const auto batch = unit.drain_arrived(cfg.batch_size, pass_start);
-  if (batch.empty()) {
-    if (obs_.metrics && dropped_delta > 0) {
-      obs_.metrics->add("counter.dropped", dropped_delta);
-    }
-    return;  // nothing arrived: the driver never wakes for this channel
-  }
+  // Nothing arrived: the driver never wakes for this channel.
+  if (batch.empty()) return;
 
   const SimTime phases_before = record.phases.sum();
   record.phases.counter_ns +=
@@ -191,34 +187,24 @@ void CounterServicer::service(AccessCounterUnit& unit, BatchRecord& record) {
     block.set_gpu_resident(target_pages);
     record.phases.counter_ns += config_.per_page_pte_ns * established;
     gpus_[block.owner_gpu()].evictor.touch(block_id);
-    if (detailed_trace(config_, obs_)) {
-      obs_.tracer->span(tracks::kCounters, "promote", promote_t0,
-                        record.start_ns + record.phases.sum(),
-                        {{"block", block_id},
-                         {"base_page", n.base_page},
-                         {"pages", established},
-                         {"count", n.count}});
+    if (detailed_trace(config_, tracer_)) {
+      tracer_->span(tracks::kCounters, "promote", promote_t0,
+                    record.start_ns + record.phases.sum(),
+                    {{"block", block_id},
+                     {"base_page", n.base_page},
+                     {"pages", established},
+                     {"count", n.count}});
     }
   }
 
   const SimTime pass_cost = record.phases.sum() - phases_before;
   record.end_ns += pass_cost;
-  if (obs_.tracer) {
-    obs_.tracer->span(tracks::kCounters, "counter_service", pass_start,
-                      record.end_ns,
-                      {{"notifications", batch.size()},
-                       {"pages_promoted", record.counters.ctr_pages_promoted},
-                       {"unpins", record.counters.ctr_unpins}});
-  }
-  if (obs_.metrics) {
-    obs_.metrics->add("counter.passes");
-    obs_.metrics->add("counter.notifications", batch.size());
-    obs_.metrics->add("counter.pages_promoted",
-                      record.counters.ctr_pages_promoted);
-    obs_.metrics->add("counter.unpins", record.counters.ctr_unpins);
-    obs_.metrics->add("counter.evictions", record.counters.ctr_evictions);
-    if (dropped_delta > 0) obs_.metrics->add("counter.dropped", dropped_delta);
-    obs_.metrics->add("counter.service_ns", pass_cost);
+  if (tracer_) {
+    tracer_->span(tracks::kCounters, "counter_service", pass_start,
+                  record.end_ns,
+                  {{"notifications", batch.size()},
+                   {"pages_promoted", record.counters.ctr_pages_promoted},
+                   {"unpins", record.counters.ctr_unpins}});
   }
 }
 

@@ -36,7 +36,7 @@
 #include "gpu/gpu_memory.hpp"
 #include "interconnect/copy_engine.hpp"
 #include "interconnect/topology.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "uvm/batch.hpp"
 #include "uvm/driver_config.hpp"
 #include "uvm/fault_servicer.hpp"
@@ -53,7 +53,7 @@ class CounterServicer {
   CounterServicer(const DriverConfig& config, VaSpace& space,
                   const Topology& topo, GpuMemCtxs& gpus, CopyEngine& copy,
                   FaultServicer& faults, ThrashingDetector* thrash = nullptr,
-                  Obs obs = {});
+                  Tracer* tracer = nullptr);
 
   /// Run one servicing pass against `unit` at the end of the fault batch
   /// `record` (whose end_ns must already be set): drain arrived
@@ -84,7 +84,7 @@ class CounterServicer {
   CopyEngine& copy_;
   FaultServicer& faults_;
   ThrashingDetector* thrash_;  // may be null (no detection)
-  Obs obs_;                    // null members = no recording
+  Tracer* tracer_;             // null = no recording
   std::uint64_t promoted_ = 0;
   std::uint64_t unpins_ = 0;
   std::uint64_t dropped_seen_ = 0;  // unit drop total at the last pass

@@ -15,7 +15,7 @@
 #include "hostos/dma.hpp"
 #include "hostos/unmap.hpp"
 #include "interconnect/topology.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "uvm/eviction.hpp"
 #include "uvm/thrashing.hpp"
 
@@ -245,8 +245,8 @@ struct DriverConfig {
 /// fault, counter and recovery paths emit only their envelope spans (the
 /// batch, fetch/dedup, worker jobs, replay and counter pass).
 inline bool detailed_trace(const DriverConfig& config,
-                           const Obs& obs) noexcept {
-  return obs.tracer != nullptr && !config.parallelism.active() &&
+                           const Tracer* tracer) noexcept {
+  return tracer != nullptr && !config.parallelism.active() &&
          !config.async_host_ops;
 }
 

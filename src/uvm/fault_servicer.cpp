@@ -13,7 +13,7 @@ FaultServicer::FaultServicer(const DriverConfig& config, VaSpace& space,
                              const Topology& topo, GpuMemCtxs& gpus,
                              DmaMapper& dma, CopyEngine& copy,
                              std::uint32_t num_sms, FaultInjector* injector,
-                             ThrashingDetector* thrash, Obs obs)
+                             ThrashingDetector* thrash, Tracer* tracer)
     : config_(config),
       space_(space),
       topo_(topo),
@@ -23,7 +23,7 @@ FaultServicer::FaultServicer(const DriverConfig& config, VaSpace& space,
       num_sms_(num_sms),
       injector_(injector),
       thrash_(thrash),
-      obs_(obs),
+      tracer_(tracer),
       deduper_(config.batch_size) {
   block_keys_.reserve(config.batch_size);
   by_block_.reserve(config.batch_size);
@@ -49,11 +49,11 @@ bool FaultServicer::attempt_with_retries(RetrySite site, BatchRecord& record) {
       // clamp instead of wrapping the phase timer (see RetryPolicy).
       record.phases.backoff_ns =
           sat_add(record.phases.backoff_ns, config_.retry.backoff_ns(failures));
-      if (detailed_trace(config_, obs_)) {
-        obs_.tracer->span(tracks::kDriver, "backoff", t0,
-                          record.start_ns + record.phases.sum(),
-                          {{"site", site == RetrySite::kTransfer ? 0u : 1u},
-                           {"failures", failures + 1}});
+      if (detailed_trace(config_, tracer_)) {
+        tracer_->span(tracks::kDriver, "backoff", t0,
+                      record.start_ns + record.phases.sum(),
+                      {{"site", site == RetrySite::kTransfer ? 0u : 1u},
+                       {"failures", failures + 1}});
       }
       if (site == RetrySite::kTransfer) {
         ++c.transfer_retries;
@@ -115,10 +115,10 @@ void FaultServicer::evict_one(std::uint32_t gpu, VaBlockId protect,
     ++record.counters.ctr_evictions;
     ++total_ctr_evictions_;
   }
-  if (detailed_trace(config_, obs_)) {
-    obs_.tracer->span(fault_path ? tracks::kDriver : tracks::kCounters,
-                      "evict", evict_t0, record.start_ns + record.phases.sum(),
-                      {{"victim", *victim}, {"pages_written_back", resident}});
+  if (detailed_trace(config_, tracer_)) {
+    tracer_->span(fault_path ? tracks::kDriver : tracks::kCounters,
+                  "evict", evict_t0, record.start_ns + record.phases.sum(),
+                  {{"victim", *victim}, {"pages_written_back", resident}});
   }
   record.evicted_blocks.push_back(*victim);
 }
@@ -193,9 +193,9 @@ void FaultServicer::pin_block(VaBlockId id, VaBlockState& block, SimTime now,
   }
   thrash_->pin(id, now + config_.thrash.pin_lapse_ns);
   ++record.counters.thrash_pins;
-  if (detailed_trace(config_, obs_)) {
-    obs_.tracer->span(tracks::kDriver, "thrash_pin", pin_t0,
-                      record.start_ns + record.phases.sum(), {{"block", id}});
+  if (detailed_trace(config_, tracer_)) {
+    tracer_->span(tracks::kDriver, "thrash_pin", pin_t0,
+                  record.start_ns + record.phases.sum(), {{"block", id}});
   }
 }
 
@@ -287,7 +287,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
 
   // Fetch and dedup are the batch's serial prefix in every servicing mode,
   // so their spans are valid even when the per-block timeline is not.
-  Tracer* const tracer = obs_.tracer;
+  Tracer* const tracer = tracer_;
   if (tracer) {
     const SimTime fetch_end = start + record.phases.fetch_ns;
     tracer->span(tracks::kDriver, "fetch", start, fetch_end,
@@ -323,7 +323,7 @@ BatchRecord FaultServicer::service(const std::vector<FaultRecord>& raw,
   std::vector<VaBlockId> block_order;
   if (parallel && tracer) block_order.reserve(by_block_.size());
 
-  const bool detailed = detailed_trace(config_, obs_);
+  const bool detailed = detailed_trace(config_, tracer_);
 
   for (std::size_t first = 0, last = 0; first < by_block_.size();
        first = last) {

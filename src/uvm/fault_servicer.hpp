@@ -46,7 +46,7 @@
 #include "hostos/dma.hpp"
 #include "interconnect/copy_engine.hpp"
 #include "interconnect/topology.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "uvm/batch.hpp"
 #include "uvm/dedup.hpp"
 #include "uvm/driver_config.hpp"
@@ -66,7 +66,7 @@ class FaultServicer {
                 const Topology& topo, GpuMemCtxs& gpus, DmaMapper& dma,
                 CopyEngine& copy, std::uint32_t num_sms,
                 FaultInjector* injector = nullptr,
-                ThrashingDetector* thrash = nullptr, Obs obs = {});
+                ThrashingDetector* thrash = nullptr, Tracer* tracer = nullptr);
 
   /// Service one batch starting at simulated time `start`. Updates all
   /// residency state and returns the complete batch record (end time =
@@ -158,7 +158,7 @@ class FaultServicer {
   FaultInjector* injector_;          // may be null (no injection)
   ThrashingDetector* thrash_;        // may be null (no detection)
   RecoveryManager* recovery_ = nullptr;  // may be null (no fatal faults)
-  Obs obs_;                          // null members = no recording
+  Tracer* tracer_;                   // null = no recording
   std::uint64_t total_evictions_ = 0;
   std::uint64_t total_ctr_evictions_ = 0;
   // Per-batch working storage, sized at construction for the configured

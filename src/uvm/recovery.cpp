@@ -4,13 +4,13 @@ namespace uvmsim {
 
 RecoveryManager::RecoveryManager(const DriverConfig& config, VaSpace& space,
                                  GpuMemCtxs& gpus, DmaMapper& dma,
-                                 CopyEngine& copy, Obs obs)
+                                 CopyEngine& copy, Tracer* tracer)
     : config_(config),
       space_(space),
       gpus_(gpus),
       dma_(dma),
       copy_(copy),
-      obs_(obs) {}
+      tracer_(tracer) {}
 
 GpuMemCtx& RecoveryManager::salvage(VaBlockId id, VaBlockState& block,
                                     BatchRecord& record) {
@@ -84,13 +84,13 @@ void RecoveryManager::fatal_chunk_ecc(VaBlockId id, VaBlockState& block,
   }
   note_pool_use(newly);
 
-  if (detailed_trace(config_, obs_)) {
-    obs_.tracer->span(tracks::kRecovery, "ecc_retire", t0,
-                      record.start_ns + record.phases.sum(),
-                      {{"block", id},
-                       {"faults_cancelled", faults},
-                       {"pages_retired", newly},
-                       {"chunk_blacklisted", blacklisted ? 1u : 0u}});
+  if (detailed_trace(config_, tracer_)) {
+    tracer_->span(tracks::kRecovery, "ecc_retire", t0,
+                  record.start_ns + record.phases.sum(),
+                  {{"block", id},
+                   {"faults_cancelled", faults},
+                   {"pages_retired", newly},
+                   {"chunk_blacklisted", blacklisted ? 1u : 0u}});
   }
 }
 
@@ -111,10 +111,10 @@ void RecoveryManager::fatal_poisoned_page(VaBlockId id, VaBlockState& block,
   ++pages_retired_;
   note_pool_use(1);
 
-  if (detailed_trace(config_, obs_)) {
-    obs_.tracer->span(tracks::kRecovery, "poison_retire", t0,
-                      record.start_ns + record.phases.sum(),
-                      {{"block", id}, {"page", page}});
+  if (detailed_trace(config_, tracer_)) {
+    tracer_->span(tracks::kRecovery, "poison_retire", t0,
+                  record.start_ns + record.phases.sum(),
+                  {{"block", id}, {"page", page}});
   }
 }
 
@@ -123,9 +123,9 @@ void RecoveryManager::channel_reset(BatchRecord& record) {
   record.phases.recovery_ns += config_.recovery.channel_reset_ns;
   ++record.counters.channel_resets;
   ++channel_resets_;
-  if (detailed_trace(config_, obs_)) {
-    obs_.tracer->span(tracks::kRecovery, "channel_reset", t0,
-                      record.start_ns + record.phases.sum());
+  if (detailed_trace(config_, tracer_)) {
+    tracer_->span(tracks::kRecovery, "channel_reset", t0,
+                  record.start_ns + record.phases.sum());
   }
 }
 
@@ -153,9 +153,9 @@ void RecoveryManager::full_gpu_reset(BatchRecord& record) {
 
   const SimTime charged = record.phases.sum() - before;
   record.end_ns += charged;
-  if (detailed_trace(config_, obs_)) {
-    obs_.tracer->span(tracks::kRecovery, "gpu_reset", t0, t0 + charged,
-                      {{"blocks_torn_down", blocks_torn_down}});
+  if (detailed_trace(config_, tracer_)) {
+    tracer_->span(tracks::kRecovery, "gpu_reset", t0, t0 + charged,
+                  {{"blocks_torn_down", blocks_torn_down}});
   }
 }
 

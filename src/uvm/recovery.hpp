@@ -47,7 +47,7 @@
 #include "common/types.hpp"
 #include "hostos/dma.hpp"
 #include "interconnect/copy_engine.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "uvm/batch.hpp"
 #include "uvm/driver_config.hpp"
 #include "uvm/gpu_ctx.hpp"
@@ -60,7 +60,7 @@ class RecoveryManager {
   /// `gpus` holds one memory context per GPU; not owned.
   RecoveryManager(const DriverConfig& config, VaSpace& space,
                   GpuMemCtxs& gpus, DmaMapper& dma, CopyEngine& copy,
-                  Obs obs);
+                  Tracer* tracer);
 
   bool enabled() const noexcept { return config_.recovery.enabled; }
 
@@ -123,7 +123,7 @@ class RecoveryManager {
   GpuMemCtxs& gpus_;
   DmaMapper& dma_;
   CopyEngine& copy_;
-  Obs obs_;
+  Tracer* tracer_;  // null = no recording
 
   std::uint64_t faults_cancelled_ = 0;
   std::uint64_t pages_retired_ = 0;

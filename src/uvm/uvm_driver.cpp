@@ -46,9 +46,9 @@ GpuMemCtxs make_gpus(const DriverConfig& config,
 
 UvmDriver::UvmDriver(DriverConfig config, std::uint64_t gpu_memory_bytes,
                      std::uint32_t num_sms, PcieConfig pcie,
-                     FaultInjector* injector, Obs obs)
+                     FaultInjector* injector, Tracer* tracer)
     : config_(validated(std::move(config), gpu_memory_bytes)),
-      obs_(obs),
+      tracer_(tracer),
       pcie_(pcie),
       topo_(TopologyConfig{config_.multi_gpu.topology,
                            config_.multi_gpu.num_gpus,
@@ -58,14 +58,12 @@ UvmDriver::UvmDriver(DriverConfig config, std::uint64_t gpu_memory_bytes,
       copy_(topo_),
       dma_(config_.dma),
       thrash_(config_.thrash),
-      recovery_(config_, space_, gpus_, dma_, copy_, obs),
+      recovery_(config_, space_, gpus_, dma_, copy_, tracer),
       servicer_(config_, space_, topo_, gpus_, dma_, copy_, num_sms, injector,
-                &thrash_, obs),
+                &thrash_, tracer),
       counter_servicer_(config_, space_, topo_, gpus_, copy_, servicer_,
-                        &thrash_, obs),
+                        &thrash_, tracer),
       effective_batch_size_(config_.batch_size) {
-  copy_.set_obs(obs_);
-  dma_.set_obs(obs_);
   servicer_.set_recovery(&recovery_);
 }
 
@@ -109,11 +107,10 @@ const BatchRecord& UvmDriver::handle_batch(const std::vector<FaultRecord>& raw,
     }
   }
 
-  if (obs_.tracer && record.counters.buffer_dropped > 0) {
-    obs_.tracer->instant(tracks::kDriver, "buffer_overflow", record.start_ns,
-                         {{"dropped", record.counters.buffer_dropped}});
+  if (tracer_ && record.counters.buffer_dropped > 0) {
+    tracer_->instant(tracks::kDriver, "buffer_overflow", record.start_ns,
+                     {{"dropped", record.counters.buffer_dropped}});
   }
-  record_batch_metrics(record);
 
   log_.push_back(std::move(record));
   return log_.back();
@@ -126,7 +123,6 @@ const BatchRecord& UvmDriver::service_counter_interrupt(SimTime start) {
   record.end_ns = start;
   counter_servicer_.service(*counters_, record);
   clock_ns_ = record.end_ns;
-  record_batch_metrics(record);
   log_.push_back(std::move(record));
   return log_.back();
 }
@@ -138,7 +134,6 @@ const BatchRecord& UvmDriver::service_channel_reset(SimTime start) {
   recovery_.channel_reset(record);
   record.end_ns = start + record.phases.sum();
   clock_ns_ = record.end_ns;
-  record_batch_metrics(record);
   log_.push_back(std::move(record));
   return log_.back();
 }
@@ -150,29 +145,8 @@ const BatchRecord& UvmDriver::service_gpu_reset(SimTime start) {
   record.end_ns = start;  // full_gpu_reset extends by what it charges
   recovery_.full_gpu_reset(record);
   clock_ns_ = record.end_ns;
-  record_batch_metrics(record);
   log_.push_back(std::move(record));
   return log_.back();
-}
-
-void UvmDriver::record_batch_metrics(const BatchRecord& record) {
-  MetricsRegistry* const m = obs_.metrics;
-  if (!m) return;
-
-  m->add("driver.batches");
-  m->add("driver.batch_time_ns", record.duration_ns());
-  m->set_gauge("driver.effective_batch_size", effective_batch_size_);
-
-  // Every timer and counter, under its metric name.
-  for_each_batch_field([&](const BatchField& field, auto get) {
-    m->add(field.metric, get(record));
-  });
-
-  // Batch-shape distributions (Figure 6-style analyses).
-  m->observe("batch.duration_ns", record.duration_ns());
-  m->observe("batch.raw_faults", record.counters.raw_faults);
-  m->observe("batch.unique_faults", record.counters.unique_faults);
-  m->observe("batch.vablocks_touched", record.counters.vablocks_touched);
 }
 
 }  // namespace uvmsim

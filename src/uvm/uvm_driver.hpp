@@ -27,7 +27,7 @@
 #include "interconnect/copy_engine.hpp"
 #include "interconnect/pcie.hpp"
 #include "interconnect/topology.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "uvm/batch.hpp"
 #include "uvm/counter_servicer.hpp"
 #include "uvm/driver_config.hpp"
@@ -43,17 +43,15 @@ class UvmDriver final : public ResidencyOracle {
   /// `gpu_memory_bytes` is each GPU's HBM. `injector` (optional) is the
   /// cross-layer fault-injection schedule shared with the GPU engine and
   /// the node's event chain; the driver consults it for transient
-  /// copy/DMA errors on the fault path. `obs` (optional) carries the
-  /// node's tracing/metrics sinks; it is forwarded to the servicer, copy
-  /// engine, and DMA mapper, and the driver itself mirrors every
-  /// BatchRecord into the registry after each batch.
+  /// copy/DMA errors on the fault path. `tracer` (optional) is the node's
+  /// trace sink; the driver and its servicers record spans into it.
   ///
   /// Throws std::invalid_argument for a config no run can complete: a
   /// zero batch size (or a zero adaptive-sizing bound), zero GPUs, or less
   /// GPU memory than one 2 MB chunk.
   UvmDriver(DriverConfig config, std::uint64_t gpu_memory_bytes,
             std::uint32_t num_sms, PcieConfig pcie = {},
-            FaultInjector* injector = nullptr, Obs obs = {});
+            FaultInjector* injector = nullptr, Tracer* tracer = nullptr);
 
   /// cudaMallocManaged equivalent: reserve managed pages and apply the
   /// host initialization pattern (plus optional cudaMemAdvise placement).
@@ -144,6 +142,7 @@ class UvmDriver final : public ResidencyOracle {
   const Topology& topology() const noexcept { return topo_; }
   PcieLink& pcie() noexcept { return pcie_; }
   const CopyEngine& copy_engine() const noexcept { return copy_; }
+  const DmaMapper& dma() const noexcept { return dma_; }
   const ThrashingDetector& thrashing() const noexcept { return thrash_; }
   const RecoveryManager& recovery() const noexcept { return recovery_; }
 
@@ -208,14 +207,8 @@ class UvmDriver final : public ResidencyOracle {
            thrash_.enabled();
   }
 
-  /// Mirror one completed batch into the metrics registry: every timer and
-  /// counter under its metric name (differential-testable against the
-  /// batch log), and per-batch shape distributions as histograms. A no-op
-  /// when metrics are off.
-  void record_batch_metrics(const BatchRecord& record);
-
   DriverConfig config_;
-  Obs obs_;
+  Tracer* tracer_;  // null = no recording
   VaSpace space_;
   PcieLink pcie_;
   Topology topo_;

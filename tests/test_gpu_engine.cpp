@@ -590,22 +590,6 @@ TEST(GpuEngineCounters, RescanAfterReplayReprobesOnlyBlockedAccesses) {
   EXPECT_EQ(oracle.classify_calls, gpu.residency_probes());
 }
 
-TEST(GpuEngineCounters, WindowCountsReachTheMetricsRegistry) {
-  MetricsRegistry metrics;
-  GpuEngine gpu(quiet_config(), 1);
-  gpu.set_obs(Obs{nullptr, &metrics});
-  const auto spec = make_vecadd_paged();
-  gpu.launch(spec.kernel);
-  SetOracle oracle;
-  run_to_completion(gpu, oracle);
-  EXPECT_EQ(metrics.counter("gpu.warp_visits"), gpu.warp_visits());
-  EXPECT_EQ(metrics.counter("gpu.idle_warp_visits"), gpu.idle_warp_visits());
-  EXPECT_EQ(metrics.counter("gpu.residency_probes"), gpu.residency_probes());
-  EXPECT_EQ(metrics.counter("gpu.oracle_probes"), gpu.oracle_probes());
-  EXPECT_EQ(gpu.oracle_probes(), gpu.residency_probes());
-  EXPECT_GT(gpu.warp_visits(), 0u);
-}
-
 TEST(GpuEngine, FirstWindowCappedByUtlbLimit) {
   // Fig 3: a single warp's first fault window stops at the 56-entry µTLB
   // cap even though 64 reads are ready to issue.

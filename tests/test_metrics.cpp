@@ -1,18 +1,20 @@
-// Differential test for the MetricsRegistry mirror: every `driver.*`
-// counter and `phase.*_ns` total published by UvmDriver must equal the
-// corresponding sum over the legacy per-batch log, bit for bit — on the
-// golden vecadd workload and across fuzzed seeds/policies, with and
-// without fault injection. The batch log is the ground truth; the
-// registry is its cross-layer aggregation and may never drift.
+// Tests of the metrics snapshot (Node::metrics). Every `driver.*` counter
+// and `phase.*_ns` total it publishes must equal the corresponding sum over
+// the per-batch log, bit for bit — on the golden vecadd workload and across
+// fuzzed seeds/policies, with and without fault injection. The batch log is
+// the ground truth; the snapshot is read from it after the run and may
+// never drift. The snapshot also covers the node's whole life (a second
+// run adds to it), and on a node with several sources its gauges sum over
+// the node.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/multi_client.hpp"
 #include "core/multi_gpu.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
@@ -31,9 +33,9 @@ const std::vector<ServicingPolicy> kPolicies{
     ServicingPolicy::kSerial, ServicingPolicy::kPerVaBlock,
     ServicingPolicy::kPerSm};
 
-/// (metric name, per-batch value) for every field the driver mirrors,
-/// written out by hand: the independent oracle for the mirror that
-/// uvm/batch.hpp's field list generates.
+/// (metric name, per-batch value) for every field the snapshot reads from
+/// the log, written out by hand: the independent oracle for the names and
+/// sums that uvm/batch.hpp's field list generates.
 std::vector<std::pair<const char*, std::uint64_t>> mirrored_fields(
     const BatchRecord& rec) {
   const auto& c = rec.counters;
@@ -101,9 +103,8 @@ std::vector<std::pair<const char*, std::uint64_t>> mirrored_fields(
   };
 }
 
-/// Assert registry == batch-log sums exactly, and that the registry's
-/// `driver.*` and `phase.*` counter names are exactly the table's. Returns
-/// the sums.
+/// Assert the snapshot's `driver.*` and `phase.*` counters are exactly the
+/// table's names, each equal to its batch-log sum. Returns the sums.
 std::map<std::string, std::uint64_t> expect_registry_matches_log(
     const MetricsRegistry& metrics, const BatchLog& log,
     const std::string& label) {
@@ -115,38 +116,37 @@ std::map<std::string, std::uint64_t> expect_registry_matches_log(
       expected[name] += value;
     }
   }
-  for (const auto& [name, want] : expected) {
-    EXPECT_EQ(metrics.counter(name), want) << label << ": " << name;
-  }
-  std::set<std::string> mirrored;
-  for (const auto& [name, value] : metrics.counters()) {
+  std::map<std::string, std::uint64_t> published;
+  for (const auto& [name, value] : metrics.counters) {
     if (name.starts_with("driver.") || name.starts_with("phase.")) {
-      mirrored.insert(name);
+      published.emplace(name, value);
     }
   }
-  std::set<std::string> table;
-  for (const auto& [name, value] : expected) table.insert(name);
-  EXPECT_EQ(mirrored, table) << label;
+  EXPECT_EQ(published, expected) << label;
 
   // The per-batch histograms must have seen every batch.
-  const Log2Histogram* durations = metrics.histogram("batch.duration_ns");
-  EXPECT_NE(durations, nullptr) << label;
-  if (durations) {
-    EXPECT_EQ(durations->total(), log.size()) << label;
+  const auto durations = metrics.histograms.find("batch.duration_ns");
+  EXPECT_NE(durations, metrics.histograms.end()) << label;
+  if (durations != metrics.histograms.end()) {
+    EXPECT_EQ(durations->second.total(), log.size()) << label;
     std::uint64_t duration_sum = 0;
     for (const auto& rec : log) duration_sum += rec.duration_ns();
-    EXPECT_EQ(durations->sum(), duration_sum) << label;
+    EXPECT_EQ(durations->second.sum(), duration_sum) << label;
   }
 
   // The adaptive batch-size gauge is published and stays positive.
-  EXPECT_GT(metrics.gauge("driver.effective_batch_size"), 0) << label;
+  const auto batch_size = metrics.gauges.find("driver.effective_batch_size");
+  EXPECT_NE(batch_size, metrics.gauges.end()) << label;
+  if (batch_size != metrics.gauges.end()) {
+    EXPECT_GT(batch_size->second, 0) << label;
+  }
   return expected;
 }
 
-/// Run with metrics on and assert registry == batch-log sums exactly.
-void check_registry_matches_log(SystemConfig cfg, const WorkloadSpec& spec,
+/// Run and assert snapshot == batch-log sums exactly.
+void check_registry_matches_log(const SystemConfig& cfg,
+                                const WorkloadSpec& spec,
                                 const std::string& label) {
-  cfg.obs.metrics = true;
   System system(cfg);
   const auto result = system.run(spec);
   expect_registry_matches_log(system.metrics(), result.log, label);
@@ -194,7 +194,6 @@ TEST(Metrics, RegistryMatchesBatchLogOnNvlinkRing) {
   // HBM: the shared driver migrates pages peer to peer, remote-maps peer
   // blocks and places blocks in peer HBM, so every peer counter moves.
   SystemConfig cfg = small_config(4);
-  cfg.obs.metrics = true;
   cfg.driver.prefetch_enabled = false;
   cfg.driver.multi_gpu.num_gpus = 4;
   cfg.driver.multi_gpu.topology = TopologyKind::kNvlinkRing;
@@ -213,43 +212,173 @@ TEST(Metrics, RegistryMatchesBatchLogOnNvlinkRing) {
   }
 }
 
-TEST(Metrics, MetricsDoNotPerturbTheSimulation) {
-  // Like the tracer, the registry only observes: enabling it must leave
-  // the batch log bit-identical.
-  const FuzzCase c = make_injected_fuzz_case(7);
-  System plain(c.config);
-  const auto baseline = plain.run(c.spec);
-
-  SystemConfig cfg = c.config;
-  cfg.obs.metrics = true;
-  System instrumented(cfg);
-  const auto result = instrumented.run(c.spec);
-
-  ASSERT_EQ(result.log.size(), baseline.log.size());
-  EXPECT_EQ(result.kernel_time_ns, baseline.kernel_time_ns);
-  EXPECT_EQ(result.batch_time_ns, baseline.batch_time_ns);
-  EXPECT_EQ(result.total_faults, baseline.total_faults);
-}
-
-TEST(Metrics, DisabledMetricsLeaveRegistryEmpty) {
-  SystemConfig cfg = small_config();
-  System system(cfg);  // obs.metrics defaults to off
-  const auto result = system.run(make_vecadd_paged());
-  ASSERT_FALSE(result.log.empty());
-  EXPECT_TRUE(system.metrics().empty());
-}
-
 TEST(Metrics, IdenticalRunsProduceIdenticalRegistries) {
   const FuzzCase c = make_injected_fuzz_case(3);
-  SystemConfig cfg = c.config;
-  cfg.obs.metrics = true;
-  System a(cfg);
+  System a(c.config);
   a.run(c.spec);
-  System b(cfg);
+  System b(c.config);
   b.run(c.spec);
-  EXPECT_EQ(a.metrics().counters(), b.metrics().counters());
-  EXPECT_EQ(a.metrics().gauges(), b.metrics().gauges());
-  EXPECT_TRUE(a.metrics().histograms() == b.metrics().histograms());
+  const MetricsRegistry ma = a.metrics();
+  const MetricsRegistry mb = b.metrics();
+  EXPECT_EQ(ma.counters, mb.counters);
+  EXPECT_EQ(ma.gauges, mb.gauges);
+  EXPECT_TRUE(ma.histograms == mb.histograms);
+}
+
+/// One expected snapshot counter; with `present` false, the name must be
+/// absent.
+struct Expect {
+  const char* name;
+  std::uint64_t value;
+  bool present = true;
+};
+
+void expect_counters(const MetricsRegistry& m,
+                     std::initializer_list<Expect> want,
+                     const std::string& label) {
+  for (const Expect& e : want) {
+    const auto it = m.counters.find(e.name);
+    if (!e.present) {
+      EXPECT_EQ(it, m.counters.end()) << label << ": " << e.name;
+      continue;
+    }
+    ASSERT_NE(it, m.counters.end()) << label << ": " << e.name;
+    EXPECT_EQ(it->second, e.value) << label << ": " << e.name;
+  }
+}
+
+void expect_histogram(const MetricsRegistry& m, const char* name,
+                      std::uint64_t count, std::uint64_t sum,
+                      const std::string& label) {
+  const auto it = m.histograms.find(name);
+  ASSERT_NE(it, m.histograms.end()) << label << ": " << name;
+  EXPECT_EQ(it->second.total(), count) << label << ": " << name;
+  EXPECT_EQ(it->second.sum(), sum) << label << ": " << name;
+}
+
+// The snapshot covers the node's whole life: a second run on the same
+// System or MultiClientSystem adds to every counter, and a name first
+// earned in the second run appears only then. The expected values were
+// recorded by an independent implementation that added into a registry
+// during the runs.
+TEST(Metrics, SnapshotAccumulatesAcrossRuns) {
+  const FuzzCase c = testutil::make_counter_fuzz_case(1);
+  System system(c.config);
+  system.run(c.spec);
+  MetricsRegistry m = system.metrics();
+  expect_counters(m,
+                  {{"sim.runs", 1},
+                   {"sim.interrupts", 1},
+                   {"sim.kernel_time_ns", 65924440},
+                   {"sim.counter_interrupts", 0, false},
+                   {"driver.batches", 54},
+                   {"gpu.faults_emitted", 53827},
+                   {"gpu.warp_visits", 42539},
+                   {"copy.dma_ops", 7907},
+                   {"copy.bytes_h2d", 82956288},
+                   {"counter.passes", 30},
+                   {"counter.service_ns", 14485844},
+                   {"counter.dropped", 0, false},
+                   {"dma.map_calls", 12},
+                   {"dma.radix_nodes", 99},
+                   {"dma.radix_height_growths", 2}},
+                  "system run 1");
+  EXPECT_EQ(m.gauges.at("gpu.blocks_retired"), 320);
+  expect_histogram(m, "copy.run_pages", 7907, 39528, "system run 1");
+
+  system.run(c.spec);
+  m = system.metrics();
+  expect_counters(m,
+                  {{"sim.runs", 2},
+                   {"sim.interrupts", 2},
+                   {"sim.kernel_time_ns", 98182707},
+                   {"sim.counter_interrupts", 1},
+                   {"driver.batches", 64},
+                   {"gpu.faults_emitted", 62787},
+                   {"gpu.warp_visits", 48939},
+                   {"copy.dma_ops", 8931},
+                   {"copy.bytes_h2d", 111161344},
+                   {"counter.passes", 36},
+                   {"counter.service_ns", 23709732},
+                   {"counter.dropped", 0, false},
+                   {"dma.map_calls", 24},
+                   {"dma.radix_nodes", 196},
+                   {"dma.radix_height_growths", 2}},
+                  "system run 2");
+  EXPECT_EQ(m.gauges.at("gpu.blocks_retired"), 640);
+  EXPECT_EQ(m.gauges.at("dma.mapped_pages"), 12288);
+  expect_histogram(m, "copy.run_pages", 8931, 53798, "system run 2");
+  expect_histogram(m, "batch.duration_ns", 64, 62397795, "system run 2");
+
+  MultiClientSystem tenants(small_config(8), 2);
+  const std::vector<WorkloadSpec> specs{make_random(6 << 20, 1),
+                                        make_stream_triad(1 << 17)};
+  tenants.run(specs);
+  m = tenants.metrics();
+  expect_counters(m,
+                  {{"sim.runs", 1},
+                   {"sim.interrupts", 3},
+                   {"driver.batches", 3},
+                   {"gpu.faults_emitted", 7048},
+                   {"copy.dma_ops", 6},
+                   {"copy.bytes_d2h", 0, false},
+                   {"tenant.0000.service_ns", 2487146},
+                   {"tenant.0000.evictions", 0},
+                   {"tenant.0001.grants", 2},
+                   {"tenant.0001.lock_wait_ns", 2486795}},
+                  "tenants run 1");
+
+  tenants.run(specs);
+  m = tenants.metrics();
+  expect_counters(m,
+                  {{"sim.runs", 2},
+                   {"sim.interrupts", 6},
+                   {"driver.batches", 7},
+                   {"gpu.faults_emitted", 14401},
+                   {"copy.dma_ops", 18},
+                   {"copy.bytes_d2h", 6291456},
+                   {"tenant.0000.service_ns", 5376196},
+                   {"tenant.0000.evictions", 2},
+                   {"tenant.0001.grants", 4},
+                   {"tenant.0001.lock_wait_ns", 5374837}},
+                  "tenants run 2");
+  expect_histogram(m, "copy.run_pages", 18, 6144, "tenants run 2");
+}
+
+// On a node with several engines or drivers, a gauge describes the node:
+// engine gauges and dma.mapped_pages sum over it, and
+// driver.effective_batch_size is the largest over its drivers.
+TEST(Metrics, MultiSourceGaugesSumOverTheNode) {
+  SystemConfig cfg = small_config(4);
+  cfg.driver.multi_gpu.num_gpus = 2;
+  MultiGpuSystem gpus(cfg);
+  gpus.run(make_peer_share(PeerShareParams{}));
+  MetricsRegistry m = gpus.metrics();
+  const std::int64_t retired = static_cast<std::int64_t>(
+      gpus.gpu(0).blocks_retired() + gpus.gpu(1).blocks_retired());
+  EXPECT_GT(gpus.gpu(1).blocks_retired(), 0u);
+  EXPECT_EQ(m.gauges.at("gpu.blocks_retired"), retired);
+  EXPECT_EQ(m.gauges.at("gpu.active_warps"),
+            gpus.gpu(0).active_warps() + gpus.gpu(1).active_warps());
+  EXPECT_EQ(m.gauges.at("dma.mapped_pages"),
+            static_cast<std::int64_t>(gpus.driver().dma().mapped_pages()));
+
+  SystemConfig tcfg = small_config(8);
+  tcfg.driver.adaptive_batch_size = true;
+  MultiClientSystem tenants(tcfg, 2);
+  tenants.run({make_random(6 << 20, 1), make_stream_triad(1 << 17)});
+  m = tenants.metrics();
+  const std::int64_t size0 = tenants.driver(0).effective_batch_size();
+  const std::int64_t size1 = tenants.driver(1).effective_batch_size();
+  ASSERT_NE(size0, size1);  // else the largest is indistinguishable
+  EXPECT_EQ(m.gauges.at("driver.effective_batch_size"),
+            std::max(size0, size1));
+  const auto mapped0 = tenants.driver(0).dma().mapped_pages();
+  const auto mapped1 = tenants.driver(1).dma().mapped_pages();
+  ASSERT_GT(mapped0, 0u);
+  ASSERT_GT(mapped1, 0u);
+  EXPECT_EQ(m.gauges.at("dma.mapped_pages"),
+            static_cast<std::int64_t>(mapped0 + mapped1));
 }
 
 }  // namespace

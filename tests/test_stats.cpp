@@ -124,5 +124,23 @@ TEST(Log2Histogram, PercentileSingleElementBucketInterpolates) {
   EXPECT_DOUBLE_EQ(Log2Histogram{}.percentile(0.99), 0.0);
 }
 
+TEST(Log2Histogram, MergeMatchesSequential) {
+  Xoshiro256 rng(7);
+  Log2Histogram whole, a, b;
+  for (int i = 0; i < 400; ++i) {
+    const auto v = rng.next() % 100000;
+    whole.add(v);
+    (i % 2 ? a : b).add(v);
+  }
+  a.merge(b);
+  EXPECT_EQ(a, whole);
+  EXPECT_DOUBLE_EQ(a.percentile(0.95), whole.percentile(0.95));
+  Log2Histogram empty;
+  empty.merge(Log2Histogram{});
+  EXPECT_EQ(empty, Log2Histogram{});
+  empty.merge(whole);
+  EXPECT_EQ(empty, whole);
+}
+
 }  // namespace
 }  // namespace uvmsim

@@ -120,7 +120,7 @@ constexpr FlagSpec kFlags[] = {
     // Outputs.
     {"log", Value::kText},
     {"trace", Value::kOptional},
-    {"metrics", Value::kOptional},
+    {"metrics", Value::kText},
     {"engine-stats", Value::kNone},
     {"fail-on-abort", Value::kNone},
     {"out", Value::kText, kTrace},
@@ -309,8 +309,9 @@ int cmd_list() {
   std::printf("observability: --trace [FILE] (Chrome trace JSON, "
               "Perfetto-loadable; under --gpus the shared driver's trace; "
               "under --tenants only bare, as each client has its own) "
-              "--metrics [FILE] (registry snapshot JSON, every node "
-              "shape); `trace` subcommand = run + --trace, --out FILE\n");
+              "--metrics FILE (snapshot JSON read from the run's books "
+              "after it ends, every node shape); `trace` subcommand = run + "
+              "--trace, --out FILE\n");
   std::printf("driver parallelism (paper §6): --service-policy "
               "serial|vablock|sm --service-workers K\n");
   std::printf("event engine: --engine-stats (prints event counters)\n");
@@ -350,39 +351,57 @@ int cmd_list() {
   return 0;
 }
 
-/// A --trace/--metrics value names the output file; a bare flag enables
-/// the sink without writing one (overhead checks).
-std::string output_path(const Args& args, const char* flag) {
-  const std::string value = args.get(flag, "");
+/// A --trace value names the output file; a bare --trace records the
+/// trace without writing one (overhead checks).
+std::string trace_path(const Args& args) {
+  const std::string value = args.get("trace", "");
   return value == "1" ? "" : value;
 }
 
-/// Write a recorded trace as Chrome trace JSON; 3 when `path` cannot be
-/// opened.
-int write_trace_file(const std::string& path, const Tracer& tracer) {
-  std::ofstream out(path);
+/// Open `path` for writing into `out`; false, after a one-line message,
+/// when it cannot be opened.
+bool open_output(const std::string& path, std::ofstream& out) {
+  out.open(path);
   if (!out) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 3;
+    return false;
   }
-  write_trace_json(out, tracer);
-  std::printf("trace written to %s (%zu events)\n", path.c_str(),
-              tracer.size());
-  return 0;
+  return true;
 }
 
-/// Write a metrics registry snapshot as JSON; 3 when `path` cannot be
-/// opened.
-int write_metrics_file(const std::string& path,
-                       const MetricsRegistry& metrics) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 3;
+/// Write the run's output files, each only when its flag names one: --log
+/// (every run's batch log, concatenated in order), --trace (`tracer`; null
+/// when the node shape keeps no single trace) and --metrics (the snapshot
+/// `metrics()` returns). 3 when a path cannot be opened.
+template <typename Snapshot>
+int write_run_outputs(const Args& args, std::span<const RunResult> runs,
+                      const Tracer* tracer, Snapshot metrics) {
+  if (const std::string path = args.get("log", ""); !path.empty()) {
+    std::ofstream out;
+    if (!open_output(path, out)) return 3;
+    std::size_t records = 0;
+    for (const RunResult& run : runs) {
+      write_batch_log(out, run.log);
+      records += run.log.size();
+    }
+    std::printf("batch log written to %s (%zu records)\n", path.c_str(),
+                records);
   }
-  write_metrics_json(out, metrics);
-  std::printf("metrics written to %s (%zu counters)\n", path.c_str(),
-              metrics.counters().size());
+  if (const std::string path = trace_path(args); tracer && !path.empty()) {
+    std::ofstream out;
+    if (!open_output(path, out)) return 3;
+    write_trace_json(out, *tracer);
+    std::printf("trace written to %s (%zu events)\n", path.c_str(),
+                tracer->size());
+  }
+  if (const std::string path = args.get("metrics", ""); !path.empty()) {
+    std::ofstream out;
+    if (!open_output(path, out)) return 3;
+    const MetricsRegistry snapshot = metrics();
+    write_metrics_json(out, snapshot);
+    std::printf("metrics written to %s (%zu counters)\n", path.c_str(),
+                snapshot.counters.size());
+  }
   return 0;
 }
 
@@ -483,7 +502,7 @@ int run_tenants(const Args& args, SystemConfig cfg) {
     std::fprintf(stderr, "--tenants wants at least 1 client\n");
     return 2;
   }
-  if (!output_path(args, "trace").empty()) {
+  if (!trace_path(args).empty()) {
     std::fprintf(stderr,
                  "--trace FILE under --tenants: each client records its own "
                  "trace (one timeline per client), so there is no single "
@@ -569,33 +588,17 @@ int run_tenants(const Args& args, SystemConfig cfg) {
       print_run_rows(args, cfg, result.per_client, system.engine_stats());
 
   if (const std::string path = args.get("tenant-log", ""); !path.empty()) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 3;
-    }
+    std::ofstream out;
+    if (!open_output(path, out)) return 3;
     write_tenant_log(out, result.per_tenant);
     std::printf("tenant log written to %s (%zu tenants)\n", path.c_str(),
                 result.per_tenant.size());
   }
-  if (const std::string path = args.get("log", ""); !path.empty()) {
-    // Concatenated per-client batch logs in client order: a byte-stable
-    // image of every batch the shared worker serviced.
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 3;
-    }
-    std::size_t records = 0;
-    for (const auto& rr : result.per_client) {
-      write_batch_log(out, rr.log);
-      records += rr.log.size();
-    }
-    std::printf("batch log written to %s (%zu records)\n", path.c_str(),
-                records);
-  }
-  if (const std::string path = output_path(args, "metrics"); !path.empty()) {
-    if (const int rc = write_metrics_file(path, system.metrics())) return rc;
+  // The log concatenates the per-client batch logs in client order: a
+  // byte-stable image of every batch the shared worker serviced.
+  if (const int rc = write_run_outputs(args, result.per_client, nullptr,
+                                       [&] { return system.metrics(); })) {
+    return rc;
   }
   // --check-fairness MAXERR%,MINJAIN: gate for CI — exit 5 when the
   // in-window shares drift past MAXERR percent of the weight targets or
@@ -695,21 +698,10 @@ int run_multi_gpu(const Args& args, SystemConfig cfg) {
   }
   const std::uint64_t aborts =
       print_run_rows(args, cfg, std::span(&agg, 1), system.engine_stats());
-  if (const std::string path = args.get("log", ""); !path.empty()) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 3;
-    }
-    write_batch_log(out, agg.log);
-    std::printf("batch log written to %s (%zu records)\n", path.c_str(),
-                agg.log.size());
-  }
-  if (const std::string path = output_path(args, "trace"); !path.empty()) {
-    if (const int rc = write_trace_file(path, system.tracer())) return rc;
-  }
-  if (const std::string path = output_path(args, "metrics"); !path.empty()) {
-    if (const int rc = write_metrics_file(path, system.metrics())) return rc;
+  if (const int rc = write_run_outputs(args, std::span(&agg, 1),
+                                       &system.tracer(),
+                                       [&] { return system.metrics(); })) {
+    return rc;
   }
   return fail_on_abort(args, aborts);
 }
@@ -743,10 +735,9 @@ int cmd_run(const Args& args) {
       static_cast<std::uint32_t>(args.get_u64("service-workers", 1));
   cfg.seed = args.get_u64("seed", cfg.seed);
 
-  // A bare --trace/--metrics enables the sink without writing a file
-  // (overhead checks); a value is the output path.
+  // A bare --trace records without writing a file (overhead checks); a
+  // value is the output path.
   cfg.obs.trace = !args.get("trace", "").empty();
-  cfg.obs.metrics = !args.get("metrics", "").empty();
 
   if (args.flag("inject")) {
     auto& inj = cfg.driver.inject;
@@ -882,22 +873,10 @@ int cmd_run(const Args& args) {
               static_cast<double>(result.bytes_d2h) / (1 << 20));
   const std::uint64_t aborts = print_run_rows(
       args, cfg, std::span(&result, 1), system.engine_stats());
-
-  if (const std::string path = args.get("log", ""); !path.empty()) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 3;
-    }
-    write_batch_log(out, result.log);
-    std::printf("batch log written to %s (%zu records)\n", path.c_str(),
-                result.log.size());
-  }
-  if (const std::string path = output_path(args, "trace"); !path.empty()) {
-    if (const int rc = write_trace_file(path, system.tracer())) return rc;
-  }
-  if (const std::string path = output_path(args, "metrics"); !path.empty()) {
-    if (const int rc = write_metrics_file(path, system.metrics())) return rc;
+  if (const int rc = write_run_outputs(args, std::span(&result, 1),
+                                       &system.tracer(),
+                                       [&] { return system.metrics(); })) {
+    return rc;
   }
   return fail_on_abort(args, aborts);
 }
